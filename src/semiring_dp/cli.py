@@ -1,9 +1,14 @@
 """Command-line front end: semiring-dp <segment|align|events|lis|bench>.
 
-Results are emitted as a canonical JSON document (sorted keys, floats
-at 12 significant digits) so outputs are byte-stable under a
-parse/re-serialize round trip.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 oracle-check failure.
+Every subcommand runs one pipeline: it reads its inputs into a weight
+map and picks its recurrence, then ``_solve`` folds that recurrence over
+an op-counting copy of the semiring, unpacks the witness of a
+score-and-witness value, checks the score against the exhaustive
+path-set oracle on request (``_oracle``: generate, filter, evaluate) and
+builds the result document.  Documents are canonical JSON (sorted keys,
+floats at 12 significant digits), byte-stable under a parse/re-serialize
+round trip.  Exit codes: 0 success, 1 usage error, 2 data error,
+3 oracle-check failure.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ import sys
 import time
 from pathlib import Path
 
+from . import algorithms
 from .algorithms import (
     AlignmentProblem,
     SegmentationProblem,
     combinations,
+    delannoy,
     events_m_of_n,
     nw_align,
     nw_align_max_constrained,
@@ -28,7 +35,6 @@ from .algorithms import (
 from .lifting import max_count_algebra, min_count_algebra, ordering_algebra, subset_size_algebra
 from .pathsets import (
     PathBudgetError,
-    PathSet,
     evaluate_paths,
     filter_paths,
     generator_semiring,
@@ -39,15 +45,16 @@ from .regression import (
     SegmentCosts,
     TimeSeries,
     piecewise_values,
-    segment_series,
 )
 from .semirings import (
+    SELECTIVE_SEMIRINGS,
+    OpCounts,
     Scored,
     Semiring,
+    counting_semiring,
     instrumented,
     max_product_semiring,
     maxplus_semiring,
-    minplus_semiring,
     probability_semiring,
     standard_semirings,
     viterbi_simple_semiring,
@@ -96,8 +103,8 @@ def canonical_json(doc) -> str:
             pieces.append("true")
         elif x is False:
             pieces.append("false")
-        elif isinstance(x, float):
-            pieces.append(format_float(x))
+        elif isinstance(x, float):  # an empty min or max is written as "inf" or "-inf"
+            pieces.append(f'"{x}"' if math.isinf(x) else format_float(x))
         elif isinstance(x, int):
             pieces.append(str(x))
         elif isinstance(x, str):
@@ -123,14 +130,6 @@ def canonical_json(doc) -> str:
 
     emit(doc)
     return "".join(pieces)
-
-
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
 
 
 # --- input readers -----------------------------------------------------------
@@ -172,23 +171,36 @@ def read_sequence(path: str, *, tokens: bool = False) -> list[str]:
 
 
 def resolve_semiring(name: str) -> tuple[Semiring, Semiring, bool]:
-    """Return (semiring to run, scalar base for scoring, tupled?)."""
+    """Return (semiring to run, scalar base for scoring, tupled?).
+
+    Weights are scalars, which rules out ``expectation`` (pairs), and a
+    witness needs a base whose add picks an operand (a selective base).
+    """
     catalog = standard_semirings()
-    if name.startswith("viterbi:"):
-        base_name = name.split(":", 1)[1]
-        base = catalog.get(base_name)
-        if base is None:
-            raise DataError(f"unknown base semiring {base_name!r} in {name!r}")
+    tupled = name.startswith("viterbi:")
+    base = catalog.get(name.split(":", 1)[1] if tupled else name)
+    unsound = tupled and base is not None and base.name not in SELECTIVE_SEMIRINGS
+    if base is None or base.name == "expectation" or unsound:
+        plain = ", ".join(n for n in catalog if n != "expectation")
+        raise DataError(
+            f"{'unknown' if base is None else 'unsupported'} semiring {name!r} "
+            f"(choices: {plain}, viterbi:<{'|'.join(SELECTIVE_SEMIRINGS)}>)"
+        )
+    if tupled:
         return viterbi_simple_semiring(base), base, True
-    if name in catalog:
-        s = catalog[name]
-        return s, s, False
-    raise DataError(f"unknown semiring {name!r} (choices: {', '.join(catalog)}, viterbi:<base>)")
+    return base, base, False
 
 
-def _unit_weighted(name: str) -> bool:
-    # counting-style semirings grade structure, not cost
-    return name in ("count", "bool")
+def _scalar_weight(base: Semiring, cost):
+    """Label -> ``cost``, or unit weights where the semiring grades structure, not cost."""
+    return (lambda e: base.one) if base.name in ("count", "bool") else cost
+
+
+def _labelled(scalar, tupled: bool):
+    """Weight map (i, j) -> scalar((i, j)), tupled with its label when witnesses are kept."""
+    if tupled:
+        return lambda i, j: Scored(scalar((i, j)), ((i, j),))
+    return lambda i, j: scalar((i, j))
 
 
 # --- oracle checks -----------------------------------------------------------
@@ -198,119 +210,116 @@ def _oracle_skipped(reason: str) -> dict:
     return {"status": "skipped", "reason": reason}
 
 
-def _oracle_verdict(base: Semiring, got, want) -> dict:
+def _oracle(solutions, what, generate, alg, base, weight, got) -> dict:
+    """Compare ``got`` with the exhaustive value over every solution.
+
+    ``generate`` runs the recurrence over path sets, ``alg`` (if any) filters
+    them, ``weight`` scores them in ``base``; over VERIFY_PATH_CAP is skipped.
+    """
+    if solutions > VERIFY_PATH_CAP:
+        return _oracle_skipped(f"{what} exceed the {VERIFY_PATH_CAP}-path cap")
+    try:
+        paths = generate(generator_semiring())
+        if alg is not None:
+            paths = filter_paths(alg, paths)
+        want = evaluate_paths(base, weight, paths)
+    except PathBudgetError as exc:
+        return _oracle_skipped(str(exc))
     if base.eq(got, want):
         return {"status": "pass", "reason": None}
     return {"status": "fail", "reason": f"direct {got!r} != exhaustive {want!r}"}
 
 
-def _verify_segment(n, scalar_weight, constraint, base, got) -> dict:
-    if 2 ** (n - 1) > VERIFY_PATH_CAP:
-        return _oracle_skipped(f"2^{n - 1} covers exceed the {VERIFY_PATH_CAP}-path cap")
-    gen = generator_semiring()
+def _verify_segment(n, scalar_weight, alg, base, got) -> dict:
     problem = SegmentationProblem(n, lambda i, j: singleton_weights((i, j)))
-    try:
-        paths = segment_opt(problem, gen)
-        if constraint is not None:
-            kind, lo, hi = constraint
-            if kind == "count":
-                alg = subset_size_algebra(
-                    hi, label_map=lambda e: 1, accept=lambda m: lo <= m <= hi
-                )
-            else:  # min-length, >= semantics
-                alg = min_count_algebra(
-                    n, label_map=lambda e: e[1] - e[0] + 1, accept=lambda m: m >= lo
-                )
-            paths = filter_paths(alg, paths)
-        want = evaluate_paths(base, scalar_weight, paths)
-    except PathBudgetError as exc:
-        return _oracle_skipped(str(exc))
-    return _oracle_verdict(base, got, want)
+    generate = lambda gen: segment_opt(problem, gen)
+    return _oracle(2 ** (n - 1), f"2^{n - 1} covers", generate, alg, base, scalar_weight, got)
 
 
-def _verify_align(p_labels, constraint, base, scalar_weight, got) -> dict:
-    n, m = p_labels.rows, p_labels.cols
-    from .algorithms import delannoy
-
-    if delannoy(n, m) > VERIFY_PATH_CAP:
-        return _oracle_skipped(f"{delannoy(n, m)} alignments exceed the {VERIFY_PATH_CAP}-path cap")
-    gen = generator_semiring()
-    try:
-        paths = nw_align(
-            AlignmentProblem(n, m, lambda i, j: singleton_weights((i, j))), gen
-        )
-        if constraint is not None:
-            kind, cap = constraint
-            gap = lambda e: abs(e[0] - e[1])
-            if kind == "sum":
-                alg = subset_size_algebra(cap, label_map=gap, accept=lambda t: t <= cap)
-            else:
-                alg = max_count_algebra(
-                    max(n, m, cap), label_map=gap, accept=lambda t: t <= cap
-                )
-            paths = filter_paths(alg, paths)
-        want = evaluate_paths(base, scalar_weight, paths)
-    except PathBudgetError as exc:
-        return _oracle_skipped(str(exc))
-    return _oracle_verdict(base, got, want)
+def _verify_align(n, m, alg, base, scalar_weight, got) -> dict:
+    problem = AlignmentProblem(n, m, lambda i, j: singleton_weights((i, j)))
+    count = delannoy(n, m)
+    generate = lambda gen: nw_align(problem, gen)
+    return _oracle(count, f"{count} alignments", generate, alg, base, scalar_weight, got)
 
 
 def _verify_events(probs, occurrences, base, scalar_weight, got) -> dict:
     n = len(probs)
-    if 2**n > VERIFY_PATH_CAP:
-        return _oracle_skipped(f"2^{n} outcome sequences exceed the {VERIFY_PATH_CAP}-path cap")
-    gen = generator_semiring()
-    try:
-        # generate every outcome sequence, then filter by occurrence count
+
+    def generate(gen):  # every outcome sequence; the algebra keeps those with M occurrences
         paths = gen.one
         for k in range(1, n + 1):
             branch = gen.add(singleton_weights((0, k)), singleton_weights((1, k)))
             paths = gen.mul(paths, branch)
-        alg = subset_size_algebra(
-            max(n, 1), label_map=lambda e: e[0], accept=lambda m: m == occurrences
-        )
-        paths = filter_paths(alg, paths)
-        want = evaluate_paths(base, scalar_weight, paths)
-    except PathBudgetError as exc:
-        return _oracle_skipped(str(exc))
-    return _oracle_verdict(base, got, want)
+        return paths
+
+    alg = subset_size_algebra(
+        max(n, 1), label_map=lambda e: e[0], accept=lambda m: m == occurrences
+    )
+    return _oracle(2**n, f"2^{n} outcome sequences", generate, alg, base, scalar_weight, got)
 
 
 def _verify_lis(values, relation, got_length) -> dict:
     n = len(values)
     if n == 0:
         return {"status": "pass", "reason": "empty input is trivially length 0"}
-    if 2**n > VERIFY_PATH_CAP:
-        return _oracle_skipped(f"2^{n} subsequences exceed the {VERIFY_PATH_CAP}-path cap")
-    from .algorithms import nonempty_subsequences
-
-    gen = generator_semiring()
-    try:
-        paths = nonempty_subsequences(n, gen, lambda k: singleton_weights(k))
-        kept = filter_paths(ordering_algebra(values, relation), paths)
-        base = maxplus_semiring()
-        want = evaluate_paths(base, lambda k: 1.0, kept)
-    except PathBudgetError as exc:
-        return _oracle_skipped(str(exc))
-    want_length = 0 if want == -math.inf else int(want)
-    if want_length == got_length:
-        return {"status": "pass", "reason": None}
-    return {"status": "fail", "reason": f"direct {got_length} != exhaustive {want_length}"}
+    generate = lambda gen: algorithms.nonempty_subsequences(n, gen, singleton_weights)
+    alg = ordering_algebra(values, relation)
+    return _oracle(2**n, f"2^{n} subsequences", generate, alg, maxplus_semiring(),
+                   lambda k: 1.0, got_length)
 
 
-# --- command handlers --------------------------------------------------------
+# --- the pipeline ------------------------------------------------------------
 
 
-def _make_doc(command, config, result, witness, counts, elapsed, oracle) -> dict:
+def _fold(s: Semiring, run):
+    """Run ``run`` over an op-counting copy of ``s``: (value, op counts, seconds)."""
+    counted, counts = instrumented(s)
+    start = time.perf_counter()
+    value = run(counted)
+    return value, counts, time.perf_counter() - start
+
+
+def _document(command, config, result, witness, counts, elapsed, oracle) -> dict:
     return {
         "command": command,
         "config": config,
-        "result": _jsonable(result),
-        "witness": _jsonable(witness),
+        "result": result,
+        "witness": witness,
         "op_counts": {"add": counts.add, "mul": counts.mul},
         "wall_time_s": elapsed,
         "oracle_check": oracle,
     }
+
+
+def _solve(args, command, config, s, run, verify, infeasible) -> dict:
+    """Fold, unpack a Scored witness, verify the score if asked, and document.
+
+    A witness score exactly at the base zero (no solution) raises ``infeasible``, if given.
+    """
+    value, counts, elapsed = _fold(s, run)
+    result, witness = value if isinstance(value, Scored) else (value, None)
+    if infeasible is not None and witness is not None and result == s.zero.score:
+        raise DataError(infeasible)
+    oracle = verify(result) if args.verify else _oracle_skipped("not requested")
+    return _document(command, config, result, witness, counts, elapsed, oracle)
+
+
+def _scaling(sizes, s, run_at) -> list[tuple]:
+    """A header row, then (size, adds, muls, seconds) of ``run_at(size, semiring)``."""
+    rows = [("size", "add_ops", "mul_ops", "seconds")]
+    for size in sizes:
+        _, counts, seconds = _fold(s, lambda counted: run_at(size, counted))
+        rows.append((size, counts.add, counts.mul, seconds))
+    return rows
+
+
+def _config(args, *names, **extra) -> dict:
+    """The document's record of the settings: the named arguments, plus ``extra``."""
+    return {name: getattr(args, name) for name in names} | extra
+
+
+# --- command handlers --------------------------------------------------------
 
 
 def cmd_segment(args) -> tuple[dict, list | None]:
@@ -318,187 +327,104 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     try:
         ts = TimeSeries(values)
         model = SegmentCostModel(kind=args.model, regularization=args.lam)
+        costs = SegmentCosts(ts, model)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     n = len(ts)
+    s, base, tupled = resolve_semiring(args.semiring)
+    scalar_weight = _scalar_weight(base, lambda e: costs.weight(e[0], e[1]))
+    problem = SegmentationProblem(n, _labelled(scalar_weight, tupled))
 
-    constraint = None
-    if args.count is not None:
-        if not 1 <= args.count <= n:
-            raise DataError(f"--count {args.count} infeasible for {n} samples")
-        constraint = ("count", args.count, args.count)
-    elif args.count_range is not None:
-        lo, hi = args.count_range
+    constraint = alg = None  # the constraint's record, and its oracle filter
+    run = lambda counted: segment_opt(problem, counted)
+    if args.count is not None or args.count_range is not None:
+        lo, hi = (args.count, args.count) if args.count is not None else args.count_range
         if not 1 <= lo <= hi <= n:
-            raise DataError(f"--count-range {lo} {hi} infeasible for {n} samples")
-        constraint = ("count", lo, hi)
+            flag = f"--count {lo}" if args.count is not None else f"--count-range {lo} {hi}"
+            raise DataError(f"{flag} infeasible for {n} samples")
+        constraint = {"kind": "count", "lo": lo, "hi": hi}
+        run = lambda counted: algorithms.segment_fixed_count(problem, lo, hi, counted)
+        alg = subset_size_algebra(hi, label_map=lambda e: 1, accept=lambda m: lo <= m <= hi)
     elif args.min_length is not None:
-        if not 1 <= args.min_length <= n:
-            raise DataError(f"--min-length {args.min_length} infeasible for {n} samples")
-        constraint = ("min-length", args.min_length, args.min_length)
+        lo = args.min_length
+        if not 1 <= lo <= n:
+            raise DataError(f"--min-length {lo} infeasible for {n} samples")
+        constraint = {"kind": "min-length", "lo": lo, "hi": lo}
+        run = lambda counted: algorithms.segment_min_length(problem, lo, counted, at_least=True)
+        alg = min_count_algebra(n, label_map=lambda e: e[1] - e[0] + 1, accept=lambda m: m >= lo)
 
-    run_s, base, tupled = resolve_semiring(args.semiring)
-    costs = SegmentCosts(ts, model)
-    if _unit_weighted(base.name):
-        scalar_weight = lambda e: base.one
-    else:
-        scalar_weight = lambda e: costs.weight(e[0], e[1])
-
-    counted, counts = instrumented(run_s)
-    if tupled:
-        weight = lambda i, j: Scored(scalar_weight((i, j)), ((i, j),))
-    else:
-        weight = lambda i, j: scalar_weight((i, j))
-    problem = SegmentationProblem(n, weight)
-
-    start = time.perf_counter()
-    if constraint is None:
-        value = segment_opt(problem, counted)
-    elif constraint[0] == "count":
-        from .algorithms import segment_fixed_count
-
-        value = segment_fixed_count(problem, constraint[1], constraint[2], counted)
-    else:
-        from .algorithms import segment_min_length
-
-        value = segment_min_length(problem, constraint[1], counted, at_least=True)
-    elapsed = time.perf_counter() - start
-
-    witness = None
-    if tupled:
-        score, witness_raw = value.score, value.witness
-        if base.eq(score, base.zero):
-            raise DataError("constraint infeasible: no segmentation satisfies it")
-        witness = [list(seg) for seg in witness_raw]
-        result = score
-    else:
-        result = value
-
-    oracle = _oracle_skipped("not requested")
-    if args.verify:
-        oracle = _verify_segment(
-            n, scalar_weight, constraint, base, result if not tupled else value.score
-        )
-
-    config = {
-        "input": args.input,
-        "semiring": args.semiring,
-        "model": args.model,
-        "lambda": args.lam,
-        "constraint": None
-        if constraint is None
-        else {"kind": constraint[0], "lo": constraint[1], "hi": constraint[2]},
-        "header": args.header,
-    }
-    doc = _make_doc("segment", config, result, witness, counts, elapsed, oracle)
-
+    config = _config(args, "input", "semiring", "model", "header", constraint=constraint)
+    config["lambda"] = args.lam
+    doc = _solve(
+        args, "segment", config, s, run,
+        lambda got: _verify_segment(n, scalar_weight, alg, base, got),
+        "constraint infeasible: no segmentation satisfies it",
+    )
     table = None
+    witness = doc["witness"]
     if witness is not None:
-        fit = piecewise_values(ts, model, [tuple(seg) for seg in witness])
+        fit = piecewise_values(ts, model, witness)
         table = [("index", "value", "fit", "segment")]
-        seg_of = {}
         for ordinal, (i, j) in enumerate(witness, start=1):
-            for k in range(i, j + 1):
-                seg_of[k] = ordinal
-        for k in range(1, n + 1):
-            table.append((k, ts.values[k - 1], fit[k - 1], seg_of[k]))
+            table += [(k, ts.values[k - 1], fit[k - 1], ordinal) for k in range(i, j + 1)]
         doc["breakpoints"] = [seg[1] for seg in witness[:-1]]
     return doc, table
-
-
-def _align_weights(a, b, base, tupled, unit, mismatch_cost, gap_cost):
-    def scalar(e):
-        i, j = e
-        if unit:
-            return base.one
-        if i and j:
-            return 0.0 if a[i - 1] == b[j - 1] else mismatch_cost
-        return gap_cost
-
-    if tupled:
-        return scalar, lambda i, j: Scored(scalar((i, j)), ((i, j),))
-    return scalar, lambda i, j: scalar((i, j))
 
 
 def cmd_align(args) -> tuple[dict, list | None]:
     a = read_sequence(args.first, tokens=args.tokens)
     b = read_sequence(args.second, tokens=args.tokens)
     name = "count" if args.count_paths else args.semiring
-    run_s, base, tupled = resolve_semiring(name)
-    unit = _unit_weighted(base.name)
+    s, base, tupled = resolve_semiring(name)
+    mismatch_cost = args.mismatch_cost
+    gap_cost = args.gap_cost
 
-    constraint = None
+    def edit_cost(e):
+        i, j = e
+        if i and j:
+            return 0.0 if a[i - 1] == b[j - 1] else mismatch_cost
+        return gap_cost
+
+    scalar_weight = _scalar_weight(base, edit_cost)
+    constraint = alg = None  # the constraint's record, and its oracle filter
+    run = lambda p, counted: nw_align(p, counted)
+    gap = lambda e: abs(e[0] - e[1])
     if args.sum_misalign is not None:
-        if args.sum_misalign < 0:
+        cap = args.sum_misalign
+        if cap < 0:
             raise DataError("--sum-misalign must be non-negative")
-        constraint = ("sum", args.sum_misalign)
+        constraint = {"kind": "sum", "cap": cap}
+        run = lambda p, counted: nw_align_sum_constrained(p, cap, counted)
+        alg = subset_size_algebra(cap, label_map=gap, accept=lambda t: t <= cap)
     elif args.max_misalign is not None:
-        if not 0 <= args.max_misalign <= max(len(a), len(b), 0):
-            raise DataError(f"--max-misalign {args.max_misalign} out of range")
-        constraint = ("max", args.max_misalign)
+        cap = args.max_misalign
+        if not 0 <= cap <= max(len(a), len(b), 0):
+            raise DataError(f"--max-misalign {cap} out of range")
+        constraint = {"kind": "max", "cap": cap}
+        run = lambda p, counted: nw_align_max_constrained(p, cap, counted)
+        alg = max_count_algebra(max(len(a), len(b), cap), label_map=gap, accept=lambda t: t <= cap)
 
-    scalar_weight, weight = _align_weights(
-        a, b, base, tupled, unit, args.mismatch_cost, args.gap_cost
-    )
-    counted, counts = instrumented(run_s)
-
+    problem = AlignmentProblem(len(a), len(b), _labelled(scalar_weight, tupled))
     sweep_rows = None
     if args.sweep:
         sizes = _parse_sizes(args.sweep)
-        sweep_rows = [("size", "add_ops", "mul_ops", "seconds")]
         for size in sizes:
             if size > len(a) or size > len(b):
                 raise DataError(f"--sweep size {size} exceeds an input length")
-            sub_s, sub_counts = instrumented(run_s)
-            sw_scalar, sw_weight = _align_weights(
-                a[:size], b[:size], base, tupled, unit, args.mismatch_cost, args.gap_cost
-            )
-            problem = AlignmentProblem(size, size, sw_weight)
-            t0 = time.perf_counter()
-            _run_alignment(problem, constraint, sub_s)
-            sweep_rows.append(
-                (size, sub_counts.add, sub_counts.mul, time.perf_counter() - t0)
-            )
+        # a prefix pair's move weights are the full pair's, restricted
+        prefix = lambda size: AlignmentProblem(size, size, problem.weight)
+        sweep_rows = _scaling(sizes, s, lambda size, counted: run(prefix(size), counted))
 
-    problem = AlignmentProblem(len(a), len(b), weight)
-    start = time.perf_counter()
-    value = _run_alignment(problem, constraint, counted)
-    elapsed = time.perf_counter() - start
-
-    witness = None
-    if tupled:
-        result = value.score
-        witness = [list(move) for move in value.witness]
-    else:
-        result = value
-
-    oracle = _oracle_skipped("not requested")
-    if args.verify:
-        oracle = _verify_align(
-            problem, constraint, base, scalar_weight, value.score if tupled else value
-        )
-
-    config = {
-        "inputs": [args.first, args.second],
-        "semiring": name,
-        "tokens": args.tokens,
-        "gap_cost": args.gap_cost,
-        "mismatch_cost": args.mismatch_cost,
-        "constraint": None if constraint is None else {"kind": constraint[0], "cap": constraint[1]},
-    }
-    doc = _make_doc("align", config, result, witness, counts, elapsed, oracle)
+    config = _config(args, "tokens", "gap_cost", "mismatch_cost", constraint=constraint,
+                     inputs=[args.first, args.second], semiring=name)
+    doc = _solve(
+        args, "align", config, s, lambda counted: run(problem, counted),
+        lambda got: _verify_align(len(a), len(b), alg, base, scalar_weight, got),
+        "constraint infeasible: no alignment satisfies it",
+    )
     if sweep_rows is not None:
         doc["sweep"] = [list(r) for r in sweep_rows[1:]]
     return doc, sweep_rows
-
-
-def _run_alignment(problem, constraint, s):
-    if constraint is None:
-        return nw_align(problem, s)
-    kind, cap = constraint
-    if kind == "sum":
-        return nw_align_sum_constrained(problem, cap, s)
-    return nw_align_max_constrained(problem, cap, s)
 
 
 def cmd_events(args) -> tuple[dict, list | None]:
@@ -506,49 +432,26 @@ def cmd_events(args) -> tuple[dict, list | None]:
     for pos, p in enumerate(probs, start=1):
         if not 0.0 <= p <= 1.0:
             raise DataError(f"probability #{pos} is {p}, outside [0, 1]")
-    n = len(probs)
     occurrences = args.occurrences
     if occurrences < 0:
         raise DataError("--occurrences must be non-negative")
 
     if args.mode == "exact":
-        base = probability_semiring()
-        counted, counts = instrumented(base)
+        base = s = probability_semiring()
         pairs = [(1.0 - p, p) for p in probs]
-        start = time.perf_counter()
-        value = events_m_of_n(pairs, occurrences, counted)
-        elapsed = time.perf_counter() - start
-        result, witness = value, None
-        scalar_weight = lambda e: probs[e[1] - 1] if e[0] else 1.0 - probs[e[1] - 1]
-        score = value
     else:  # most probable combination
         base = max_product_semiring()
-        vit = viterbi_simple_semiring(base)
-        counted, counts = instrumented(vit)
-        pairs = [
-            (Scored(1.0 - p, ()), Scored(p, (k,)))
-            for k, p in enumerate(probs, start=1)
-        ]
-        start = time.perf_counter()
-        value = events_m_of_n(pairs, occurrences, counted)
-        elapsed = time.perf_counter() - start
-        if base.eq(value.score, base.zero):
-            raise DataError("no outcome has the requested number of occurrences")
-        result, witness = value.score, list(value.witness)
-        scalar_weight = lambda e: probs[e[1] - 1] if e[0] else 1.0 - probs[e[1] - 1]
-        score = value.score
+        s = viterbi_simple_semiring(base)
+        pairs = [(Scored(1.0 - p, ()), Scored(p, (k,))) for k, p in enumerate(probs, start=1)]
+    scalar_weight = lambda e: probs[e[1] - 1] if e[0] else 1.0 - probs[e[1] - 1]
 
-    oracle = _oracle_skipped("not requested")
-    if args.verify:
-        oracle = _verify_events(probs, occurrences, base, scalar_weight, score)
-
-    config = {
-        "input": args.input,
-        "occurrences": occurrences,
-        "mode": args.mode,
-        "header": args.header,
-    }
-    return _make_doc("events", config, result, witness, counts, elapsed, oracle), None
+    doc = _solve(
+        args, "events", _config(args, "input", "occurrences", "mode", "header"), s,
+        lambda counted: events_m_of_n(pairs, occurrences, counted),
+        lambda got: _verify_events(probs, occurrences, base, scalar_weight, got),
+        "no outcome has the requested number of occurrences",
+    )
+    return doc, None
 
 
 _RELATIONS = {
@@ -568,29 +471,19 @@ def cmd_lis(args) -> tuple[dict, list | None]:
                 )
     relation = _RELATIONS[args.relation]
 
-    counted, counts = instrumented(viterbi_simple_semiring(maxplus_semiring()))
-    start = time.perf_counter()
-    if values:
-        from .algorithms import ordered_subsequences
-
-        folded = ordered_subsequences(
+    def run(counted):  # (length, chained values); an empty input folds to length 0
+        best = algorithms.ordered_subsequences(
             values, counted, lambda k: Scored(1.0, (k,)), relation
         )
-        length = 0 if folded.score == -math.inf else int(folded.score)
-        witness = [values[k - 1] for k in folded.witness]
-    else:
-        length, witness = 0, []
-    elapsed = time.perf_counter() - start
+        length = 0 if best.score == -math.inf else int(best.score)
+        return Scored(length, [values[k - 1] for k in best.witness] or None)
 
-    oracle = _oracle_skipped("not requested")
-    if args.verify:
-        oracle = _verify_lis(values, relation, length)
-
-    config = {"input": args.input, "relation": args.relation, "header": args.header}
-    return (
-        _make_doc("lis", config, length, witness or None, counts, elapsed, oracle),
-        None,
+    doc = _solve(
+        args, "lis", _config(args, "input", "relation", "header"),
+        viterbi_simple_semiring(maxplus_semiring()), run,
+        lambda got: _verify_lis(values, relation, got), None,
     )
+    return doc, None
 
 
 def _parse_sizes(spec: str) -> list[int]:
@@ -603,35 +496,22 @@ def _parse_sizes(spec: str) -> list[int]:
     return sizes
 
 
+_BENCH_OPS = {
+    "combinations": lambda size, s: combinations(size, min(8, size), s, lambda k: 1),
+    "align": lambda size, s: nw_align(AlignmentProblem(size, size, lambda i, j: 1), s),
+    "align-sum": lambda size, s: nw_align_sum_constrained(
+        AlignmentProblem(size, size, lambda i, j: 1), size, s
+    ),
+}
+
+
 def cmd_bench(args) -> tuple[dict, list | None]:
     sizes = _parse_sizes(args.sizes)
-    from .semirings import counting_semiring
-
-    rows = [("size", "add_ops", "mul_ops", "seconds")]
-    for size in sizes:
-        counted, counts = instrumented(counting_semiring())
-        t0 = time.perf_counter()
-        if args.op == "combinations":
-            combinations(size, min(8, size), counted, lambda k: 1)
-        elif args.op == "align":
-            nw_align(AlignmentProblem(size, size, lambda i, j: 1), counted)
-        else:  # align-sum
-            nw_align_sum_constrained(
-                AlignmentProblem(size, size, lambda i, j: 1), size, counted
-            )
-        rows.append((size, counts.add, counts.mul, time.perf_counter() - t0))
-
-    config = {"op": args.op, "sizes": sizes}
-    doc = {
-        "command": "bench",
-        "config": config,
-        "result": None,
-        "witness": None,
-        "op_counts": {"add": rows[-1][1], "mul": rows[-1][2]},
-        "wall_time_s": rows[-1][3],
-        "oracle_check": _oracle_skipped("not applicable"),
-        "table": [list(r) for r in rows[1:]],
-    }
+    rows = _scaling(sizes, counting_semiring(), _BENCH_OPS[args.op])
+    _, add, mul, seconds = rows[-1]
+    doc = _document("bench", {"op": args.op, "sizes": sizes}, None, None, OpCounts(add, mul),
+                    seconds, _oracle_skipped("not applicable"))
+    doc["table"] = [list(r) for r in rows[1:]]
     return doc, rows
 
 
@@ -642,13 +522,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="semiring-dp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def command(name, handler, description):
+        p = sub.add_parser(name, help=description)
         p.add_argument("--out", help="write the JSON result document here (default: stdout)")
         p.add_argument("--out-table", help="write plot-ready CSV columns here")
         p.add_argument("--verify", action="store_true",
                        help="cross-check against the exhaustive path oracle when small enough")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("segment", help="segmented regression over a numeric CSV column")
+    p = command("segment", cmd_segment, "segmented regression over a numeric CSV column")
     p.add_argument("input")
     p.add_argument("--model", choices=("constant", "linear"), default="linear")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
@@ -658,13 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-length", type=int,
                    help="require every segment to span at least this many samples")
     p.add_argument("--semiring", default="viterbi:minplus",
-                   help="catalog name or viterbi:<base>; count/bool use unit weights, "
-                        "others weight segments by fit cost + lambda")
+                   help="catalog name or viterbi:<selective base>; count/bool use unit "
+                        "weights, others weight segments by fit cost + lambda")
     p.add_argument("--header", action="store_true", help="skip one leading line")
-    common(p)
-    p.set_defaults(handler=cmd_segment)
 
-    p = sub.add_parser("align", help="sequence alignment between two text files")
+    p = command("align", cmd_align, "sequence alignment between two text files")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--tokens", action="store_true",
@@ -679,30 +560,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-misalign", type=int,
                    help="cap the maximum index gap over alignment moves")
     p.add_argument("--sweep", help="comma-separated prefix sizes for a timing table")
-    common(p)
-    p.set_defaults(handler=cmd_align)
 
-    p = sub.add_parser("events", help="exact M-of-N event probability")
+    p = command("events", cmd_events, "exact M-of-N event probability")
     p.add_argument("input", help="file with one probability per line")
     p.add_argument("-M", "--occurrences", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "viterbi"), default="exact",
                    help="exact probability, or the most probable combination")
     p.add_argument("--header", action="store_true")
-    common(p)
-    p.set_defaults(handler=cmd_events)
 
-    p = sub.add_parser("lis", help="longest chained subsequence of a numeric file")
+    p = command("lis", cmd_lis, "longest chained subsequence of a numeric file")
     p.add_argument("input")
     p.add_argument("--relation", choices=("lt", "le", "subset-demo"), default="lt")
     p.add_argument("--header", action="store_true")
-    common(p)
-    p.set_defaults(handler=cmd_lis)
 
-    p = sub.add_parser("bench", help="operation-count/time scaling table")
-    p.add_argument("--op", choices=("combinations", "align", "align-sum"), required=True)
+    p = command("bench", cmd_bench, "operation-count/time scaling table")
+    p.add_argument("--op", choices=tuple(_BENCH_OPS), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
-    common(p)
-    p.set_defaults(handler=cmd_bench)
 
     return parser
 

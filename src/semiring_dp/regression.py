@@ -85,11 +85,16 @@ class SegmentCosts:
         zero = np.zeros(1)
         self.model = model
         self._y = y
-        self._sy = np.concatenate([zero, np.cumsum(y)])
-        self._syy = np.concatenate([zero, np.cumsum(y * y)])
-        self._sn = np.concatenate([zero, np.cumsum(n)])
-        self._snn = np.concatenate([zero, np.cumsum(n * n)])
-        self._sny = np.concatenate([zero, np.cumsum(n * y)])
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            self._sy = np.concatenate([zero, np.cumsum(y)])
+            self._syy = np.concatenate([zero, np.cumsum(y * y)])
+            self._sn = np.concatenate([zero, np.cumsum(n)])
+            self._snn = np.concatenate([zero, np.cumsum(n * n)])
+            self._sny = np.concatenate([zero, np.cumsum(n * y)])
+            # bounds every sum and product a cost query forms (Cauchy-Schwarz)
+            bound = y.size * self._snn[-1] * self._syy[-1]
+        if not np.isfinite(bound):
+            raise ValueError("sample magnitudes overflow the cost model's sums; rescale the series")
 
     @property
     def length(self) -> int:

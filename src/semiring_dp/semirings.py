@@ -36,6 +36,16 @@ def float_eq(a: float, b: float) -> bool:
     return abs(a - b) <= max(FLOAT_ABS_TOL, FLOAT_REL_TOL * max(abs(a), abs(b)))
 
 
+def _near_tie(a, b) -> bool:
+    """Within 1e-9 relative error, with no absolute floor.
+
+    Score-and-witness semirings rank scores with this rather than
+    ``float_eq``, so live scores below 1e-12 (long products of
+    probabilities, say) still rank against each other and against zero.
+    """
+    return a == b or math.isclose(a, b, rel_tol=FLOAT_REL_TOL)
+
+
 def pair_eq(component_eq: EqOp) -> EqOp:
     def eq(a, b):
         return component_eq(a[0], b[0]) and component_eq(a[1], b[1])
@@ -181,6 +191,11 @@ def standard_semirings() -> dict[str, Semiring]:
     }
 
 
+# catalog entries whose add returns one of its operands (min- or max-like),
+# the bases over which a score-and-witness tuple keeps a witness of its score
+SELECTIVE_SEMIRINGS = ("bool", "minplus", "maxplus", "maxprod", "bottleneck")
+
+
 class Scored(NamedTuple):
     """A semiring score paired with the decision labels that produced it."""
 
@@ -199,9 +214,9 @@ def viterbi_semiring(base: Semiring) -> Semiring:
     """
 
     def add(a, b):
-        if base.eq(a.score, b.score):
+        if _near_tie(a.score, b.score):
             return Scored(a.score, a.witness | b.witness)
-        if base.eq(base.add(a.score, b.score), a.score):
+        if base.add(a.score, b.score) == a.score:
             return a
         return b
 
@@ -222,10 +237,11 @@ def viterbi_semiring(base: Semiring) -> Semiring:
 def viterbi_simple_semiring(base: Semiring) -> Semiring:
     """Tuple ``base`` scores with a single witness label sequence.
 
-    Ties keep the left operand, which makes the fold deterministic but
-    means ``add`` is only commutative when scores are distinct; intended
-    for problems whose optimum is effectively unique, or where any one
-    optimal witness will do.  A score equal to ``base.zero`` means "no
+    Ties (scores within 1e-9 relative error) keep the left operand,
+    which makes the fold deterministic but means ``add`` is only
+    commutative when scores are distinct; intended for problems whose
+    optimum is effectively unique, or where any one optimal witness will
+    do.  A score equal to ``base.zero`` means "no
     solution", so such values are canonicalized and compare equal
     whatever witness they carry.
     """
@@ -234,7 +250,7 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     one = Scored(base.one, ())
 
     def add(a, b):
-        if base.eq(base.add(a.score, b.score), a.score):
+        if _near_tie(base.add(a.score, b.score), a.score):
             return a
         return b
 

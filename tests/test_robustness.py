@@ -1,0 +1,130 @@
+"""Runs that used to give a wrong answer, a traceback or a misleading error.
+
+Every case here must now give either a right answer or a named data
+error: exit 2 with exactly one ``semiring-dp: data error:`` line.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import semiring_dp as sd
+from semiring_dp.cli import main
+
+ACCEPTED_BASES = ("bool", "minplus", "maxplus", "maxprod", "bottleneck")
+
+
+def run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_data_error(err, *words):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("semiring-dp: data error:")
+    for word in words:
+        assert word in lines[0]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    (tmp_path / "a.txt").write_text("GATTA\n")
+    (tmp_path / "b.txt").write_text("GCTAC\n")
+    (tmp_path / "y.csv").write_text("1.0\n4.0\n2.0\n8.0\n0.5\n1.5\n")
+    return tmp_path
+
+
+# --- semirings the CLI cannot run correctly ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["viterbi:count", "viterbi:prob", "viterbi:softmax", "viterbi:expectation", "expectation"],
+)
+@pytest.mark.parametrize("command", ["segment", "align"])
+def test_unsound_semirings_are_data_errors(capsys, inputs, command, name):
+    files = ["y.csv"] if command == "segment" else ["a.txt", "b.txt"]
+    argv = [command, *(str(inputs / f) for f in files), "--semiring", name, "--verify"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, name, *ACCEPTED_BASES)
+
+
+def test_selective_semirings_are_the_accepted_witness_bases():
+    assert sd.semirings.SELECTIVE_SEMIRINGS == ACCEPTED_BASES
+    catalog = sd.standard_semirings()
+    for name, s in catalog.items():  # selective: add returns one of its operands
+        if name == "expectation":
+            continue
+        a, b = (False, True) if name == "bool" else (1, 2) if name == "count" else (0.25, 0.75)
+        picks = s.add(a, b) in (a, b) and s.add(b, a) in (a, b)
+        assert picks == (name in ACCEPTED_BASES), name
+
+
+# --- live scores below the float tolerance --------------------------------------
+
+
+def test_viterbi_add_keeps_a_live_score_below_the_tolerance():
+    base = sd.max_product_semiring()
+    for vit, witness in (
+        (sd.viterbi_simple_semiring(base), ("x",)),
+        (sd.viterbi_semiring(base), frozenset({("x",)})),
+    ):
+        live = sd.Scored(1e-15, witness)
+        assert vit.add(vit.zero, live) == live
+        assert vit.add(live, vit.zero) == live
+
+
+def test_viterbi_events_below_the_tolerance():
+    vit = sd.viterbi_simple_semiring(sd.max_product_semiring())
+    pairs = [(sd.Scored(0.99, ()), sd.Scored(0.01, (k,))) for k in range(1, 15)]
+    best = sd.events_m_of_n(pairs, 7, vit)
+    assert best.score == pytest.approx(0.01**7 * 0.99**7, rel=1e-12)
+    assert len(best.witness) == 7
+
+    # distinct tiny scores must still rank: the optimum takes the M largest odds
+    probs = np.random.default_rng(5).uniform(0.0, 0.01, 300)
+    pairs = [(sd.Scored(1 - p, ()), sd.Scored(p, (k,))) for k, p in enumerate(probs, start=1)]
+    best = sd.events_m_of_n(pairs, 12, vit)
+    top = np.sort(np.argsort(probs)[-12:])
+    assert list(best.witness) == list(top + 1)
+    odds = probs[top] / (1 - probs[top])
+    assert best.score == pytest.approx(np.prod(1 - probs) * np.prod(odds), rel=1e-9)
+
+
+def test_cli_viterbi_events_below_the_tolerance_verify(capsys, tmp_path):
+    probs = tmp_path / "p.txt"
+    probs.write_text("0.01\n" * 14)
+    out = tmp_path / "r.json"
+    argv = ["events", str(probs), "-M", "7", "--mode", "viterbi", "--verify", "--out", str(out)]
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    assert doc["result"] == pytest.approx(0.01**7 * 0.99**7, rel=1e-9)
+    assert len(doc["witness"]) == 7
+    assert doc["oracle_check"]["status"] == "pass"
+
+
+# --- segment costs that overflow ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["minplus", "viterbi:minplus", "prob"])
+def test_overflowing_segment_costs_are_named(capsys, tmp_path, name):
+    path = tmp_path / "huge.csv"
+    path.write_text("1e200\n-1e200\n3e200\n1e200\n-2e200\n5e199\n")
+    code, out, err = run(capsys, ["segment", str(path), "--count", "2", "--semiring", name])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "overflow")
+
+
+def test_segment_costs_reject_overflowing_samples():
+    model = sd.SegmentCostModel()
+    with pytest.raises(ValueError, match="overflow"):
+        sd.SegmentCosts(sd.TimeSeries([6e153] * 4), model)
+    costs = sd.SegmentCosts(sd.TimeSeries(np.linspace(-1e100, 1e100, 50)), model)
+    assert np.isfinite(costs.cost(1, 50))
