@@ -51,6 +51,7 @@ from .semirings import (
     OpCounts,
     Scored,
     Semiring,
+    boolean_semiring,
     counting_semiring,
     instrumented,
     max_product_semiring,
@@ -292,15 +293,30 @@ def _document(command, config, result, witness, counts, elapsed, oracle) -> dict
     }
 
 
-def _solve(args, command, config, s, run, verify, infeasible) -> dict:
-    """Fold, unpack a Scored witness, verify the score if asked, and document.
+def _zero_score(what, infeasible, base, feasible):
+    """The error message for a witness score exactly at ``base.zero``, as a thunk.
 
-    A witness score exactly at the base zero (no solution) raises ``infeasible``, if given.
+    ``feasible(bool semiring)`` reruns the same constrained fold with unit
+    weights: it tells an infeasible constraint (``infeasible``) from
+    solutions that all score the base zero.
+    """
+    def message():
+        if feasible(boolean_semiring()):
+            return f"every {what} scores the zero of {base.name} ({base.zero})"
+        return infeasible
+
+    return message
+
+
+def _solve(args, command, config, s, run, verify, zero_score) -> dict:
+    """Fold, read a Scored value's witness, verify the score if asked, and document.
+
+    A witness score exactly at the base zero raises the message ``zero_score()``, if given.
     """
     value, counts, elapsed = _fold(s, run)
-    result, witness = value if isinstance(value, Scored) else (value, None)
-    if infeasible is not None and witness is not None and result == s.zero.score:
-        raise DataError(infeasible)
+    result, witness = (value.score, value.witness) if isinstance(value, Scored) else (value, None)
+    if zero_score is not None and witness is not None and result == s.zero.score:
+        raise DataError(zero_score())
     oracle = verify(result) if args.verify else _oracle_skipped("not requested")
     return _document(command, config, result, witness, counts, elapsed, oracle)
 
@@ -336,29 +352,33 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     problem = SegmentationProblem(n, _labelled(scalar_weight, tupled))
 
     constraint = alg = None  # the constraint's record, and its oracle filter
-    run = lambda counted: segment_opt(problem, counted)
+    run = lambda p, counted: segment_opt(p, counted)
     if args.count is not None or args.count_range is not None:
         lo, hi = (args.count, args.count) if args.count is not None else args.count_range
         if not 1 <= lo <= hi <= n:
             flag = f"--count {lo}" if args.count is not None else f"--count-range {lo} {hi}"
             raise DataError(f"{flag} infeasible for {n} samples")
         constraint = {"kind": "count", "lo": lo, "hi": hi}
-        run = lambda counted: algorithms.segment_fixed_count(problem, lo, hi, counted)
+        run = lambda p, counted: algorithms.segment_fixed_count(p, lo, hi, counted)
         alg = subset_size_algebra(hi, label_map=lambda e: 1, accept=lambda m: lo <= m <= hi)
     elif args.min_length is not None:
         lo = args.min_length
         if not 1 <= lo <= n:
             raise DataError(f"--min-length {lo} infeasible for {n} samples")
         constraint = {"kind": "min-length", "lo": lo, "hi": lo}
-        run = lambda counted: algorithms.segment_min_length(problem, lo, counted, at_least=True)
+        run = lambda p, counted: algorithms.segment_min_length(p, lo, counted, at_least=True)
         alg = min_count_algebra(n, label_map=lambda e: e[1] - e[0] + 1, accept=lambda m: m >= lo)
 
     config = _config(args, "input", "semiring", "model", "header", constraint=constraint)
     config["lambda"] = args.lam
     doc = _solve(
-        args, "segment", config, s, run,
+        args, "segment", config, s, lambda counted: run(problem, counted),
         lambda got: _verify_segment(n, scalar_weight, alg, base, got),
-        "constraint infeasible: no segmentation satisfies it",
+        _zero_score(
+            "segmentation" + (" that satisfies the constraint" if constraint else ""),
+            "constraint infeasible: no segmentation satisfies it", base,
+            lambda unit: run(SegmentationProblem(n, lambda i, j: unit.one), unit),
+        ),
     )
     table = None
     witness = doc["witness"]
@@ -390,10 +410,11 @@ def cmd_align(args) -> tuple[dict, list | None]:
     run = lambda p, counted: nw_align(p, counted)
     gap = lambda e: abs(e[0] - e[1])
     if args.sum_misalign is not None:
-        cap = args.sum_misalign
-        if cap < 0:
+        if args.sum_misalign < 0:
             raise DataError("--sum-misalign must be non-negative")
-        constraint = {"kind": "sum", "cap": cap}
+        constraint = {"kind": "sum", "cap": args.sum_misalign}
+        # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
+        cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
         run = lambda p, counted: nw_align_sum_constrained(p, cap, counted)
         alg = subset_size_algebra(cap, label_map=gap, accept=lambda t: t <= cap)
     elif args.max_misalign is not None:
@@ -420,7 +441,11 @@ def cmd_align(args) -> tuple[dict, list | None]:
     doc = _solve(
         args, "align", config, s, lambda counted: run(problem, counted),
         lambda got: _verify_align(len(a), len(b), alg, base, scalar_weight, got),
-        "constraint infeasible: no alignment satisfies it",
+        _zero_score(
+            "alignment" + (" that satisfies the constraint" if constraint else ""),
+            "constraint infeasible: no alignment satisfies it", base,
+            lambda unit: run(AlignmentProblem(len(a), len(b), lambda i, j: unit.one), unit),
+        ),
     )
     if sweep_rows is not None:
         doc["sweep"] = [list(r) for r in sweep_rows[1:]]
@@ -449,7 +474,11 @@ def cmd_events(args) -> tuple[dict, list | None]:
         args, "events", _config(args, "input", "occurrences", "mode", "header"), s,
         lambda counted: events_m_of_n(pairs, occurrences, counted),
         lambda got: _verify_events(probs, occurrences, base, scalar_weight, got),
-        "no outcome has the requested number of occurrences",
+        _zero_score(
+            "outcome with the requested number of occurrences",
+            "no outcome has the requested number of occurrences", base,
+            lambda unit: events_m_of_n([(unit.one, unit.one)] * len(probs), occurrences, unit),
+        ),
     )
     return doc, None
 
@@ -463,6 +492,9 @@ _RELATIONS = {
 
 def cmd_lis(args) -> tuple[dict, list | None]:
     values = read_numeric_column(args.input, header=args.header)
+    for pos, v in enumerate(values, start=1):
+        if not math.isfinite(v):
+            raise DataError(f"value #{pos} is {v}; lis values must be finite")
     if args.relation == "subset-demo":
         for pos, v in enumerate(values, start=1):
             if v < 0 or v != int(v):

@@ -40,8 +40,9 @@ def _near_tie(a, b) -> bool:
     """Within 1e-9 relative error, with no absolute floor.
 
     Score-and-witness semirings rank scores with this rather than
-    ``float_eq``, so live scores below 1e-12 (long products of
-    probabilities, say) still rank against each other and against zero.
+    ``float_eq`` (``viterbi_simple_semiring`` inlines it), so live scores
+    below 1e-12 (long products of probabilities, say) still rank against
+    each other and against zero.
     """
     return a == b or math.isclose(a, b, rel_tol=FLOAT_REL_TOL)
 
@@ -196,11 +197,83 @@ def standard_semirings() -> dict[str, Semiring]:
 SELECTIVE_SEMIRINGS = ("bool", "minplus", "maxplus", "maxprod", "bottleneck")
 
 
+class _Join:
+    """The concatenation of two non-empty witness trails, not yet spelled out.
+
+    A private type, so a join is never mistaken for a label sequence.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+
+def _flatten(trail):
+    """The label tuple a trail of joins spells; any other trail is returned as is.
+
+    Iterative, since a fold's trail is as deep as its witness is long.
+    """
+    if type(trail) is not _Join:
+        return trail
+    labels = []
+    pending = [trail]
+    while pending:
+        node = pending.pop()
+        if type(node) is _Join:
+            pending.append(node.right)
+            pending.append(node.left)
+        else:
+            labels.extend(node)
+    return tuple(labels)
+
+
+def _spelled(value):
+    """A Scored value as the plain (score, witness) tuple it stands for; others as they are."""
+    return (value[0], _flatten(value[1])) if isinstance(value, Scored) else value
+
+
 class Scored(NamedTuple):
-    """A semiring score paired with the decision labels that produced it."""
+    """A semiring score paired with the decision labels that produced it.
+
+    ``trail`` holds the labels as built: a label tuple (a set of them in
+    ``viterbi_semiring``), or the joins that ``viterbi_simple_semiring``
+    multiplies into.  Read them through ``witness``, which flattens joins
+    into the tuple they spell; comparisons and hashing go by ``witness``
+    too, so a joined witness equals the flat tuple it spells.
+    """
 
     score: Any
-    witness: Any
+    trail: Any
+
+    @property
+    def witness(self):
+        return _flatten(self[1])
+
+    def __eq__(self, other):
+        return _spelled(self) == _spelled(other)
+
+    def __ne__(self, other):
+        return _spelled(self) != _spelled(other)
+
+    def __lt__(self, other):
+        return _spelled(self) < _spelled(other)
+
+    def __le__(self, other):
+        return _spelled(self) <= _spelled(other)
+
+    def __gt__(self, other):
+        return _spelled(self) > _spelled(other)
+
+    def __ge__(self, other):
+        return _spelled(self) >= _spelled(other)
+
+    def __hash__(self):
+        return hash(_spelled(self))
+
+    def __repr__(self):
+        return f"Scored(score={self[0]!r}, witness={self.witness!r})"
 
 
 def viterbi_semiring(base: Semiring) -> Semiring:
@@ -244,21 +317,35 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     do.  A score equal to ``base.zero`` means "no
     solution", so such values are canonicalized and compare equal
     whatever witness they carry.
+
+    ``mul`` joins the two witnesses in O(1) (a private join node; an
+    empty side returns the other unchanged) instead of copying both, so
+    a fold never copies a witness; reading ``Scored.witness`` flattens
+    the joins, in one pass, into the tuple that concatenation would
+    give.  ``viterbi_semiring`` keeps plain label tuples: its frozensets
+    hash their members, so a join would be flattened at every insertion.
     """
 
-    zero = Scored(base.zero, ())
+    base_add, base_mul, base_zero = base.add, base.mul, base.zero
+    zero = Scored(base_zero, ())
     one = Scored(base.one, ())
+    new = tuple.__new__
+    isclose = math.isclose
 
     def add(a, b):
-        if _near_tie(base.add(a.score, b.score), a.score):
+        # the left operand wins near-ties, as in _near_tie(base.add(...), a.score)
+        left = a[0]
+        best = base_add(left, b[0])
+        if best == left or isclose(best, left, rel_tol=FLOAT_REL_TOL):
             return a
         return b
 
     def mul(a, b):
-        score = base.mul(a.score, b.score)
-        if score == base.zero:  # exact: tiny-but-live scores keep witnesses
+        score = base_mul(a[0], b[0])
+        if score == base_zero:  # exact: tiny-but-live scores keep witnesses
             return zero
-        return Scored(score, a.witness + b.witness)
+        x, y = a[1], b[1]
+        return new(Scored, (score, _Join(x, y) if x and y else x or y))
 
     def eq(a, b):
         if not base.eq(a.score, b.score):

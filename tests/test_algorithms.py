@@ -525,6 +525,71 @@ def test_nw_witness_is_valid_alignment():
     assert (i, j) == (rows, cols)
 
 
+def concatenating_viterbi(base):
+    """Reference score-and-witness semiring: every product copies both witness tuples."""
+    zero = sd.Scored(base.zero, ())
+
+    def add(a, b):
+        best = base.add(a.score, b.score)
+        return a if best == a.score or math.isclose(best, a.score, rel_tol=1e-9) else b
+
+    def mul(a, b):
+        score = base.mul(a.score, b.score)
+        return zero if score == base.zero else sd.Scored(score, a.witness + b.witness)
+
+    return sd.Semiring(f"concat[{base.name}]", add, mul, zero, sd.Scored(base.one, ()))
+
+
+def witness_fold_cases(rng, grid):
+    """(name, fold) pairs over a semiring; weights come from ``grid``, so ties occur."""
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    moves = {m: rng.choice(grid) for m in oracles.alignment_labels(rows, cols)}
+    align = sd.AlignmentProblem(rows, cols, lambda i, j: sd.Scored(moves[i, j], ((i, j),)))
+    n = rng.randint(1, 7)
+    pieces = {(i, j): rng.choice(grid) for j in range(1, n + 1) for i in range(1, j + 1)}
+    cover = sd.SegmentationProblem(n, lambda i, j: sd.Scored(pieces[i, j], ((i, j),)))
+    lo = rng.randint(1, n)
+    hi = rng.randint(lo, n)
+    events = [(sd.Scored(rng.choice(grid), ()), sd.Scored(rng.choice(grid), (k,)))
+              for k in range(1, rng.randint(0, 8) + 1)]
+    values = [rng.randint(0, 4) for _ in range(rng.randint(0, 8))]
+    chained = {k: rng.choice(grid) for k in range(1, len(values) + 1)}
+    max_cap = rng.randint(0, max(rows, cols))
+    sum_cap = rng.randint(0, 8)
+    occurrences = rng.randint(0, 8)
+    return [
+        ("nw_align", lambda s: sd.nw_align(align, s)),
+        ("nw_align_max_constrained", lambda s: sd.nw_align_max_constrained(align, max_cap, s)),
+        ("nw_align_sum_constrained", lambda s: sd.nw_align_sum_constrained(align, sum_cap, s)),
+        ("segment_opt", lambda s: sd.segment_opt(cover, s)),
+        ("segment_fixed_count", lambda s: sd.segment_fixed_count(cover, lo, hi, s)),
+        ("segment_min_length", lambda s: sd.segment_min_length(cover, lo, s, at_least=hi > lo)),
+        ("events_m_of_n", lambda s: sd.events_m_of_n(events, occurrences, s)),
+        ("ordered_subsequences", lambda s: sd.ordered_subsequences(
+            values, s, lambda k: sd.Scored(chained[k], (k,)), operator.le)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "base, grid",
+    [
+        (MINPLUS, (0.0, 1.0, 2.0, 3.0)),
+        (CATALOG["maxprod"], (0.0, 0.25, 0.5, 1.0)),
+        (CATALOG["bottleneck"], (0.0, 0.25, 0.5, 1.0)),
+    ],
+    ids=["minplus", "maxprod", "bottleneck"],
+)
+def test_joined_witnesses_match_concatenated_witnesses(base, grid):
+    rng = random.Random(73)
+    vit, reference = sd.viterbi_simple_semiring(base), concatenating_viterbi(base)
+    for _ in range(25):
+        for name, fold in witness_fold_cases(rng, grid):
+            got, want = fold(vit), fold(reference)
+            assert got.score == want.score, name
+            assert type(got.witness) is tuple, name
+            assert got.witness == want.witness, name
+
+
 # --- operation-count scaling ------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ error: exit 2 with exactly one ``semiring-dp: data error:`` line.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -128,3 +129,71 @@ def test_segment_costs_reject_overflowing_samples():
         sd.SegmentCosts(sd.TimeSeries([6e153] * 4), model)
     costs = sd.SegmentCosts(sd.TimeSeries(np.linspace(-1e100, 1e100, 50)), model)
     assert np.isfinite(costs.cost(1, 50))
+
+
+# --- lis on non-finite values ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["nan\n", "1\nnan\n2\n", "3\ninf\n", "-inf\n"])
+def test_lis_non_finite_values_are_data_errors(capsys, tmp_path, text):
+    path = tmp_path / "u.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["lis", str(path)])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "finite")
+
+
+# --- solutions that all score the base zero -------------------------------------------
+
+
+@pytest.mark.parametrize("base", ["maxprod", "bottleneck"])
+def test_zero_scoring_alignments_are_not_called_infeasible(capsys, inputs, base):
+    # equal strings under a zero summed-gap cap: only the all-match path, and a match costs 0
+    same = inputs / "a.txt"
+    argv = ["align", str(same), str(same), "--semiring", f"viterbi:{base}", "--sum-misalign", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "satisfies the constraint", f"zero of {base}")
+    assert "infeasible" not in err
+
+
+def test_infeasible_alignment_constraint_is_still_named(capsys, tmp_path):
+    (tmp_path / "a.txt").write_text("A\n")
+    (tmp_path / "b.txt").write_text("AC\n")
+    argv = ["align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+            "--semiring", "viterbi:maxprod", "--sum-misalign", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert_one_data_error(err, "constraint infeasible")
+
+
+def test_zero_scoring_segmentations_are_not_called_infeasible(capsys, tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text("1.0\n2.0\n")  # every cover fits a line exactly: cost 0
+    code, out, err = run(capsys, ["segment", str(path), "--semiring", "viterbi:maxprod"])
+    assert code == 2
+    assert_one_data_error(err, "every segmentation scores the zero of maxprod")
+
+
+# --- summed-gap caps beyond any alignment's total ---------------------------------------
+
+
+def test_huge_sum_misalign_cap_is_clamped(tmp_path):
+    (tmp_path / "a.txt").write_text("GATT\n")
+    (tmp_path / "b.txt").write_text("GCTA\n")
+    docs = {}
+    for cap in (300_000, (4 + 4) * 4):
+        out = tmp_path / f"cap{cap}.json"
+        start = time.perf_counter()
+        code = main(["align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+                     "--semiring", "viterbi:minplus", "--sum-misalign", str(cap),
+                     "--out", str(out)])
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        docs[cap] = json.loads(out.read_text())
+    huge, bound = docs[300_000], docs[32]
+    assert huge["config"]["constraint"] == {"kind": "sum", "cap": 300_000}
+    assert (huge["result"], huge["witness"]) == (bound["result"], bound["witness"])
+    assert huge["op_counts"] == bound["op_counts"]

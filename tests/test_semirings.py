@@ -126,6 +126,59 @@ def test_viterbi_simple_examples():
     assert folded == sd.Scored(6.0, ("d1", "d2", "d3"))
 
 
+def test_viterbi_simple_add_near_ties_are_relative_and_keep_the_left_operand():
+    vit = sd.viterbi_simple_semiring(sd.minplus_semiring())
+    left = sd.Scored(1.0, ("left",))
+    assert vit.add(left, sd.Scored(1.0 - 1e-10, ("right",))) is left  # within 1e-9 relative
+    right = sd.Scored(1.0 - 1e-8, ("right",))
+    assert vit.add(left, right) is right
+    # no absolute floor: scores far below 1e-12 still rank
+    tiny, tinier = sd.Scored(2e-15, ("a",)), sd.Scored(1e-15, ("b",))
+    assert vit.add(tiny, tinier) is tinier
+    assert vit.add(tinier, tiny) is tinier
+
+
+def test_viterbi_simple_deep_trail_flattens_without_recursion():
+    vit = sd.viterbi_simple_semiring(sd.minplus_semiring())
+    n = 10**5
+    folded = vit.prod(sd.Scored(1.0, (k,)) for k in range(n))
+    assert folded.score == float(n)
+    assert type(folded.witness) is tuple
+    assert folded.witness == tuple(range(n))
+    assert folded == sd.Scored(float(n), tuple(range(n)))
+    assert hash(folded) == hash(sd.Scored(float(n), tuple(range(n))))
+
+
+def test_joined_witness_equals_and_hashes_as_its_flat_tuple():
+    vit = sd.viterbi_simple_semiring(sd.maxplus_semiring())
+    joined = vit.mul(sd.Scored(1.0, ("a",)), sd.Scored(2.0, ("b", "c")))
+    flat = sd.Scored(3.0, ("a", "b", "c"))
+    assert type(joined.witness) is tuple
+    assert joined.witness == ("a", "b", "c")
+    assert joined == flat and flat == joined
+    assert not joined != flat
+    assert hash(joined) == hash(flat)
+    assert {joined: "found"}[flat] == "found"
+    assert joined != sd.Scored(3.0, ("a", "b"))
+    assert joined != sd.Scored(4.0, ("a", "b", "c"))
+    assert repr(joined) == "Scored(score=3.0, witness=('a', 'b', 'c'))"
+    # ordering is the flat tuples' ordering too, ties on score included
+    later = sd.Scored(3.0, ("b",))
+    assert joined < later and later > joined and joined <= flat and flat >= joined
+    assert sorted([later, joined]) == [flat, later]
+
+
+def test_viterbi_simple_mul_with_an_empty_witness_keeps_the_other_side():
+    vit = sd.viterbi_simple_semiring(sd.maxplus_semiring())
+    x = sd.Scored(2.0, ("x", "y"))
+    assert vit.mul(vit.one, x).trail is x.trail
+    assert vit.mul(x, sd.Scored(1.0, ())).trail is x.trail
+    # a user's 2-tuple of label tuples is a two-label witness, never a join
+    pair = sd.Scored(1.0, (("a",), ("b",)))
+    assert pair.witness == (("a",), ("b",))
+    assert vit.mul(pair, x).witness == (("a",), ("b",), "x", "y")
+
+
 def test_viterbi_score_matches_plain_fold():
     # tupling must not change the score component
     rng = random.Random(21)
