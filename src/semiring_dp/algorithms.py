@@ -6,11 +6,12 @@ Indices in the public interfaces are 1-based (weight maps receive
 1-based positions); internal tables are 0-based.
 
 The constrained variants are the plain recurrences lifted over a
-constraint algebra and already simplified: subset counting becomes an
-index shift, running-minimum and running-maximum constraints become
-three-case products with suffix or prefix folds.  The equivalence of
-each simplified form with generate-filter-evaluate is what the oracle
-tests check.
+constraint algebra.  The constrained alignments run ``nw_align`` itself
+over the closed-form edge products of ``lifting.py``; the segment folds
+are still simplified by hand (a count as a shifted table, a running
+minimum as a three-case product with suffix folds).  The equivalence
+of each form with generate-filter-evaluate is what the oracle tests
+check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from . import lifting
 from .semirings import Scored, Semiring, maxplus_semiring, viterbi_simple_semiring
 
 Weight = Callable[[int], Any]
@@ -258,107 +260,59 @@ def delannoy(n: int, m: int) -> int:
     return prev[m]
 
 
-def _misalignment(i: int, j: int) -> int:
-    return abs(i - j)
+# constraint kind -> (algebra over move gaps, its closed-form edge product)
+_MISALIGNMENT = {
+    "sum": (lifting.subset_size_algebra, lifting.subset_size_edge_product),
+    "max": (lifting.max_count_algebra, lifting.max_count_edge_product),
+}
+
+
+def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
+    """Grades an alignment by the gaps |i - j| of its move labels (i, j).
+
+    A deletion (i, 0) has gap i and an insertion (0, j) gap j.  ``kind``
+    "sum" adds the gaps up, "max" keeps their running maximum; either is
+    tracked up to ``cap``.
+    """
+    return _MISALIGNMENT[kind][0](cap, label_map=lambda e: abs(e[0] - e[1]))
+
+
+def _misalignment_graded(p: AlignmentProblem, kind: str, cap: int, s: Semiring, accept) -> Any:
+    """nw_align over vectors indexed by the graded gap, projected to the accepted grades."""
+    alg = misalignment_algebra(kind, cap)
+    lifted = lifting.edge_lifted_semiring(s, alg, _MISALIGNMENT[kind][1])
+    w, gap = p.weight, alg.label_map
+    edges = AlignmentProblem(p.rows, p.cols, lambda i, j: (w(i, j), gap((i, j))))
+    return lifting.project(s, alg, nw_align(edges, lifted), accept)
 
 
 def nw_align_sum_constrained(
     p: AlignmentProblem, total_cap: int, s: Semiring, accept=None
 ) -> Any:
-    """Alignment value graded by the summed index gap of its moves.
+    """Alignment value graded by the summed gap of its moves (``misalignment_algebra``).
 
-    Each move label (i, j) contributes |i - j| to a running total
-    (deletions (i, 0) add i, insertions (0, j) add j), tracked in a
-    vector of size total_cap + 1; totals past the cap can never come
-    back down and are dropped.  Default acceptance keeps every tracked
-    total (<= total_cap); ``accept`` may restrict it further.
-    O(rows * cols * total_cap) operations.
+    Totals past ``total_cap`` can never come back down and are dropped.
+    Default acceptance keeps every tracked total; ``accept`` may restrict
+    it further.  O(rows * cols * total_cap) operations.
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
-    n, m = p.rows, p.cols
-    w = p.weight
-    size = total_cap + 1
-    zero_vec = (s.zero,) * size
-
-    def shift(vec, d, weight):
-        # product with a single lifted edge of grade d: an index shift
-        if d >= size:
-            return zero_vec
-        out = [s.zero] * size
-        for t in range(d, size):
-            out[t] = s.mul(vec[t - d], weight)
-        return tuple(out)
-
-    def vadd(x, y):
-        return tuple(s.add(a, b) for a, b in zip(x, y))
-
-    prev = [(s.one,) + (s.zero,) * (size - 1)]
-    for j in range(1, m + 1):
-        prev.append(shift(prev[j - 1], j, w(0, j)))
-    for i in range(1, n + 1):
-        cur = [shift(prev[0], i, w(i, 0))]
-        for j in range(1, m + 1):
-            vec = shift(prev[j - 1], _misalignment(i, j), w(i, j))
-            vec = vadd(vec, shift(prev[j], i, w(i, 0)))
-            vec = vadd(vec, shift(cur[j - 1], j, w(0, j)))
-            cur.append(vec)
-        prev = cur
-    final = prev[m]
-    if accept is None:
-        return s.sum(final)
-    return s.sum(x for t, x in enumerate(final) if accept(t))
+    return _misalignment_graded(p, "sum", total_cap, s, accept)
 
 
 def nw_align_max_constrained(
     p: AlignmentProblem, diff_cap: int, s: Semiring, accept=None
 ) -> Any:
-    """Alignment value graded by the maximum index gap of its moves.
+    """Alignment value graded by the maximum gap of its moves (``misalignment_algebra``).
 
-    The running maximum of |i - j| over move labels is tracked in a
-    vector of size diff_cap + 1.  Appending a move of gap d keeps
-    entries above d, folds the prefix 0..d into entry d, and kills
-    entries below d; maxima past the cap are dropped for good.  Default
-    acceptance keeps every tracked maximum (<= diff_cap).
+    Maxima past ``diff_cap`` are dropped for good.  Default acceptance
+    keeps every tracked maximum; ``accept`` may restrict it further.
     O(rows * cols * diff_cap) operations.
     """
     n, m = p.rows, p.cols
     if not 0 <= diff_cap <= max(n, m, 0):
         raise ValueError(f"diff_cap {diff_cap} invalid for lengths ({n}, {m})")
-    w = p.weight
-    size = diff_cap + 1
-    zero_vec = (s.zero,) * size
-
-    def stretch(vec, d, weight):
-        if d >= size:
-            return zero_vec
-        out = [s.zero] * size
-        pre = s.zero
-        for t in range(d + 1):
-            pre = s.add(pre, vec[t])
-        out[d] = s.mul(pre, weight)
-        for t in range(d + 1, size):
-            out[t] = s.mul(vec[t], weight)
-        return tuple(out)
-
-    def vadd(x, y):
-        return tuple(s.add(a, b) for a, b in zip(x, y))
-
-    prev = [(s.one,) + (s.zero,) * (size - 1)]
-    for j in range(1, m + 1):
-        prev.append(stretch(prev[j - 1], j, w(0, j)))
-    for i in range(1, n + 1):
-        cur = [stretch(prev[0], i, w(i, 0))]
-        for j in range(1, m + 1):
-            vec = stretch(prev[j - 1], _misalignment(i, j), w(i, j))
-            vec = vadd(vec, stretch(prev[j], i, w(i, 0)))
-            vec = vadd(vec, stretch(cur[j - 1], j, w(0, j)))
-            cur.append(vec)
-        prev = cur
-    final = prev[m]
-    if accept is None:
-        return s.sum(final)
-    return s.sum(x for t, x in enumerate(final) if accept(t))
+    return _misalignment_graded(p, "max", diff_cap, s, accept)
 
 
 def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:

@@ -32,7 +32,7 @@ from .algorithms import (
     nw_align_sum_constrained,
     segment_opt,
 )
-from .lifting import max_count_algebra, min_count_algebra, ordering_algebra, subset_size_algebra
+from .lifting import min_count_algebra, ordering_algebra, subset_size_algebra
 from .pathsets import (
     PathBudgetError,
     evaluate_paths,
@@ -311,10 +311,14 @@ def _zero_score(what, infeasible, base, feasible):
 def _solve(args, command, config, s, run, verify, zero_score) -> dict:
     """Fold, read a Scored value's witness, verify the score if asked, and document.
 
-    A witness score exactly at the base zero raises the message ``zero_score()``, if given.
+    A nan score is a data error; a witness score exactly at the base zero
+    raises the message ``zero_score()``, if given.
     """
     value, counts, elapsed = _fold(s, run)
     result, witness = (value.score, value.witness) if isinstance(value, Scored) else (value, None)
+    if isinstance(result, float) and math.isnan(result):
+        raise DataError(f"the {s.name} fold gave nan: the weights meet an undefined "
+                        f"operation such as inf * 0 or inf - inf")
     if zero_score is not None and witness is not None and result == s.zero.score:
         raise DataError(zero_score())
     oracle = verify(result) if args.verify else _oracle_skipped("not requested")
@@ -392,6 +396,9 @@ def cmd_segment(args) -> tuple[dict, list | None]:
 
 
 def cmd_align(args) -> tuple[dict, list | None]:
+    for flag, cost in (("--gap-cost", args.gap_cost), ("--mismatch-cost", args.mismatch_cost)):
+        if math.isnan(cost):
+            raise DataError(f"{flag} is nan; a cost must be a number")
     a = read_sequence(args.first, tokens=args.tokens)
     b = read_sequence(args.second, tokens=args.tokens)
     name = "count" if args.count_paths else args.semiring
@@ -408,7 +415,6 @@ def cmd_align(args) -> tuple[dict, list | None]:
     scalar_weight = _scalar_weight(base, edit_cost)
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: nw_align(p, counted)
-    gap = lambda e: abs(e[0] - e[1])
     if args.sum_misalign is not None:
         if args.sum_misalign < 0:
             raise DataError("--sum-misalign must be non-negative")
@@ -416,14 +422,14 @@ def cmd_align(args) -> tuple[dict, list | None]:
         # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
         run = lambda p, counted: nw_align_sum_constrained(p, cap, counted)
-        alg = subset_size_algebra(cap, label_map=gap, accept=lambda t: t <= cap)
+        alg = algorithms.misalignment_algebra("sum", cap)
     elif args.max_misalign is not None:
         cap = args.max_misalign
         if not 0 <= cap <= max(len(a), len(b), 0):
             raise DataError(f"--max-misalign {cap} out of range")
         constraint = {"kind": "max", "cap": cap}
         run = lambda p, counted: nw_align_max_constrained(p, cap, counted)
-        alg = max_count_algebra(max(len(a), len(b), cap), label_map=gap, accept=lambda t: t <= cap)
+        alg = algorithms.misalignment_algebra("max", cap)
 
     problem = AlignmentProblem(len(a), len(b), _labelled(scalar_weight, tupled))
     sweep_rows = None

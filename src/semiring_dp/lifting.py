@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Any, Callable
 
 from .semirings import Semiring
@@ -136,6 +137,22 @@ def lifted_semiring(base: Semiring, alg: ConstraintAlgebra) -> Semiring:
         lifted_one(base, alg),
         eq,
     )
+
+
+def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -> Semiring:
+    """Lifted vectors times sparse lifted edges, given as pairs (weight, key).
+
+    mul(vec, (weight, key)) is edge_product(base, alg, vec, weight, key),
+    the product with lift_edge(base, alg, weight, key); add is elementwise.
+    """
+    add = base.add
+
+    def mul(vec, edge):
+        weight, key = edge
+        return edge_product(base, alg, vec, weight, key)
+
+    return Semiring(f"{base.name}[{alg.name}]", lambda x, y: tuple(map(add, x, y)), mul,
+                    lifted_zero(base, alg), lifted_one(base, alg))
 
 
 def project(base: Semiring, alg: ConstraintAlgebra, vec: LiftedVector, accept=None):
@@ -360,7 +377,10 @@ def algebra_catalog(bound: int = 6) -> dict[str, ConstraintAlgebra]:
 # Each function below is the simplified form of
 # mul_by_lifted_edge_general for one algebra, derived from the defining
 # condition combine(m', key) == m; the equivalence tests pin them to the
-# general product.
+# general product.  The index-arithmetic forms build their output in a
+# list and make one tuple of the carrier's size: slicing into tuples of
+# every shorter length would fill the interpreter's per-length tuple
+# free lists, about 3 MB of peak memory at cap 16.
 
 
 def min_count_edge_product(base, alg, vec, weight, key) -> LiftedVector:
@@ -381,19 +401,28 @@ def min_count_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     return tuple(out)
 
 
+def subset_size_edge_product(base, alg, vec, weight, key) -> LiftedVector:
+    # m' + key == m: the carrier is 0..cap, so value m sits at index m and
+    # a key >= 0 shifts vec up by key, dropping what leaves the carrier.
+    size = len(vec)
+    if key >= size:
+        return (base.zero,) * size
+    out = [base.zero] * key
+    out.extend(map(base.mul, islice(vec, size - key), repeat(weight)))
+    return tuple(out)
+
+
 def max_count_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     # {m' : max(m', key) == m} is {m} above key, the prefix {0..m} at
-    # key, empty below.
-    out = []
-    prefix = base.zero
-    for i, m in enumerate(alg.carrier):
-        prefix = base.add(prefix, vec[i]) if m <= key else prefix
-        if m > key:
-            out.append(base.mul(vec[i], weight))
-        elif m == key:
-            out.append(base.mul(prefix, weight))
-        else:
-            out.append(base.zero)
+    # key, empty below; the carrier is 0..bound, so value m sits at
+    # index m, and keys are >= 0.
+    size = len(vec)
+    if key >= size:
+        return (base.zero,) * size
+    mul = base.mul
+    out = [base.zero] * key
+    out.append(mul(base.sum(islice(vec, key + 1)), weight))
+    out.extend(map(mul, islice(vec, key + 1, None), repeat(weight)))
     return tuple(out)
 
 
@@ -442,6 +471,7 @@ def ordering_edge_product(base, alg, vec, weight, key) -> LiftedVector:
 
 
 CLOSED_FORM_EDGE_PRODUCTS = {
+    "subset_size": subset_size_edge_product,
     "min_count": min_count_edge_product,
     "max_count": max_count_edge_product,
     "abs_difference": abs_difference_edge_product,

@@ -65,9 +65,9 @@ class SegmentCostModel:
     def __post_init__(self):
         if self.kind not in ("constant", "linear"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.error_exponent <= 0:
+        if not self.error_exponent > 0:  # also refuses nan
             raise ValueError("error_exponent must be positive")
-        if self.regularization < 0:
+        if not self.regularization >= 0:
             raise ValueError("regularization must be non-negative")
 
 

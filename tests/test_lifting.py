@@ -7,6 +7,7 @@ import semiring_dp as sd
 from semiring_dp.laws import catalog_samplers, law_failures, lifted_values
 from semiring_dp.lifting import (
     CLOSED_FORM_EDGE_PRODUCTS,
+    edge_lifted_semiring,
     ordering_edge_product,
 )
 
@@ -213,6 +214,38 @@ def test_closed_form_edge_products(alg_name):
         weight = sampler(rng)
         want = sd.mul_by_lifted_edge_general(base, alg, c, weight, key)
         assert closed(base, alg, c, weight, key) == want
+
+
+@pytest.mark.parametrize("alg_name", ("subset_size", "max_count"))
+def test_closed_form_edge_products_past_the_carrier(alg_name):
+    # a key past the carrier kills every entry, as the general product
+    # does, with no base operations
+    alg = small_algebras()[alg_name]
+    closed = CLOSED_FORM_EDGE_PRODUCTS[alg_name]
+    vec = tuple(range(1, alg.size + 1))
+    counted, counts = sd.instrumented(COUNT)
+    for key in (alg.size, alg.size + 3):
+        assert sd.mul_by_lifted_edge_general(COUNT, alg, vec, 5, key) == sd.lifted_zero(COUNT, alg)
+        assert closed(counted, alg, vec, 5, key) == sd.lifted_zero(COUNT, alg)
+    assert (counts.add, counts.mul) == (0, 0)
+
+
+@pytest.mark.parametrize("alg_name", sorted(CLOSED_FORM_EDGE_PRODUCTS))
+def test_edge_lifted_recurrence_matches_dense_lifting(alg_name):
+    # nw_align over sparse (weight, key) edges gives the same vector with
+    # the closed form, the general edge product and, where the algebra
+    # lifts, the dense lifted semiring over lift_edge weights
+    alg = small_algebras()[alg_name]
+    rng = random.Random(53)
+    edges = {(i, j): (rng.randint(1, 4), rng.choice(alg.carrier))
+             for i in range(4) for j in range(4)}
+    sparse = sd.AlignmentProblem(3, 3, lambda i, j: edges[i, j])
+    run = lambda product: sd.nw_align(sparse, edge_lifted_semiring(COUNT, alg, product))
+    closed = run(CLOSED_FORM_EDGE_PRODUCTS[alg_name])
+    assert closed == run(sd.mul_by_lifted_edge_general)
+    if alg.associative:
+        dense = sd.AlignmentProblem(3, 3, lambda i, j: sd.lift_edge(COUNT, alg, *edges[i, j]))
+        assert closed == sd.nw_align(dense, sd.lifted_semiring(COUNT, alg))
 
 
 def test_ordering_edge_product_matches_general():

@@ -5,6 +5,7 @@ error: exit 2 with exactly one ``semiring-dp: data error:`` line.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -197,3 +198,39 @@ def test_huge_sum_misalign_cap_is_clamped(tmp_path):
     assert huge["config"]["constraint"] == {"kind": "sum", "cap": 300_000}
     assert (huge["result"], huge["witness"]) == (bound["result"], bound["witness"])
     assert huge["op_counts"] == bound["op_counts"]
+
+
+# --- nan costs and nan fold results ---------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["--gap-cost", "--mismatch-cost"])
+def test_nan_alignment_costs_are_data_errors(capsys, inputs, flag):
+    argv = ["align", str(inputs / "a.txt"), str(inputs / "b.txt"), flag, "nan"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, flag, "nan")
+
+
+def test_nan_lambda_is_a_data_error(capsys, inputs):
+    code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--lambda", "nan"])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "regularization")
+
+
+@pytest.mark.parametrize("field", ["regularization", "error_exponent"])
+def test_segment_cost_model_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        sd.SegmentCostModel(**{field: math.nan})
+
+
+@pytest.mark.parametrize("constraint", [[], ["--sum-misalign", "3"], ["--max-misalign", "2"]])
+def test_nan_fold_results_are_named(capsys, inputs, constraint):
+    # an infinite gap cost meets a zero-probability path: inf * 0.0 is nan
+    argv = ["align", str(inputs / "a.txt"), str(inputs / "b.txt"),
+            "--semiring", "prob", "--gap-cost", "inf", *constraint]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "prob", "nan")
