@@ -38,10 +38,7 @@ assert kept == paths
 print("filtered generation equals the constrained recurrence's own path set.")
 
 # the oracle is deliberately exponential; a budget stops runaway runs
-sd.set_label_budget(2_000)
 try:
-    sd.subsequences(40, gen, sd.singleton_weights)
+    sd.subsequences(40, sd.generator_semiring(budget=2_000), sd.singleton_weights)
 except sd.PathBudgetError as exc:
     print(f"\nbudget guard: {exc}")
-finally:
-    sd.set_label_budget(sd.DEFAULT_LABEL_BUDGET)

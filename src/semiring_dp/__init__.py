@@ -27,7 +27,7 @@ from .algorithms import (
     segment_opt,
     subsequences,
 )
-from .laws import assert_laws, catalog_samplers, law_failures
+from .laws import catalog_samplers, law_failures
 from .lifting import (
     CLOSED_FORM_EDGE_PRODUCTS,
     ORDER_BLOCKED,
@@ -54,14 +54,10 @@ from .pathsets import (
     PathBudgetError,
     PathSet,
     constraint_fold,
-    cross_join,
     evaluate_paths,
     filter_paths,
     generator_semiring,
-    label_budget,
-    set_label_budget,
     singleton_weights,
-    union,
 )
 from .regression import (
     SegmentCostModel,
@@ -69,8 +65,6 @@ from .regression import (
     SegmentationResult,
     TimeSeries,
     piecewise_values,
-    regularized_weights,
-    segment_cost,
     segment_series,
 )
 from .semirings import (

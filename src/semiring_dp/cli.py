@@ -574,10 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("constant", "linear"), default="linear")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="per-segment regularization penalty")
-    p.add_argument("--count", type=int, help="exact number of segments")
-    p.add_argument("--count-range", nargs=2, type=int, metavar=("LO", "HI"))
-    p.add_argument("--min-length", type=int,
-                   help="require every segment to span at least this many samples")
+    constraint = p.add_mutually_exclusive_group()
+    constraint.add_argument("--count", type=int, help="exact number of segments")
+    constraint.add_argument("--count-range", nargs=2, type=int, metavar=("LO", "HI"))
+    constraint.add_argument("--min-length", type=int,
+                            help="require every segment to span at least this many samples")
     p.add_argument("--semiring", default="viterbi:minplus",
                    help="catalog name or viterbi:<selective base>; count/bool use unit "
                         "weights, others weight segments by fit cost + lambda")
@@ -593,10 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count alignments (forces the counting semiring, unit weights)")
     p.add_argument("--gap-cost", type=float, default=1.0)
     p.add_argument("--mismatch-cost", type=float, default=1.0)
-    p.add_argument("--sum-misalign", type=int,
-                   help="cap the summed index gap over alignment moves")
-    p.add_argument("--max-misalign", type=int,
-                   help="cap the maximum index gap over alignment moves")
+    cap = p.add_mutually_exclusive_group()
+    cap.add_argument("--sum-misalign", type=int,
+                     help="cap the summed index gap over alignment moves")
+    cap.add_argument("--max-misalign", type=int,
+                     help="cap the maximum index gap over alignment moves")
     p.add_argument("--sweep", help="comma-separated prefix sizes for a timing table")
 
     p = command("events", cmd_events, "exact M-of-N event probability")
@@ -619,16 +621,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_outputs(args, doc, table) -> None:
+    """Write the table before the document, so a failed write leaves stdout empty."""
     payload = canonical_json(doc) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
     if args.out_table:
         if table is None:
             raise DataError("this invocation has no tabular output")
         lines = [",".join(_csv_cell(v) for v in row) for row in table]
-        Path(args.out_table).write_text("\n".join(lines) + "\n")
+        _write(args.out_table, "\n".join(lines) + "\n")
+    _write(args.out, payload)
+
+
+def _write(path, text) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _csv_cell(v) -> str:

@@ -66,14 +66,6 @@ def law_failures(
     return failures
 
 
-def assert_laws(s: Semiring, sample: Sampler, *, trials: int = 1000, seed: int = 0) -> None:
-    failures = law_failures(s, sample, trials=trials, seed=seed)
-    if failures:
-        raise AssertionError(
-            f"{len(failures)}+ semiring law violations:\n" + "\n".join(failures)
-        )
-
-
 # --- value samplers ---------------------------------------------------------
 
 

@@ -11,43 +11,16 @@ desk scale.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Iterable, Mapping
 
 from .lifting import ConstraintAlgebra
 from .semirings import Semiring
 
 DEFAULT_LABEL_BUDGET = 10**6
-BUDGET_ENV_VAR = "SEMIRING_DP_ORACLE_BUDGET"
 
 
 class PathBudgetError(RuntimeError):
     """A path-set operation would exceed the storage budget."""
-
-
-_label_budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_LABEL_BUDGET))
-
-
-def label_budget() -> int:
-    return _label_budget
-
-
-def set_label_budget(n: int) -> int:
-    """Set the total-labels-stored cap; returns the previous value."""
-    global _label_budget
-    if n < 1:
-        raise ValueError("budget must be positive")
-    previous = _label_budget
-    _label_budget = n
-    return previous
-
-
-def _check_budget(estimate: int) -> None:
-    if estimate > _label_budget:
-        raise PathBudgetError(
-            f"path-set operation needs ~{estimate} stored labels, "
-            f"over the budget of {_label_budget}"
-        )
 
 
 class PathSet:
@@ -87,20 +60,31 @@ class PathSet:
         return f"PathSet([{inner}])"
 
 
-def union(x: PathSet, y: PathSet) -> PathSet:
-    _check_budget(x.labels_stored + y.labels_stored)
-    return PathSet(x.paths | y.paths)
+def generator_semiring(budget: int = DEFAULT_LABEL_BUDGET) -> Semiring:
+    """Path sets under (union, cross-join, empty set, {empty sequence}).
 
+    ``budget`` caps the labels an operation may store; an operation
+    estimated to exceed it raises ``PathBudgetError``.
+    """
+    if budget < 1:
+        raise ValueError("budget must be positive")
 
-def cross_join(x: PathSet, y: PathSet) -> PathSet:
-    """Concatenate every sequence of ``x`` with every sequence of ``y``."""
-    estimate = len(y.paths) * x.labels_stored + len(x.paths) * y.labels_stored
-    _check_budget(estimate)
-    return PathSet(a + b for a in x.paths for b in y.paths)
+    def check(estimate: int) -> None:
+        if estimate > budget:
+            raise PathBudgetError(
+                f"path-set operation needs ~{estimate} stored labels, "
+                f"over the budget of {budget}"
+            )
 
+    def union(x: PathSet, y: PathSet) -> PathSet:
+        check(x.labels_stored + y.labels_stored)
+        return PathSet(x.paths | y.paths)
 
-def generator_semiring() -> Semiring:
-    """Path sets under (union, cross-join, empty set, {empty sequence})."""
+    def cross_join(x: PathSet, y: PathSet) -> PathSet:
+        """Concatenate every sequence of ``x`` with every sequence of ``y``."""
+        check(len(y.paths) * x.labels_stored + len(x.paths) * y.labels_stored)
+        return PathSet(a + b for a in x.paths for b in y.paths)
+
     return Semiring("paths", union, cross_join, PathSet(), PathSet([()]))
 
 

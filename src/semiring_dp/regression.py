@@ -9,7 +9,7 @@ out of one forward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,17 +141,6 @@ class SegmentCosts:
         return self.cost(i, j) + self.model.regularization
 
 
-def segment_cost(ts: TimeSeries, model: SegmentCostModel, i: int, j: int) -> float:
-    """One-off interval cost (builds the cumulative sums; hold a
-    SegmentCosts for repeated queries)."""
-    return SegmentCosts(ts, model).cost(i, j)
-
-
-def regularized_weights(ts: TimeSeries, model: SegmentCostModel) -> Callable[[int, int], float]:
-    """Weight map w(i, j) = cost(i, j) + regularization for the solvers."""
-    return SegmentCosts(ts, model).weight
-
-
 class SegmentationResult(NamedTuple):
     cost: float
     segments: list[tuple[int, int]]
@@ -191,15 +180,7 @@ def segment_series(
     if len(given) > 1:
         raise ValueError("choose at most one of count, count_range, min_length")
     if count is not None:
-        if not 1 <= count <= n:
-            raise ValueError(f"segment count {count} invalid for length {n}")
         count_range = (count, count)
-    if count_range is not None:
-        lo, hi = count_range
-        if not 1 <= lo <= hi <= n:
-            raise ValueError(f"segment count range {count_range} invalid for length {n}")
-    if min_length is not None and not 1 <= min_length <= n:
-        raise ValueError(f"minimum segment length {min_length} invalid for length {n}")
 
     base = base if base is not None else minplus_semiring()
     vit = viterbi_simple_semiring(base)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 import semiring_dp as sd
-from semiring_dp.pathsets import set_label_budget
 
 GEN = sd.generator_semiring()
 
@@ -42,13 +41,22 @@ def test_iteration_is_sorted():
 
 
 def test_budget_guard():
-    old = set_label_budget(50)
-    try:
-        wide = paths(*[(i, i, i) for i in range(10)])
-        with pytest.raises(sd.PathBudgetError):
-            GEN.mul(wide, wide)
-    finally:
-        set_label_budget(old)
+    wide = paths(*[(i, i, i) for i in range(10)])
+    with pytest.raises(sd.PathBudgetError):
+        sd.generator_semiring(50).mul(wide, wide)
+
+
+def test_budget_belongs_to_one_semiring():
+    small = sd.generator_semiring(50)
+    default = sd.generator_semiring()
+    wide = paths(*[(i, i, i) for i in range(10)])
+    with pytest.raises(sd.PathBudgetError, match="over the budget of 50"):
+        small.mul(wide, wide)
+    assert len(default.mul(wide, wide)) == 100
+    with pytest.raises(sd.PathBudgetError):
+        small.mul(wide, wide)  # the default semiring left the small budget alone
+    with pytest.raises(ValueError):
+        sd.generator_semiring(0)
 
 
 def test_evaluate_counting_example():
@@ -149,18 +157,3 @@ def test_filter_identityless_drops_empty_path():
     alg = sd.ordering_algebra([1.0, 2.0])
     assert sd.filter_paths(alg, ps) == paths((1,), (1, 2))
 
-
-def test_budget_env_override_applies():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, SEMIRING_DP_ORACLE_BUDGET="123")
-    out = subprocess.run(
-        [sys.executable, "-c", "import semiring_dp; print(semiring_dp.label_budget())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "123"

@@ -32,20 +32,20 @@ def test_model_validation():
 
 def test_perfect_fits_cost_zero():
     const = sd.SegmentCostModel(kind="constant")
-    assert sd.segment_cost(series([2.0, 2.0, 2.0]), const, 1, 3) == 0.0
+    assert sd.SegmentCosts(series([2.0, 2.0, 2.0]), const).cost(1, 3) == 0.0
     linear = sd.SegmentCostModel(kind="linear")
-    assert abs(sd.segment_cost(series([1.0, 2.0, 3.0]), linear, 1, 3)) < 1e-12
+    assert abs(sd.SegmentCosts(series([1.0, 2.0, 3.0]), linear).cost(1, 3)) < 1e-12
 
 
 def test_constant_cost_hand_value():
     const = sd.SegmentCostModel(kind="constant")
     # mean 1, residuals (-1, 1), cost (1/2) * (1 + 1) = 1
-    assert abs(sd.segment_cost(series([0.0, 2.0]), const, 1, 2) - 1.0) < 1e-12
+    assert abs(sd.SegmentCosts(series([0.0, 2.0]), const).cost(1, 2) - 1.0) < 1e-12
 
 
 def test_single_point_linear_segment_is_free():
     linear = sd.SegmentCostModel(kind="linear")
-    assert sd.segment_cost(series([4.0, 9.0]), linear, 2, 2) == 0.0
+    assert sd.SegmentCosts(series([4.0, 9.0]), linear).cost(2, 2) == 0.0
 
 
 def test_cost_bounds_checked():
@@ -105,10 +105,10 @@ def test_long_segment_guard_uses_direct_path(monkeypatch):
 
 def test_regularized_weights():
     y = [1.0, 2.0, 2.0, 1.0]
-    plain = sd.regularized_weights(series(y), sd.SegmentCostModel(kind="constant"))
-    reg = sd.regularized_weights(
+    plain = sd.SegmentCosts(series(y), sd.SegmentCostModel(kind="constant")).weight
+    reg = sd.SegmentCosts(
         series(y), sd.SegmentCostModel(kind="constant", regularization=2.5)
-    )
+    ).weight
     assert abs(reg(1, 4) - plain(1, 4) - 2.5) < 1e-12
 
 

@@ -234,3 +234,46 @@ def test_nan_fold_results_are_named(capsys, inputs, constraint):
     assert code == 2
     assert out == ""
     assert_one_data_error(err, "prob", "nan")
+
+
+# --- conflicting constraint flags -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("segment", ["--count", "2", "--min-length", "3"]),
+        ("segment", ["--count", "2", "--count-range", "1", "3"]),
+        ("segment", ["--count-range", "1", "3", "--min-length", "3"]),
+        ("align", ["--sum-misalign", "3", "--max-misalign", "1"]),
+    ],
+)
+def test_conflicting_constraints_are_usage_errors(capsys, inputs, command, flags):
+    # each pair used to exit 0 with one of the two constraints silently ignored
+    files = ["y.csv"] if command == "segment" else ["a.txt", "b.txt"]
+    code, out, err = run(capsys, [command, *(str(inputs / f) for f in files), *flags])
+    assert code == 1
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
+# --- output failures ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-table"])
+def test_unwritable_output_is_a_data_error(capsys, inputs, flag):
+    target = str(inputs / "missing" / "result")
+    code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), flag, target])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "cannot write", target)
+
+
+def test_missing_table_is_refused_before_any_output(capsys, inputs, tmp_path):
+    table = tmp_path / "t.csv"
+    argv = ["segment", str(inputs / "y.csv"), "--semiring", "minplus", "--out-table", str(table)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert not table.exists()
+    assert_one_data_error(err, "no tabular output")
