@@ -5,6 +5,13 @@ over any catalog entry, including the exhaustive path-set semiring.
 Indices in the public interfaces are 1-based (weight maps receive
 1-based positions); internal tables are 0-based.
 
+Row-shaped recurrences take each sum of products through the
+semiring's row operations, ``s.dot(xs, ys)`` and ``s.sum(values)``.
+Each equals the left fold of ``add`` from ``zero`` and counts one op
+per term, so the values and op counts are those of the term-by-term
+fold; semirings that can pick a row's winner in one scan (the min/max
+bases and score-and-witness tupling over them) do so inside those calls.
+
 The constrained variants are the plain recurrences lifted over a
 constraint algebra.  The constrained alignments run ``nw_align`` itself
 over the closed-form edge products of ``lifting.py``; the segment folds
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Any, Callable, Sequence
 
 from . import lifting
@@ -68,7 +76,8 @@ def dag_bellman(dag: Dag, s: Semiring, w) -> Any:
     """
     f = [s.one]
     for v in range(2, dag.node_count + 1):
-        f.append(s.sum(s.mul(f[p - 1], w((p, v))) for p in dag.parents[v - 1]))
+        ps = dag.parents[v - 1]
+        f.append(s.dot([f[p - 1] for p in ps], [w((p, v)) for p in ps]))
     return f[-1]
 
 
@@ -125,7 +134,7 @@ def segment_opt(p: SegmentationProblem, s: Semiring) -> Any:
     """Value over every contiguous cover of 1..N: f[j] = sum_i f[i-1] * w(i, j)."""
     f = [s.one]
     for j in range(1, p.length + 1):
-        f.append(s.sum(s.mul(f[i - 1], p.weight(i, j)) for i in range(1, j + 1)))
+        f.append(s.dot(f, [p.weight(i, j) for i in range(1, j + 1)]))
     return f[p.length]
 
 
@@ -135,26 +144,24 @@ def segment_fixed_count(
     """Value over covers whose segment count lies in [lo, hi].
 
     Lifting segment counting shifts the table by one segment per piece:
-    f[j][m] = sum_i f[i-1][m-1] * w(i, j).  O(N^2 * hi) operations,
-    O(N * hi) values stored.  ``accept`` overrides the default range
-    acceptance with any predicate over counts 0..hi.
+    f[j][m] = sum_i f[i-1][m-1] * w(i, j), one ``dot`` of column m-1
+    with the weights ending at j.  O(N^2 * hi) operations, O(N * hi)
+    values stored.  ``accept`` overrides the default range acceptance
+    with any predicate over counts 0..hi.
     """
     n = p.length
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"segment count range [{lo}, {hi}] invalid for length {n}")
-    rows = [[s.one] + [s.zero] * hi]
+    # cols[m][j] is f[j][m]: column slices are the rows dot takes
+    cols = [[s.one]] + [[s.zero] for _ in range(hi)]
     for j in range(1, n + 1):
-        row = [s.zero] * (hi + 1)
-        for i in range(1, j + 1):
-            w_ij = p.weight(i, j)
-            prev = rows[i - 1]
-            for m in range(1, hi + 1):
-                row[m] = s.add(row[m], s.mul(prev[m - 1], w_ij))
-        rows.append(row)
+        w = [p.weight(i, j) for i in range(1, j + 1)]
+        cols[0].append(s.zero)
+        for m in range(1, hi + 1):
+            cols[m].append(s.dot(cols[m - 1][:j], w))
     if accept is None:
         accept = lambda m: lo <= m <= hi
-    last = rows[n]
-    return s.sum(last[m] for m in range(hi + 1) if accept(m))
+    return s.sum(cols[m][n] for m in range(hi + 1) if accept(m))
 
 
 def segment_min_length(
@@ -166,7 +173,10 @@ def segment_min_length(
     lengths (fold identity: the full length N).  Appending a segment of
     length L maps table entry m to m when m < L, folds the suffix
     m..N into entry m when m == L, and kills entries above L; suffix
-    folds are carried per column so the whole run stays O(N^3).
+    folds are carried per position so the whole run stays O(N^3).  So
+    f[j][m] = sum_{i <= j-m} f[i-1][m] * w(i, j) + suffix[j-m][m] * w(j-m+1, j):
+    one ``dot`` of column m with the weights ending at j, then the
+    suffix term, in the order the term-by-term fold adds them.
     Default acceptance is minimum == target; ``at_least`` switches to
     minimum >= target, and ``accept`` may supply any predicate over
     1..N.
@@ -181,25 +191,22 @@ def segment_min_length(
             suf[m] = s.add(row[m], suf[m + 1])
         return suf
 
-    base_row = [s.zero] * (n + 1)
-    base_row[n] = s.one
-    rows = [base_row]
-    suffixes = [suffix_of(base_row)]
+    row = [s.zero] * (n + 1)
+    row[n] = s.one
+    cols = [[value] for value in row]  # cols[m][j] is f[j][m]
+    suffixes = [suffix_of(row)]
     for j in range(1, n + 1):
+        w = [p.weight(i, j) for i in range(1, j + 1)]
         row = [s.zero] * (n + 1)
-        for i in range(1, j + 1):
-            seg_len = j - i + 1
-            w_ij = p.weight(i, j)
-            prev = rows[i - 1]
-            for m in range(1, seg_len):
-                row[m] = s.add(row[m], s.mul(prev[m], w_ij))
-            row[seg_len] = s.add(row[seg_len], s.mul(suffixes[i - 1][seg_len], w_ij))
-        rows.append(row)
+        for m in range(1, j + 1):
+            k = j - m  # segments longer than m start at 1..k; the one of length m at k+1
+            row[m] = s.add(s.dot(cols[m][:k], w[:k]), s.mul(suffixes[k][m], w[k]))
+        for col, value in zip(cols, row):
+            col.append(value)
         suffixes.append(suffix_of(row))
     if accept is None:
         accept = (lambda m: m >= target) if at_least else (lambda m: m == target)
-    last = rows[n]
-    return s.sum(last[m] for m in range(1, n + 1) if accept(m))
+    return s.sum(row[m] for m in range(1, n + 1) if accept(m))
 
 
 @dataclass(frozen=True)
@@ -351,7 +358,8 @@ def ordered_subsequences(
     n = len(u)
     f = [w(m) for m in range(1, n + 1)]
     for k in range(1, n + 1):
-        chain = s.sum(f[i] for i in range(k - 1) if relation(u[i], u[k - 1]))
+        chainable = map(relation, u[: k - 1], repeat(u[k - 1]))
+        chain = s.sum(compress(f, chainable))
         f[k - 1] = s.add(f[k - 1], s.mul(chain, w(k)))
     return s.sum(f)
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
+import os
 import sys
 import time
 from pathlib import Path
@@ -78,6 +80,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+class _Range(argparse.Action):
+    """A LO HI pair; LO > HI is malformed whatever the input, so a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if lo > hi:
+            parser.error(f"argument {option_string}: LO {lo} exceeds HI {hi}")
+        setattr(namespace, self.dest, values)
 
 
 # --- canonical JSON ----------------------------------------------------------
@@ -490,8 +502,8 @@ def cmd_events(args) -> tuple[dict, list | None]:
 
 
 _RELATIONS = {
-    "lt": lambda x, y: x < y,
-    "le": lambda x, y: x <= y,
+    "lt": operator.lt,
+    "le": operator.le,
     "subset-demo": lambda x, y: (int(x) | int(y)) == int(y),
 }
 
@@ -576,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-segment regularization penalty")
     constraint = p.add_mutually_exclusive_group()
     constraint.add_argument("--count", type=int, help="exact number of segments")
-    constraint.add_argument("--count-range", nargs=2, type=int, metavar=("LO", "HI"))
+    constraint.add_argument("--count-range", nargs=2, type=int, metavar=("LO", "HI"),
+                            action=_Range)
     constraint.add_argument("--min-length", type=int,
                             help="require every segment to span at least this many samples")
     p.add_argument("--semiring", default="viterbi:minplus",
@@ -621,25 +634,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_outputs(args, doc, table) -> None:
-    """Write the table before the document, so a failed write leaves stdout empty."""
+    """Write the table and the document all or nothing; the document goes to stdout without --out.
+
+    Each file is written to a temporary file beside its target, and both
+    are renamed into place only once both are written, so a failed write
+    leaves neither file (nor stdout) touched.
+    """
     payload = canonical_json(doc) + "\n"
+    files = []
     if args.out_table:
         if table is None:
             raise DataError("this invocation has no tabular output")
         lines = [",".join(_csv_cell(v) for v in row) for row in table]
-        _write(args.out_table, "\n".join(lines) + "\n")
-    _write(args.out, payload)
-
-
-def _write(path, text) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
-    if not path:
-        sys.stdout.write(text)
-        return
+        files.append((args.out_table, "\n".join(lines) + "\n"))
+    if args.out:
+        files.append((args.out, payload))
+    staged = []
     try:
-        Path(path).write_text(text)
+        for path, text in files:
+            staged.append((_stage(path, text), path))
+        for temp, path in staged:
+            try:
+                os.replace(temp, path)
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
+    if not args.out:
+        sys.stdout.write(payload)
+
+
+def _stage(path, text) -> Path:
+    """Write ``text`` to a new temporary file in the directory of ``path``."""
+    target = Path(path)
+    if target.is_dir():  # the rename would fail after the other file was renamed
+        raise DataError(f"cannot write {path}: it is a directory")
+    temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        handle = open(temp, "x")  # a new file, created as the target would be (umask applies)
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with handle:
+            handle.write(text)
+    except OSError as exc:
+        temp.unlink(missing_ok=True)
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    return temp
 
 
 def _csv_cell(v) -> str:

@@ -7,14 +7,26 @@ products.  A dynamic-programming recurrence written against this
 interface can be re-run with any catalog entry to count solutions,
 optimize, marginalize probabilities or enumerate, without touching the
 recurrence itself.
+
+A semiring also has two row operations, ``sum(values)`` and
+``dot(xs, ys)`` (the sum of pairwise products).  Each equals the left
+fold of ``add`` from ``zero`` over its terms, and each counts as one
+``add`` per term (and ``dot`` one ``mul`` per pair), however it runs.
+The defaults are that fold.  The entries that override them compute the
+same value in fewer interpreter steps: the min/max bases, the
+score-and-witness tupling over them, and the op counter.  ``prob``,
+``softmax`` and ``count`` keep the fold: builtin float ``sum`` is
+compensated from Python 3.12 and numpy sums pairwise, so neither equals
+the left fold bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 BinOp = Callable[[Any, Any], Any]
 EqOp = Callable[[Any, Any], bool]
@@ -54,6 +66,20 @@ def pair_eq(component_eq: EqOp) -> EqOp:
     return eq
 
 
+def _fold_sum(add, zero, values):
+    acc = zero
+    for v in values:
+        acc = add(acc, v)
+    return acc
+
+
+def _fold_dot(add, mul, zero, xs, ys):
+    acc = zero
+    for x, y in zip(xs, ys):
+        acc = add(acc, mul(x, y))
+    return acc
+
+
 @dataclass(frozen=True, repr=False)
 class Semiring:
     """First-class bundle of semiring operations.
@@ -62,7 +88,9 @@ class Semiring:
     ``mul`` associative with identity ``one``, distributing over ``add``
     from both sides; ``zero`` annihilates products.  ``eq`` is the
     equality under which those laws are checked: exact for discrete
-    carriers, tolerance-based for floating-point ones.
+    carriers, tolerance-based for floating-point ones.  ``row_sum`` (which
+    ``sum`` hands a list) and ``row_dot``, when given, must return exactly
+    what the left folds of ``sum`` and ``dot`` return.
     """
 
     name: str
@@ -71,12 +99,27 @@ class Semiring:
     zero: Any
     one: Any
     eq: EqOp = exact_eq
+    row_sum: Callable[[list], Any] | None = field(default=None, compare=False)
+    row_dot: Callable[[Sequence[Any], Sequence[Any]], Any] | None = field(
+        default=None, compare=False
+    )
 
     def sum(self, values: Iterable[Any]) -> Any:
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
+        """add(...add(add(zero, v1), v2)..., vn); ``row_sum`` computes it when given."""
+        if self.row_sum is not None:
+            return self.row_sum(values if isinstance(values, list) else list(values))
+        return _fold_sum(self.add, self.zero, values)
+
+    def dot(self, xs: Sequence[Any], ys: Sequence[Any]) -> Any:
+        """The sum of mul(x, y) over equal-length rows, folded left from zero.
+
+        ``row_dot`` computes it when given.
+        """
+        if len(xs) != len(ys):
+            raise ValueError(f"dot of rows of lengths {len(xs)} and {len(ys)}")
+        if self.row_dot is not None:
+            return self.row_dot(xs, ys)
+        return _fold_dot(self.add, self.mul, self.zero, xs, ys)
 
     def prod(self, values: Iterable[Any]) -> Any:
         acc = self.one
@@ -108,19 +151,36 @@ def probability_semiring() -> Semiring:
     return Semiring("prob", operator.add, operator.mul, 0.0, 1.0, float_eq)
 
 
+def _selective(name: str, pick, mul: BinOp, zero: float, one: float) -> Semiring:
+    """A float semiring whose add is ``pick`` (builtin min or max).
+
+    Its row operations are one ``pick`` over the terms seeded with
+    ``zero``: the builtin keeps its current value unless a later term
+    beats it, which is the left fold's rule, nan included.
+    """
+
+    def row_sum(values):
+        return pick(chain((zero,), values))
+
+    def row_dot(xs, ys):
+        return pick(chain((zero,), map(mul, xs, ys)))
+
+    return Semiring(name, pick, mul, zero, one, float_eq, row_sum, row_dot)
+
+
 def minplus_semiring() -> Semiring:
     """Tropical minimum: add=min, mul=+, identities +inf and 0."""
-    return Semiring("minplus", min, operator.add, math.inf, 0.0, float_eq)
+    return _selective("minplus", min, operator.add, math.inf, 0.0)
 
 
 def maxplus_semiring() -> Semiring:
     """Tropical maximum: add=max, mul=+, identities -inf and 0."""
-    return Semiring("maxplus", max, operator.add, -math.inf, 0.0, float_eq)
+    return _selective("maxplus", max, operator.add, -math.inf, 0.0)
 
 
 def max_product_semiring() -> Semiring:
     """Non-negative reals under (max, *, 0, 1); best-probability scoring."""
-    return Semiring("maxprod", max, operator.mul, 0.0, 1.0, float_eq)
+    return _selective("maxprod", max, operator.mul, 0.0, 1.0)
 
 
 def _softmin(x: float, y: float) -> float:
@@ -146,7 +206,7 @@ def softmax_semiring() -> Semiring:
 
 def bottleneck_semiring() -> Semiring:
     """Values in [0, 1] under (max, min, 0, 1); fuzzy constraint grades."""
-    return Semiring("bottleneck", max, min, 0.0, 1.0, float_eq)
+    return _selective("bottleneck", max, min, 0.0, 1.0)
 
 
 def _expectation_add(a, b):
@@ -276,6 +336,51 @@ class Scored(NamedTuple):
         return f"Scored(score={self[0]!r}, witness={self.witness!r})"
 
 
+def _require_selective(base: Semiring) -> None:
+    """Refuse a catalog base whose add sums rather than selects; other semirings pass."""
+    if base.name in standard_semirings() and base.name not in SELECTIVE_SEMIRINGS:
+        raise ValueError(
+            f"a witness cannot stand for a sum over {base.name!r}; "
+            f"use a selective base: {', '.join(SELECTIVE_SEMIRINGS)}"
+        )
+
+
+def _selection(pick, scores: list, zero_score):
+    """Where a left fold of ``pick`` from ``zero_score`` over ``scores`` ends, in one scan.
+
+    Returns the position of the score the fold keeps (the first exact
+    winner), -1 when it keeps ``zero_score`` itself, or None when the
+    fold's near-tie rule could matter (some score within 1e-9 relative of
+    the winner without being exactly equal to it, or the winner within
+    1e-9 of ``zero_score``) or some score is nan, in which case the caller
+    scans.  Without such scores, every term before the first winner loses
+    to it by more than the tolerance and every term after it does not
+    beat it, so the fold ends there.
+    """
+    if not scores:
+        return -1
+    total = sum(scores)
+    if total != total:  # a nan score (or inf - inf, which is just as well scanned)
+        return None
+    best = pick(zero_score, *scores)
+    if best == zero_score:
+        return -1
+    if math.isclose(best, zero_score, rel_tol=FLOAT_REL_TOL):
+        return None
+    if not math.isinf(best):
+        # every score within 1e-9 relative of best lies within 2e-9 * |best| of it
+        margin = 2 * FLOAT_REL_TOL * abs(best)
+        if pick is min:
+            bound = best + margin
+            near = [x for x in scores if x <= bound]
+        else:
+            bound = best - margin
+            near = [x for x in scores if x >= bound]
+        if len(near) != near.count(best):
+            return None
+    return scores.index(best)
+
+
 def viterbi_semiring(base: Semiring) -> Semiring:
     """Tuple ``base`` scores with *sets* of witness label sequences.
 
@@ -283,8 +388,10 @@ def viterbi_semiring(base: Semiring) -> Semiring:
     merges the witness sets when scores tie, so every optimum is
     retained; ``mul`` combines scores and cross-concatenates witnesses.
     ``base.add`` must be selective (min- or max-like over totally
-    ordered scores).  Witnesses are frozensets of label tuples.
+    ordered scores); a catalog base outside ``SELECTIVE_SEMIRINGS``
+    raises ``ValueError``.  Witnesses are frozensets of label tuples.
     """
+    _require_selective(base)
 
     def add(a, b):
         if _near_tie(a.score, b.score):
@@ -324,13 +431,22 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     the joins, in one pass, into the tuple that concatenation would
     give.  ``viterbi_semiring`` keeps plain label tuples: its frozensets
     hash their members, so a join would be flattened at every insertion.
-    """
 
+    ``base`` must be selective; a catalog base outside
+    ``SELECTIVE_SEMIRINGS`` raises ``ValueError``.  When ``base.add`` is
+    the builtin min or max, the row operations pick the winning score
+    with one scan over the row's scores and build one product for it,
+    not one per term; rows where the near-tie rule could decide, or with
+    a nan score, are folded term by term.  The result is the left fold's
+    in both score and witness.
+    """
+    _require_selective(base)
     base_add, base_mul, base_zero = base.add, base.mul, base.zero
     zero = Scored(base_zero, ())
     one = Scored(base.one, ())
     new = tuple.__new__
     isclose = math.isclose
+    score_of = operator.itemgetter(0)
 
     def add(a, b):
         # the left operand wins near-ties, as in _near_tie(base.add(...), a.score)
@@ -351,7 +467,25 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
         if not base.eq(a.score, b.score):
             return False
         return base.eq(a.score, base.zero) or a.witness == b.witness
-    return Semiring(f"viterbi-simple[{base.name}]", add, mul, zero, one, eq)
+
+    name = f"viterbi-simple[{base.name}]"
+    if base_add is not min and base_add is not max:
+        return Semiring(name, add, mul, zero, one, eq)
+
+    def row_sum(values):
+        k = _selection(base_add, list(map(score_of, values)), base_zero)
+        if k is None:
+            return _fold_sum(add, zero, values)
+        return zero if k < 0 else values[k]
+
+    def row_dot(xs, ys):
+        scores = list(map(base_mul, map(score_of, xs), map(score_of, ys)))
+        k = _selection(base_add, scores, base_zero)
+        if k is None:
+            return _fold_dot(add, mul, zero, xs, ys)
+        return zero if k < 0 else mul(xs[k], ys[k])
+
+    return Semiring(name, add, mul, zero, one, eq, row_sum, row_dot)
 
 
 @dataclass
@@ -374,6 +508,8 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
 
     Complexity claims about the recurrences are statements about
     operation counts, not wall time; the counters make them testable.
+    A row operation tallies what its fold would (one add per term, one
+    mul per pair of ``dot``) in O(1) and then runs ``s``'s own.
     The wrapper is not thread-safe and is meant for measurement only.
     """
     counts = OpCounts()
@@ -386,4 +522,14 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
         counts.mul += 1
         return s.mul(a, b)
 
-    return Semiring(f"{s.name}#counted", add, mul, s.zero, s.one, s.eq), counts
+    def row_sum(values):
+        counts.add += len(values)
+        return s.sum(values)
+
+    def row_dot(xs, ys):
+        counts.add += len(xs)
+        counts.mul += len(xs)
+        return s.dot(xs, ys)
+
+    counted = Semiring(f"{s.name}#counted", add, mul, s.zero, s.one, s.eq, row_sum, row_dot)
+    return counted, counts

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import random
@@ -588,6 +589,35 @@ def test_joined_witnesses_match_concatenated_witnesses(base, grid):
             assert got.score == want.score, name
             assert type(got.witness) is tuple, name
             assert got.witness == want.witness, name
+
+
+def term_by_term(s):
+    """``s`` with its row operations taken away: sum and dot fold one term at a time."""
+    return dataclasses.replace(s, row_sum=None, row_dot=None)
+
+
+@pytest.mark.parametrize(
+    "base, grid",
+    [
+        (MINPLUS, (0.0, 1.0, 1.0 + 4e-10, 1.0 + 1.5e-9, 2.0, math.inf)),
+        (MAXPLUS, (-math.inf, 0.0, 1.0, 1.0 - 4e-10, 1.0 - 1.5e-9, 2.0)),
+        (CATALOG["maxprod"], (0.0, 0.25, 0.5, 0.5 * (1 + 6e-10), 1.0)),
+        (CATALOG["bottleneck"], (0.0, 0.25, 0.5, 0.5 * (1 - 6e-10), 1.0)),
+    ],
+    ids=["minplus", "maxplus", "maxprod", "bottleneck"],
+)
+def test_row_operations_leave_folds_and_op_counts_unchanged(base, grid):
+    # near-ties in the weights make some rows take the one-scan path and some the scan
+    rng = random.Random(79)
+    vit = sd.viterbi_simple_semiring(base)
+    for _ in range(25):
+        for name, fold in witness_fold_cases(rng, grid):
+            rows, rows_counts = sd.instrumented(vit)
+            terms, terms_counts = sd.instrumented(vit)  # counting add and mul one by one
+            got, want = fold(rows), fold(term_by_term(terms))
+            assert got.score == want.score, name
+            assert got.witness == want.witness, name
+            assert (rows_counts.add, rows_counts.mul) == (terms_counts.add, terms_counts.mul), name
 
 
 # --- operation-count scaling ------------------------------------------------------------

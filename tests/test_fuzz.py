@@ -2,8 +2,10 @@
 
 Small random inputs for every subcommand run with ``--verify``.  Each
 run must end in a right answer (exit 0, oracle ``pass`` or ``skipped``)
-or a named data error (exit 2); never an oracle ``fail``, a traceback or
-another exit code.  The draws are derandomized, so the run is repeatable.
+or a named data error (exit 2), or, for a ``--count-range`` whose LO
+exceeds HI, a usage error (exit 1); never an oracle ``fail``, a
+traceback or another exit code.  The draws are derandomized, so the
+run is repeatable.
 """
 
 import contextlib
@@ -40,8 +42,10 @@ def check_run(tmp_path_factory, files: dict, argv: list, want_codes: tuple):
     assert code in want_codes, (argv, files, stderr.getvalue())
     if code == 0:
         assert json.loads(out.read_text())["oracle_check"]["status"] in ("pass", "skipped")
-    else:
+    elif code == 2:
         assert stderr.getvalue().startswith("semiring-dp: data error:")
+    else:  # a malformed flag, named on argparse's last line
+        assert stderr.getvalue().splitlines()[-1].startswith(f"semiring-dp {argv[0]}: error:")
 
 
 def column(values) -> str:
@@ -67,7 +71,8 @@ segment_constraints = st.one_of(
 def test_segment(tmp_path_factory, values, constraint, semiring, model, lam):
     argv = ["segment", "y.csv", *constraint, "--semiring", semiring, "--model", model]
     argv += ["--lambda", lam]
-    check_run(tmp_path_factory, {"y.csv": column(values)}, argv, (0, 2))
+    inverted = constraint[:1] == ["--count-range"] and int(constraint[1]) > int(constraint[2])
+    check_run(tmp_path_factory, {"y.csv": column(values)}, argv, (1,) if inverted else (0, 2))
 
 
 align_caps = st.one_of(

@@ -103,6 +103,27 @@ def test_long_segment_guard_uses_direct_path(monkeypatch):
     assert abs(guarded - baseline) <= 1e-9 * max(1.0, abs(baseline))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 420])
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+@pytest.mark.parametrize("lam", [0.0, 0.75])
+def test_weight_table_is_the_scalar_cost_bit_for_bit(n, kind, lam):
+    rng = np.random.default_rng(n)
+    y = rng.normal(0, 3, n) + np.linspace(0, 5, n) + 1e3
+    costs = sd.SegmentCosts(series(y), sd.SegmentCostModel(kind=kind, regularization=lam))
+    for j in range(1, n + 1):
+        for i in range(1, j + 1):
+            got = costs.weight(i, j)
+            assert type(got) is float
+            assert got.hex() == float(costs.cost(i, j) + lam).hex(), (i, j)
+
+
+def test_weight_bounds_checked():
+    costs = sd.SegmentCosts(series([1.0, 2.0, 3.0]), sd.SegmentCostModel())
+    for i, j in [(0, 2), (2, 4), (3, 2), (-1, 3)]:
+        with pytest.raises(ValueError):
+            costs.weight(i, j)
+
+
 def test_regularized_weights():
     y = [1.0, 2.0, 2.0, 1.0]
     plain = sd.SegmentCosts(series(y), sd.SegmentCostModel(kind="constant")).weight

@@ -257,6 +257,23 @@ def test_conflicting_constraints_are_usage_errors(capsys, inputs, command, flags
     assert "not allowed with argument" in err
 
 
+@pytest.mark.parametrize("lo, hi", [(3, 2), (7, 1)])
+def test_inverted_count_range_is_a_usage_error(capsys, inputs, lo, hi):
+    # it used to be the data error "--count-range 3 2 infeasible for 6 samples"
+    argv = ["segment", str(inputs / "y.csv"), "--count-range", str(lo), str(hi)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument --count-range: LO {lo} exceeds HI {hi}" in err
+
+
+def test_count_range_longer_than_the_input_is_a_data_error(capsys, inputs):
+    code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--count-range", "2", "7"])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "--count-range 2 7", "6 samples")
+
+
 # --- output failures ----------------------------------------------------------------
 
 
@@ -277,3 +294,51 @@ def test_missing_table_is_refused_before_any_output(capsys, inputs, tmp_path):
     assert out == ""
     assert not table.exists()
     assert_one_data_error(err, "no tabular output")
+
+
+def test_failed_document_write_leaves_no_table(capsys, inputs, tmp_path):
+    # the table used to be written before the document's write failed
+    table = tmp_path / "t.csv"
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(tmp_path / "nodir" / "x.json"),
+            "--out-table", str(table)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "cannot write", "x.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "y.csv"]
+
+
+def test_document_path_that_is_a_directory_leaves_no_table(capsys, inputs, tmp_path):
+    table = tmp_path / "t.csv"
+    (tmp_path / "adir").mkdir()
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(tmp_path / "adir"),
+            "--out-table", str(table)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "cannot write", "adir", "directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "adir", "b.txt", "y.csv"]
+
+
+def test_failed_table_write_leaves_no_document(capsys, inputs, tmp_path):
+    doc = tmp_path / "x.json"
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(doc),
+            "--out-table", str(tmp_path / "nodir" / "t.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "cannot write", "t.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "y.csv"]
+
+
+def test_outputs_replace_existing_files_and_leave_no_temporaries(capsys, inputs, tmp_path):
+    doc, table = tmp_path / "x.json", tmp_path / "t.csv"
+    doc.write_text("old\n")
+    table.write_text("old\n")
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(doc), "--out-table", str(table)]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(doc.read_text())["command"] == "segment"
+    assert table.read_text().startswith("index,value,fit,segment\n")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["a.txt", "b.txt", "t.csv", "x.json", "y.csv"]

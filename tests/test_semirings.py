@@ -213,3 +213,144 @@ def test_instrumented_counts_operations():
     assert counts.mul == 2
     counts.reset()
     assert counts.total() == 0
+
+
+# --- row operations ----------------------------------------------------------------
+
+ONE_SCAN_BASES = ("minplus", "maxplus", "maxprod", "bottleneck")
+
+
+def left_sum(s, values):
+    acc = s.zero
+    for v in values:
+        acc = s.add(acc, v)
+    return acc
+
+
+def left_dot(s, xs, ys):
+    acc = s.zero
+    for x, y in zip(xs, ys):
+        acc = s.add(acc, s.mul(x, y))
+    return acc
+
+
+def score_rows(base):
+    """Score rows where a one-scan selection could go wrong; every score is in [0, 1]."""
+    chain = [1.0, 1.0 - 6e-10, 1.0 - 1.2e-9]  # each step a near-tie, the ends are not
+    tiny = [2e-15, 1e-15, 2e-15 * (1 - 5e-10)]  # far below any absolute tolerance
+    rows = [
+        chain, chain[::-1], [0.5] + chain + [0.5], chain[::-1] + [0.25, 1.0],
+        tiny, tiny[::-1],
+        [0.5, 0.25, 0.5, 0.25, 0.75, 0.75], [0.75, 0.75, 0.75], [0.0, 0.0, 0.5, 0.0],
+        [math.nan, 0.5, 0.25], [0.5, math.nan, 0.25], [0.25, 0.5, math.nan],
+        [math.nan, math.nan],
+        [base.zero] * 3, [base.zero, 0.5, base.zero], [],
+        [0.5 * (1 + 5e-10), 0.5, 0.5 * (1 - 5e-10)],  # the winner's near-ties on both sides
+    ]
+    rng = random.Random(31)
+    grid = (0.0, 0.25, 0.5, 0.5 * (1 + 4e-10), 0.75, 1.0, base.zero)
+    rows += [[rng.choice(grid) for _ in range(rng.randint(1, 12))] for _ in range(200)]
+    return rows
+
+
+def same_float(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1, a) == math.copysign(1, b)
+
+
+@pytest.mark.parametrize("name", ONE_SCAN_BASES)
+def test_selective_base_rows_equal_their_left_folds(name):
+    base = CATALOG[name]
+    for scores in score_rows(base):
+        weights = [base.one] * len(scores)
+        assert same_float(base.sum(scores), left_sum(base, scores)), scores
+        assert same_float(base.sum(iter(scores)), left_sum(base, scores)), scores
+        assert same_float(base.dot(scores, weights), left_dot(base, scores, weights)), scores
+        assert same_float(base.dot(weights, scores), left_dot(base, weights, scores)), scores
+
+
+@pytest.mark.parametrize("name", ONE_SCAN_BASES)
+def test_witness_rows_equal_their_left_folds_in_score_and_witness(name):
+    base = CATALOG[name]
+    vit = sd.viterbi_simple_semiring(base)
+    rng = random.Random(37)
+    for scores in score_rows(base):
+        row = [sd.Scored(x, (("x", k),)) for k, x in enumerate(scores)]
+        # the other factor of each product: one, or a score that keeps ties tied
+        ys = [sd.Scored(rng.choice((base.one, base.one, 0.5)), (("y", k),))
+              for k in range(len(row))]
+        for got, want in (
+            (vit.sum(row), left_sum(vit, row)),
+            (vit.sum(x for x in row), left_sum(vit, row)),
+            (vit.dot(row, ys), left_dot(vit, row, ys)),
+            (vit.dot(ys, row), left_dot(vit, ys, row)),
+        ):
+            assert type(got) is sd.Scored
+            assert same_float(got.score, want.score), scores
+            assert got.witness == want.witness, scores
+
+
+def test_near_tie_chain_is_not_the_first_score_near_the_best():
+    # the fold keeps 1.0 over 1 - 6e-10, then loses it to 1 - 1.2e-9: the last entry
+    vit = sd.viterbi_simple_semiring(sd.minplus_semiring())
+    row = [sd.Scored(x, (k,)) for k, x in enumerate([1.0, 1.0 - 6e-10, 1.0 - 1.2e-9])]
+    assert vit.sum(row).witness == (2,)
+    # exact ties keep the first
+    tied = [sd.Scored(x, (k,)) for k, x in enumerate([3.0, 2.0, 2.0, 2.0])]
+    assert vit.sum(tied).witness == (1,)
+
+
+def test_rows_of_the_other_entries_are_their_left_folds():
+    rng = random.Random(41)
+    for name, s in CATALOG.items():
+        sample = catalog_samplers()[name]
+        for _ in range(30):
+            xs = [sample(rng) for _ in range(rng.randint(0, 6))]
+            ys = [sample(rng) for _ in xs]
+            assert s.eq(s.sum(xs), left_sum(s, xs)), name
+            assert s.eq(s.dot(xs, ys), left_dot(s, xs, ys)), name
+
+
+def test_instrumented_rows_count_one_op_per_term():
+    for name, s in [*CATALOG.items(), ("viterbi", sd.viterbi_simple_semiring(CATALOG["minplus"]))]:
+        counted, counts = sd.instrumented(s)
+        xs = [s.one] * 5
+        counted.sum(x for x in xs)
+        assert (counts.add, counts.mul) == (5, 0), name
+        counted.dot(xs[:3], xs[:3])
+        assert (counts.add, counts.mul) == (8, 3), name
+        counted.sum([])
+        counted.dot([], [])
+        assert (counts.add, counts.mul) == (8, 3), name
+
+
+def test_dot_refuses_rows_of_unequal_length():
+    for s in (CATALOG["count"], sd.viterbi_simple_semiring(CATALOG["minplus"])):
+        with pytest.raises(ValueError, match="lengths 2 and 1"):
+            s.dot([s.one, s.one], [s.one])
+
+
+@pytest.mark.parametrize("name", ["count", "prob", "softmax", "expectation"])
+def test_witness_tupling_refuses_non_selective_catalog_bases(name):
+    # viterbi-simple over count once scored a 3 x 3 alignment 1, not its 63 paths
+    with pytest.raises(ValueError, match=name):
+        sd.viterbi_simple_semiring(CATALOG[name])
+    with pytest.raises(ValueError, match=name):
+        sd.viterbi_semiring(CATALOG[name])
+
+
+def test_witness_tupling_accepts_semirings_outside_the_catalog():
+    custom = sd.Semiring("shortest", min, lambda a, b: a + b, math.inf, 0.0)
+    vit = sd.viterbi_simple_semiring(custom)
+    row = [sd.Scored(x, (k,)) for k, x in enumerate([3.0, 1.0, 1.0 + 1e-12, 2.0])]
+    assert vit.sum(row) == left_sum(vit, row) == row[1]
+    assert sd.viterbi_semiring(custom).zero.score == math.inf
+
+
+def test_witness_rows_keep_a_zero_that_the_winner_nearly_ties():
+    # over a min base whose zero is finite, a score within 1e-9 below zero does not win
+    capped = sd.Semiring("capped", min, lambda a, b: a + b, 5.0, 0.0)
+    vit = sd.viterbi_simple_semiring(capped)
+    row = [sd.Scored(x, (k,)) for k, x in enumerate([6.0, 5.0 * (1 - 5e-10)])]
+    assert vit.sum(row) == left_sum(vit, row) == vit.zero
