@@ -14,10 +14,12 @@ round trip.  Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -192,16 +194,16 @@ def resolve_semiring(name: str) -> tuple[Semiring, Semiring, bool]:
     catalog = standard_semirings()
     tupled = name.startswith("viterbi:")
     base = catalog.get(name.split(":", 1)[1] if tupled else name)
-    unsound = tupled and base is not None and base.name not in SELECTIVE_SEMIRINGS
-    if base is None or base.name == "expectation" or unsound:
-        plain = ", ".join(n for n in catalog if n != "expectation")
-        raise DataError(
-            f"{'unknown' if base is None else 'unsupported'} semiring {name!r} "
-            f"(choices: {plain}, viterbi:<{'|'.join(SELECTIVE_SEMIRINGS)}>)"
-        )
-    if tupled:
-        return viterbi_simple_semiring(base), base, True
-    return base, base, False
+    if base is not None and base.name != "expectation":
+        try:
+            return (viterbi_simple_semiring(base), base, True) if tupled else (base, base, False)
+        except ValueError:  # the witness semiring refuses a base that sums
+            pass
+    plain = ", ".join(n for n in catalog if n != "expectation")
+    raise DataError(
+        f"{'unknown' if base is None else 'unsupported'} semiring {name!r} "
+        f"(choices: {plain}, viterbi:<{'|'.join(SELECTIVE_SEMIRINGS)}>)"
+    )
 
 
 def _scalar_weight(base: Semiring, cost):
@@ -231,6 +233,7 @@ def _oracle(solutions, what, generate, alg, base, weight, got) -> dict:
     """
     if solutions > VERIFY_PATH_CAP:
         return _oracle_skipped(f"{what} exceed the {VERIFY_PATH_CAP}-path cap")
+    weight = functools.cache(weight)  # each label recurs in many paths, in no fold's order
     try:
         paths = generate(generator_semiring())
         if alg is not None:
@@ -636,9 +639,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_outputs(args, doc, table) -> None:
     """Write the table and the document all or nothing; the document goes to stdout without --out.
 
-    Each file is written to a temporary file beside its target, and both
-    are renamed into place only once both are written, so a failed write
-    leaves neither file (nor stdout) touched.
+    A target that is absent or a regular file, once symlinks are
+    followed, is written to a temporary file beside it, and the
+    temporaries are renamed into place only once every output is
+    written, so a failed write leaves neither file (nor stdout) touched.
+    Any other target (a device such as /dev/null, a FIFO) is written
+    directly, after the temporaries and before the renames, since a
+    rename would replace it.
     """
     payload = canonical_json(doc) + "\n"
     files = []
@@ -649,27 +656,42 @@ def _write_outputs(args, doc, table) -> None:
         files.append((args.out_table, "\n".join(lines) + "\n"))
     if args.out:
         files.append((args.out, payload))
-    staged = []
+    staged, direct = [], []
     try:
         for path, text in files:
-            staged.append((_stage(path, text), path))
-        for temp, path in staged:
+            target = os.path.realpath(path)
             try:
-                os.replace(temp, path)
+                mode = os.stat(target).st_mode
+            except FileNotFoundError:
+                mode = None
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc.strerror}") from None
+            if mode is None or stat.S_ISREG(mode):
+                staged.append((_stage(path, target, text, mode), target, path))
+            elif stat.S_ISDIR(mode):  # the rename would fail after the other file was renamed
+                raise DataError(f"cannot write {path}: it is a directory")
+            else:
+                direct.append((path, text))
+        for path, text in direct:
+            try:
+                Path(path).write_text(text)
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc.strerror}") from None
+        for temp, target, path in staged:
+            try:
+                os.replace(temp, target)
             except OSError as exc:
                 raise DataError(f"cannot write {path}: {exc.strerror}") from None
     finally:
-        for temp, _ in staged:
+        for temp, _, _ in staged:
             temp.unlink(missing_ok=True)
     if not args.out:
         sys.stdout.write(payload)
 
 
-def _stage(path, text) -> Path:
-    """Write ``text`` to a new temporary file in the directory of ``path``."""
-    target = Path(path)
-    if target.is_dir():  # the rename would fail after the other file was renamed
-        raise DataError(f"cannot write {path}: it is a directory")
+def _stage(path, target, text, mode) -> Path:
+    """Write ``text`` to a new temporary file beside ``target``, with ``mode``'s permissions if given."""
+    target = Path(target)
     temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         handle = open(temp, "x")  # a new file, created as the target would be (umask applies)
@@ -678,6 +700,8 @@ def _stage(path, text) -> Path:
     try:
         with handle:
             handle.write(text)
+        if mode is not None:  # a replaced file keeps its permissions
+            os.chmod(temp, stat.S_IMODE(mode))
     except OSError as exc:
         temp.unlink(missing_ok=True)
         raise DataError(f"cannot write {path}: {exc.strerror}") from None

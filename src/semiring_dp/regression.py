@@ -78,13 +78,16 @@ class SegmentCosts:
     cost query is then O(1).  Non-quadratic exponents and very long
     segments fall back to an O(j - i) centered computation.
 
-    ``weight`` (cost plus the regularization) reads p=2 weights from an
-    upper-triangle float64 table when N <= LONG_SEGMENT_DIRECT: column j,
-    the weights of every segment ending at j, is computed with numpy the
-    first time a weight ending at j is asked for, by the same float
-    operations as ``cost``, so it matches ``cost(i, j) + regularization``
-    bit for bit.  A full table holds N(N+1)/2 floats, 8 bytes each
-    (0.7 MB at N = 420, 400 MB at N = 10,000).
+    ``weight`` (cost plus the regularization) reads p=2 weights from a
+    column of float64 values when N <= LONG_SEGMENT_DIRECT: column j, the
+    weights of every segment ending at j, is computed with numpy when a
+    weight ending at j is asked for and the column held is another one,
+    by the same float operations as ``cost``, so it matches
+    ``cost(i, j) + regularization`` bit for bit.  Only the latest column
+    is kept (N floats, 8 bytes each): the segmentation folds read column
+    j only while computing their row j, so each column is built once per
+    fold.  Past LONG_SEGMENT_DIRECT samples ``cost`` switches method for
+    long segments, which the column formula does not follow.
     """
 
     def __init__(self, ts: TimeSeries, model: SegmentCostModel):
@@ -103,9 +106,9 @@ class SegmentCosts:
             bound = y.size * self._snn[-1] * self._syy[-1]
         if not np.isfinite(bound):
             raise ValueError("sample magnitudes overflow the cost model's sums; rescale the series")
-        tabled = model.error_exponent == 2.0 and y.size <= LONG_SEGMENT_DIRECT
-        # _columns[j] holds weight(i, j) at index i - 1, once some weight ending at j was asked
-        self._columns = [None] * (y.size + 1) if tabled else None
+        self._tabled = model.error_exponent == 2.0 and y.size <= LONG_SEGMENT_DIRECT
+        # (j, column): weight(i, j) at index i - 1 of the column, for the last j asked
+        self._column = (0, None)
 
     @property
     def length(self) -> int:
@@ -150,14 +153,14 @@ class SegmentCosts:
 
     def weight(self, i: int, j: int) -> float:
         """``cost(i, j) + regularization``, as a Python float when read from the table."""
-        columns = self._columns
-        if columns is None:
+        if not self._tabled:
             return self.cost(i, j) + self.model.regularization
-        if not 1 <= i <= j < len(columns):
+        if not 1 <= i <= j <= self._y.size:
             raise ValueError(f"interval ({i}, {j}) outside 1..{self.length}")
-        column = columns[j]
-        if column is None:
-            column = columns[j] = self._weight_column(j)
+        end, column = self._column
+        if end != j:
+            column = self._weight_column(j)
+            self._column = (j, column)
         return column.item(i - 1)
 
     def _weight_column(self, j: int) -> np.ndarray:

@@ -255,6 +255,8 @@ def standard_semirings() -> dict[str, Semiring]:
 # catalog entries whose add returns one of its operands (min- or max-like),
 # the bases over which a score-and-witness tuple keeps a witness of its score
 SELECTIVE_SEMIRINGS = ("bool", "minplus", "maxplus", "maxprod", "bottleneck")
+# the other catalog entries, whose add sums: count, prob, softmax, expectation
+_SUMMING_CATALOG = frozenset(standard_semirings()).difference(SELECTIVE_SEMIRINGS)
 
 
 class _Join:
@@ -338,7 +340,7 @@ class Scored(NamedTuple):
 
 def _require_selective(base: Semiring) -> None:
     """Refuse a catalog base whose add sums rather than selects; other semirings pass."""
-    if base.name in standard_semirings() and base.name not in SELECTIVE_SEMIRINGS:
+    if base.name in _SUMMING_CATALOG:
         raise ValueError(
             f"a witness cannot stand for a sum over {base.name!r}; "
             f"use a selective base: {', '.join(SELECTIVE_SEMIRINGS)}"

@@ -117,6 +117,18 @@ def test_weight_table_is_the_scalar_cost_bit_for_bit(n, kind, lam):
             assert got.hex() == float(costs.cost(i, j) + lam).hex(), (i, j)
 
 
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+def test_weights_read_out_of_column_order_are_the_scalar_cost(kind):
+    # reads that hop between columns, and come back to one, rebuild the column they need
+    y = np.random.default_rng(7).normal(0, 2, 30)
+    costs = sd.SegmentCosts(series(y), sd.SegmentCostModel(kind=kind, regularization=0.5))
+    cells = [(i, j) for j in range(1, 31) for i in range(1, j + 1)]
+    order = np.random.default_rng(8).permutation(len(cells))
+    for k in [*order, *order[:50]]:
+        i, j = cells[k]
+        assert costs.weight(i, j).hex() == float(costs.cost(i, j) + 0.5).hex(), (i, j)
+
+
 def test_weight_bounds_checked():
     costs = sd.SegmentCosts(series([1.0, 2.0, 3.0]), sd.SegmentCostModel())
     for i, j in [(0, 2), (2, 4), (3, 2), (-1, 3)]:

@@ -6,6 +6,8 @@ error: exit 2 with exactly one ``semiring-dp: data error:`` line.
 
 import json
 import math
+import os
+import stat
 import time
 
 import numpy as np
@@ -342,3 +344,45 @@ def test_outputs_replace_existing_files_and_leave_no_temporaries(capsys, inputs,
     assert table.read_text().startswith("index,value,fit,segment\n")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["a.txt", "b.txt", "t.csv", "x.json", "y.csv"]
+
+
+def test_symlinked_outputs_update_the_files_they_point_to(capsys, inputs, tmp_path):
+    # renaming over the link itself used to turn it into a regular file
+    (tmp_path / "real").mkdir()
+    doc, table = tmp_path / "real" / "x.json", tmp_path / "real" / "t.csv"
+    doc.write_text("old\n")
+    (tmp_path / "doc.json").symlink_to(doc)
+    (tmp_path / "table.csv").symlink_to(table)  # dangling until the run writes it
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(tmp_path / "doc.json"),
+            "--out-table", str(tmp_path / "table.csv")]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "", "")
+    assert (tmp_path / "doc.json").is_symlink() and (tmp_path / "table.csv").is_symlink()
+    assert json.loads(doc.read_text())["command"] == "segment"
+    assert table.read_text().startswith("index,value,fit,segment\n")
+    assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["t.csv", "x.json"]
+
+
+def test_fifo_output_is_written_not_replaced(capsys, inputs, tmp_path):
+    fifo = tmp_path / "doc.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open without blocking
+    try:
+        code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--out", str(fifo)])
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(written)["command"] == "segment"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "doc.fifo", "y.csv"]
+
+
+def test_replaced_output_keeps_its_permissions(capsys, inputs, tmp_path):
+    doc = tmp_path / "x.json"
+    doc.write_text("old\n")
+    doc.chmod(0o600)
+    code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--out", str(doc)])
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_IMODE(doc.stat().st_mode) == 0o600
+    assert json.loads(doc.read_text())["command"] == "segment"
