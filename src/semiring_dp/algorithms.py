@@ -11,6 +11,10 @@ Each equals the left fold of ``add`` from ``zero`` and counts one op
 per term, so the values and op counts are those of the term-by-term
 fold; semirings that can pick a row's winner in one scan (the min/max
 bases and score-and-witness tupling over them) do so inside those calls.
+Rows updated elementwise (``combinations``, ``events_m_of_n`` and the
+lifted vectors of the constrained alignments) go through
+``s.add_rows(xs, ys)`` and ``s.scale(xs, y)``, whose entries are the
+per-term ``add`` and ``mul`` and which count one op per entry.
 
 The constrained variants are the plain recurrences lifted over a
 constraint algebra.  The constrained alignments run ``nw_align`` itself
@@ -104,8 +108,10 @@ def nonempty_subsequences(n: int, s: Semiring, w: Weight) -> Any:
 def combinations(n: int, k: int, s: Semiring, w: Weight) -> Any:
     """Value over all subsequences of exactly k of n items, O(n*k) operations.
 
-    Row update: f[m] = f[m] + f[m-1] * w(item).  k > n yields zero (no
-    such subsequences), reported as an ordinary value.
+    Row update: f[m] = f[m] + f[m-1] * w(item), one ``add_rows`` of the
+    row with its shifted ``scale`` per item, so w(item) is read once per
+    item.  k > n yields zero (no such subsequences), reported as an
+    ordinary value.
     """
     if n < 0 or k < 0:
         raise ValueError("sizes must be non-negative")
@@ -113,8 +119,8 @@ def combinations(n: int, k: int, s: Semiring, w: Weight) -> Any:
         return s.zero
     row = [s.one] + [s.zero] * k
     for item in range(1, n + 1):
-        for m in range(min(item, k), 0, -1):
-            row[m] = s.add(row[m], s.mul(row[m - 1], w(item)))
+        top = min(item, k)
+        row[1 : top + 1] = s.add_rows(row[1 : top + 1], s.scale(row[:top], w(item)))
     return row[k]
 
 
@@ -232,20 +238,25 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
     """Three-branch alignment fold over match / delete / insert moves.
 
     f[i][j] = f[i-1][j-1]*w(i,j) + f[i-1][j]*w(i,0) + f[i][j-1]*w(0,j),
-    computed with two rolling rows; O(rows * cols) operations.
+    computed with two rolling rows; O(rows * cols) operations.  Each
+    move weight is read once: w(0, j) per column, w(i, 0) per row and
+    w(i, j) per cell.
     """
     n, m = p.rows, p.cols
     w = p.weight
+    add, mul = s.add, s.mul
+    inserts = [w(0, j) for j in range(1, m + 1)]
     prev = [s.one]
-    for j in range(1, m + 1):
-        prev.append(s.mul(prev[j - 1], w(0, j)))
+    for insert in inserts:
+        prev.append(mul(prev[-1], insert))
     for i in range(1, n + 1):
-        cur = [s.mul(prev[0], w(i, 0))]
-        for j in range(1, m + 1):
-            val = s.mul(prev[j - 1], w(i, j))
-            val = s.add(val, s.mul(prev[j], w(i, 0)))
-            val = s.add(val, s.mul(cur[j - 1], w(0, j)))
-            cur.append(val)
+        delete = w(i, 0)
+        left = mul(prev[0], delete)
+        cur = [left]
+        for j, (diagonal, up, insert) in enumerate(zip(prev, prev[1:], inserts), start=1):
+            # the match, delete and insert terms, multiplied and added in that order
+            left = add(add(mul(diagonal, w(i, j)), mul(up, delete)), mul(left, insert))
+            cur.append(left)
         prev = cur
     return prev[m]
 
@@ -326,8 +337,9 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
     """Value over event sequences with exactly ``occurrences`` of N events.
 
     ``pairs[k] = (absent, present)`` are the two branch weights of event
-    k+1; the row update is f[m] = f[m]*absent + f[m-1]*present, O(N*M)
-    operations with one rolling row.  With probability weights
+    k+1; the row update is f[m] = f[m]*absent + f[m-1]*present, one
+    ``add_rows`` of two ``scale``s per event, O(N*M) operations with one
+    rolling row.  With probability weights
     (1 - p, p) this is the exact Poisson-binomial point mass.  Asking
     for more occurrences than events yields zero.
     """
@@ -338,8 +350,10 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
         return s.zero
     row = [s.one] + [s.zero] * occurrences
     for seen, (absent, present) in enumerate(pairs, start=1):
-        for m in range(min(seen, occurrences), 0, -1):
-            row[m] = s.add(s.mul(row[m], absent), s.mul(row[m - 1], present))
+        top = min(seen, occurrences)
+        row[1 : top + 1] = s.add_rows(
+            s.scale(row[1 : top + 1], absent), s.scale(row[:top], present)
+        )
         row[0] = s.mul(row[0], absent)
     return row[occurrences]
 

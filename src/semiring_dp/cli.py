@@ -84,6 +84,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(least: int):
+    """An argparse type: an int of at least ``least``; a smaller one fits no input, so a usage error."""
+
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 class _Range(argparse.Action):
     """A LO HI pair; LO > HI is malformed whatever the input, so a usage error."""
 
@@ -213,9 +226,15 @@ def _scalar_weight(base: Semiring, cost):
 
 def _labelled(scalar, tupled: bool):
     """Weight map (i, j) -> scalar((i, j)), tupled with its label when witnesses are kept."""
-    if tupled:
-        return lambda i, j: Scored(scalar((i, j)), ((i, j),))
-    return lambda i, j: scalar((i, j))
+    if not tupled:
+        return lambda i, j: scalar((i, j))
+    new = tuple.__new__
+
+    def weight(i, j):
+        label = (i, j)
+        return new(Scored, (scalar(label), (label,)))
+
+    return weight
 
 
 # --- oracle checks -----------------------------------------------------------
@@ -374,7 +393,7 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     run = lambda p, counted: segment_opt(p, counted)
     if args.count is not None or args.count_range is not None:
         lo, hi = (args.count, args.count) if args.count is not None else args.count_range
-        if not 1 <= lo <= hi <= n:
+        if hi > n:
             flag = f"--count {lo}" if args.count is not None else f"--count-range {lo} {hi}"
             raise DataError(f"{flag} infeasible for {n} samples")
         constraint = {"kind": "count", "lo": lo, "hi": hi}
@@ -382,7 +401,7 @@ def cmd_segment(args) -> tuple[dict, list | None]:
         alg = subset_size_algebra(hi, label_map=lambda e: 1, accept=lambda m: lo <= m <= hi)
     elif args.min_length is not None:
         lo = args.min_length
-        if not 1 <= lo <= n:
+        if lo > n:
             raise DataError(f"--min-length {lo} infeasible for {n} samples")
         constraint = {"kind": "min-length", "lo": lo, "hi": lo}
         run = lambda p, counted: algorithms.segment_min_length(p, lo, counted, at_least=True)
@@ -431,8 +450,6 @@ def cmd_align(args) -> tuple[dict, list | None]:
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: nw_align(p, counted)
     if args.sum_misalign is not None:
-        if args.sum_misalign < 0:
-            raise DataError("--sum-misalign must be non-negative")
         constraint = {"kind": "sum", "cap": args.sum_misalign}
         # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
@@ -440,7 +457,7 @@ def cmd_align(args) -> tuple[dict, list | None]:
         alg = algorithms.misalignment_algebra("sum", cap)
     elif args.max_misalign is not None:
         cap = args.max_misalign
-        if not 0 <= cap <= max(len(a), len(b), 0):
+        if cap > max(len(a), len(b)):
             raise DataError(f"--max-misalign {cap} out of range")
         constraint = {"kind": "max", "cap": cap}
         run = lambda p, counted: nw_align_max_constrained(p, cap, counted)
@@ -479,8 +496,6 @@ def cmd_events(args) -> tuple[dict, list | None]:
         if not 0.0 <= p <= 1.0:
             raise DataError(f"probability #{pos} is {p}, outside [0, 1]")
     occurrences = args.occurrences
-    if occurrences < 0:
-        raise DataError("--occurrences must be non-negative")
 
     if args.mode == "exact":
         base = s = probability_semiring()
@@ -590,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="per-segment regularization penalty")
     constraint = p.add_mutually_exclusive_group()
-    constraint.add_argument("--count", type=int, help="exact number of segments")
-    constraint.add_argument("--count-range", nargs=2, type=int, metavar=("LO", "HI"),
-                            action=_Range)
-    constraint.add_argument("--min-length", type=int,
+    constraint.add_argument("--count", type=_int_at_least(1), help="exact number of segments")
+    constraint.add_argument("--count-range", nargs=2, type=_int_at_least(1),
+                            metavar=("LO", "HI"), action=_Range)
+    constraint.add_argument("--min-length", type=_int_at_least(1),
                             help="require every segment to span at least this many samples")
     p.add_argument("--semiring", default="viterbi:minplus",
                    help="catalog name or viterbi:<selective base>; count/bool use unit "
@@ -611,15 +626,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-cost", type=float, default=1.0)
     p.add_argument("--mismatch-cost", type=float, default=1.0)
     cap = p.add_mutually_exclusive_group()
-    cap.add_argument("--sum-misalign", type=int,
+    cap.add_argument("--sum-misalign", type=_int_at_least(0),
                      help="cap the summed index gap over alignment moves")
-    cap.add_argument("--max-misalign", type=int,
+    cap.add_argument("--max-misalign", type=_int_at_least(0),
                      help="cap the maximum index gap over alignment moves")
     p.add_argument("--sweep", help="comma-separated prefix sizes for a timing table")
 
     p = command("events", cmd_events, "exact M-of-N event probability")
     p.add_argument("input", help="file with one probability per line")
-    p.add_argument("-M", "--occurrences", type=int, required=True)
+    p.add_argument("-M", "--occurrences", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=("exact", "viterbi"), default="exact",
                    help="exact probability, or the most probable combination")
     p.add_argument("--header", action="store_true")

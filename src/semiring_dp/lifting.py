@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Any, Callable
 
 from .semirings import Semiring
@@ -97,9 +97,9 @@ def lift_edge(base: Semiring, alg: ConstraintAlgebra, weight, key) -> LiftedVect
 def lifted_semiring(base: Semiring, alg: ConstraintAlgebra) -> Semiring:
     """The semiring of carrier-indexed vectors of ``base`` values.
 
-    add is elementwise; mul convolves: entry m accumulates x[m'] * y[m'']
-    over all carrier pairs with combine(m', m'') == m, costing
-    O(size^2) base operations.  Requires an identity (for the unit
+    add is elementwise, one ``base.add_rows``; mul convolves: entry m
+    accumulates x[m'] * y[m''] over all carrier pairs with
+    combine(m', m'') == m, costing O(size^2) base operations.  Requires an identity (for the unit
     vector) and an associative combine.
     """
     if alg.identity is None:
@@ -114,7 +114,7 @@ def lifted_semiring(base: Semiring, alg: ConstraintAlgebra) -> Semiring:
     combine = alg.combine
 
     def add(x, y):
-        return tuple(base.add(a, b) for a, b in zip(x, y))
+        return tuple(base.add_rows(x, y))
 
     def mul(x, y):
         out = [base.zero] * size
@@ -143,15 +143,16 @@ def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -
     """Lifted vectors times sparse lifted edges, given as pairs (weight, key).
 
     mul(vec, (weight, key)) is edge_product(base, alg, vec, weight, key),
-    the product with lift_edge(base, alg, weight, key); add is elementwise.
+    the product with lift_edge(base, alg, weight, key); add is elementwise,
+    one ``base.add_rows``.
     """
-    add = base.add
+    add_rows = base.add_rows
 
     def mul(vec, edge):
         weight, key = edge
         return edge_product(base, alg, vec, weight, key)
 
-    return Semiring(f"{base.name}[{alg.name}]", lambda x, y: tuple(map(add, x, y)), mul,
+    return Semiring(f"{base.name}[{alg.name}]", lambda x, y: tuple(add_rows(x, y)), mul,
                     lifted_zero(base, alg), lifted_one(base, alg))
 
 
@@ -408,7 +409,7 @@ def subset_size_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     if key >= size:
         return (base.zero,) * size
     out = [base.zero] * key
-    out.extend(map(base.mul, islice(vec, size - key), repeat(weight)))
+    out.extend(base.scale(islice(vec, size - key), weight))
     return tuple(out)
 
 
@@ -419,10 +420,9 @@ def max_count_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     size = len(vec)
     if key >= size:
         return (base.zero,) * size
-    mul = base.mul
     out = [base.zero] * key
-    out.append(mul(base.sum(islice(vec, key + 1)), weight))
-    out.extend(map(mul, islice(vec, key + 1, None), repeat(weight)))
+    out.append(base.mul(base.sum(islice(vec, key + 1)), weight))
+    out.extend(base.scale(islice(vec, key + 1, None), weight))
     return tuple(out)
 
 

@@ -18,6 +18,12 @@ score-and-witness tupling over them, and the op counter.  ``prob``,
 ``softmax`` and ``count`` keep the fold: builtin float ``sum`` is
 compensated from Python 3.12 and numpy sums pairwise, so neither equals
 the left fold bit for bit.
+
+Two elementwise row operations, ``add_rows(xs, ys)`` and
+``scale(xs, y)``, return the lists ``[add(x, y) ...]`` and
+``[mul(x, y) ...]``, counting one ``add`` (or ``mul``) per entry.  Every
+entry is exactly the per-term operation, for every semiring; only the
+op counter has its own version, which tallies a row in O(1).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 BinOp = Callable[[Any, Any], Any]
@@ -120,6 +126,14 @@ class Semiring:
         if self.row_dot is not None:
             return self.row_dot(xs, ys)
         return _fold_dot(self.add, self.mul, self.zero, xs, ys)
+
+    def add_rows(self, xs: Iterable[Any], ys: Iterable[Any]) -> list:
+        """[add(x, y) for each pair of entries of two equal-length rows]."""
+        return list(map(self.add, xs, ys))
+
+    def scale(self, xs: Iterable[Any], y: Any) -> list:
+        """[mul(x, y) for each entry x of the row]."""
+        return list(map(self.mul, xs, repeat(y)))
 
     def prod(self, values: Iterable[Any]) -> Any:
         acc = self.one
@@ -505,13 +519,32 @@ class OpCounts:
         self.mul = 0
 
 
+@dataclass(frozen=True, repr=False)
+class _Counted(Semiring):
+    """``instrumented``'s semiring: its elementwise rows tally their entries and delegate."""
+
+    inner: Semiring | None = field(default=None, compare=False)
+    counts: OpCounts | None = field(default=None, compare=False)
+
+    def add_rows(self, xs, ys) -> list:
+        out = self.inner.add_rows(xs, ys)
+        self.counts.add += len(out)
+        return out
+
+    def scale(self, xs, y) -> list:
+        out = self.inner.scale(xs, y)
+        self.counts.mul += len(out)
+        return out
+
+
 def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     """Wrap ``s`` so every add/mul call is tallied.
 
     Complexity claims about the recurrences are statements about
     operation counts, not wall time; the counters make them testable.
     A row operation tallies what its fold would (one add per term, one
-    mul per pair of ``dot``) in O(1) and then runs ``s``'s own.
+    mul per pair of ``dot``; one add or mul per entry of ``add_rows`` or
+    ``scale``) in O(1) and then runs ``s``'s own.
     The wrapper is not thread-safe and is meant for measurement only.
     """
     counts = OpCounts()
@@ -533,5 +566,6 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
         counts.mul += len(xs)
         return s.dot(xs, ys)
 
-    counted = Semiring(f"{s.name}#counted", add, mul, s.zero, s.one, s.eq, row_sum, row_dot)
+    counted = _Counted(f"{s.name}#counted", add, mul, s.zero, s.one, s.eq, row_sum, row_dot,
+                       s, counts)
     return counted, counts

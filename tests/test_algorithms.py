@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import operator
@@ -6,6 +7,7 @@ import random
 import pytest
 
 import semiring_dp as sd
+from semiring_dp import algorithms, lifting
 import oracles
 
 CATALOG = sd.standard_semirings()
@@ -618,6 +620,161 @@ def test_row_operations_leave_folds_and_op_counts_unchanged(base, grid):
             assert got.score == want.score, name
             assert got.witness == want.witness, name
             assert (rows_counts.add, rows_counts.mul) == (terms_counts.add, terms_counts.mul), name
+
+
+# term-by-term copies of the elementwise row updates, one add or mul call per entry
+
+
+def reference_combinations(n, k, s, w):
+    if k > n:
+        return s.zero
+    row = [s.one] + [s.zero] * k
+    for item in range(1, n + 1):
+        for m in range(min(item, k), 0, -1):
+            row[m] = s.add(row[m], s.mul(row[m - 1], w(item)))
+    return row[k]
+
+
+def reference_events(pairs, occurrences, s):
+    if occurrences > len(pairs):
+        return s.zero
+    row = [s.one] + [s.zero] * occurrences
+    for seen, (absent, present) in enumerate(pairs, start=1):
+        for m in range(min(seen, occurrences), 0, -1):
+            row[m] = s.add(s.mul(row[m], absent), s.mul(row[m - 1], present))
+        row[0] = s.mul(row[0], absent)
+    return row[occurrences]
+
+
+def reference_nw_align(p, s):
+    w = p.weight
+    prev = [s.one]
+    for j in range(1, p.cols + 1):
+        prev.append(s.mul(prev[j - 1], w(0, j)))
+    for i in range(1, p.rows + 1):
+        cur = [s.mul(prev[0], w(i, 0))]
+        for j in range(1, p.cols + 1):
+            val = s.mul(prev[j - 1], w(i, j))
+            val = s.add(val, s.mul(prev[j], w(i, 0)))
+            val = s.add(val, s.mul(cur[j - 1], w(0, j)))
+            cur.append(val)
+        prev = cur
+    return prev[p.cols]
+
+
+def reference_edge_product(kind):
+    """The summed- or maximum-gap edge product, one base op per entry, in the library's order."""
+
+    def product(base, vec, weight, key):
+        size = len(vec)
+        if key >= size:
+            return (base.zero,) * size
+        out = [base.zero] * key
+        if kind == "sum":
+            out += [base.mul(x, weight) for x in vec[: size - key]]
+        else:
+            acc = base.zero
+            for x in vec[: key + 1]:
+                acc = base.add(acc, x)
+            out.append(base.mul(acc, weight))
+            out += [base.mul(x, weight) for x in vec[key + 1:]]
+        return tuple(out)
+
+    return product
+
+
+def reference_misalignment(p, kind, cap, base):
+    """The constrained alignment over a lifted semiring whose add is one base add per entry."""
+    alg = algorithms.misalignment_algebra(kind, cap)
+    product = reference_edge_product(kind)
+    lifted = sd.Semiring(
+        "reference-lifted",
+        lambda x, y: tuple(base.add(a, b) for a, b in zip(x, y)),
+        lambda vec, edge: product(base, vec, *edge),
+        (base.zero,) * alg.size,
+        (base.one,) + (base.zero,) * (alg.size - 1),
+    )
+    edges = sd.AlignmentProblem(p.rows, p.cols,
+                                lambda i, j: (p.weight(i, j), alg.label_map((i, j))))
+    return lifting.project(base, alg, reference_nw_align(edges, lifted))
+
+
+def elementwise_fold_cases(rng, grid, tupled):
+    """(name, library fold, term-by-term copy) pairs over weights drawn from ``grid``."""
+    def label(*labels):  # a weight from the grid, tupled with ``labels`` if witnesses are kept
+        x = rng.choice(grid)
+        return sd.Scored(x, labels) if tupled else x
+
+    n, k = rng.randint(0, 8), rng.randint(0, 5)
+    items = {i: label(i) for i in range(1, n + 1)}
+    events = [(label(), label(e)) for e in range(1, rng.randint(0, 8) + 1)]
+    occurrences = rng.randint(0, 8)
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    moves = {m: label(m) for m in oracles.alignment_labels(rows, cols)}
+    align = sd.AlignmentProblem(rows, cols, lambda i, j: moves[i, j])
+    sum_cap, max_cap = rng.randint(0, 8), rng.randint(0, max(rows, cols))
+    return [
+        ("combinations", lambda s: sd.combinations(n, k, s, items.get),
+         lambda s: reference_combinations(n, k, s, items.get)),
+        ("events_m_of_n", lambda s: sd.events_m_of_n(events, occurrences, s),
+         lambda s: reference_events(events, occurrences, s)),
+        ("nw_align", lambda s: sd.nw_align(align, s), lambda s: reference_nw_align(align, s)),
+        ("nw_align_sum_constrained", lambda s: sd.nw_align_sum_constrained(align, sum_cap, s),
+         lambda s: reference_misalignment(align, "sum", sum_cap, s)),
+        ("nw_align_max_constrained", lambda s: sd.nw_align_max_constrained(align, max_cap, s),
+         lambda s: reference_misalignment(align, "max", max_cap, s)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "s, grid",
+    [
+        (CATALOG["prob"], (0.0, 0.125, 0.3, 0.5, 0.7, 1.0)),
+        (COUNT, (0, 1, 2, 3)),
+        (MINPLUS, (0.0, 1.0, 1.0 + 4e-10, 2.5, math.inf)),
+        (sd.viterbi_simple_semiring(CATALOG["maxprod"]), (0.0, 0.25, 0.5, 0.5 * (1 + 6e-10), 1.0)),
+        (sd.viterbi_simple_semiring(MINPLUS), (0.0, 1.0, 1.0 + 4e-10, 2.0, math.inf)),
+    ],
+    ids=["prob", "count", "minplus", "viterbi-simple[maxprod]", "viterbi-simple[minplus]"],
+)
+def test_elementwise_rows_match_term_by_term_folds(s, grid):
+    rng = random.Random(83)
+    tupled = isinstance(s.zero, sd.Scored)
+    for _ in range(30):
+        for name, fold, reference in elementwise_fold_cases(rng, grid, tupled):
+            rows, rows_counts = sd.instrumented(s)
+            terms, terms_counts = sd.instrumented(s)
+            got, want = fold(rows), reference(terms)
+            if tupled:
+                assert got.witness == want.witness, name
+                got, want = got.score, want.score
+            assert got == want, name  # the same ops on the same values: equal bit for bit
+            assert (rows_counts.add, rows_counts.mul) == (terms_counts.add, terms_counts.mul), name
+
+
+def test_nw_align_reads_each_move_weight_once():
+    for rows, cols in ((0, 0), (0, 3), (4, 0), (3, 5), (6, 6)):
+        reads = collections.Counter()
+
+        def weight(i, j):
+            reads[i, j] += 1
+            return 1
+
+        assert sd.nw_align(sd.AlignmentProblem(rows, cols, weight), COUNT) == sd.delannoy(rows, cols)
+        assert reads == collections.Counter(oracles.alignment_labels(rows, cols))
+        assert sum(reads.values()) == rows * cols + rows + cols
+
+
+def test_combinations_reads_each_item_weight_once():
+    for n, k in ((0, 0), (5, 1), (6, 3), (8, 8)):
+        reads = collections.Counter()
+
+        def weight(item):
+            reads[item] += 1
+            return 1
+
+        assert sd.combinations(n, k, COUNT, weight) == math.comb(n, k)
+        assert reads == collections.Counter(range(1, n + 1))
 
 
 # --- operation-count scaling ------------------------------------------------------------

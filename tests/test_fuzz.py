@@ -2,10 +2,10 @@
 
 Small random inputs for every subcommand run with ``--verify``.  Each
 run must end in a right answer (exit 0, oracle ``pass`` or ``skipped``)
-or a named data error (exit 2), or, for a ``--count-range`` whose LO
-exceeds HI, a usage error (exit 1); never an oracle ``fail``, a
-traceback or another exit code.  The draws are derandomized, so the
-run is repeatable.
+or a named data error (exit 2), or, for a malformed flag (a count or
+length below 1, or a ``--count-range`` whose LO exceeds HI), a usage
+error (exit 1); never an oracle ``fail``, a traceback or another exit
+code.  The draws are derandomized, so the run is repeatable.
 """
 
 import contextlib
@@ -71,8 +71,10 @@ segment_constraints = st.one_of(
 def test_segment(tmp_path_factory, values, constraint, semiring, model, lam):
     argv = ["segment", "y.csv", *constraint, "--semiring", semiring, "--model", model]
     argv += ["--lambda", lam]
-    inverted = constraint[:1] == ["--count-range"] and int(constraint[1]) > int(constraint[2])
-    check_run(tmp_path_factory, {"y.csv": column(values)}, argv, (1,) if inverted else (0, 2))
+    bounds = [int(v) for v in constraint[1:]]
+    # a count or length below 1, or a --count-range whose LO exceeds HI
+    malformed = bool(bounds) and (min(bounds) < 1 or bounds[0] > bounds[-1])
+    check_run(tmp_path_factory, {"y.csv": column(values)}, argv, (1,) if malformed else (0, 2))
 
 
 align_caps = st.one_of(

@@ -269,6 +269,43 @@ def test_inverted_count_range_is_a_usage_error(capsys, inputs, lo, hi):
     assert f"argument --count-range: LO {lo} exceeds HI {hi}" in err
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("segment", ["--count", "0"], "argument --count: must be at least 1, got 0"),
+        ("segment", ["--count-range", "0", "2"], "argument --count-range: must be at least 1, got 0"),
+        ("segment", ["--min-length", "0"], "argument --min-length: must be at least 1, got 0"),
+        ("align", ["--sum-misalign", "-1"], "argument --sum-misalign: must be at least 0, got -1"),
+        ("align", ["--max-misalign", "-2"], "argument --max-misalign: must be at least 0, got -2"),
+        ("events", ["-M", "-1"], "argument -M/--occurrences: must be at least 0, got -1"),
+    ],
+)
+def test_flags_no_input_could_satisfy_are_usage_errors(capsys, inputs, command, flags, message):
+    # each used to be a data error (exit 2), as if a longer input could have met it
+    (inputs / "p.txt").write_text("0.5\n0.25\n")
+    files = {"segment": ["y.csv"], "align": ["a.txt", "b.txt"], "events": ["p.txt"]}[command]
+    code, out, err = run(capsys, [command, *(str(inputs / f) for f in files), *flags])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"semiring-dp {command}: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "command, flags, words",
+    [
+        ("segment", ["--count", "7"], ["--count 7", "6 samples"]),
+        ("segment", ["--min-length", "7"], ["--min-length 7", "6 samples"]),
+        ("align", ["--max-misalign", "6"], ["--max-misalign 6"]),
+    ],
+)
+def test_flags_longer_than_the_input_stay_data_errors(capsys, inputs, command, flags, words):
+    files = ["y.csv"] if command == "segment" else ["a.txt", "b.txt"]
+    code, out, err = run(capsys, [command, *(str(inputs / f) for f in files), *flags])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, *words)
+
+
 def test_count_range_longer_than_the_input_is_a_data_error(capsys, inputs):
     code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--count-range", "2", "7"])
     assert code == 2

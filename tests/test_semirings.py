@@ -1,9 +1,11 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
 import semiring_dp as sd
+from semiring_dp import lifting
 from semiring_dp.laws import (
     catalog_samplers,
     law_failures,
@@ -323,6 +325,62 @@ def test_instrumented_rows_count_one_op_per_term():
         counted.sum([])
         counted.dot([], [])
         assert (counts.add, counts.mul) == (8, 3), name
+
+
+def elementwise_cases():
+    """(name, semiring, sampler) for every kind of semiring the folds run over."""
+    cases = [(name, s, catalog_samplers()[name]) for name, s in CATALOG.items()]
+    cases += [
+        ("viterbi-simple", sd.viterbi_simple_semiring(CATALOG["minplus"]),
+         scored_sequences()),
+        ("viterbi", sd.viterbi_semiring(CATALOG["minplus"]), scored_sets()),
+        ("paths", sd.generator_semiring(),
+         lambda rng: sd.PathSet([tuple(rng.choice("xy") for _ in range(rng.randint(0, 2)))
+                                 for _ in range(rng.randint(0, 2))])),
+    ]
+    alg = sd.subset_size_algebra(3)
+    edge_lifted = lifting.edge_lifted_semiring(
+        CATALOG["minplus"], alg, lifting.subset_size_edge_product
+    )
+    cases += [
+        ("lifted", sd.lifted_semiring(CATALOG["count"], alg),
+         lifted_values(catalog_samplers()["count"], alg.size)),
+        # its mul takes a lifted edge (weight, key) on the right, as the scale tests draw
+        ("edge-lifted", edge_lifted, lifted_values(catalog_samplers()["minplus"], alg.size)),
+    ]
+    return cases
+
+
+ELEMENTWISE = elementwise_cases()
+
+
+@pytest.mark.parametrize("name, s, sample", ELEMENTWISE, ids=[case[0] for case in ELEMENTWISE])
+def test_elementwise_rows_are_their_per_entry_ops(name, s, sample):
+    rng = random.Random(43)
+    for size in (0, 1, 2, 5):
+        xs = [sample(rng) for _ in range(size)]
+        ys = [sample(rng) for _ in range(size)]
+        y = (rng.uniform(0, 3), rng.randint(0, 4)) if name == "edge-lifted" else sample(rng)
+        assert s.add_rows(xs, ys) == [s.add(a, b) for a, b in zip(xs, ys)], name
+        assert s.scale(xs, y) == [s.mul(x, y) for x in xs], name
+        # iterators in, lists out: the lifted edge products pass islice views
+        assert s.add_rows(iter(xs), islice(ys, None)) == [s.add(a, b) for a, b in zip(xs, ys)]
+        assert s.scale(islice(xs, 1, None), y) == [s.mul(x, y) for x in xs[1:]], name
+
+
+def test_instrumented_tallies_each_entry_of_an_elementwise_row():
+    for name, s, sample in ELEMENTWISE:
+        rng = random.Random(47)
+        xs = [sample(rng) for _ in range(4)]
+        y = (1.0, 1) if name == "edge-lifted" else sample(rng)
+        counted, counts = sd.instrumented(s)
+        assert counted.add_rows(xs, xs[::-1]) == s.add_rows(xs, xs[::-1]), name
+        assert (counts.add, counts.mul) == (4, 0), name
+        assert counted.scale(islice(xs, 1, None), y) == s.scale(xs[1:], y), name
+        assert (counts.add, counts.mul) == (4, 3), name
+        counted.add_rows([], [])
+        counted.scale([], y)
+        assert (counts.add, counts.mul) == (4, 3), name
 
 
 def test_dot_refuses_rows_of_unequal_length():
