@@ -8,7 +8,8 @@ path-set oracle on request (``_oracle``: generate, filter, evaluate) and
 builds the result document.  Documents are canonical JSON (sorted keys,
 floats at 12 significant digits), byte-stable under a parse/re-serialize
 round trip.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 oracle-check failure.
+3 oracle-check failure, 4 internal error (a bug: one line names it and
+the traceback follows on stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import stat
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import algorithms
@@ -69,6 +71,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ORACLE = 3
+EXIT_INTERNAL = 4
 
 VERIFY_PATH_CAP = 20_000
 
@@ -163,12 +166,16 @@ def canonical_json(doc) -> str:
 # --- input readers -----------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
 def read_numeric_column(path: str, *, header: bool = False) -> list[float]:
     """One number per line; '#'-prefixed lines are comments."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+    lines = _read_text(path).splitlines()
     values: list[float] = []
     skip_pending = header
     for lineno, raw in enumerate(lines, start=1):
@@ -186,10 +193,7 @@ def read_numeric_column(path: str, *, header: bool = False) -> list[float]:
 
 
 def read_sequence(path: str, *, tokens: bool = False) -> list[str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     if tokens:
         return text.split()
     return [ch for ch in text if not ch.isspace()]
@@ -655,12 +659,13 @@ def _write_outputs(args, doc, table) -> None:
     """Write the table and the document all or nothing; the document goes to stdout without --out.
 
     A target that is absent or a regular file, once symlinks are
-    followed, is written to a temporary file beside it, and the
-    temporaries are renamed into place only once every output is
-    written, so a failed write leaves neither file (nor stdout) touched.
-    Any other target (a device such as /dev/null, a FIFO) is written
-    directly, after the temporaries and before the renames, since a
-    rename would replace it.
+    followed, is written to a temporary file beside the file it resolves
+    to, and the temporaries are renamed into place only once every
+    output is written, so a failed write leaves neither file (nor stdout)
+    touched.  Two such targets that resolve to one file are refused.
+    Any other target (a device such as /dev/null, a FIFO or pipe such as
+    /dev/stdout) is written directly, after the temporaries and before
+    the renames, since a rename would replace it.
     """
     payload = canonical_json(doc) + "\n"
     files = []
@@ -671,22 +676,26 @@ def _write_outputs(args, doc, table) -> None:
         files.append((args.out_table, "\n".join(lines) + "\n"))
     if args.out:
         files.append((args.out, payload))
-    staged, direct = [], []
+    plan, direct = [], []
+    for path, text in files:
+        try:
+            mode = os.stat(path).st_mode  # follows links: /dev/stdout is the pipe it names
+        except FileNotFoundError:
+            mode = None
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror}") from None
+        if mode is None or stat.S_ISREG(mode):
+            plan.append((path, os.path.realpath(path), text, mode))
+        elif stat.S_ISDIR(mode):  # the rename would fail after the other file was renamed
+            raise DataError(f"cannot write {path}: it is a directory")
+        else:
+            direct.append((path, text))
+    if len({target for _, target, _, _ in plan}) < len(plan):
+        raise DataError(f"--out and --out-table both name {plan[0][1]}")
+    staged = []
     try:
-        for path, text in files:
-            target = os.path.realpath(path)
-            try:
-                mode = os.stat(target).st_mode
-            except FileNotFoundError:
-                mode = None
-            except OSError as exc:
-                raise DataError(f"cannot write {path}: {exc.strerror}") from None
-            if mode is None or stat.S_ISREG(mode):
-                staged.append((_stage(path, target, text, mode), target, path))
-            elif stat.S_ISDIR(mode):  # the rename would fail after the other file was renamed
-                raise DataError(f"cannot write {path}: it is a directory")
-            else:
-                direct.append((path, text))
+        for path, target, text, mode in plan:
+            staged.append((_stage(path, target, text, mode), target, path))
         for path, text in direct:
             try:
                 Path(path).write_text(text)
@@ -740,6 +749,10 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"semiring-dp: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"semiring-dp: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if doc["oracle_check"]["status"] == "fail":
         print(f"semiring-dp: oracle check failed: {doc['oracle_check']['reason']}",
               file=sys.stderr)

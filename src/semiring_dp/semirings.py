@@ -8,22 +8,17 @@ interface can be re-run with any catalog entry to count solutions,
 optimize, marginalize probabilities or enumerate, without touching the
 recurrence itself.
 
-A semiring also has two row operations, ``sum(values)`` and
-``dot(xs, ys)`` (the sum of pairwise products).  Each equals the left
-fold of ``add`` from ``zero`` over its terms, and each counts as one
-``add`` per term (and ``dot`` one ``mul`` per pair), however it runs.
-The defaults are that fold.  The entries that override them compute the
-same value in fewer interpreter steps: the min/max bases, the
-score-and-witness tupling over them, and the op counter.  ``prob``,
-``softmax`` and ``count`` keep the fold: builtin float ``sum`` is
-compensated from Python 3.12 and numpy sums pairwise, so neither equals
-the left fold bit for bit.
-
-Two elementwise row operations, ``add_rows(xs, ys)`` and
-``scale(xs, y)``, return the lists ``[add(x, y) ...]`` and
-``[mul(x, y) ...]``, counting one ``add`` (or ``mul``) per entry.  Every
-entry is exactly the per-term operation, for every semiring; only the
-op counter has its own version, which tallies a row in O(1).
+A semiring also has four row operations: ``sum(values)`` and
+``dot(xs, ys)`` (the sum of pairwise products), each the left fold of
+``add`` from ``zero``, and the elementwise ``add_rows(xs, ys)`` and
+``scale(xs, y)``, the lists ``[add(x, y) ...]`` and ``[mul(x, y) ...]``.
+Each counts one ``add`` per term and one ``mul`` per product, however it
+runs.  ``Semiring``'s methods compute them term by term; a subclass may
+override one with a faster method that returns exactly the same, as the
+min/max bases, the score-and-witness tupling over them and the op
+counter do.  ``prob``, ``softmax`` and ``count`` keep the fold: builtin
+float ``sum`` is compensated from Python 3.12 and numpy sums pairwise,
+so neither equals the left fold bit for bit.
 """
 
 from __future__ import annotations
@@ -72,20 +67,6 @@ def pair_eq(component_eq: EqOp) -> EqOp:
     return eq
 
 
-def _fold_sum(add, zero, values):
-    acc = zero
-    for v in values:
-        acc = add(acc, v)
-    return acc
-
-
-def _fold_dot(add, mul, zero, xs, ys):
-    acc = zero
-    for x, y in zip(xs, ys):
-        acc = add(acc, mul(x, y))
-    return acc
-
-
 @dataclass(frozen=True, repr=False)
 class Semiring:
     """First-class bundle of semiring operations.
@@ -94,9 +75,9 @@ class Semiring:
     ``mul`` associative with identity ``one``, distributing over ``add``
     from both sides; ``zero`` annihilates products.  ``eq`` is the
     equality under which those laws are checked: exact for discrete
-    carriers, tolerance-based for floating-point ones.  ``row_sum`` (which
-    ``sum`` hands a list) and ``row_dot``, when given, must return exactly
-    what the left folds of ``sum`` and ``dot`` return.
+    carriers, tolerance-based for floating-point ones.  A subclass that
+    overrides a row operation must return exactly what the method here
+    returns.
     """
 
     name: str
@@ -105,27 +86,28 @@ class Semiring:
     zero: Any
     one: Any
     eq: EqOp = exact_eq
-    row_sum: Callable[[list], Any] | None = field(default=None, compare=False)
-    row_dot: Callable[[Sequence[Any], Sequence[Any]], Any] | None = field(
-        default=None, compare=False
-    )
 
     def sum(self, values: Iterable[Any]) -> Any:
-        """add(...add(add(zero, v1), v2)..., vn); ``row_sum`` computes it when given."""
-        if self.row_sum is not None:
-            return self.row_sum(values if isinstance(values, list) else list(values))
-        return _fold_sum(self.add, self.zero, values)
+        """add(...add(add(zero, v1), v2)..., vn)."""
+        add, acc = self.add, self.zero
+        for v in values:
+            acc = add(acc, v)
+        return acc
 
     def dot(self, xs: Sequence[Any], ys: Sequence[Any]) -> Any:
         """The sum of mul(x, y) over equal-length rows, folded left from zero.
 
-        ``row_dot`` computes it when given.
+        A subclass overrides ``_dot``, which runs once the lengths match.
         """
         if len(xs) != len(ys):
             raise ValueError(f"dot of rows of lengths {len(xs)} and {len(ys)}")
-        if self.row_dot is not None:
-            return self.row_dot(xs, ys)
-        return _fold_dot(self.add, self.mul, self.zero, xs, ys)
+        return self._dot(xs, ys)
+
+    def _dot(self, xs: Sequence[Any], ys: Sequence[Any]) -> Any:
+        add, mul, acc = self.add, self.mul, self.zero
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
 
     def add_rows(self, xs: Iterable[Any], ys: Iterable[Any]) -> list:
         """[add(x, y) for each pair of entries of two equal-length rows]."""
@@ -165,36 +147,34 @@ def probability_semiring() -> Semiring:
     return Semiring("prob", operator.add, operator.mul, 0.0, 1.0, float_eq)
 
 
-def _selective(name: str, pick, mul: BinOp, zero: float, one: float) -> Semiring:
-    """A float semiring whose add is ``pick`` (builtin min or max).
+class _Selective(Semiring):
+    """A float semiring whose add is builtin min or max.
 
-    Its row operations are one ``pick`` over the terms seeded with
-    ``zero``: the builtin keeps its current value unless a later term
-    beats it, which is the left fold's rule, nan included.
+    Its row sums are one ``add`` over the terms seeded with ``zero``: the
+    builtin keeps its current value unless a later term beats it, which
+    is the left fold's rule, nan included.
     """
 
-    def row_sum(values):
-        return pick(chain((zero,), values))
+    def sum(self, values):
+        return self.add(chain((self.zero,), values))
 
-    def row_dot(xs, ys):
-        return pick(chain((zero,), map(mul, xs, ys)))
-
-    return Semiring(name, pick, mul, zero, one, float_eq, row_sum, row_dot)
+    def _dot(self, xs, ys):
+        return self.add(chain((self.zero,), map(self.mul, xs, ys)))
 
 
 def minplus_semiring() -> Semiring:
     """Tropical minimum: add=min, mul=+, identities +inf and 0."""
-    return _selective("minplus", min, operator.add, math.inf, 0.0)
+    return _Selective("minplus", min, operator.add, math.inf, 0.0, float_eq)
 
 
 def maxplus_semiring() -> Semiring:
     """Tropical maximum: add=max, mul=+, identities -inf and 0."""
-    return _selective("maxplus", max, operator.add, -math.inf, 0.0)
+    return _Selective("maxplus", max, operator.add, -math.inf, 0.0, float_eq)
 
 
 def max_product_semiring() -> Semiring:
     """Non-negative reals under (max, *, 0, 1); best-probability scoring."""
-    return _selective("maxprod", max, operator.mul, 0.0, 1.0)
+    return _Selective("maxprod", max, operator.mul, 0.0, 1.0, float_eq)
 
 
 def _softmin(x: float, y: float) -> float:
@@ -220,7 +200,7 @@ def softmax_semiring() -> Semiring:
 
 def bottleneck_semiring() -> Semiring:
     """Values in [0, 1] under (max, min, 0, 1); fuzzy constraint grades."""
-    return _selective("bottleneck", max, min, 0.0, 1.0)
+    return _Selective("bottleneck", max, min, 0.0, 1.0, float_eq)
 
 
 def _expectation_add(a, b):
@@ -462,7 +442,6 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     one = Scored(base.one, ())
     new = tuple.__new__
     isclose = math.isclose
-    score_of = operator.itemgetter(0)
 
     def add(a, b):
         # the left operand wins near-ties, as in _near_tie(base.add(...), a.score)
@@ -487,21 +466,36 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     name = f"viterbi-simple[{base.name}]"
     if base_add is not min and base_add is not max:
         return Semiring(name, add, mul, zero, one, eq)
+    return _PickedWitness(name, add, mul, zero, one, eq, base)
 
-    def row_sum(values):
-        k = _selection(base_add, list(map(score_of, values)), base_zero)
+
+_score = operator.itemgetter(0)
+
+
+@dataclass(frozen=True, repr=False)
+class _PickedWitness(Semiring):
+    """``viterbi_simple_semiring`` over a ``base`` whose add is builtin min or max.
+
+    A row's winner is picked with ``_selection`` and one product is built
+    for it; rows the selection cannot settle are folded term by term.
+    """
+
+    base: Semiring | None = field(default=None, compare=False)
+
+    def sum(self, values):
+        values = values if isinstance(values, list) else list(values)
+        k = _selection(self.base.add, list(map(_score, values)), self.zero.score)
         if k is None:
-            return _fold_sum(add, zero, values)
-        return zero if k < 0 else values[k]
+            return super().sum(values)
+        return self.zero if k < 0 else values[k]
 
-    def row_dot(xs, ys):
-        scores = list(map(base_mul, map(score_of, xs), map(score_of, ys)))
-        k = _selection(base_add, scores, base_zero)
+    def _dot(self, xs, ys):
+        base = self.base
+        scores = list(map(base.mul, map(_score, xs), map(_score, ys)))
+        k = _selection(base.add, scores, self.zero.score)
         if k is None:
-            return _fold_dot(add, mul, zero, xs, ys)
-        return zero if k < 0 else mul(xs[k], ys[k])
-
-    return Semiring(name, add, mul, zero, one, eq, row_sum, row_dot)
+            return super()._dot(xs, ys)
+        return self.zero if k < 0 else self.mul(xs[k], ys[k])
 
 
 @dataclass
@@ -521,10 +515,21 @@ class OpCounts:
 
 @dataclass(frozen=True, repr=False)
 class _Counted(Semiring):
-    """``instrumented``'s semiring: its elementwise rows tally their entries and delegate."""
+    """``instrumented``'s semiring: its rows tally their terms and delegate to ``inner``'s."""
 
     inner: Semiring | None = field(default=None, compare=False)
     counts: OpCounts | None = field(default=None, compare=False)
+
+    def sum(self, values):
+        values = values if isinstance(values, list) else list(values)
+        self.counts.add += len(values)
+        return self.inner.sum(values)
+
+    def _dot(self, xs, ys):
+        counts = self.counts
+        counts.add += len(xs)
+        counts.mul += len(xs)
+        return self.inner.dot(xs, ys)
 
     def add_rows(self, xs, ys) -> list:
         out = self.inner.add_rows(xs, ys)
@@ -557,15 +562,4 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
         counts.mul += 1
         return s.mul(a, b)
 
-    def row_sum(values):
-        counts.add += len(values)
-        return s.sum(values)
-
-    def row_dot(xs, ys):
-        counts.add += len(xs)
-        counts.mul += len(xs)
-        return s.dot(xs, ys)
-
-    counted = _Counted(f"{s.name}#counted", add, mul, s.zero, s.one, s.eq, row_sum, row_dot,
-                       s, counts)
-    return counted, counts
+    return _Counted(f"{s.name}#counted", add, mul, s.zero, s.one, s.eq, s, counts), counts

@@ -338,3 +338,18 @@ def test_oracle_failure_exits_three(tmp_path, monkeypatch):
     )
     code = main(["events", probs, "-M", "1", "--verify", "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    import semiring_dp.cli as cli_mod
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_lis", broken)
+    code = main(["lis", write_column(tmp_path, "x.txt", [1.0, 2.0])])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.splitlines()[-1] == "semiring-dp: internal error: RuntimeError: boom"

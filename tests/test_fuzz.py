@@ -15,7 +15,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiring_dp.cli import main
+from semiring_dp.cli import EXIT_INTERNAL, main
 
 SELECTIVE = ("bool", "minplus", "maxplus", "maxprod", "bottleneck")
 ACCEPTED = ("count", "prob", "softmax", *SELECTIVE) + tuple(f"viterbi:{b}" for b in SELECTIVE)
@@ -39,6 +39,7 @@ def check_run(tmp_path_factory, files: dict, argv: list, want_codes: tuple):
     with contextlib.redirect_stderr(stderr):
         code = main([*args, "--verify", "--out", str(out)])
     assert "Traceback" not in stderr.getvalue()
+    assert code != EXIT_INTERNAL, stderr.getvalue()
     assert code in want_codes, (argv, files, stderr.getvalue())
     if code == 0:
         assert json.loads(out.read_text())["oracle_check"]["status"] in ("pass", "skipped")

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -313,6 +315,21 @@ def test_count_range_longer_than_the_input_is_a_data_error(capsys, inputs):
     assert_one_data_error(err, "--count-range 2 7", "6 samples")
 
 
+# --- unreadable inputs -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["segment", "align"])
+def test_non_utf8_input_is_a_data_error(capsys, inputs, command):
+    # a leading 0xff byte was a UnicodeDecodeError traceback with exit 1
+    bad = inputs / "x.txt"
+    bad.write_bytes(b"\xff1.0\n")
+    argv = [command, str(bad)] + ([str(inputs / "b.txt")] if command == "align" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "cannot read", str(bad), "utf-8")
+
+
 # --- output failures ----------------------------------------------------------------
 
 
@@ -423,3 +440,35 @@ def test_replaced_output_keeps_its_permissions(capsys, inputs, tmp_path):
     assert (code, out, err) == (0, "", "")
     assert stat.S_IMODE(doc.stat().st_mode) == 0o600
     assert json.loads(doc.read_text())["command"] == "segment"
+
+
+@pytest.mark.parametrize("link", [False, True])
+def test_one_file_named_by_both_outputs_is_refused(capsys, inputs, tmp_path, link):
+    # the table used to be written and then silently replaced by the document
+    target = tmp_path / "same.out"
+    table = target
+    if link:
+        table = tmp_path / "alias.out"
+        table.symlink_to(target)
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(target), "--out-table", str(table)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "same.out")
+    assert not target.exists()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(["a.txt", "b.txt", "y.csv"] + (["alias.out"] if link else []))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_writes_to_a_piped_stdout(inputs):
+    # stdout as a pipe once resolved to a /proc path that does not exist: exit 2
+    src = os.path.dirname(os.path.dirname(sd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiring_dp.cli", "segment", str(inputs / "y.csv"),
+         "--out", "/dev/stdout"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["command"] == "segment"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import islice
@@ -273,6 +274,25 @@ def test_selective_base_rows_equal_their_left_folds(name):
 
 
 @pytest.mark.parametrize("name", ONE_SCAN_BASES)
+def test_selective_rows_fold_from_a_replaced_zero(name):
+    # the rows once kept the catalog zero: minplus with zero 5.0 summed [6.0] to 6.0
+    base = dataclasses.replace(CATALOG[name], zero=0.5)
+    assert base.sum([]) == 0.5
+    for scores in score_rows(base):
+        weights = [base.one] * len(scores)
+        assert same_float(base.sum(scores), left_sum(base, scores)), scores
+        assert same_float(base.dot(scores, weights), left_dot(base, scores, weights)), scores
+    capped = dataclasses.replace(CATALOG["minplus"], zero=5.0)
+    assert capped.sum([6.0]) == capped.dot([6.0], [0.0]) == left_sum(capped, [6.0]) == 5.0
+
+
+def test_a_semiring_is_its_six_fields():
+    assert [f.name for f in dataclasses.fields(sd.Semiring)] == [
+        "name", "add", "mul", "zero", "one", "eq"
+    ]
+
+
+@pytest.mark.parametrize("name", ONE_SCAN_BASES)
 def test_witness_rows_equal_their_left_folds_in_score_and_witness(name):
     base = CATALOG[name]
     vit = sd.viterbi_simple_semiring(base)
@@ -384,7 +404,9 @@ def test_instrumented_tallies_each_entry_of_an_elementwise_row():
 
 
 def test_dot_refuses_rows_of_unequal_length():
-    for s in (CATALOG["count"], sd.viterbi_simple_semiring(CATALOG["minplus"])):
+    minplus = CATALOG["minplus"]
+    for s in (CATALOG["count"], minplus, sd.instrumented(minplus)[0],
+              sd.viterbi_simple_semiring(minplus)):
         with pytest.raises(ValueError, match="lengths 2 and 1"):
             s.dot([s.one, s.one], [s.one])
 
