@@ -17,12 +17,13 @@ lifted vectors of the constrained alignments) go through
 per-term ``add`` and ``mul`` and which count one op per entry.
 
 The constrained variants are the plain recurrences lifted over a
-constraint algebra.  The constrained alignments run ``nw_align`` itself
-over the closed-form edge products of ``lifting.py``; the segment folds
-are still simplified by hand (a count as a shifted table, a running
-minimum as a three-case product with suffix folds).  The equivalence
-of each form with generate-filter-evaluate is what the oracle tests
-check.
+constraint algebra and accept exactly what that algebra accepts.  The
+constrained alignments run ``nw_align`` itself over the closed-form edge
+products of ``lifting.py``; the segment folds stay simplified by hand (a
+count as a shifted table, a running minimum as a three-case product with
+suffix folds), since ``segment_opt`` over lifted vectors measured slower
+or with more operations, as their docstrings show.  The oracle tests
+check each form against generate-filter-evaluate.
 """
 
 from __future__ import annotations
@@ -144,16 +145,16 @@ def segment_opt(p: SegmentationProblem, s: Semiring) -> Any:
     return f[p.length]
 
 
-def segment_fixed_count(
-    p: SegmentationProblem, lo: int, hi: int, s: Semiring, accept=None
-) -> Any:
+def segment_fixed_count(p: SegmentationProblem, lo: int, hi: int, s: Semiring) -> Any:
     """Value over covers whose segment count lies in [lo, hi].
 
     Lifting segment counting shifts the table by one segment per piece:
     f[j][m] = sum_i f[i-1][m-1] * w(i, j), one ``dot`` of column m-1
     with the weights ending at j.  O(N^2 * hi) operations, O(N * hi)
-    values stored.  ``accept`` overrides the default range acceptance
-    with any predicate over counts 0..hi.
+    values stored.  This is ``segment_opt`` over subset-size vectors with
+    the shift hoisted by hand; ``segment_opt`` itself keeps the op counts
+    but holds lifted rows, transposed into the columns ``dot`` takes,
+    which measured 4-18% slower at N=420, count 3, for more code.
     """
     n = p.length
     if not 1 <= lo <= hi <= n:
@@ -165,15 +166,13 @@ def segment_fixed_count(
         cols[0].append(s.zero)
         for m in range(1, hi + 1):
             cols[m].append(s.dot(cols[m - 1][:j], w))
-    if accept is None:
-        accept = lambda m: lo <= m <= hi
-    return s.sum(cols[m][n] for m in range(hi + 1) if accept(m))
+    return s.sum(cols[m][n] for m in range(lo, hi + 1))
 
 
 def segment_min_length(
-    p: SegmentationProblem, target: int, s: Semiring, *, at_least: bool = False, accept=None
+    p: SegmentationProblem, target: int, s: Semiring, *, at_least: bool = False
 ) -> Any:
-    """Value over covers by minimum segment length.
+    """Value over covers whose minimum segment length is ``target``.
 
     Lifts the cover recurrence over a running minimum of segment
     lengths (fold identity: the full length N).  Appending a segment of
@@ -183,9 +182,11 @@ def segment_min_length(
     f[j][m] = sum_{i <= j-m} f[i-1][m] * w(i, j) + suffix[j-m][m] * w(j-m+1, j):
     one ``dot`` of column m with the weights ending at j, then the
     suffix term, in the order the term-by-term fold adds them.
-    Default acceptance is minimum == target; ``at_least`` switches to
-    minimum >= target, and ``accept`` may supply any predicate over
-    1..N.
+    Accepts minimum == target, or >= target with ``at_least``.  Kept by
+    hand: segment lengths differ per edge, so no shift is common to a
+    row, and ``segment_opt`` over ``min_count_edge_product`` sums the
+    zeros above each length and refolds each suffix per edge (N=60:
+    219,601 adds, not 41,481).
     """
     n = p.length
     if not 1 <= target <= n:
@@ -210,9 +211,7 @@ def segment_min_length(
         for col, value in zip(cols, row):
             col.append(value)
         suffixes.append(suffix_of(row))
-    if accept is None:
-        accept = (lambda m: m >= target) if at_least else (lambda m: m == target)
-    return s.sum(row[m] for m in range(1, n + 1) if accept(m))
+    return s.sum(row[target:] if at_least else [row[target]])
 
 
 @dataclass(frozen=True)
@@ -295,42 +294,38 @@ def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
     return _MISALIGNMENT[kind][0](cap, label_map=lambda e: abs(e[0] - e[1]))
 
 
-def _misalignment_graded(p: AlignmentProblem, kind: str, cap: int, s: Semiring, accept) -> Any:
+def _misalignment_graded(p: AlignmentProblem, kind: str, cap: int, s: Semiring) -> Any:
     """nw_align over vectors indexed by the graded gap, projected to the accepted grades."""
     alg = misalignment_algebra(kind, cap)
     lifted = lifting.edge_lifted_semiring(s, alg, _MISALIGNMENT[kind][1])
     w, gap = p.weight, alg.label_map
     edges = AlignmentProblem(p.rows, p.cols, lambda i, j: (w(i, j), gap((i, j))))
-    return lifting.project(s, alg, nw_align(edges, lifted), accept)
+    return lifting.project(s, alg, nw_align(edges, lifted))
 
 
-def nw_align_sum_constrained(
-    p: AlignmentProblem, total_cap: int, s: Semiring, accept=None
-) -> Any:
-    """Alignment value graded by the summed gap of its moves (``misalignment_algebra``).
+def nw_align_sum_constrained(p: AlignmentProblem, total_cap: int, s: Semiring) -> Any:
+    """Alignment value over moves whose summed gap is at most ``total_cap``.
 
-    Totals past ``total_cap`` can never come back down and are dropped.
-    Default acceptance keeps every tracked total; ``accept`` may restrict
-    it further.  O(rows * cols * total_cap) operations.
+    Gaps are graded by ``misalignment_algebra``; totals past the cap can
+    never come back down, so they are dropped and every tracked total is
+    accepted.  O(rows * cols * total_cap) operations.
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
-    return _misalignment_graded(p, "sum", total_cap, s, accept)
+    return _misalignment_graded(p, "sum", total_cap, s)
 
 
-def nw_align_max_constrained(
-    p: AlignmentProblem, diff_cap: int, s: Semiring, accept=None
-) -> Any:
-    """Alignment value graded by the maximum gap of its moves (``misalignment_algebra``).
+def nw_align_max_constrained(p: AlignmentProblem, diff_cap: int, s: Semiring) -> Any:
+    """Alignment value over moves whose largest gap is at most ``diff_cap``.
 
-    Maxima past ``diff_cap`` are dropped for good.  Default acceptance
-    keeps every tracked maximum; ``accept`` may restrict it further.
+    Gaps are graded by ``misalignment_algebra``; maxima past the cap are
+    dropped for good and every tracked maximum is accepted.
     O(rows * cols * diff_cap) operations.
     """
     n, m = p.rows, p.cols
     if not 0 <= diff_cap <= max(n, m, 0):
         raise ValueError(f"diff_cap {diff_cap} invalid for lengths ({n}, {m})")
-    return _misalignment_graded(p, "max", diff_cap, s, accept)
+    return _misalignment_graded(p, "max", diff_cap, s)
 
 
 def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:

@@ -665,7 +665,9 @@ def _write_outputs(args, doc, table) -> None:
     touched.  Two such targets that resolve to one file are refused.
     Any other target (a device such as /dev/null, a FIFO or pipe such as
     /dev/stdout) is written directly, after the temporaries and before
-    the renames, since a rename would replace it.
+    the renames, since a rename would replace it.  So is the file that
+    descriptor 1 has open, through descriptor 1: that keeps its offset
+    and append mode (``>>``), where reopening the path would truncate it.
     """
     payload = canonical_json(doc) + "\n"
     files = []
@@ -676,29 +678,39 @@ def _write_outputs(args, doc, table) -> None:
         files.append((args.out_table, "\n".join(lines) + "\n"))
     if args.out:
         files.append((args.out, payload))
+    try:
+        stdout = os.fstat(1)
+    except OSError:  # descriptor 1 is closed
+        stdout = None
     plan, direct = [], []
     for path, text in files:
         try:
-            mode = os.stat(path).st_mode  # follows links: /dev/stdout is the pipe it names
+            info = os.stat(path)  # follows links: /dev/stdout is the file or pipe it names
         except FileNotFoundError:
-            mode = None
+            info = None
         except OSError as exc:
             raise DataError(f"cannot write {path}: {exc.strerror}") from None
-        if mode is None or stat.S_ISREG(mode):
+        mode = None if info is None else info.st_mode
+        if info is not None and stdout is not None and os.path.samestat(info, stdout):
+            direct.append((path, text, 1))
+        elif mode is None or stat.S_ISREG(mode):
             plan.append((path, os.path.realpath(path), text, mode))
         elif stat.S_ISDIR(mode):  # the rename would fail after the other file was renamed
             raise DataError(f"cannot write {path}: it is a directory")
         else:
-            direct.append((path, text))
+            direct.append((path, text, path))
     if len({target for _, target, _, _ in plan}) < len(plan):
         raise DataError(f"--out and --out-table both name {plan[0][1]}")
     staged = []
     try:
         for path, target, text, mode in plan:
             staged.append((_stage(path, target, text, mode), target, path))
-        for path, text in direct:
+        if sys.stdout is not None:  # None when descriptor 1 was closed at startup
+            sys.stdout.flush()
+        for path, text, target in direct:
             try:
-                Path(path).write_text(text)
+                with open(target, "w", closefd=target != 1) as out:
+                    out.write(text)
             except OSError as exc:
                 raise DataError(f"cannot write {path}: {exc.strerror}") from None
         for temp, target, path in staged:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from typing import Any, Callable
 
 from .semirings import Semiring
@@ -157,13 +157,8 @@ def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -
 
 
 def project(base: Semiring, alg: ConstraintAlgebra, vec: LiftedVector, accept=None):
-    """Fold the entries whose carrier value is accepted; zero if none are."""
-    pred = alg.accept if accept is None else accept
-    acc = base.zero
-    for m, x in zip(alg.carrier, vec):
-        if pred(m):
-            acc = base.add(acc, x)
-    return acc
+    """One ``base.sum`` of the entries whose carrier value is accepted."""
+    return base.sum(compress(vec, map(accept or alg.accept, alg.carrier)))
 
 
 def mul_by_lifted_edge_general(

@@ -236,7 +236,7 @@ def segment_series(
         result = segment_fixed_count(problem, count_range[0], count_range[1], vit)
     else:
         result = segment_opt(problem, vit)
-    if base.eq(result.score, base.zero):
+    if result.score == base.zero:  # exact: a score within eq's tolerance of zero is live
         return SegmentationResult(result.score, [])
     segments = list(result.witness)
     _check_cover(segments, n)

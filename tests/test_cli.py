@@ -340,6 +340,19 @@ def test_oracle_failure_exits_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_wrong_fold_fails_the_oracle_and_exits_three(tmp_path, monkeypatch, capsys):
+    # a wrong direct answer against the real exhaustive oracle
+    import semiring_dp.cli as cli_mod
+
+    probs = write_column(tmp_path, "p.txt", [0.5, 0.5])
+    monkeypatch.setattr(cli_mod, "events_m_of_n", lambda pairs, occurrences, s: 0.125)
+    code, doc, _ = run_cli(tmp_path, "events", probs, "-M", "1", "--verify")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("semiring-dp: oracle check failed: direct 0.125 != exhaustive 0.5")
+    assert doc["oracle_check"]["status"] == "fail"
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
     import semiring_dp.cli as cli_mod
 

@@ -129,6 +129,21 @@ def test_weights_read_out_of_column_order_are_the_scalar_cost(kind):
         assert costs.weight(i, j).hex() == float(costs.cost(i, j) + 0.5).hex(), (i, j)
 
 
+@pytest.mark.parametrize("untabled", ["exponent", "long"])
+def test_untabled_weight_is_the_scalar_cost_plus_regularization(monkeypatch, untabled):
+    import semiring_dp.regression as reg
+
+    y = np.random.default_rng(11).normal(0, 2, 30)
+    exponent = 1.5 if untabled == "exponent" else 2.0
+    if untabled == "long":
+        monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 10)  # read at construction
+    model = sd.SegmentCostModel(kind="linear", error_exponent=exponent, regularization=0.25)
+    costs = sd.SegmentCosts(series(y), model)
+    for j in range(1, 31):
+        for i in range(1, j + 1):
+            assert costs.weight(i, j).hex() == (costs.cost(i, j) + 0.25).hex(), (i, j)
+
+
 def test_weight_bounds_checked():
     costs = sd.SegmentCosts(series([1.0, 2.0, 3.0]), sd.SegmentCostModel())
     for i, j in [(0, 2), (2, 4), (3, 2), (-1, 3)]:
@@ -180,6 +195,16 @@ def test_segment_series_recovers_step():
     cost, segments = sd.segment_series(ts, sd.SegmentCostModel(kind="constant"), count=2)
     assert segments == [(1, 10), (11, 20)]
     assert abs(cost) < 1e-12
+
+
+@pytest.mark.parametrize("base", [sd.bottleneck_semiring, sd.max_product_semiring])
+def test_segment_series_keeps_a_witness_scoring_near_zero(base):
+    # the best cover costs 1.4e-14, within float_eq's absolute floor of the
+    # maximizing bases' zero; only a score of exactly zero means no cover
+    ts = series([1.0, 2.0, 3.0000001, 4.0, 5.0, 6.0])
+    cost, segments = sd.segment_series(ts, sd.SegmentCostModel(), base=base())
+    assert 0.0 < cost < 1e-12
+    assert segments == [(1, 6)]
 
 
 def test_segment_series_validation():

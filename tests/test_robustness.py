@@ -472,3 +472,36 @@ def test_out_dev_stdout_writes_to_a_piped_stdout(inputs):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["command"] == "segment"
+
+
+
+def run_cli_process(argv, **kwargs):
+    """Run the CLI in a new interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(sd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "semiring_dp.cli", *argv], stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_appends_to_the_file_stdout_appends_to(inputs, tmp_path):
+    # `--out /dev/stdout >> o.json` used to replace o.json, losing what it held
+    target = tmp_path / "o.json"
+    target.write_text("prior\n")
+    with open(target, "a") as stdout:
+        proc = run_cli_process(["segment", str(inputs / "y.csv"), "--out", "/dev/stdout"],
+                               stdout=stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    prior, document = target.read_text().split("\n", 1)
+    assert prior == "prior"
+    assert json.loads(document)["command"] == "segment"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes descriptor 1 before exec")
+def test_out_file_is_written_with_stdout_closed(inputs, tmp_path):
+    # descriptor 1 closed at startup leaves sys.stdout None; --out needs neither
+    target = tmp_path / "o.json"
+    proc = run_cli_process(["segment", str(inputs / "y.csv"), "--out", str(target)],
+                           preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(target.read_text())["command"] == "segment"
