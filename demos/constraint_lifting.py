@@ -20,7 +20,8 @@ for _ in range(6):
     acc = lifted.mul(acc, lifted.add(lifted.one, item))
 print(f"after folding 6 optional items: {acc}")
 print("  (read: one empty choice, 6 singletons, 15 pairs, 20 triples, 15 quadruples)")
-print(f"project at grade 2: {sd.project(count, alg, acc, accept=lambda m: m == 2)}")
+grade_2 = sd.subset_size_algebra(4, accept=lambda m: m == 2)
+print(f"project at grade 2: {sd.project(count, grade_2, acc)}")
 
 # group-like algebras admit an O(1)-per-entry product against an edge
 shifted = sd.mul_by_lifted_edge_group(count, alg, acc, 1, 1)

@@ -670,6 +670,8 @@ def _write_outputs(args, doc, table) -> None:
     and append mode (``>>``), where reopening the path would truncate it.
     """
     payload = canonical_json(doc) + "\n"
+    if not args.out and sys.stdout is None:  # descriptor 1 was closed at startup
+        raise DataError("cannot write the document: stdout is closed")
     files = []
     if args.out_table:
         if table is None:

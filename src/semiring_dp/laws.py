@@ -14,19 +14,6 @@ from .semirings import Scored, Semiring
 
 Sampler = Callable[[random.Random], Any]
 
-LAW_NAMES = (
-    "add-associativity",
-    "add-commutativity",
-    "mul-associativity",
-    "left-distributivity",
-    "right-distributivity",
-    "add-identity",
-    "mul-left-identity",
-    "mul-right-identity",
-    "left-annihilation",
-    "right-annihilation",
-)
-
 
 def _law_checks(s: Semiring, a, b, c):
     return (

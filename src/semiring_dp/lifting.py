@@ -34,8 +34,9 @@ class ConstraintAlgebra:
     when present, must lie in the carrier.  ``inverse`` marks the
     algebra group-like and unlocks the O(1)-per-entry product against a
     single lifted edge.  ``label_map`` converts a recurrence's edge
-    labels into carrier values; ``accept`` is the default acceptance
-    predicate used by projections and by the filtering oracle, and must
+    labels into carrier values; ``accept`` says which fold results the
+    constraint accepts, for projections and the filtering oracle alike.
+    Left out, it is membership in the carrier; a given predicate must
     be total on raw fold results (including out-of-carrier ones).
     ``associative`` is False for operators that only support
     left-to-right folding; those are excluded from generic lifted
@@ -46,7 +47,7 @@ class ConstraintAlgebra:
     carrier: tuple
     combine: Callable[[Any, Any], Any]
     identity: Any | None
-    accept: Callable[[Any], bool]
+    accept: Callable[[Any], bool] | None = None
     inverse: Callable[[Any], Any] | None = None
     label_map: Callable[[Any], Any] = _identity_map
     associative: bool = True
@@ -58,6 +59,8 @@ class ConstraintAlgebra:
         if self.identity is not None and self.identity not in index:
             raise ValueError(f"{self.name}: identity {self.identity!r} not in carrier")
         object.__setattr__(self, "_index", index)
+        if self.accept is None:
+            object.__setattr__(self, "accept", index.__contains__)
 
     @property
     def size(self) -> int:
@@ -156,9 +159,9 @@ def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -
                     lifted_zero(base, alg), lifted_one(base, alg))
 
 
-def project(base: Semiring, alg: ConstraintAlgebra, vec: LiftedVector, accept=None):
-    """One ``base.sum`` of the entries whose carrier value is accepted."""
-    return base.sum(compress(vec, map(accept or alg.accept, alg.carrier)))
+def project(base: Semiring, alg: ConstraintAlgebra, vec: LiftedVector):
+    """One ``base.sum`` of the entries whose carrier value ``alg.accept`` accepts."""
+    return base.sum(compress(vec, map(alg.accept, alg.carrier)))
 
 
 def mul_by_lifted_edge_general(
@@ -224,8 +227,6 @@ def subset_size_algebra(cap: int, *, accept=None, label_map=_identity_map) -> Co
     """Counting under addition, truncated to {0..cap}; group-like."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    if accept is None:
-        accept = lambda m: 0 <= m <= cap
     return ConstraintAlgebra(
         name=f"subset-size<={cap}",
         carrier=tuple(range(cap + 1)),
@@ -241,8 +242,6 @@ def min_count_algebra(bound: int, *, accept=None, label_map=_identity_map) -> Co
     """Running minimum over {1..bound}; identity is the bound itself."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if accept is None:
-        accept = lambda m: 1 <= m <= bound
     return ConstraintAlgebra(
         name=f"min-count[{bound}]",
         carrier=tuple(range(1, bound + 1)),
@@ -257,8 +256,6 @@ def max_count_algebra(bound: int, *, accept=None, label_map=_identity_map) -> Co
     """Running maximum over {0..bound}; identity 0."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if accept is None:
-        accept = lambda m: 0 <= m <= bound
     return ConstraintAlgebra(
         name=f"max-count[{bound}]",
         carrier=tuple(range(bound + 1)),
@@ -283,8 +280,6 @@ def abs_difference_algebra(bound: int, *, accept=None, label_map=_identity_map) 
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if accept is None:
-        accept = lambda m: 0 <= m <= bound
     return ConstraintAlgebra(
         name=f"abs-difference[{bound}]",
         carrier=tuple(range(bound + 1)),
@@ -298,8 +293,6 @@ def abs_difference_algebra(bound: int, *, accept=None, label_map=_identity_map) 
 
 def exists_algebra(*, accept=None, label_map=_identity_map) -> ConstraintAlgebra:
     """Booleans under or; tracks whether any flagged label occurred."""
-    if accept is None:
-        accept = lambda m: m in (False, True)
     return ConstraintAlgebra(
         name="exists",
         carrier=(False, True),
@@ -312,8 +305,6 @@ def exists_algebra(*, accept=None, label_map=_identity_map) -> ConstraintAlgebra
 
 def forall_algebra(*, accept=None, label_map=_identity_map) -> ConstraintAlgebra:
     """Booleans under and; tracks whether every label stayed flagged."""
-    if accept is None:
-        accept = lambda m: m in (False, True)
     return ConstraintAlgebra(
         name="forall",
         carrier=(False, True),
@@ -351,7 +342,6 @@ def ordering_algebra(values, relation=operator.lt) -> ConstraintAlgebra:
         carrier=tuple(range(1, len(u) + 1)),
         combine=combine,
         identity=None,
-        accept=lambda m: m != ORDER_BLOCKED,
         associative=False,
     )
 

@@ -136,17 +136,16 @@ def constraint_fold(alg: ConstraintAlgebra, path: Iterable[Any]):
     return acc
 
 
-def filter_paths(alg: ConstraintAlgebra, paths: PathSet, accept=None) -> PathSet:
-    """Keep exactly the sequences whose constraint fold is accepted.
+def filter_paths(alg: ConstraintAlgebra, paths: PathSet) -> PathSet:
+    """Keep exactly the sequences whose constraint fold ``alg.accept`` accepts.
 
     For identity-less algebras the empty sequence has no fold value and
     is always dropped.
     """
-    pred = alg.accept if accept is None else accept
     kept = []
     for path in paths.paths:
         if not path and alg.identity is None:
             continue
-        if pred(constraint_fold(alg, path)):
+        if alg.accept(constraint_fold(alg, path)):
             kept.append(path)
     return PathSet(kept)

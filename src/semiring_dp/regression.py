@@ -149,7 +149,7 @@ class SegmentCosts:
             sxy = sny - sn * sy / length
             syy_c = syy - sy * sy / length
             rss = syy_c - sxy * sxy / sxx if sxx > 0 else syy_c
-        return max(rss, 0.0) / 2.0
+        return float(max(rss, 0.0) / 2.0)
 
     def weight(self, i: int, j: int) -> float:
         """``cost(i, j) + regularization``, as a Python float when read from the table."""

@@ -162,15 +162,15 @@ def adapter_ordered(values, relation=None):
 # --- lifted runs for generic constraint consumption ---------------------------
 
 
-def run_subsequences_lifted(n, base, alg, v_of, w_table, accept=None):
+def run_subsequences_lifted(n, base, alg, v_of, w_table):
     lifted = sd.lifted_semiring(base, alg)
     vec = sd.subsequences(
         n, lifted, lambda k: sd.lift_edge(base, alg, w_table[k], v_of(k))
     )
-    return sd.project(base, alg, vec, accept)
+    return sd.project(base, alg, vec)
 
 
-def run_segment_lifted_edges(n, base, alg, w_table, v_of, accept=None):
+def run_segment_lifted_edges(n, base, alg, w_table, v_of):
     """Cover recurrence where every product is against a single lifted edge."""
     rows = [sd.lifted_one(base, alg)]
     for j in range(1, n + 1):
@@ -181,7 +181,7 @@ def run_segment_lifted_edges(n, base, alg, w_table, v_of, accept=None):
             )
             acc = tuple(base.add(a, b) for a, b in zip(acc, term))
         rows.append(acc)
-    return sd.project(base, alg, rows[n], accept)
+    return sd.project(base, alg, rows[n])
 
 
 # --- independent brute-force enumerators ---------------------------------------

@@ -8,6 +8,7 @@ import math
 import operator
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,9 +166,7 @@ def test_criterion_03_constrained_fusion():
     for base_name in oracles.FUSION_SEMIRINGS:
         base = CATALOG[base_name]
         table = oracles.weight_table(sub_labels, base_name, 310)
-        direct = oracles.run_subsequences_lifted(
-            8, base, alg, flags.__getitem__, table, accept=lambda m: m is True
-        )
+        direct = oracles.run_subsequences_lifted(8, base, alg, flags.__getitem__, table)
         paths = sub_generate(sd.generator_semiring(), sd.singleton_weights)
         kept = sd.filter_paths(alg, paths)
         want = sd.evaluate_paths(base, table.__getitem__, kept)
@@ -187,11 +186,11 @@ def test_criterion_03_constrained_fusion():
             sd.generator_semiring(), sd.singleton_weights
         )
         for target in alg_base.carrier:
+            alg = replace(alg_base, accept=lambda m, t=target: m == t)
             direct = oracles.run_segment_lifted_edges(
-                n_seg, base, alg_base, table, v_map.__getitem__,
-                accept=lambda m, t=target: m == t,
+                n_seg, base, alg, table, v_map.__getitem__
             )
-            kept = sd.filter_paths(alg_base, paths, accept=lambda m, t=target: m == t)
+            kept = sd.filter_paths(alg, paths)
             want = sd.evaluate_paths(base, table.__getitem__, kept)
             assert base.eq(direct, want), (base_name, target, direct, want)
 

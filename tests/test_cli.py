@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from semiring_dp import cli
 from semiring_dp.cli import canonical_json, format_float, main
+from semiring_dp.pathsets import generator_semiring
 
 
 def run_cli(tmp_path, *argv):
@@ -326,6 +328,15 @@ def test_verify_skips_when_too_large(tmp_path):
     assert code == 0
     assert doc["oracle_check"]["status"] == "skipped"
     assert "cap" in doc["oracle_check"]["reason"]
+
+
+def test_verify_skips_over_the_path_storage_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "generator_semiring", lambda: generator_semiring(50))
+    path = write_column(tmp_path, "y.txt", [1.0, 4.0, 2.0, 8.0, 0.5, 1.5])
+    code, doc, _ = run_cli(tmp_path, "segment", path, "--verify")
+    assert code == 0
+    assert doc["oracle_check"]["status"] == "skipped"
+    assert "budget of 50" in doc["oracle_check"]["reason"]
 
 
 def test_oracle_failure_exits_three(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -53,6 +54,18 @@ def test_group_inverse_law():
     for m, mp in itertools.product(alg.carrier, repeat=2):
         recovered = alg.combine(mp, alg.combine(alg.inverse(mp), m))
         assert recovered == m
+
+
+@pytest.mark.parametrize("name", [*sorted(small_algebras()), "ordering"])
+def test_algebra_built_without_accept_accepts_exactly_its_carrier(name):
+    if name == "ordering":
+        alg = sd.ordering_algebra([1.0, 3.0, 2.0, 4.0])
+    else:
+        alg = small_algebras()[name]
+    assert all(alg.accept(m) for m in alg.carrier)
+    outside = [m for m in (*range(-2, 8), 0.5, sd.ORDER_BLOCKED) if m not in alg.carrier]
+    assert sd.ORDER_BLOCKED in outside and len(outside) >= 6
+    assert not any(alg.accept(m) for m in outside), name
 
 
 def test_ordering_algebra_shape():
@@ -126,9 +139,9 @@ def test_lift_edge_matches_singleton_evaluation():
 def test_project_examples():
     alg = sd.subset_size_algebra(3)
     x = (4, 5, 6, 7)
-    assert sd.project(COUNT, alg, x, accept=lambda m: m == 3) == 7
-    assert sd.project(COUNT, alg, x, accept=lambda m: 1 <= m <= 2) == 11
-    assert sd.project(COUNT, alg, x, accept=lambda m: False) == 0
+    assert sd.project(COUNT, replace(alg, accept=lambda m: m == 3), x) == 7
+    assert sd.project(COUNT, replace(alg, accept=lambda m: 1 <= m <= 2), x) == 11
+    assert sd.project(COUNT, replace(alg, accept=lambda m: False), x) == 0
 
 
 def test_exists_lifted_one_is_unit_at_false():
@@ -363,7 +376,7 @@ def test_per_value_filter_matches_lifted_evaluation(alg_name):
         for path in ps:
             total = tuple(x + y for x, y in zip(total, eval_lifted(path)))
         for idx, m in enumerate(alg.carrier):
-            kept = sd.filter_paths(alg_mapped, ps, accept=lambda v, m=m: v == m)
+            kept = sd.filter_paths(replace(alg_mapped, accept=lambda v, m=m: v == m), ps)
             direct = sd.evaluate_paths(base, w_map, kept)
             assert direct == total[idx], (alg_name, m, ps)
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -148,8 +149,8 @@ def test_filter_length_example():
 def test_filter_accept_all_and_none():
     ps = paths((), ("a",), ("a", "b"))
     alg = sd.subset_size_algebra(5, label_map=lambda e: 1)
-    assert sd.filter_paths(alg, ps, accept=lambda m: True) == ps
-    assert sd.filter_paths(alg, ps, accept=lambda m: False) == sd.PathSet()
+    assert sd.filter_paths(replace(alg, accept=lambda m: True), ps) == ps
+    assert sd.filter_paths(replace(alg, accept=lambda m: False), ps) == sd.PathSet()
 
 
 def test_filter_identityless_drops_empty_path():

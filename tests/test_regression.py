@@ -144,6 +144,20 @@ def test_untabled_weight_is_the_scalar_cost_plus_regularization(monkeypatch, unt
             assert costs.weight(i, j).hex() == (costs.cost(i, j) + 0.25).hex(), (i, j)
 
 
+def test_cost_and_untabled_weight_are_python_floats(monkeypatch):
+    # the O(1) p=2 branch used to return numpy.float64
+    import semiring_dp.regression as reg
+
+    y = np.random.default_rng(12).normal(0, 2, 5)
+    costs = sd.SegmentCosts(series(y), sd.SegmentCostModel())
+    for j in range(1, 6):
+        for i in range(1, j + 1):
+            assert type(costs.cost(i, j)) is float, (i, j)
+    monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 10)  # read at construction
+    y = np.random.default_rng(13).normal(0, 2, 30)
+    assert type(sd.SegmentCosts(series(y), sd.SegmentCostModel()).weight(1, 5)) is float
+
+
 def test_weight_bounds_checked():
     costs = sd.SegmentCosts(series([1.0, 2.0, 3.0]), sd.SegmentCostModel())
     for i, j in [(0, 2), (2, 4), (3, 2), (-1, 3)]:

@@ -308,6 +308,22 @@ def test_flags_longer_than_the_input_stay_data_errors(capsys, inputs, command, f
     assert_one_data_error(err, *words)
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["align", "a.txt", "b.txt", "--sweep", "9"], ["--sweep size 9"]),
+        (["bench", "--op", "combinations", "--sizes", "2,x"], ["bad size list", "'2,x'"]),
+        (["bench", "--op", "combinations", "--sizes", "0"], ["positive integers"]),
+    ],
+)
+def test_bad_size_lists_are_data_errors(capsys, inputs, argv, words):
+    argv = [str(inputs / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, *words)
+
+
 def test_count_range_longer_than_the_input_is_a_data_error(capsys, inputs):
     code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--count-range", "2", "7"])
     assert code == 2
@@ -333,13 +349,25 @@ def test_non_utf8_input_is_a_data_error(capsys, inputs, command):
 # --- output failures ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("flag", ["--out", "--out-table"])
-def test_unwritable_output_is_a_data_error(capsys, inputs, flag):
-    target = str(inputs / "missing" / "result")
-    code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), flag, target])
+@pytest.mark.parametrize(
+    "flag, target, reason",
+    [
+        pytest.param("--out", "missing/result", None, id="--out"),
+        pytest.param("--out-table", "missing/result", None, id="--out-table"),
+        # stat of a path below a regular file fails with NotADirectoryError
+        pytest.param("--out", "y.csv/x.json", "Not a directory", id="--out-below-a-file"),
+    ],
+)
+def test_unwritable_output_is_a_data_error(capsys, inputs, flag, target, reason):
+    target = str(inputs / target)
+    argv = ["segment", str(inputs / "y.csv"), flag, target]
+    if reason:  # the table, written alongside, must not be written either
+        argv += ["--out-table", str(inputs / "t.csv")]
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert_one_data_error(err, "cannot write", target)
+    assert_one_data_error(err, "cannot write", f"{target}: {reason}" if reason else target)
+    assert not (inputs / "t.csv").exists()
 
 
 def test_missing_table_is_refused_before_any_output(capsys, inputs, tmp_path):
@@ -505,3 +533,15 @@ def test_out_file_is_written_with_stdout_closed(inputs, tmp_path):
                            preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(target.read_text())["command"] == "segment"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes descriptor 1 before exec")
+def test_document_to_a_closed_stdout_is_a_data_error(inputs, tmp_path):
+    # sys.stdout is None here; writing to it was an AttributeError traceback
+    # with exit 4, after the table had been written
+    table = tmp_path / "t.csv"
+    proc = run_cli_process(["segment", str(inputs / "y.csv"), "--out-table", str(table)],
+                           preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert_one_data_error(proc.stderr, "stdout is closed")
+    assert not table.exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import random
 from itertools import islice
 
@@ -9,6 +10,7 @@ import semiring_dp as sd
 from semiring_dp import lifting
 from semiring_dp.laws import (
     catalog_samplers,
+    int_values,
     law_failures,
     lifted_values,
     scored_sequences,
@@ -83,6 +85,20 @@ def test_expectation_identity_as_printed_fails():
 def test_catalog_semiring_laws(name):
     sample = catalog_samplers()[name]
     assert law_failures(CATALOG[name], sample, trials=300, seed=11) == []
+
+
+def _broken_laws(failures):
+    # each failure reads "<semiring> <law>: <got> != <want> for ..."
+    return {f.split(":", 1)[0].split(" ", 1)[1] for f in failures}
+
+
+def test_law_failures_reports_the_laws_a_semiring_breaks():
+    bad_one = dataclasses.replace(sd.expectation_semiring(), one=(1.0, 0.0))
+    failures = law_failures(bad_one, catalog_samplers()["expectation"], trials=50)
+    assert _broken_laws(failures) == {"mul-left-identity", "mul-right-identity"}
+    minus = sd.Semiring("minus", operator.sub, operator.mul, 0, 1)
+    assert "add-commutativity" in _broken_laws(law_failures(minus, int_values(), trials=50))
+    assert len(law_failures(minus, int_values(), trials=50, limit=3)) == 3
 
 
 def test_generator_semiring_laws():
