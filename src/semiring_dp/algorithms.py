@@ -12,18 +12,19 @@ per term, so the values and op counts are those of the term-by-term
 fold; semirings that can pick a row's winner in one scan (the min/max
 bases and score-and-witness tupling over them) do so inside those calls.
 Rows updated elementwise (``combinations``, ``events_m_of_n`` and the
-lifted vectors of the constrained alignments) go through
+lifted vectors of the constrained folds) go through
 ``s.add_rows(xs, ys)`` and ``s.scale(xs, y)``, whose entries are the
 per-term ``add`` and ``mul`` and which count one op per entry.
 
 The constrained variants are the plain recurrences lifted over a
-constraint algebra and accept exactly what that algebra accepts.  The
-constrained alignments run ``nw_align`` itself over the closed-form edge
-products of ``lifting.py``; the segment folds stay simplified by hand (a
-count as a shifted table, a running minimum as a three-case product with
-suffix folds), since ``segment_opt`` over lifted vectors measured slower
-or with more operations, as their docstrings show.  The oracle tests
-check each form against generate-filter-evaluate.
+constraint algebra cut down to the values acceptance can tell apart,
+and accept exactly what that algebra accepts: a summed gap runs
+``nw_align`` over closed-form edge products, a minimum segment length
+``segment_opt`` over a 3-chain (below, equal or above the target), and
+a largest gap ``nw_align`` with zero on the moves past the cap.  A
+segment count stays a shifted table by hand, since ``segment_opt`` over
+lifted vectors measured slower, as its docstring shows.  The oracle
+tests check each form against generate-filter-evaluate.
 """
 
 from __future__ import annotations
@@ -174,44 +175,26 @@ def segment_min_length(
 ) -> Any:
     """Value over covers whose minimum segment length is ``target``.
 
-    Lifts the cover recurrence over a running minimum of segment
-    lengths (fold identity: the full length N).  Appending a segment of
-    length L maps table entry m to m when m < L, folds the suffix
-    m..N into entry m when m == L, and kills entries above L; suffix
-    folds are carried per position so the whole run stays O(N^3).  So
-    f[j][m] = sum_{i <= j-m} f[i-1][m] * w(i, j) + suffix[j-m][m] * w(j-m+1, j):
-    one ``dot`` of column m with the weights ending at j, then the
-    suffix term, in the order the term-by-term fold adds them.
-    Accepts minimum == target, or >= target with ``at_least``.  Kept by
-    hand: segment lengths differ per edge, so no shift is common to a
-    row, and ``segment_opt`` over ``min_count_edge_product`` sums the
-    zeros above each length and refolds each suffix per edge (N=60:
-    219,601 adds, not 41,481).
+    ``segment_opt`` lifted over the running minimum of segment lengths,
+    then projected.  Acceptance only tells a length below, equal to or
+    above ``target`` apart, and so does the minimum of two lengths, so
+    the minimum runs over that 3-chain (``min_count_algebra(3)``), not
+    over 1..N.  Accepts equal, or equal and above with ``at_least``.
+    O(N^2) operations.
     """
     n = p.length
     if not 1 <= target <= n:
         raise ValueError(f"minimum segment length {target} invalid for length {n}")
 
-    def suffix_of(row):
-        suf = [s.zero] * (n + 2)
-        for m in range(n, 0, -1):
-            suf[m] = s.add(row[m], suf[m + 1])
-        return suf
+    def side(segment):  # its length against the target: 1 below, 2 equal, 3 above
+        length = segment[1] - segment[0] + 1
+        return 1 + (length >= target) + (length > target)
 
-    row = [s.zero] * (n + 1)
-    row[n] = s.one
-    cols = [[value] for value in row]  # cols[m][j] is f[j][m]
-    suffixes = [suffix_of(row)]
-    for j in range(1, n + 1):
-        w = [p.weight(i, j) for i in range(1, j + 1)]
-        row = [s.zero] * (n + 1)
-        for m in range(1, j + 1):
-            k = j - m  # segments longer than m start at 1..k; the one of length m at k+1
-            row[m] = s.add(s.dot(cols[m][:k], w[:k]), s.mul(suffixes[k][m], w[k]))
-        for col, value in zip(cols, row):
-            col.append(value)
-        suffixes.append(suffix_of(row))
-    return s.sum(row[target:] if at_least else [row[target]])
+    accept = (lambda m: m >= 2) if at_least else (lambda m: m == 2)
+    alg = lifting.min_count_algebra(3, label_map=side, accept=accept)
+    lifted = lifting.edge_lifted_semiring(s, alg, lifting.min_count_edge_product)
+    edges = SegmentationProblem(n, lambda i, j: (p.weight(i, j), side((i, j))))
+    return lifting.project(s, alg, segment_opt(edges, lifted))
 
 
 @dataclass(frozen=True)
@@ -277,11 +260,8 @@ def delannoy(n: int, m: int) -> int:
     return prev[m]
 
 
-# constraint kind -> (algebra over move gaps, its closed-form edge product)
-_MISALIGNMENT = {
-    "sum": (lifting.subset_size_algebra, lifting.subset_size_edge_product),
-    "max": (lifting.max_count_algebra, lifting.max_count_edge_product),
-}
+# constraint kind -> its algebra over move gaps
+_MISALIGNMENT = {"sum": lifting.subset_size_algebra, "max": lifting.max_count_algebra}
 
 
 def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
@@ -291,41 +271,40 @@ def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
     "sum" adds the gaps up, "max" keeps their running maximum; either is
     tracked up to ``cap``.
     """
-    return _MISALIGNMENT[kind][0](cap, label_map=lambda e: abs(e[0] - e[1]))
-
-
-def _misalignment_graded(p: AlignmentProblem, kind: str, cap: int, s: Semiring) -> Any:
-    """nw_align over vectors indexed by the graded gap, projected to the accepted grades."""
-    alg = misalignment_algebra(kind, cap)
-    lifted = lifting.edge_lifted_semiring(s, alg, _MISALIGNMENT[kind][1])
-    w, gap = p.weight, alg.label_map
-    edges = AlignmentProblem(p.rows, p.cols, lambda i, j: (w(i, j), gap((i, j))))
-    return lifting.project(s, alg, nw_align(edges, lifted))
+    return _MISALIGNMENT[kind](cap, label_map=lambda e: abs(e[0] - e[1]))
 
 
 def nw_align_sum_constrained(p: AlignmentProblem, total_cap: int, s: Semiring) -> Any:
     """Alignment value over moves whose summed gap is at most ``total_cap``.
 
-    Gaps are graded by ``misalignment_algebra``; totals past the cap can
-    never come back down, so they are dropped and every tracked total is
-    accepted.  O(rows * cols * total_cap) operations.
+    ``nw_align`` over vectors indexed by the summed gap
+    (``misalignment_algebra``), projected back down; totals past the cap
+    can never come back down, so they are dropped and every tracked
+    total is accepted.  O(rows * cols * total_cap) operations.
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
-    return _misalignment_graded(p, "sum", total_cap, s)
+    alg = misalignment_algebra("sum", total_cap)
+    lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product)
+    w, gap = p.weight, alg.label_map
+    edges = AlignmentProblem(p.rows, p.cols, lambda i, j: (w(i, j), gap((i, j))))
+    return lifting.project(s, alg, nw_align(edges, lifted))
 
 
 def nw_align_max_constrained(p: AlignmentProblem, diff_cap: int, s: Semiring) -> Any:
     """Alignment value over moves whose largest gap is at most ``diff_cap``.
 
-    Gaps are graded by ``misalignment_algebra``; maxima past the cap are
-    dropped for good and every tracked maximum is accepted.
-    O(rows * cols * diff_cap) operations.
+    The largest gap is at most the cap exactly when every move's gap
+    is, so lifting over the running maximum collapses to one entry:
+    ``nw_align`` with ``s.zero`` on every move whose gap exceeds the cap.
+    O(rows * cols) operations.
     """
     n, m = p.rows, p.cols
     if not 0 <= diff_cap <= max(n, m, 0):
         raise ValueError(f"diff_cap {diff_cap} invalid for lengths ({n}, {m})")
-    return _misalignment_graded(p, "max", diff_cap, s)
+    w, zero = p.weight, s.zero
+    kept = lambda i, j: w(i, j) if abs(i - j) <= diff_cap else zero
+    return nw_align(AlignmentProblem(n, m, kept), s)
 
 
 def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:

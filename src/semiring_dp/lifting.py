@@ -35,9 +35,10 @@ class ConstraintAlgebra:
     algebra group-like and unlocks the O(1)-per-entry product against a
     single lifted edge.  ``label_map`` converts a recurrence's edge
     labels into carrier values; ``accept`` says which fold results the
-    constraint accepts, for projections and the filtering oracle alike.
-    Left out, it is membership in the carrier; a given predicate must
-    be total on raw fold results (including out-of-carrier ones).
+    constraint accepts, for projections and the filtering oracle alike
+    (through ``accepts``).  Left out (None), it is membership in the
+    current carrier; a given predicate must be total on raw fold
+    results (including out-of-carrier ones).
     ``associative`` is False for operators that only support
     left-to-right folding; those are excluded from generic lifted
     semiring construction but still work with per-edge products.
@@ -59,8 +60,6 @@ class ConstraintAlgebra:
         if self.identity is not None and self.identity not in index:
             raise ValueError(f"{self.name}: identity {self.identity!r} not in carrier")
         object.__setattr__(self, "_index", index)
-        if self.accept is None:
-            object.__setattr__(self, "accept", index.__contains__)
 
     @property
     def size(self) -> int:
@@ -75,6 +74,10 @@ class ConstraintAlgebra:
 
     def __contains__(self, m) -> bool:
         return m in self._index
+
+    def accepts(self, m) -> bool:
+        """Whether the constraint accepts fold result ``m``."""
+        return m in self._index if self.accept is None else self.accept(m)
 
 
 def lifted_zero(base: Semiring, alg: ConstraintAlgebra) -> LiftedVector:
@@ -160,8 +163,8 @@ def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -
 
 
 def project(base: Semiring, alg: ConstraintAlgebra, vec: LiftedVector):
-    """One ``base.sum`` of the entries whose carrier value ``alg.accept`` accepts."""
-    return base.sum(compress(vec, map(alg.accept, alg.carrier)))
+    """One ``base.sum`` of the entries whose carrier value ``alg`` accepts."""
+    return base.sum(compress(vec, map(alg.accepts, alg.carrier)))
 
 
 def mul_by_lifted_edge_general(

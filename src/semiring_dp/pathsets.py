@@ -137,7 +137,7 @@ def constraint_fold(alg: ConstraintAlgebra, path: Iterable[Any]):
 
 
 def filter_paths(alg: ConstraintAlgebra, paths: PathSet) -> PathSet:
-    """Keep exactly the sequences whose constraint fold ``alg.accept`` accepts.
+    """Keep exactly the sequences whose constraint fold ``alg`` accepts.
 
     For identity-less algebras the empty sequence has no fold value and
     is always dropped.
@@ -146,6 +146,6 @@ def filter_paths(alg: ConstraintAlgebra, paths: PathSet) -> PathSet:
     for path in paths.paths:
         if not path and alg.identity is None:
             continue
-        if alg.accept(constraint_fold(alg, path)):
+        if alg.accepts(constraint_fold(alg, path)):
             kept.append(path)
     return PathSet(kept)

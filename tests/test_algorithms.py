@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 import operator
 import random
@@ -699,7 +700,11 @@ def reference_misalignment(p, kind, cap, base):
 
 
 def elementwise_fold_cases(rng, grid, tupled):
-    """(name, library fold, term-by-term copy) pairs over weights drawn from ``grid``."""
+    """(name, library fold, term-by-term copy[, op-count copy]) over weights drawn from ``grid``.
+
+    The op-count copy, where given, makes the fold's ops in the fold's
+    order; the term-by-term copy then checks the value up to ``s.eq``.
+    """
     def label(*labels):  # a weight from the grid, tupled with ``labels`` if witnesses are kept
         x = rng.choice(grid)
         return sd.Scored(x, labels) if tupled else x
@@ -721,8 +726,16 @@ def elementwise_fold_cases(rng, grid, tupled):
         ("nw_align_sum_constrained", lambda s: sd.nw_align_sum_constrained(align, sum_cap, s),
          lambda s: reference_misalignment(align, "sum", sum_cap, s)),
         ("nw_align_max_constrained", lambda s: sd.nw_align_max_constrained(align, max_cap, s),
-         lambda s: reference_misalignment(align, "max", max_cap, s)),
+         lambda s: reference_misalignment(align, "max", max_cap, s),
+         lambda s: reference_nw_align(filtered_moves(align, max_cap, s.zero), s)),
     ]
+
+
+def filtered_moves(p, cap, zero):
+    """``p`` with ``zero`` on every move whose gap exceeds ``cap``."""
+    return sd.AlignmentProblem(
+        p.rows, p.cols, lambda i, j: p.weight(i, j) if abs(i - j) <= cap else zero
+    )
 
 
 @pytest.mark.parametrize(
@@ -740,10 +753,14 @@ def test_elementwise_rows_match_term_by_term_folds(s, grid):
     rng = random.Random(83)
     tupled = isinstance(s.zero, sd.Scored)
     for _ in range(30):
-        for name, fold, reference in elementwise_fold_cases(rng, grid, tupled):
+        for name, fold, reference, *op_reference in elementwise_fold_cases(rng, grid, tupled):
             rows, rows_counts = sd.instrumented(s)
             terms, terms_counts = sd.instrumented(s)
             got, want = fold(rows), reference(terms)
+            if op_reference:  # the value copy adds in another order: equal within tolerance
+                assert s.eq(got, want), name
+                terms, terms_counts = sd.instrumented(s)
+                want = op_reference[0](terms)
             if tupled:
                 assert got.witness == want.witness, name
                 got, want = got.score, want.score
@@ -774,6 +791,106 @@ def test_combinations_reads_each_item_weight_once():
 
         assert sd.combinations(n, k, COUNT, weight) == math.comb(n, k)
         assert reads == collections.Counter(range(1, n + 1))
+
+
+# --- quotient constraint algebras ------------------------------------------------------
+
+
+def full_min_length(p, target, s, at_least=False):
+    """segment_opt lifted over the running minimum on 1..N, the algebra the 3-chain quotients."""
+    n = p.length
+    accept = (lambda m: m >= target) if at_least else (lambda m: m == target)
+    alg = sd.min_count_algebra(n, label_map=lambda e: e[1] - e[0] + 1, accept=accept)
+    lifted = lifting.edge_lifted_semiring(s, alg, lifting.min_count_edge_product)
+    edges = sd.SegmentationProblem(n, lambda i, j: (p.weight(i, j), alg.label_map((i, j))))
+    return sd.project(s, alg, sd.segment_opt(edges, lifted))
+
+
+def quotient_cases(rng, grid, tupled):
+    """(name, quotient fold, full-algebra fold, admissible witnesses) over weights from ``grid``.
+
+    ``grid`` None draws distinct floats.  The admissible witnesses are
+    every solution the constraint accepts, each with its min-plus cost.
+    """
+    costs = {}
+
+    def draw(label):  # a weight, tupled with its label if witnesses are kept
+        x = costs[label] = rng.random() if grid is None else rng.choice(grid)
+        return sd.Scored(x, (label,)) if tupled else x
+
+    def cost(solution):
+        return functools.reduce(MINPLUS.mul, (costs[label] for label in solution), MINPLUS.one)
+
+    n = rng.randint(1, 8)
+    pieces = {seg: draw(seg) for seg in oracles.segment_labels(n)}
+    cover = sd.SegmentationProblem(n, lambda i, j: pieces[i, j])
+    target = rng.randint(1, n)
+    covers = [tuple(c) for c in oracles.all_segmentations(n)]
+    shortest = lambda c: min(j - i + 1 for i, j in c)
+    exact = {c: cost(c) for c in covers if shortest(c) == target}
+    at_least = {c: cost(c) for c in covers if shortest(c) >= target}
+    costs.clear()  # alignment moves reuse segment labels
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    moves = {m: draw(m) for m in oracles.alignment_labels(rows, cols)}
+    align = sd.AlignmentProblem(rows, cols, lambda i, j: moves[i, j])
+    cap = rng.randint(0, max(rows, cols))
+    capped = {a: cost(a) for a in oracles.enumerate_alignments(rows, cols)
+              if all(abs(i - j) <= cap for i, j in a)}
+    return [
+        ("segment_min_length", lambda s: sd.segment_min_length(cover, target, s),
+         lambda s: full_min_length(cover, target, s), exact),
+        ("segment_min_length at_least",
+         lambda s: sd.segment_min_length(cover, target, s, at_least=True),
+         lambda s: full_min_length(cover, target, s, at_least=True), at_least),
+        ("nw_align_max_constrained", lambda s: sd.nw_align_max_constrained(align, cap, s),
+         lambda s: reference_misalignment(align, "max", cap, s), capped),
+    ]
+
+
+@pytest.mark.parametrize(
+    "s, grid",
+    [
+        (COUNT, (0, 1, 2, 3)),
+        (MINPLUS, (0.0, 1.0, 1.0 + 4e-10, 2.5, math.inf)),
+        (CATALOG["prob"], (0.0, 0.125, 0.3, 0.5, 0.7, 1.0)),
+    ],
+    ids=["count", "minplus", "prob"],
+)
+def test_quotient_algebras_match_the_full_algebras(s, grid):
+    # count exactly, minplus and prob within the pinned 1e-9 / 1e-12
+    rng = random.Random(89)
+    for _ in range(40):
+        for name, quotient, full, _ in quotient_cases(rng, grid, tupled=False):
+            assert s.eq(quotient(s), full(s)), name
+
+
+@pytest.mark.parametrize(
+    "grid", [None, (0.0, 1.0, 2.0), (0.0, 1.0, 1.0 + 4e-10, 2.0, math.inf)],
+    ids=["distinct", "ties", "near-ties"],
+)
+def test_quotient_algebra_witnesses(grid):
+    rng = random.Random(97)
+    vit = sd.viterbi_simple_semiring(MINPLUS)
+    for _ in range(60):
+        for name, quotient, full, admissible in quotient_cases(rng, grid, tupled=True):
+            got, want = quotient(vit), full(vit)
+            if grid is None:
+                assert (got.score, got.witness) == (want.score, want.witness), name
+                continue
+            # ties may keep another optimal witness than the full algebra's
+            assert MINPLUS.eq(got.score, want.score), name
+            if got.score != math.inf:
+                assert admissible.get(got.witness) == got.score, name
+
+
+def test_quotient_constraints_keep_the_plain_op_growth():
+    for n in (24, 48):
+        p = sd.SegmentationProblem(n, lambda i, j: 1)
+        assert count_ops(lambda s: sd.segment_min_length(p, 2, s)) <= 8 * n * n
+    p = sd.AlignmentProblem(10, 10, lambda i, j: 1)
+    plain = count_ops(lambda s: sd.nw_align(p, s))
+    for cap in range(11):
+        assert count_ops(lambda s: sd.nw_align_max_constrained(p, cap, s)) == plain
 
 
 # --- operation-count scaling ------------------------------------------------------------

@@ -62,10 +62,22 @@ def test_algebra_built_without_accept_accepts_exactly_its_carrier(name):
         alg = sd.ordering_algebra([1.0, 3.0, 2.0, 4.0])
     else:
         alg = small_algebras()[name]
-    assert all(alg.accept(m) for m in alg.carrier)
+    assert alg.accept is None
+    assert all(alg.accepts(m) for m in alg.carrier)
     outside = [m for m in (*range(-2, 8), 0.5, sd.ORDER_BLOCKED) if m not in alg.carrier]
     assert sd.ORDER_BLOCKED in outside and len(outside) >= 6
-    assert not any(alg.accept(m) for m in outside), name
+    assert not any(alg.accepts(m) for m in outside), name
+
+
+def test_replacing_the_carrier_replaces_the_default_acceptance():
+    alg = replace(sd.subset_size_algebra(3), carrier=tuple(range(6)))
+    assert sd.project(COUNT, alg, (1,) * 6) == 6
+    kept = sd.filter_paths(alg, sd.PathSet([(5,), (2, 3), (2, 4)]))
+    assert kept.sorted_paths() == [(2, 3), (5,)]
+    assert alg.accepts(5) and not alg.accepts(6)
+    # a replaced accept still wins over carrier membership
+    odd = replace(alg, accept=lambda m: m % 2 == 1)
+    assert sd.project(COUNT, odd, (1,) * 6) == 3
 
 
 def test_ordering_algebra_shape():
