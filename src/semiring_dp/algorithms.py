@@ -11,10 +11,11 @@ Each equals the left fold of ``add`` from ``zero`` and counts one op
 per term, so the values and op counts are those of the term-by-term
 fold; semirings that can pick a row's winner in one scan (the min/max
 bases and score-and-witness tupling over them) do so inside those calls.
-Rows updated elementwise (``combinations``, ``events_m_of_n`` and the
-lifted vectors of the constrained folds) go through
-``s.add_rows(xs, ys)`` and ``s.scale(xs, y)``, whose entries are the
-per-term ``add`` and ``mul`` and which count one op per entry.
+Rows updated elementwise (``combinations``, ``events_m_of_n``, the
+anti-diagonals of ``nw_align`` and the lifted vectors of the constrained
+folds) go through ``s.add_rows(xs, ys)``, ``s.mul_rows(xs, ys)`` and
+``s.scale(xs, y)``, whose entries are the per-term ``add`` and ``mul``
+and which count one op per entry.
 
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
@@ -220,27 +221,40 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
     """Three-branch alignment fold over match / delete / insert moves.
 
     f[i][j] = f[i-1][j-1]*w(i,j) + f[i-1][j]*w(i,0) + f[i][j-1]*w(0,j),
-    computed with two rolling rows; O(rows * cols) operations.  Each
-    move weight is read once: w(0, j) per column, w(i, 0) per row and
-    w(i, j) per cell.
+    computed one anti-diagonal i + j = d at a time, from the two before
+    it; O(rows * cols) operations.  A diagonal's cells with i, j >= 1
+    are ``add_rows(add_rows(mul_rows(diagonal, w), mul_rows(up, deletes)),
+    mul_rows(left, inserts))``, so every cell makes the ops of the
+    formula in its order, and its two cells on the table's edges are one
+    ``mul`` each.  The diagonals are kept in three rotating ``s.row``
+    buffers, which a semiring may hold as arrays.  Each move weight is
+    read once: w(0, j) per column, w(i, 0) per row and w(i, j) per cell.
     """
     n, m = p.rows, p.cols
     w = p.weight
-    add, mul = s.add, s.mul
+    mul, add_rows, mul_rows = s.mul, s.add_rows, s.mul_rows
     inserts = [w(0, j) for j in range(1, m + 1)]
-    prev = [s.one]
-    for insert in inserts:
-        prev.append(mul(prev[-1], insert))
-    for i in range(1, n + 1):
-        delete = w(i, 0)
-        left = mul(prev[0], delete)
-        cur = [left]
-        for j, (diagonal, up, insert) in enumerate(zip(prev, prev[1:], inserts), start=1):
-            # the match, delete and insert terms, multiplied and added in that order
-            left = add(add(mul(diagonal, w(i, j)), mul(up, delete)), mul(left, insert))
-            cur.append(left)
-        prev = cur
-    return prev[m]
+    deletes = [w(i, 0) for i in range(1, n + 1)]
+    # f[i][d - i] sits at index i - max(0, d - m) of diagonal d's buffer
+    width = min(n, m) + 1
+    older, old, cur = (s.row([s.zero] * width) for _ in range(3))
+    cur[0] = s.one
+    for d in range(1, n + m + 1):
+        older, old, cur = old, cur, older
+        lo, lo1, lo2 = max(0, d - m), max(0, d - 1 - m), max(0, d - 2 - m)
+        first, last = max(1, d - m), min(n, d - 1)  # the rows i of the cells off the edges
+        if first <= last:
+            match = mul_rows(older[first - 1 - lo2 : last - lo2],
+                             [w(i, d - i) for i in range(first, last + 1)])
+            up = mul_rows(old[first - 1 - lo1 : last - lo1], deletes[first - 1 : last])
+            left = mul_rows(old[first - lo1 : last + 1 - lo1],
+                            inserts[d - last - 1 : d - first][::-1])
+            cur[first - lo : last + 1 - lo] = add_rows(add_rows(match, up), left)
+        if d <= m:  # f[0][d]
+            cur[0] = mul(old[0], inserts[d - 1])
+        if d <= n:  # f[d][0]
+            cur[d - lo] = mul(old[d - 1 - lo1], deletes[d - 1])
+    return cur[0]
 
 
 def delannoy(n: int, m: int) -> int:
@@ -288,7 +302,9 @@ def nw_align_sum_constrained(p: AlignmentProblem, total_cap: int, s: Semiring) -
     lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product)
     w, gap = p.weight, alg.label_map
     edges = AlignmentProblem(p.rows, p.cols, lambda i, j: (w(i, j), gap((i, j))))
-    return lifting.project(s, alg, nw_align(edges, lifted))
+    vec = nw_align(edges, lifted)
+    # a block form's vector is a row of its float array: project Python floats
+    return lifting.project(s, alg, vec.tolist() if hasattr(vec, "tolist") else vec)
 
 
 def nw_align_max_constrained(p: AlignmentProblem, diff_cap: int, s: Semiring) -> Any:

@@ -441,6 +441,12 @@ def cmd_align(args) -> tuple[dict, list | None]:
     b = read_sequence(args.second, tokens=args.tokens)
     name = "count" if args.count_paths else args.semiring
     s, base, tupled = resolve_semiring(name)
+    if base.name not in ("count", "bool"):  # those score with unit weights, not the costs
+        for flag, cost in (("--gap-cost", args.gap_cost), ("--mismatch-cost", args.mismatch_cost)):
+            product = base.mul(cost, base.zero)
+            if product != base.zero:
+                raise DataError(f"{flag} {cost} is outside the carrier of {base.name}: "
+                                f"times its zero {base.zero} it gives {product}, not zero")
     mismatch_cost = args.mismatch_cost
     gap_cost = args.gap_cost
 

@@ -11,8 +11,8 @@ without ever enumerating and filtering solutions.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from itertools import compress, islice
+from dataclasses import dataclass, field
+from itertools import chain, compress, islice
 from typing import Any, Callable
 
 from .semirings import Semiring
@@ -150,7 +150,9 @@ def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -
 
     mul(vec, (weight, key)) is edge_product(base, alg, vec, weight, key),
     the product with lift_edge(base, alg, weight, key); add is elementwise,
-    one ``base.add_rows``.
+    one ``base.add_rows``.  With ``subset_size_edge_product`` over a base
+    whose rows take float arrays (``base.array_rows``: min or max adds,
+    counted or not), the result is the block form, ``_GapShiftBlocks``.
     """
     add_rows = base.add_rows
 
@@ -158,8 +160,52 @@ def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -
         weight, key = edge
         return edge_product(base, alg, vec, weight, key)
 
-    return Semiring(f"{base.name}[{alg.name}]", lambda x, y: tuple(add_rows(x, y)), mul,
-                    lifted_zero(base, alg), lifted_one(base, alg))
+    name, add = f"{base.name}[{alg.name}]", lambda x, y: tuple(add_rows(x, y))
+    zero, one = lifted_zero(base, alg), lifted_one(base, alg)
+    if edge_product is subset_size_edge_product and base.array_rows:
+        def block_mul(vec, edge):  # a vector read out of a block is an array row: use its floats
+            return mul(vec.tolist() if hasattr(vec, "tolist") else vec, edge)
+
+        return _GapShiftBlocks(name, add, block_mul, zero, one, base=base)
+    return Semiring(name, add, mul, zero, one)
+
+
+@dataclass(frozen=True, repr=False)
+class _GapShiftBlocks(Semiring):
+    """Summed-gap lifting over a ``base`` with array rows, a row of cells as one block.
+
+    ``row`` holds a row of lifted vectors as one (cells, carrier size)
+    float array.  ``mul_rows`` of a block and a row of edges shifts each
+    cell's vector up by its edge's key and hands the entries that stay in
+    the carrier, as flat arrays, to one ``base.mul_rows``; ``add_rows``
+    of two blocks is one ``base.add_rows`` of the flattened blocks.  So
+    every entry is the scalar form's, made by the same base op, and a
+    counted base tallies the scalar form's ops.  Rows given as lists
+    (or iterators) of vectors get the scalar form's lists.
+    """
+
+    base: Semiring | None = field(default=None, compare=False)
+
+    def row(self, values):
+        import numpy as np
+        return np.array(values, dtype=float).reshape(-1, len(self.zero))
+
+    def add_rows(self, xs, ys):
+        if hasattr(xs, "shape"):
+            return self.base.add_rows(xs.ravel(), ys.ravel()).reshape(xs.shape)
+        return super().add_rows(xs, ys)
+
+    def mul_rows(self, xs, ys):
+        if not hasattr(xs, "shape"):
+            return super().mul_rows(xs, ys)
+        import numpy as np
+        edges = np.fromiter(chain.from_iterable(ys), float, 2 * len(ys)).reshape(-1, 2)
+        keys = edges[:, 1].astype(np.intp)
+        # (cell, m) for every carrier value m the shift keeps: m >= key
+        cells, ms = np.nonzero(np.arange(xs.shape[1]) >= keys[:, None])
+        out = np.full(xs.shape, self.base.zero)
+        out[cells, ms] = self.base.mul_rows(xs[cells, ms - keys[cells]], edges[cells, 0])
+        return out
 
 
 def project(base: Semiring, alg: ConstraintAlgebra, vec: LiftedVector):

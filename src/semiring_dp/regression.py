@@ -3,15 +3,14 @@
 Interval fit costs come from cumulative sums in O(1) per query after an
 O(N) build; the segmentation solvers combine them with a
 score-and-witness semiring so the optimal cost and its breakpoints come
-out of one forward pass.
+out of one forward pass.  numpy is imported by the functions that use it,
+so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .algorithms import (
     SegmentationProblem,
@@ -32,6 +31,7 @@ class TimeSeries:
     __slots__ = ("values",)
 
     def __init__(self, values):
+        import numpy as np
         arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a time series is a non-empty flat array of samples")
@@ -91,6 +91,7 @@ class SegmentCosts:
     """
 
     def __init__(self, ts: TimeSeries, model: SegmentCostModel):
+        import numpy as np
         y = ts.values
         n = np.arange(1, y.size + 1, dtype=float)
         zero = np.zeros(1)
@@ -116,6 +117,7 @@ class SegmentCosts:
 
     def _fit(self, i: int, j: int) -> np.ndarray:
         """Least-squares fitted values over [i, j] (1-based, inclusive)."""
+        import numpy as np
         y = self._y[i - 1 : j]
         if self.model.kind == "constant" or y.size == 1:
             return np.full(y.size, y.mean())
@@ -126,6 +128,7 @@ class SegmentCosts:
         return y.mean() + slope * xc
 
     def _direct_cost(self, i: int, j: int) -> float:
+        import numpy as np
         residuals = np.abs(self._y[i - 1 : j] - self._fit(i, j))
         p = self.model.error_exponent
         return float(np.sum(residuals**p)) / p
@@ -165,6 +168,7 @@ class SegmentCosts:
 
     def _weight_column(self, j: int) -> np.ndarray:
         """weight(i, j) for i = 1..j: ``cost``'s p=2 branch with i as an array."""
+        import numpy as np
         start = np.arange(j)  # i - 1
         length = j - start
         sy = self._sy[j] - self._sy[start]
@@ -247,6 +251,7 @@ def piecewise_values(
     ts: TimeSeries, model: SegmentCostModel, segments
 ) -> np.ndarray:
     """Fitted value at every sample for a given segment cover."""
+    import numpy as np
     costs = SegmentCosts(ts, model)
     out = np.empty(len(ts))
     for i, j in segments:

@@ -8,17 +8,23 @@ interface can be re-run with any catalog entry to count solutions,
 optimize, marginalize probabilities or enumerate, without touching the
 recurrence itself.
 
-A semiring also has four row operations: ``sum(values)`` and
+A semiring also has five row operations: ``sum(values)`` and
 ``dot(xs, ys)`` (the sum of pairwise products), each the left fold of
 ``add`` from ``zero``, and the elementwise ``add_rows(xs, ys)`` and
-``scale(xs, y)``, the lists ``[add(x, y) ...]`` and ``[mul(x, y) ...]``.
-Each counts one ``add`` per term and one ``mul`` per product, however it
-runs.  ``Semiring``'s methods compute them term by term; a subclass may
-override one with a faster method that returns exactly the same, as the
-min/max bases, the score-and-witness tupling over them and the op
-counter do.  ``prob``, ``softmax`` and ``count`` keep the fold: builtin
-float ``sum`` is compensated from Python 3.12 and numpy sums pairwise,
-so neither equals the left fold bit for bit.
+``mul_rows(xs, ys)``, the lists ``[add(x, y) ...]`` and
+``[mul(x, y) ...]`` over pairs of entries, and ``scale(xs, y)``, the
+list ``[mul(x, y) ...]`` for one ``y``.  Each counts one ``add`` per
+term and one ``mul`` per product, however it runs.  ``Semiring``'s
+methods compute them term by term; a subclass may override one with a
+faster method that returns exactly the same, as the min/max bases, the
+score-and-witness tupling over them and the op counter do.  ``prob``, ``softmax`` and ``count`` keep the fold:
+builtin float ``sum`` is compensated from Python 3.12 and numpy sums
+pairwise, so neither equals the left fold bit for bit.
+
+``row(values)`` makes the container a recurrence keeps a row of values
+in, a list by default.  The min/max bases' elementwise rows also take
+1-D float arrays (``array_rows``), entry for entry the builtin's result;
+numpy is imported only when an array arrives.
 """
 
 from __future__ import annotations
@@ -109,9 +115,20 @@ class Semiring:
             acc = add(acc, mul(x, y))
         return acc
 
+    # whether add_rows and mul_rows also take 1-D float arrays, and return one
+    array_rows = False
+
+    def row(self, values: Iterable[Any]) -> list:
+        """A row holding ``values``, as the row operations take and return it."""
+        return list(values)
+
     def add_rows(self, xs: Iterable[Any], ys: Iterable[Any]) -> list:
         """[add(x, y) for each pair of entries of two equal-length rows]."""
         return list(map(self.add, xs, ys))
+
+    def mul_rows(self, xs: Iterable[Any], ys: Iterable[Any]) -> list:
+        """[mul(x, y) for each pair of entries of two equal-length rows]."""
+        return list(map(self.mul, xs, ys))
 
     def scale(self, xs: Iterable[Any], y: Any) -> list:
         """[mul(x, y) for each entry x of the row]."""
@@ -152,14 +169,44 @@ class _Selective(Semiring):
 
     Its row sums are one ``add`` over the terms seeded with ``zero``: the
     builtin keeps its current value unless a later term beats it, which
-    is the left fold's rule, nan included.
+    is the left fold's rule, nan included.  ``add_rows`` and ``mul_rows``
+    of two 1-D float arrays give the array of the per-entry results.
     """
+
+    array_rows = True
 
     def sum(self, values):
         return self.add(chain((self.zero,), values))
 
     def _dot(self, xs, ys):
         return self.add(chain((self.zero,), map(self.mul, xs, ys)))
+
+    def add_rows(self, xs, ys):
+        if hasattr(xs, "shape"):
+            return _array_op(self.add, xs, ys)
+        return super().add_rows(xs, ys)
+
+    def mul_rows(self, xs, ys):
+        if hasattr(xs, "shape"):
+            return _array_op(self.mul, xs, ys)
+        return super().mul_rows(xs, ys)
+
+
+def _array_op(op, xs, ys):
+    """``op`` (min, max, + or *) entry by entry over two float arrays.
+
+    ``min(x, y)`` is ``y`` exactly when ``y < x``, else ``x``, and ``max``
+    likewise, so the ``where`` below gives the builtin's result on ties,
+    signed zeros and nan.  Python floats give ``inf - inf`` as nan
+    silently, and so do these arrays.
+    """
+    import numpy as np
+    with np.errstate(all="ignore"):
+        if op is min:
+            return np.where(ys < xs, ys, xs)
+        if op is max:
+            return np.where(ys > xs, ys, xs)
+        return op(xs, ys)
 
 
 def minplus_semiring() -> Semiring:
@@ -531,9 +578,18 @@ class _Counted(Semiring):
         counts.mul += len(xs)
         return self.inner.dot(xs, ys)
 
+    @property
+    def array_rows(self):
+        return self.inner.array_rows
+
     def add_rows(self, xs, ys) -> list:
         out = self.inner.add_rows(xs, ys)
         self.counts.add += len(out)
+        return out
+
+    def mul_rows(self, xs, ys) -> list:
+        out = self.inner.mul_rows(xs, ys)
+        self.counts.mul += len(out)
         return out
 
     def scale(self, xs, y) -> list:
@@ -548,8 +604,8 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     Complexity claims about the recurrences are statements about
     operation counts, not wall time; the counters make them testable.
     A row operation tallies what its fold would (one add per term, one
-    mul per pair of ``dot``; one add or mul per entry of ``add_rows`` or
-    ``scale``) in O(1) and then runs ``s``'s own.
+    mul per pair of ``dot``; one add or mul per entry of ``add_rows``,
+    ``mul_rows`` or ``scale``) in O(1) and then runs ``s``'s own.
     The wrapper is not thread-safe and is meant for measurement only.
     """
     counts = OpCounts()

@@ -768,6 +768,69 @@ def test_elementwise_rows_match_term_by_term_folds(s, grid):
             assert (rows_counts.add, rows_counts.mul) == (terms_counts.add, terms_counts.mul), name
 
 
+# --- summed-gap blocks ---------------------------------------------------------------
+
+BLOCK_BASES = ("minplus", "maxplus", "maxprod", "bottleneck")
+# signed zeros, finite values, infinities and nan: the cases where numpy's own
+# minimum / maximum and builtin min / max part ways
+SPECIAL_WEIGHTS = (-0.0, 0.0, 0.25, 1.0, 2.5, math.inf, -math.inf, math.nan)
+
+
+def test_summed_gap_lifting_takes_the_block_form_over_min_max_bases_only():
+    import numpy as np
+
+    alg = sd.subset_size_algebra(3)
+    bases = [*CATALOG.items(), ("viterbi-simple", sd.viterbi_simple_semiring(MINPLUS))]
+    for name, s in bases:
+        for base in (s, sd.instrumented(s)[0]):
+            lifted = lifting.edge_lifted_semiring(base, alg, lifting.subset_size_edge_product)
+            block = isinstance(lifted.row([lifted.zero, lifted.one]), np.ndarray)
+            assert block == (name in BLOCK_BASES), name
+    other = lifting.edge_lifted_semiring(MINPLUS, sd.max_count_algebra(3),
+                                         lifting.max_count_edge_product)
+    assert isinstance(other.row([other.zero]), list)
+
+
+def assert_same_fold(fold, reference, base, what):
+    """``fold`` and ``reference`` over counted copies of ``base``: equal reprs and op counts."""
+    rows, rows_counts = sd.instrumented(base)
+    terms, terms_counts = sd.instrumented(base)
+    got, want = fold(rows), reference(terms)
+    assert repr(got) == repr(want), what  # bit for bit: -0.0 and nan included
+    assert (rows_counts.add, rows_counts.mul) == (terms_counts.add, terms_counts.mul), what
+
+
+@pytest.mark.parametrize("name", BLOCK_BASES)
+def test_summed_gap_blocks_match_the_term_by_term_folds(name):
+    base = CATALOG[name]
+    rng = random.Random(89)
+    for rows in range(8):
+        for cols in range(8):
+            moves = {mv: rng.choice(SPECIAL_WEIGHTS)
+                     for mv in oracles.alignment_labels(rows, cols)}
+            p = sd.AlignmentProblem(rows, cols, lambda i, j: moves[i, j])
+            what = (rows, cols, moves)
+            assert_same_fold(lambda s: sd.nw_align(p, s),
+                             lambda s: reference_nw_align(p, s), base, what)
+            for cap in range(max(rows, cols) + 2):  # from 0 to past the largest gap
+                assert_same_fold(lambda s: sd.nw_align_sum_constrained(p, cap, s),
+                                 lambda s: reference_misalignment(p, "sum", cap, s),
+                                 base, (cap, *what))
+
+
+@pytest.mark.parametrize("name", BLOCK_BASES)
+def test_summed_gap_blocks_past_simd_widths(name):
+    # 61-cell diagonals of 21-entry vectors: every array spans many vector registers
+    base = CATALOG[name]
+    rng = random.Random(97)
+    finite = [rng.choice((0.25, 0.5, 1.0, 2.0)) for _ in range(8)]
+    moves = {mv: rng.choice(finite + [-0.0, 0.0, math.inf])
+             for mv in oracles.alignment_labels(60, 60)}
+    p = sd.AlignmentProblem(60, 60, lambda i, j: moves[i, j])
+    assert_same_fold(lambda s: sd.nw_align_sum_constrained(p, 20, s),
+                     lambda s: reference_misalignment(p, "sum", 20, s), base, name)
+
+
 def test_nw_align_reads_each_move_weight_once():
     for rows, cols in ((0, 0), (0, 3), (4, 0), (3, 5), (6, 6)):
         reads = collections.Counter()

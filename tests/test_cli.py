@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +306,34 @@ def test_bench_table(tmp_path):
     code, doc, _ = run_cli(tmp_path, "bench", "--op", "combinations", "--sizes", "8,16")
     assert code == 0
     assert [row[0] for row in doc["table"]] == [8, 16]
+
+
+def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
+    # only the segment costs and summed-gap alignments over min/max bases use numpy,
+    # whose import is most of the start-up of a cold run that needs none of it
+    values = write_column(tmp_path, "v.txt", [3.0, 1.0, 2.0, 5.0])
+    probs = write_column(tmp_path, "p.txt", [0.5, 0.25, 0.75])
+    (tmp_path / "a.txt").write_text("GATTA\n")
+    (tmp_path / "b.txt").write_text("GCTAC\n")
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    calls = [["lis", values, "--verify"], ["events", probs, "-M", "1", "--verify"],
+             ["events", probs, "-M", "1", "--mode", "viterbi"],
+             ["align", a, b, "--verify"], ["align", a, b, "--max-misalign", "1"],
+             ["align", a, b, "--sum-misalign", "2", "--semiring", "viterbi:minplus"],
+             ["align", a, b, "--sum-misalign", "2"]]
+    script = ("import json, sys\n"
+              "from semiring_dp.cli import main\n"
+              "print('numpy' in sys.modules)\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv + ['--out', sys.argv[2]]) == 0, argv\n"
+              "    print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls), str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the last call, a summed gap over minplus, takes the block route
+    assert proc.stdout.split() == ["False"] * len(calls) + ["True"]
 
 
 def test_usage_errors_exit_one():

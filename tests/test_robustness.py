@@ -231,13 +231,54 @@ def test_segment_cost_model_rejects_nan(field):
 
 @pytest.mark.parametrize("constraint", [[], ["--sum-misalign", "3"], ["--max-misalign", "2"]])
 def test_nan_fold_results_are_named(capsys, inputs, constraint):
-    # an infinite gap cost meets a zero-probability path: inf * 0.0 is nan
+    # an infinite gap cost would meet a zero-probability path (inf * 0.0 is nan);
+    # it is refused before the fold, as a cost outside the carrier of prob
     argv = ["align", str(inputs / "a.txt"), str(inputs / "b.txt"),
             "--semiring", "prob", "--gap-cost", "inf", *constraint]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert_one_data_error(err, "prob", "nan")
+    assert_one_data_error(err, "--gap-cost", "prob", "carrier")
+
+
+@pytest.mark.parametrize("constraint", [[], ["--sum-misalign", "3"], ["--max-misalign", "2"]])
+def test_overflowing_fold_results_are_named(capsys, inputs, constraint):
+    # finite costs whose products overflow to inf, which a match's weight 0.0 turns into nan
+    argv = ["align", str(inputs / "a.txt"), str(inputs / "b.txt"),
+            "--semiring", "prob", "--gap-cost", "1e300", *constraint]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "prob fold gave nan")
+
+
+# a cost c lies in a semiring's carrier when c times zero is zero, as every fold assumes
+OUTSIDE_CARRIER = [("prob", "inf"), ("minplus", "-inf"), ("maxplus", "inf"), ("maxprod", "inf"),
+                   ("softmax", "-inf"), ("bottleneck", "-0.5"), ("viterbi:bottleneck", "-0.5")]
+
+
+@pytest.mark.parametrize("flag", ["--gap-cost", "--mismatch-cost"])
+@pytest.mark.parametrize("name, cost", OUTSIDE_CARRIER, ids=[c[0] for c in OUTSIDE_CARRIER])
+def test_alignment_costs_outside_the_carrier_are_data_errors(capsys, inputs, name, cost, flag):
+    # the parent answered some of these (bottleneck with -0.5 gave -0.5) and met
+    # nan in others; the max-gap filter multiplies by zero, so it met nan more often
+    for constraint in ([], ["--max-misalign", "1"]):
+        argv = ["align", str(inputs / "a.txt"), str(inputs / "b.txt"), "--semiring", name,
+                f"{flag}={cost}", *constraint]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert_one_data_error(err, f"{flag} {float(cost)}", name.split(":")[-1], "carrier")
+
+
+@pytest.mark.parametrize("name", ["count", "bool"])
+def test_unit_weight_alignments_take_any_cost(capsys, inputs, name):
+    # count and bool score every move with their unit, so the costs are never read
+    argv = ["align", str(inputs / "a.txt"), str(inputs / "b.txt"), "--semiring", name,
+            "--gap-cost=-inf", "--mismatch-cost=inf", "--verify"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle_check"]["status"] == "pass"
 
 
 # --- conflicting constraint flags -------------------------------------------------

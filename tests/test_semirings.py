@@ -397,10 +397,13 @@ def test_elementwise_rows_are_their_per_entry_ops(name, s, sample):
         xs = [sample(rng) for _ in range(size)]
         ys = [sample(rng) for _ in range(size)]
         y = (rng.uniform(0, 3), rng.randint(0, 4)) if name == "edge-lifted" else sample(rng)
+        zs = [(rng.uniform(0, 3), rng.randint(0, 4)) for _ in xs] if name == "edge-lifted" else ys
         assert s.add_rows(xs, ys) == [s.add(a, b) for a, b in zip(xs, ys)], name
+        assert s.mul_rows(xs, zs) == [s.mul(a, b) for a, b in zip(xs, zs)], name
         assert s.scale(xs, y) == [s.mul(x, y) for x in xs], name
         # iterators in, lists out: the lifted edge products pass islice views
         assert s.add_rows(iter(xs), islice(ys, None)) == [s.add(a, b) for a, b in zip(xs, ys)]
+        assert s.mul_rows(iter(xs), islice(zs, None)) == [s.mul(a, b) for a, b in zip(xs, zs)]
         assert s.scale(islice(xs, 1, None), y) == [s.mul(x, y) for x in xs[1:]], name
 
 
@@ -414,9 +417,39 @@ def test_instrumented_tallies_each_entry_of_an_elementwise_row():
         assert (counts.add, counts.mul) == (4, 0), name
         assert counted.scale(islice(xs, 1, None), y) == s.scale(xs[1:], y), name
         assert (counts.add, counts.mul) == (4, 3), name
+        assert counted.mul_rows(xs[:2], [y, y]) == s.mul_rows(xs[:2], [y, y]), name
+        assert (counts.add, counts.mul) == (4, 5), name
         counted.add_rows([], [])
+        counted.mul_rows([], [])
         counted.scale([], y)
-        assert (counts.add, counts.mul) == (4, 3), name
+        assert (counts.add, counts.mul) == (4, 5), name
+
+
+@pytest.mark.parametrize("name", ["minplus", "maxplus", "maxprod", "bottleneck"])
+def test_selective_rows_of_float_arrays_are_the_builtin_per_entry_ops(name):
+    import numpy as np
+
+    s = CATALOG[name]
+    specials = (-0.0, 0.0, 0.5, 2.0, math.inf, -math.inf, math.nan)
+    xs, ys = zip(*((x, y) for x in specials for y in specials))
+    for op, rows in ((s.add, s.add_rows), (s.mul, s.mul_rows)):
+        got = rows(np.array(xs), np.array(ys))
+        assert isinstance(got, np.ndarray)
+        # repr tells -0.0 from 0.0: numpy's minimum / maximum would differ here
+        assert list(map(repr, got.tolist())) == [repr(op(x, y)) for x, y in zip(xs, ys)]
+    counted, counts = sd.instrumented(s)
+    counted.add_rows(np.array(xs), np.array(ys))
+    counted.mul_rows(np.array(xs[:5]), np.array(ys[:5]))
+    assert (counts.add, counts.mul) == (len(xs), 5)
+
+
+def test_only_the_min_max_bases_take_array_rows():
+    for name, s in CATALOG.items():
+        want = name in ("minplus", "maxplus", "maxprod", "bottleneck")
+        assert s.array_rows is want, name
+        assert sd.instrumented(s)[0].array_rows is want, name
+        assert s.row(iter([s.one, s.zero])) == [s.one, s.zero], name
+    assert sd.viterbi_simple_semiring(CATALOG["minplus"]).array_rows is False
 
 
 def test_dot_refuses_rows_of_unequal_length():
