@@ -11,11 +11,14 @@ Each equals the left fold of ``add`` from ``zero`` and counts one op
 per term, so the values and op counts are those of the term-by-term
 fold; semirings that can pick a row's winner in one scan (the min/max
 bases and score-and-witness tupling over them) do so inside those calls.
-Rows updated elementwise (``combinations``, ``events_m_of_n``, the
-anti-diagonals of ``nw_align`` and the lifted vectors of the constrained
-folds) go through ``s.add_rows(xs, ys)``, ``s.mul_rows(xs, ys)`` and
-``s.scale(xs, y)``, whose entries are the per-term ``add`` and ``mul``
-and which count one op per entry.
+Rows updated elementwise (``combinations``, ``events_m_of_n`` and the
+lifted vectors of the constrained folds) go through
+``s.add_rows(xs, ys)``, ``s.mul_rows(xs, ys)`` and ``s.scale(xs, y)``,
+whose entries are the per-term ``add`` and ``mul`` and which count one
+op per entry.  An anti-diagonal of ``nw_align`` is one
+``s.dot_rows(xss, yss)``, whose entries are the three-term sums of
+products of the cell recurrence, folded left from the first product; a
+score-and-witness semiring builds the one product that survives.
 
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
@@ -223,16 +226,17 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
     f[i][j] = f[i-1][j-1]*w(i,j) + f[i-1][j]*w(i,0) + f[i][j-1]*w(0,j),
     computed one anti-diagonal i + j = d at a time, from the two before
     it; O(rows * cols) operations.  A diagonal's cells with i, j >= 1
-    are ``add_rows(add_rows(mul_rows(diagonal, w), mul_rows(up, deletes)),
-    mul_rows(left, inserts))``, so every cell makes the ops of the
-    formula in its order, and its two cells on the table's edges are one
-    ``mul`` each.  The diagonals are kept in three rotating ``s.row``
+    are ``dot_rows((diagonal d-2, diagonal d-1, diagonal d-1 shifted by
+    one), (w(i, d-i), deletes, inserts reversed))``: per cell the sum of
+    the three products, added left to right, so every cell makes the ops
+    of the formula in its order.  Its two cells on the table's edges are
+    one ``mul`` each.  The diagonals are kept in three rotating ``s.row``
     buffers, which a semiring may hold as arrays.  Each move weight is
     read once: w(0, j) per column, w(i, 0) per row and w(i, j) per cell.
     """
     n, m = p.rows, p.cols
     w = p.weight
-    mul, add_rows, mul_rows = s.mul, s.add_rows, s.mul_rows
+    mul, dot_rows = s.mul, s.dot_rows
     inserts = [w(0, j) for j in range(1, m + 1)]
     deletes = [w(i, 0) for i in range(1, n + 1)]
     # f[i][d - i] sits at index i - max(0, d - m) of diagonal d's buffer
@@ -244,12 +248,12 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
         lo, lo1, lo2 = max(0, d - m), max(0, d - 1 - m), max(0, d - 2 - m)
         first, last = max(1, d - m), min(n, d - 1)  # the rows i of the cells off the edges
         if first <= last:
-            match = mul_rows(older[first - 1 - lo2 : last - lo2],
-                             [w(i, d - i) for i in range(first, last + 1)])
-            up = mul_rows(old[first - 1 - lo1 : last - lo1], deletes[first - 1 : last])
-            left = mul_rows(old[first - lo1 : last + 1 - lo1],
-                            inserts[d - last - 1 : d - first][::-1])
-            cur[first - lo : last + 1 - lo] = add_rows(add_rows(match, up), left)
+            cur[first - lo : last + 1 - lo] = dot_rows(
+                (older[first - 1 - lo2 : last - lo2], old[first - 1 - lo1 : last - lo1],
+                 old[first - lo1 : last + 1 - lo1]),
+                ([w(i, d - i) for i in range(first, last + 1)], deletes[first - 1 : last],
+                 inserts[d - last - 1 : d - first][::-1]),
+            )
         if d <= m:  # f[0][d]
             cur[0] = mul(old[0], inserts[d - 1])
         if d <= n:  # f[d][0]

@@ -2,7 +2,10 @@
 
 Each check draws random value triples and tests associativity,
 commutativity of add, both distributivity directions, identities and
-annihilation under the semiring's own equality predicate.
+annihilation under the semiring's own equality predicate.  Selectivity,
+``add(a, b)`` being ``a`` or ``b``, is checked on request: it is no
+semiring axiom, but the min/max bases have it, and witness tupling
+relies on it.
 """
 
 from __future__ import annotations
@@ -37,19 +40,30 @@ def law_failures(
     trials: int = 1000,
     seed: int = 0,
     limit: int = 25,
+    selective: bool = False,
 ) -> list[str]:
-    """Return descriptions of law violations found over random triples."""
+    """Return descriptions of law violations found over random triples.
+
+    With ``selective``, each triple also checks that ``add(a, b)`` equals
+    ``a`` or ``b`` under ``s.eq`` (law "add-selectivity").
+    """
     rng = random.Random(seed)
     failures: list[str] = []
     for _ in range(trials):
         a, b, c = sample(rng), sample(rng), sample(rng)
-        for name, got, want in _law_checks(s, a, b, c):
-            if not s.eq(got, want):
-                failures.append(
-                    f"{s.name} {name}: {got!r} != {want!r} for a={a!r} b={b!r} c={c!r}"
-                )
-                if len(failures) >= limit:
-                    return failures
+        found = [
+            f"{name}: {got!r} != {want!r}"
+            for name, got, want in _law_checks(s, a, b, c)
+            if not s.eq(got, want)
+        ]
+        if selective:
+            got = s.add(a, b)
+            if not (s.eq(got, a) or s.eq(got, b)):
+                found.append(f"add-selectivity: {got!r} is neither operand")
+        for failure in found:
+            failures.append(f"{s.name} {failure} for a={a!r} b={b!r} c={c!r}")
+            if len(failures) >= limit:
+                return failures
     return failures
 
 

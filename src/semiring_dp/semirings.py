@@ -8,13 +8,15 @@ interface can be re-run with any catalog entry to count solutions,
 optimize, marginalize probabilities or enumerate, without touching the
 recurrence itself.
 
-A semiring also has five row operations: ``sum(values)`` and
+A semiring also has six row operations: ``sum(values)`` and
 ``dot(xs, ys)`` (the sum of pairwise products), each the left fold of
 ``add`` from ``zero``, and the elementwise ``add_rows(xs, ys)`` and
 ``mul_rows(xs, ys)``, the lists ``[add(x, y) ...]`` and
-``[mul(x, y) ...]`` over pairs of entries, and ``scale(xs, y)``, the
-list ``[mul(x, y) ...]`` for one ``y``.  Each counts one ``add`` per
-term and one ``mul`` per product, however it runs.  ``Semiring``'s
+``[mul(x, y) ...]`` over pairs of entries, ``scale(xs, y)``, the
+list ``[mul(x, y) ...]`` for one ``y``, and ``dot_rows(xss, yss)``, the
+elementwise sum of the products of k row pairs, folded left from the
+first product.  Each counts one ``add`` per term and one ``mul`` per
+product, however it runs.  ``Semiring``'s
 methods compute them term by term; a subclass may override one with a
 faster method that returns exactly the same, as the min/max bases, the
 score-and-witness tupling over them and the op counter do.  ``prob``, ``softmax`` and ``count`` keep the fold:
@@ -59,9 +61,9 @@ def _near_tie(a, b) -> bool:
     """Within 1e-9 relative error, with no absolute floor.
 
     Score-and-witness semirings rank scores with this rather than
-    ``float_eq`` (``viterbi_simple_semiring`` inlines it), so live scores
-    below 1e-12 (long products of probabilities, say) still rank against
-    each other and against zero.
+    ``float_eq`` (``viterbi_simple_semiring`` through ``_keeps_left``),
+    so live scores below 1e-12 (long products of probabilities, say)
+    still rank against each other and against zero.
     """
     return a == b or math.isclose(a, b, rel_tol=FLOAT_REL_TOL)
 
@@ -133,6 +135,21 @@ class Semiring:
     def scale(self, xs: Iterable[Any], y: Any) -> list:
         """[mul(x, y) for each entry x of the row]."""
         return list(map(self.mul, xs, repeat(y)))
+
+    def dot_rows(self, xss: Sequence[Iterable[Any]], yss: Sequence[Iterable[Any]]) -> list:
+        """add(...add(mul(x1, y1), mul(x2, y2))..., mul(xk, yk)) per entry of k >= 1 row pairs.
+
+        The left fold of ``add_rows`` over the ``mul_rows`` of each pair,
+        from the first product, not from ``zero``: k muls and k - 1 adds
+        per entry.  Each product row is added in as soon as it is made.
+        """
+        products = map(self.mul_rows, xss, yss)
+        acc = next(products, None)
+        if acc is None:
+            raise ValueError("dot_rows of no rows")
+        for row in products:
+            acc = self.add_rows(acc, row)
+        return acc
 
     def prod(self, values: Iterable[Any]) -> Any:
         acc = self.one
@@ -457,6 +474,18 @@ def viterbi_semiring(base: Semiring) -> Semiring:
     return Semiring(f"viterbi[{base.name}]", add, mul, zero, one, eq)
 
 
+def _keeps_left(base_add, left, right) -> bool:
+    """Whether a witness ``add`` keeps its left operand, given the two scores.
+
+    It does when ``base_add`` of the scores is the left score or within
+    1e-9 relative of it (``_near_tie(base_add(left, right), left)``), so
+    the left operand wins exact ties and near-ties; a nan score goes
+    wherever ``base_add`` puts it.
+    """
+    best = base_add(left, right)
+    return best == left or math.isclose(best, left, rel_tol=FLOAT_REL_TOL)
+
+
 def viterbi_simple_semiring(base: Semiring) -> Semiring:
     """Tuple ``base`` scores with a single witness label sequence.
 
@@ -488,15 +517,9 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     zero = Scored(base_zero, ())
     one = Scored(base.one, ())
     new = tuple.__new__
-    isclose = math.isclose
 
     def add(a, b):
-        # the left operand wins near-ties, as in _near_tie(base.add(...), a.score)
-        left = a[0]
-        best = base_add(left, b[0])
-        if best == left or isclose(best, left, rel_tol=FLOAT_REL_TOL):
-            return a
-        return b
+        return a if _keeps_left(base_add, a[0], b[0]) else b
 
     def mul(a, b):
         score = base_mul(a[0], b[0])
@@ -525,9 +548,27 @@ class _PickedWitness(Semiring):
 
     A row's winner is picked with ``_selection`` and one product is built
     for it; rows the selection cannot settle are folded term by term.
+    ``dot_rows`` walks each entry's k product scores with ``add``'s own
+    rule and builds the product of the surviving term only.
     """
 
     base: Semiring | None = field(default=None, compare=False)
+
+    def dot_rows(self, xss, yss):
+        xss = [xs if isinstance(xs, list) else list(xs) for xs in xss]
+        yss = [ys if isinstance(ys, list) else list(ys) for ys in yss]
+        if not xss:
+            raise ValueError("dot_rows of no rows")
+        base_add, base_mul, mul = self.base.add, self.base.mul, self.mul
+        # per entry: the score the fold holds so far and the pair it came from
+        best = list(map(base_mul, map(_score, xss[0]), map(_score, yss[0])))
+        kept = [0] * len(best)
+        for t in range(1, len(xss)):
+            scores = list(map(base_mul, map(_score, xss[t]), map(_score, yss[t])))
+            keep = list(map(_keeps_left, repeat(base_add), best, scores))
+            kept = [k if left else t for left, k in zip(keep, kept)]
+            best = [b if left else s for left, b, s in zip(keep, best, scores)]
+        return [mul(xss[k][c], yss[k][c]) for c, k in enumerate(kept)]
 
     def sum(self, values):
         values = values if isinstance(values, list) else list(values)
@@ -597,6 +638,14 @@ class _Counted(Semiring):
         self.counts.mul += len(out)
         return out
 
+    def dot_rows(self, xss, yss) -> list:
+        xss = xss if isinstance(xss, (list, tuple)) else list(xss)
+        out = self.inner.dot_rows(xss, yss)
+        k = len(xss)
+        self.counts.mul += k * len(out)
+        self.counts.add += (k - 1) * len(out)
+        return out
+
 
 def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     """Wrap ``s`` so every add/mul call is tallied.
@@ -605,7 +654,8 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     operation counts, not wall time; the counters make them testable.
     A row operation tallies what its fold would (one add per term, one
     mul per pair of ``dot``; one add or mul per entry of ``add_rows``,
-    ``mul_rows`` or ``scale``) in O(1) and then runs ``s``'s own.
+    ``mul_rows`` or ``scale``; k muls and k - 1 adds per entry of a
+    ``dot_rows`` of k row pairs) in O(1) and then runs ``s``'s own.
     The wrapper is not thread-safe and is meant for measurement only.
     """
     counts = OpCounts()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import semiring_dp as sd
-from semiring_dp import algorithms, lifting
+from semiring_dp import algorithms, lifting, semirings
 import oracles
 
 CATALOG = sd.standard_semirings()
@@ -854,6 +854,55 @@ def test_combinations_reads_each_item_weight_once():
 
         assert sd.combinations(n, k, COUNT, weight) == math.comb(n, k)
         assert reads == collections.Counter(range(1, n + 1))
+
+
+# --- witness alignments: one product per cell -------------------------------------------
+
+# ties, near-ties (within 1e-9 relative), signed zeros, infinities and nan
+TIE_HEAVY_SCORES = SPECIAL_WEIGHTS + (1.0 + 5e-10, 1.0 - 1.2e-9, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("name", semirings.SELECTIVE_SEMIRINGS)
+def test_witness_alignments_are_the_term_by_term_fold_on_tie_heavy_moves(name):
+    base = CATALOG[name]
+    grid = (False, True) if name == "bool" else TIE_HEAVY_SCORES + (base.zero, base.one)
+    vit = sd.viterbi_simple_semiring(base)
+    rng = random.Random(101)
+    for rows in range(7):
+        for cols in range(7):
+            moves = {mv: sd.Scored(rng.choice(grid), (mv,))
+                     for mv in oracles.alignment_labels(rows, cols)}
+            p = sd.AlignmentProblem(rows, cols, lambda i, j: moves[i, j])
+            cap = rng.randint(0, max(rows, cols))
+            # repr spells the score bit for bit and the witness out
+            assert_same_fold(lambda s: sd.nw_align(p, s),
+                             lambda s: reference_nw_align(p, term_by_term(s)), vit, moves)
+            assert_same_fold(lambda s: sd.nw_align_max_constrained(p, cap, s),
+                             lambda s: reference_nw_align(
+                                 filtered_moves(p, cap, s.zero), term_by_term(s)),
+                             vit, (cap, moves))
+
+
+def test_witness_alignment_builds_one_product_per_cell(monkeypatch):
+    # a witness product of two non-empty trails makes one join; the term-by-term
+    # fold made three per interior cell and kept one
+    joins = []
+
+    class CountedJoin(semirings._Join):
+        __slots__ = ()
+
+        def __init__(self, left, right):
+            joins.append(1)
+            super().__init__(left, right)
+
+    monkeypatch.setattr(semirings, "_Join", CountedJoin)
+    rng = random.Random(103)
+    n = 30
+    moves = {mv: rng.choice((0.0, 1.0, 1.0, 2.0)) for mv in oracles.alignment_labels(n, n)}
+    p = sd.AlignmentProblem(n, n, lambda i, j: sd.Scored(moves[i, j], ((i, j),)))
+    got = sd.nw_align(p, sd.viterbi_simple_semiring(MINPLUS))
+    assert len(joins) <= n * n + 2 * n  # one per interior cell, one per edge cell
+    assert got.witness == reference_nw_align(p, concatenating_viterbi(MINPLUS)).witness
 
 
 # --- quotient constraint algebras ------------------------------------------------------

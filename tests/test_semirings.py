@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import math
 import operator
 import random
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
 import semiring_dp as sd
 from semiring_dp import lifting
+from semiring_dp.semirings import SELECTIVE_SEMIRINGS
 from semiring_dp.laws import (
+    bool_values,
     catalog_samplers,
     int_values,
     law_failures,
@@ -483,3 +486,185 @@ def test_witness_rows_keep_a_zero_that_the_winner_nearly_ties():
     vit = sd.viterbi_simple_semiring(capped)
     row = [sd.Scored(x, (k,)) for k, x in enumerate([6.0, 5.0 * (1 - 5e-10)])]
     assert vit.sum(row) == left_sum(vit, row) == vit.zero
+
+
+# --- fused row sums of products ------------------------------------------------------
+
+# ties, near-ties (within 1e-9 relative of 1.0), signed zeros, infinities and nan
+FLOAT_SPECIALS = (-0.0, 0.0, 0.5, 1.0, 1.0 + 5e-10, 1.0 - 1.2e-9, 2.0, math.inf, -math.inf, math.nan)
+
+
+def reference_dot_rows(s, xss, yss):
+    """What ``dot_rows`` fuses: ``add_rows`` folded over the ``mul_rows`` of each pair."""
+    return functools.reduce(s.add_rows, map(s.mul_rows, xss, yss))
+
+
+def tie_heavy(base):
+    """A sampler of ``base`` values, mostly from a small grid of special scores."""
+    if base.zero is False:
+        return bool_values()
+    grid = FLOAT_SPECIALS + (base.zero, base.one, base.zero, base.one)
+    return lambda rng: rng.choice(grid)
+
+
+def witnesses(score_sample):
+    """Scored values whose witnesses are empty or one label never drawn before."""
+    labels = count()
+    return lambda rng: sd.Scored(score_sample(rng), () if rng.random() < 0.2 else (next(labels),))
+
+
+def either(first, second):
+    """A sampler drawing from ``first`` or ``second`` with even odds."""
+    return lambda rng: (first if rng.random() < 0.5 else second)(rng)
+
+
+def dot_rows_cases():
+    """(name, semiring, left sampler, right sampler) for every kind of semiring."""
+    floats = ("prob", "minplus", "maxplus", "maxprod", "softmax", "bottleneck")
+    cases = []
+    for name, s in CATALOG.items():
+        sample = catalog_samplers()[name]
+        if name in floats:  # half the draws from the specials
+            sample = either(sample, tie_heavy(s))
+        cases.append((name, s, sample, sample))
+    capped = sd.Semiring("capped", min, operator.add, 5.0, 0.0)  # a min base outside the catalog
+    for name in (*SELECTIVE_SEMIRINGS, "capped"):
+        base = capped if name == "capped" else CATALOG[name]
+        sample = witnesses(tie_heavy(base))
+        cases.append((f"viterbi-simple[{name}]", sd.viterbi_simple_semiring(base), sample, sample))
+    paths = lambda rng: sd.PathSet([tuple(rng.choice("xy") for _ in range(rng.randint(0, 2)))
+                                    for _ in range(rng.randint(0, 2))])
+    alg = sd.subset_size_algebra(3)
+    edge_lifted = lifting.edge_lifted_semiring(
+        CATALOG["minplus"], alg, lifting.subset_size_edge_product
+    )
+    vectors = lifted_values(tie_heavy(CATALOG["minplus"]), alg.size)
+    cases += [
+        ("paths", sd.generator_semiring(), paths, paths),
+        ("lifted", sd.lifted_semiring(CATALOG["count"], alg),
+         lifted_values(catalog_samplers()["count"], alg.size),
+         lifted_values(catalog_samplers()["count"], alg.size)),
+        # its mul takes a lifted edge (weight, key) on the right
+        ("edge-lifted", edge_lifted, vectors,
+         lambda rng: (rng.choice(FLOAT_SPECIALS), rng.randint(0, 4))),
+    ]
+    return cases
+
+
+DOT_ROWS = dot_rows_cases()
+
+
+@pytest.mark.parametrize("name, s, left, right", DOT_ROWS, ids=[case[0] for case in DOT_ROWS])
+def test_dot_rows_is_the_fold_of_its_product_rows(name, s, left, right):
+    rng = random.Random(53)
+    for k in (1, 2, 3):
+        for size in (0, 1, 2, 7, 40):
+            for _ in range(4):
+                xss = [[left(rng) for _ in range(size)] for _ in range(k)]
+                yss = [[right(rng) for _ in range(size)] for _ in range(k)]
+                counted, counts = sd.instrumented(s)
+                folded, folded_counts = sd.instrumented(s)
+                want = repr(reference_dot_rows(folded, xss, yss))
+                # repr tells -0.0 from 0.0 and spells a witness out
+                assert repr(counted.dot_rows(xss, yss)) == want, (name, xss, yss)
+                assert (counts.add, counts.mul) == (folded_counts.add, folded_counts.mul)
+                assert (counts.add, counts.mul) == ((k - 1) * size, k * size), name
+                assert repr(s.dot_rows(xss, yss)) == want, name
+                # iterators in, a list out
+                got = s.dot_rows((iter(xs) for xs in xss), map(iter, yss))
+                assert type(got) is list and repr(got) == want, name
+                assert repr(counted.dot_rows(iter(xss), yss)) == want, name
+
+
+def test_dot_rows_refuses_no_rows():
+    for s in (CATALOG["count"], sd.instrumented(CATALOG["minplus"])[0],
+              sd.viterbi_simple_semiring(CATALOG["minplus"])):
+        with pytest.raises(ValueError, match="no rows"):
+            s.dot_rows([], [])
+
+
+def test_witness_dot_rows_build_the_surviving_product_only():
+    vit = sd.viterbi_simple_semiring(CATALOG["minplus"])
+    made = []
+    picked = dataclasses.replace(vit, mul=lambda a, b: made.append((a, b)) or vit.mul(a, b))
+    def row(*terms):
+        return [sd.Scored(score, (label,)) for score, label in terms]
+
+    xss = [row((1.0, "a"), (2.0, "b"), (math.inf, "c")),
+           row((1.0 - 5e-10, "d"), (1.0, "e"), (math.inf, "f")),
+           row((2.0, "g"), (1.0, "h"), (math.inf, "i"))]
+    ys = row((0.0, "y"), (0.0, "y"), (0.0, "y"))
+    # a near-tie and an exact tie keep the left term; inf + 0 is zero's score
+    got = picked.dot_rows(xss, [ys, ys, ys])
+    assert [g.witness for g in got] == [("a", "y"), ("e", "y"), ()]
+    assert got[2] is vit.zero
+    assert len(made) == 3
+    assert repr(got) == repr(reference_dot_rows(vit, xss, [ys, ys, ys]))
+
+
+@pytest.mark.parametrize("name", ONE_SCAN_BASES)
+def test_dot_rows_of_arrays_and_blocks_is_the_fold_of_their_product_rows(name):
+    import numpy as np
+
+    base = CATALOG[name]
+    rng = random.Random(59)
+    sample = tie_heavy(base)
+    alg = sd.subset_size_algebra(3)
+    for k in (1, 2, 3):
+        for size in (0, 1, 9):
+            xss = [np.array([sample(rng) for _ in range(size)]) for _ in range(k)]
+            yss = [np.array([sample(rng) for _ in range(size)]) for _ in range(k)]
+            counted, counts = sd.instrumented(base)
+            folded, folded_counts = sd.instrumented(base)
+            got = counted.dot_rows(xss, yss)
+            assert isinstance(got, np.ndarray)
+            assert repr(got.tolist()) == repr(reference_dot_rows(folded, xss, yss).tolist())
+            assert (counts.add, counts.mul) == (folded_counts.add, folded_counts.mul)
+            assert (counts.add, counts.mul) == ((k - 1) * size, k * size)
+            # summed-gap lifting over the counted base: rows of cells as blocks
+            vectors = [[tuple(sample(rng) for _ in range(alg.size)) for _ in range(size)]
+                       for _ in range(k)]
+            edges = [[(sample(rng), rng.randint(0, 4)) for _ in range(size)] for _ in range(k)]
+            counted, counts = sd.instrumented(base)
+            folded, folded_counts = sd.instrumented(base)
+            lifted, lifted_fold = (
+                lifting.edge_lifted_semiring(b, alg, lifting.subset_size_edge_product)
+                for b in (counted, folded)
+            )
+            blocks = [lifted.row(vs) for vs in vectors]
+            got = lifted.dot_rows(blocks, edges)
+            assert isinstance(got, np.ndarray) and got.shape == (size, alg.size)
+            want = reference_dot_rows(lifted_fold, [lifted_fold.row(vs) for vs in vectors], edges)
+            assert repr(got.tolist()) == repr(want.tolist())
+            assert (counts.add, counts.mul) == (folded_counts.add, folded_counts.mul)
+            # the same vectors as list rows give the same entries
+            listed = lifted_fold.dot_rows(vectors, edges)
+            assert repr(got.tolist()) == repr([list(v) for v in listed])
+
+
+# --- selectivity ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", SELECTIVE_SEMIRINGS)
+def test_selective_catalog_entries_keep_one_operand(name):
+    sample = catalog_samplers()[name]
+    assert law_failures(CATALOG[name], sample, trials=300, seed=11, selective=True) == []
+
+
+@pytest.mark.parametrize("name", ["prob", "count", "softmax"])
+def test_summing_catalog_entries_fail_selectivity_only_when_asked(name):
+    s, sample = CATALOG[name], catalog_samplers()[name]
+    assert law_failures(s, sample, trials=300, seed=11) == []
+    failures = law_failures(s, sample, trials=300, seed=11, selective=True)
+    assert _broken_laws(failures) == {"add-selectivity"}
+    assert "is neither operand" in failures[0]
+
+
+def test_witness_tupling_is_selective_only_with_a_single_witness():
+    maxplus = CATALOG["maxplus"]
+    vit = sd.viterbi_simple_semiring(maxplus)
+    assert law_failures(vit, scored_sequences(), trials=300, seed=9, selective=True) == []
+    # tied scores merge their witness sets: neither operand
+    sets = law_failures(sd.viterbi_semiring(maxplus), scored_sets(), trials=300, seed=7,
+                        selective=True)
+    assert _broken_laws(sets) == {"add-selectivity"}
