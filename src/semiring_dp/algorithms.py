@@ -6,19 +6,20 @@ Indices in the public interfaces are 1-based (weight maps receive
 1-based positions); internal tables are 0-based.
 
 Row-shaped recurrences take each sum of products through the
-semiring's row operations, ``s.dot(xs, ys)`` and ``s.sum(values)``.
-Each equals the left fold of ``add`` from ``zero`` and counts one op
-per term, so the values and op counts are those of the term-by-term
-fold; semirings that can pick a row's winner in one scan (the min/max
-bases and score-and-witness tupling over them) do so inside those calls.
-Rows updated elementwise (``combinations``, ``events_m_of_n`` and the
-lifted vectors of the constrained folds) go through
-``s.add_rows(xs, ys)``, ``s.mul_rows(xs, ys)`` and ``s.scale(xs, y)``,
-whose entries are the per-term ``add`` and ``mul`` and which count one
-op per entry.  An anti-diagonal of ``nw_align`` is one
-``s.dot_rows(xss, yss)``, whose entries are the three-term sums of
-products of the cell recurrence, folded left from the first product; a
-score-and-witness semiring builds the one product that survives.
+semiring's row operations, ``s.sum(values)`` and ``s.dot(xs, ys)``, the
+``sum`` of the products.  Each equals the left fold of ``add`` from
+``zero`` and counts one op per term, so the values and op counts are
+those of the term-by-term fold; semirings that can pick a row's winner
+in one scan (the min/max bases and score-and-witness tupling over them)
+do so inside those calls.  Rows updated elementwise (``combinations``,
+``events_m_of_n`` and the lifted vectors of the constrained folds) go
+through ``s.add_rows(xs, ys)`` and ``s.mul_rows(xs, ys)``, whose entries
+are the per-term ``add`` and ``mul`` and which count one op per entry; a
+row times one weight ``y`` is ``s.mul_rows(xs, repeat(y))``.  An
+anti-diagonal of ``nw_align`` is one ``s.dot_rows(xss, yss)``, whose
+entries are the three-term sums of products of the cell recurrence,
+folded left from the first product; a score-and-witness semiring builds
+the one product that survives.
 
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
@@ -115,9 +116,9 @@ def combinations(n: int, k: int, s: Semiring, w: Weight) -> Any:
     """Value over all subsequences of exactly k of n items, O(n*k) operations.
 
     Row update: f[m] = f[m] + f[m-1] * w(item), one ``add_rows`` of the
-    row with its shifted ``scale`` per item, so w(item) is read once per
-    item.  k > n yields zero (no such subsequences), reported as an
-    ordinary value.
+    row with its shifted ``mul_rows`` by ``repeat(w(item))`` per item, so
+    w(item) is read once per item.  k > n yields zero (no such
+    subsequences), reported as an ordinary value.
     """
     if n < 0 or k < 0:
         raise ValueError("sizes must be non-negative")
@@ -126,7 +127,7 @@ def combinations(n: int, k: int, s: Semiring, w: Weight) -> Any:
     row = [s.one] + [s.zero] * k
     for item in range(1, n + 1):
         top = min(item, k)
-        row[1 : top + 1] = s.add_rows(row[1 : top + 1], s.scale(row[:top], w(item)))
+        row[1 : top + 1] = s.add_rows(row[1 : top + 1], s.mul_rows(row[:top], repeat(w(item))))
     return row[k]
 
 
@@ -225,40 +226,38 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
 
     f[i][j] = f[i-1][j-1]*w(i,j) + f[i-1][j]*w(i,0) + f[i][j-1]*w(0,j),
     computed one anti-diagonal i + j = d at a time, from the two before
-    it; O(rows * cols) operations.  A diagonal's cells with i, j >= 1
-    are ``dot_rows((diagonal d-2, diagonal d-1, diagonal d-1 shifted by
-    one), (w(i, d-i), deletes, inserts reversed))``: per cell the sum of
-    the three products, added left to right, so every cell makes the ops
-    of the formula in its order.  Its two cells on the table's edges are
-    one ``mul`` each.  The diagonals are kept in three rotating ``s.row``
-    buffers, which a semiring may hold as arrays.  Each move weight is
-    read once: w(0, j) per column, w(i, 0) per row and w(i, j) per cell.
+    it; O(rows * cols) operations.  Diagonal d holds f[i][d-i] at index
+    i of an (rows + 1)-entry ``s.row`` buffer, which a semiring may hold
+    as an array; two buffers take turns, diagonal d written over
+    diagonal d-2 once its slices are read.  A diagonal's cells with
+    i, j >= 1 are ``dot_rows((diagonal d-2, diagonal d-1, diagonal d-1
+    shifted by one), (w(i, d-i), deletes, inserts reversed))``: per cell
+    the sum of the three products, added left to right, so every cell
+    makes the ops of the formula in its order.  Its two cells on the
+    table's edges are one ``mul`` each.  Each move weight is read once:
+    w(0, j) per column, w(i, 0) per row and w(i, j) per cell.
     """
     n, m = p.rows, p.cols
     w = p.weight
     mul, dot_rows = s.mul, s.dot_rows
     inserts = [w(0, j) for j in range(1, m + 1)]
     deletes = [w(i, 0) for i in range(1, n + 1)]
-    # f[i][d - i] sits at index i - max(0, d - m) of diagonal d's buffer
-    width = min(n, m) + 1
-    older, old, cur = (s.row([s.zero] * width) for _ in range(3))
+    old, cur = (s.row([s.zero] * (n + 1)) for _ in range(2))
     cur[0] = s.one
     for d in range(1, n + m + 1):
-        older, old, cur = old, cur, older
-        lo, lo1, lo2 = max(0, d - m), max(0, d - 1 - m), max(0, d - 2 - m)
+        old, cur = cur, old  # cur holds diagonal d-2 until diagonal d is written over it
         first, last = max(1, d - m), min(n, d - 1)  # the rows i of the cells off the edges
         if first <= last:
-            cur[first - lo : last + 1 - lo] = dot_rows(
-                (older[first - 1 - lo2 : last - lo2], old[first - 1 - lo1 : last - lo1],
-                 old[first - lo1 : last + 1 - lo1]),
+            cur[first : last + 1] = dot_rows(
+                (cur[first - 1 : last], old[first - 1 : last], old[first : last + 1]),
                 ([w(i, d - i) for i in range(first, last + 1)], deletes[first - 1 : last],
                  inserts[d - last - 1 : d - first][::-1]),
             )
         if d <= m:  # f[0][d]
             cur[0] = mul(old[0], inserts[d - 1])
         if d <= n:  # f[d][0]
-            cur[d - lo] = mul(old[d - 1 - lo1], deletes[d - 1])
-    return cur[0]
+            cur[d] = mul(old[d - 1], deletes[d - 1])
+    return cur[n]
 
 
 def delannoy(n: int, m: int) -> int:
@@ -332,10 +331,11 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
 
     ``pairs[k] = (absent, present)`` are the two branch weights of event
     k+1; the row update is f[m] = f[m]*absent + f[m-1]*present, one
-    ``add_rows`` of two ``scale``s per event, O(N*M) operations with one
-    rolling row.  With probability weights
-    (1 - p, p) this is the exact Poisson-binomial point mass.  Asking
-    for more occurrences than events yields zero.
+    ``add_rows`` of two ``mul_rows`` by ``repeat(absent)`` and
+    ``repeat(present)`` per event, O(N*M) operations with one rolling
+    row.  With probability weights (1 - p, p) this is the exact
+    Poisson-binomial point mass.  Asking for more occurrences than
+    events yields zero.
     """
     n = len(pairs)
     if occurrences < 0:
@@ -346,7 +346,7 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
     for seen, (absent, present) in enumerate(pairs, start=1):
         top = min(seen, occurrences)
         row[1 : top + 1] = s.add_rows(
-            s.scale(row[1 : top + 1], absent), s.scale(row[:top], present)
+            s.mul_rows(row[1 : top + 1], repeat(absent)), s.mul_rows(row[:top], repeat(present))
         )
         row[0] = s.mul(row[0], absent)
     return row[occurrences]

@@ -223,22 +223,20 @@ def resolve_semiring(name: str) -> tuple[Semiring, Semiring, bool]:
     )
 
 
-def _scalar_weight(base: Semiring, cost):
-    """Label -> ``cost``, or unit weights where the semiring grades structure, not cost."""
-    return (lambda e: base.one) if base.name in ("count", "bool") else cost
+def _weights(base: Semiring, cost, tupled: bool):
+    """(The fold's weight map over (i, j), the oracle's weight of a label (i, j)).
 
-
-def _labelled(scalar, tupled: bool):
-    """Weight map (i, j) -> scalar((i, j)), tupled with its label when witnesses are kept."""
+    Both score with ``cost(i, j)``, or with unit weights where the semiring
+    grades structure, not cost; the fold's is tupled with its label when
+    witnesses are kept.
+    """
+    if base.name in ("count", "bool"):
+        cost = lambda i, j: base.one
+    scalar = lambda label: cost(*label)
     if not tupled:
-        return lambda i, j: scalar((i, j))
+        return cost, scalar
     new = tuple.__new__
-
-    def weight(i, j):
-        label = (i, j)
-        return new(Scored, (scalar(label), (label,)))
-
-    return weight
+    return (lambda i, j: new(Scored, (cost(i, j), ((i, j),)))), scalar
 
 
 # --- oracle checks -----------------------------------------------------------
@@ -390,8 +388,9 @@ def cmd_segment(args) -> tuple[dict, list | None]:
         raise DataError(str(exc)) from None
     n = len(ts)
     s, base, tupled = resolve_semiring(args.semiring)
-    scalar_weight = _scalar_weight(base, lambda e: costs.weight(e[0], e[1]))
-    problem = SegmentationProblem(n, _labelled(scalar_weight, tupled))
+    # costs.weight is read at each call, so a replacement on the instance is seen
+    weight, scalar_weight = _weights(base, lambda i, j: costs.weight(i, j), tupled)
+    problem = SegmentationProblem(n, weight)
 
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: segment_opt(p, counted)
@@ -450,13 +449,12 @@ def cmd_align(args) -> tuple[dict, list | None]:
     mismatch_cost = args.mismatch_cost
     gap_cost = args.gap_cost
 
-    def edit_cost(e):
-        i, j = e
+    def edit_cost(i, j):
         if i and j:
             return 0.0 if a[i - 1] == b[j - 1] else mismatch_cost
         return gap_cost
 
-    scalar_weight = _scalar_weight(base, edit_cost)
+    weight, scalar_weight = _weights(base, edit_cost, tupled)
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: nw_align(p, counted)
     if args.sum_misalign is not None:
@@ -470,10 +468,11 @@ def cmd_align(args) -> tuple[dict, list | None]:
         if cap > max(len(a), len(b)):
             raise DataError(f"--max-misalign {cap} out of range")
         constraint = {"kind": "max", "cap": cap}
-        run = lambda p, counted: nw_align_max_constrained(p, cap, counted)
+        # a cap of max(rows, cols) admits every move: a sweep prefix below the cap runs at that
+        run = lambda p, counted: nw_align_max_constrained(p, min(cap, max(p.rows, p.cols)), counted)
         alg = algorithms.misalignment_algebra("max", cap)
 
-    problem = AlignmentProblem(len(a), len(b), _labelled(scalar_weight, tupled))
+    problem = AlignmentProblem(len(a), len(b), weight)
     sweep_rows = None
     if args.sweep:
         sizes = _parse_sizes(args.sweep)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from typing import Any, Callable
 
 from .semirings import Semiring
@@ -443,7 +443,7 @@ def subset_size_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     if key >= size:
         return (base.zero,) * size
     out = [base.zero] * key
-    out.extend(base.scale(islice(vec, size - key), weight))
+    out.extend(base.mul_rows(islice(vec, size - key), repeat(weight)))
     return tuple(out)
 
 
@@ -456,7 +456,7 @@ def max_count_edge_product(base, alg, vec, weight, key) -> LiftedVector:
         return (base.zero,) * size
     out = [base.zero] * key
     out.append(base.mul(base.sum(islice(vec, key + 1)), weight))
-    out.extend(base.scale(islice(vec, key + 1, None), weight))
+    out.extend(base.mul_rows(islice(vec, key + 1, None), repeat(weight)))
     return tuple(out)
 
 

@@ -8,20 +8,20 @@ interface can be re-run with any catalog entry to count solutions,
 optimize, marginalize probabilities or enumerate, without touching the
 recurrence itself.
 
-A semiring also has six row operations: ``sum(values)`` and
-``dot(xs, ys)`` (the sum of pairwise products), each the left fold of
-``add`` from ``zero``, and the elementwise ``add_rows(xs, ys)`` and
+A semiring also has five row operations: ``sum(values)``, the left
+fold of ``add`` from ``zero``, and ``dot(xs, ys)``, the ``sum`` of the
+pairwise products; the elementwise ``add_rows(xs, ys)`` and
 ``mul_rows(xs, ys)``, the lists ``[add(x, y) ...]`` and
-``[mul(x, y) ...]`` over pairs of entries, ``scale(xs, y)``, the
-list ``[mul(x, y) ...]`` for one ``y``, and ``dot_rows(xss, yss)``, the
+``[mul(x, y) ...]`` over pairs of entries (``mul_rows(xs, repeat(y))``
+multiplies every entry by one ``y``); and ``dot_rows(xss, yss)``, the
 elementwise sum of the products of k row pairs, folded left from the
 first product.  Each counts one ``add`` per term and one ``mul`` per
-product, however it runs.  ``Semiring``'s
-methods compute them term by term; a subclass may override one with a
-faster method that returns exactly the same, as the min/max bases, the
-score-and-witness tupling over them and the op counter do.  ``prob``, ``softmax`` and ``count`` keep the fold:
-builtin float ``sum`` is compensated from Python 3.12 and numpy sums
-pairwise, so neither equals the left fold bit for bit.
+product, however it runs.  ``Semiring``'s methods compute them term by
+term; a subclass may override one with a faster method that returns
+exactly the same, as the min/max bases, the score-and-witness tupling
+over them and the op counter do.  ``prob``, ``softmax`` and ``count``
+keep the fold: builtin float ``sum`` is compensated from Python 3.12
+and numpy sums pairwise, so neither equals the left fold bit for bit.
 
 ``row(values)`` makes the container a recurrence keeps a row of values
 in, a list by default.  The min/max bases' elementwise rows also take
@@ -103,7 +103,7 @@ class Semiring:
         return acc
 
     def dot(self, xs: Sequence[Any], ys: Sequence[Any]) -> Any:
-        """The sum of mul(x, y) over equal-length rows, folded left from zero.
+        """The ``sum`` of mul(x, y) over equal-length rows: a mul, then an add, per term.
 
         A subclass overrides ``_dot``, which runs once the lengths match.
         """
@@ -112,10 +112,7 @@ class Semiring:
         return self._dot(xs, ys)
 
     def _dot(self, xs: Sequence[Any], ys: Sequence[Any]) -> Any:
-        add, mul, acc = self.add, self.mul, self.zero
-        for x, y in zip(xs, ys):
-            acc = add(acc, mul(x, y))
-        return acc
+        return self.sum(map(self.mul, xs, ys))
 
     # whether add_rows and mul_rows also take 1-D float arrays, and return one
     array_rows = False
@@ -129,12 +126,12 @@ class Semiring:
         return list(map(self.add, xs, ys))
 
     def mul_rows(self, xs: Iterable[Any], ys: Iterable[Any]) -> list:
-        """[mul(x, y) for each pair of entries of two equal-length rows]."""
-        return list(map(self.mul, xs, ys))
+        """[mul(x, y) for each pair of entries of two equal-length rows].
 
-    def scale(self, xs: Iterable[Any], y: Any) -> list:
-        """[mul(x, y) for each entry x of the row]."""
-        return list(map(self.mul, xs, repeat(y)))
+        ``repeat(y)`` against a finite list row (or an iterator over one)
+        multiplies each of its entries by ``y``.
+        """
+        return list(map(self.mul, xs, ys))
 
     def dot_rows(self, xss: Sequence[Iterable[Any]], yss: Sequence[Iterable[Any]]) -> list:
         """add(...add(mul(x1, y1), mul(x2, y2))..., mul(xk, yk)) per entry of k >= 1 row pairs.
@@ -142,6 +139,8 @@ class Semiring:
         The left fold of ``add_rows`` over the ``mul_rows`` of each pair,
         from the first product, not from ``zero``: k muls and k - 1 adds
         per entry.  Each product row is added in as soon as it is made.
+        Every row must be finite, since a score-and-witness semiring lists
+        them: ``repeat(y)``, ``mul_rows``' broadcast operand, is no row here.
         """
         products = map(self.mul_rows, xss, yss)
         acc = next(products, None)
@@ -184,19 +183,17 @@ def probability_semiring() -> Semiring:
 class _Selective(Semiring):
     """A float semiring whose add is builtin min or max.
 
-    Its row sums are one ``add`` over the terms seeded with ``zero``: the
-    builtin keeps its current value unless a later term beats it, which
-    is the left fold's rule, nan included.  ``add_rows`` and ``mul_rows``
-    of two 1-D float arrays give the array of the per-entry results.
+    Its row sums, ``dot``'s included, are one ``add`` over the terms
+    seeded with ``zero``: the builtin keeps its current value unless a
+    later term beats it, which is the left fold's rule, nan included.
+    ``add_rows`` and ``mul_rows`` of two 1-D float arrays give the array
+    of the per-entry results.
     """
 
     array_rows = True
 
     def sum(self, values):
         return self.add(chain((self.zero,), values))
-
-    def _dot(self, xs, ys):
-        return self.add(chain((self.zero,), map(self.mul, xs, ys)))
 
     def add_rows(self, xs, ys):
         if hasattr(xs, "shape"):
@@ -581,8 +578,8 @@ class _PickedWitness(Semiring):
         base = self.base
         scores = list(map(base.mul, map(_score, xs), map(_score, ys)))
         k = _selection(base.add, scores, self.zero.score)
-        if k is None:
-            return super()._dot(xs, ys)
+        if k is None:  # the term-by-term fold, not a second selection
+            return Semiring.sum(self, map(self.mul, xs, ys))
         return self.zero if k < 0 else self.mul(xs[k], ys[k])
 
 
@@ -633,11 +630,6 @@ class _Counted(Semiring):
         self.counts.mul += len(out)
         return out
 
-    def scale(self, xs, y) -> list:
-        out = self.inner.scale(xs, y)
-        self.counts.mul += len(out)
-        return out
-
     def dot_rows(self, xss, yss) -> list:
         xss = xss if isinstance(xss, (list, tuple)) else list(xss)
         out = self.inner.dot_rows(xss, yss)
@@ -653,10 +645,11 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     Complexity claims about the recurrences are statements about
     operation counts, not wall time; the counters make them testable.
     A row operation tallies what its fold would (one add per term, one
-    mul per pair of ``dot``; one add or mul per entry of ``add_rows``,
-    ``mul_rows`` or ``scale``; k muls and k - 1 adds per entry of a
-    ``dot_rows`` of k row pairs) in O(1) and then runs ``s``'s own.
-    The wrapper is not thread-safe and is meant for measurement only.
+    mul per pair of ``dot``; one add or mul per entry of ``add_rows`` or
+    ``mul_rows``, a broadcast ``repeat(y)`` included; k muls and k - 1
+    adds per entry of a ``dot_rows`` of k row pairs) in O(1) and then
+    runs ``s``'s own.  The wrapper is not thread-safe and is meant for
+    measurement only.
     """
     counts = OpCounts()
 

@@ -844,6 +844,24 @@ def test_nw_align_reads_each_move_weight_once():
         assert sum(reads.values()) == rows * cols + rows + cols
 
 
+def test_nw_align_keeps_two_diagonal_buffers():
+    made = []
+
+    class RowCounting(sd.Semiring):
+        def row(self, values):
+            made.append(super().row(values))
+            return made[-1]
+
+    s = RowCounting("count", operator.add, operator.mul, 0, 1)
+    for rows in range(5):
+        for cols in range(5):
+            made.clear()
+            p = sd.AlignmentProblem(rows, cols, lambda i, j: 1)
+            assert sd.nw_align(p, s) == sd.delannoy(rows, cols)
+            # one entry per row index i of a diagonal's cells f[i][d - i]
+            assert [len(row) for row in made] == [rows + 1, rows + 1]
+
+
 def test_combinations_reads_each_item_weight_once():
     for n, k in ((0, 0), (5, 1), (6, 3), (8, 8)):
         reads = collections.Counter()

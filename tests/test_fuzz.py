@@ -84,12 +84,20 @@ align_caps = st.one_of(
     st.integers(0, 6).map(lambda c: ["--max-misalign", str(c)]),
 )
 sequences = st.text(alphabet="ACG", max_size=5)
+# prefix sizes for a timing table, longer ones a data error
+sweeps = st.one_of(
+    st.just([]),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3).map(
+        lambda sizes: ["--sweep", ",".join(map(str, sizes))]
+    ),
+)
 
 
 @FUZZ
-@given(a=sequences, b=sequences, cap=align_caps, semiring=st.sampled_from(ACCEPTED))
-def test_align(tmp_path_factory, a, b, cap, semiring):
-    argv = ["align", "a.txt", "b.txt", *cap, "--semiring", semiring]
+@given(a=sequences, b=sequences, cap=align_caps, semiring=st.sampled_from(ACCEPTED),
+       sweep=sweeps)
+def test_align(tmp_path_factory, a, b, cap, semiring, sweep):
+    argv = ["align", "a.txt", "b.txt", *cap, "--semiring", semiring, *sweep]
     check_run(tmp_path_factory, {"a.txt": a + "\n", "b.txt": b + "\n"}, argv, (0, 2))
 
 

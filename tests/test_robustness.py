@@ -204,6 +204,27 @@ def test_huge_sum_misalign_cap_is_clamped(tmp_path):
     assert huge["op_counts"] == bound["op_counts"]
 
 
+# --- sweep prefixes shorter than a largest-gap cap ---------------------------------------
+
+
+def test_sweep_prefixes_shorter_than_the_max_misalign_cap_run(capsys, tmp_path):
+    # a size-3 prefix once asked nw_align_max_constrained for cap 5: exit 4, a traceback
+    (tmp_path / "a.txt").write_text("GATTACA\n")
+    (tmp_path / "b.txt").write_text("GCTACCA\n")
+    table = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, ["align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+                                  "--max-misalign", "5", "--sweep", "1,3,7",
+                                  "--out-table", str(table)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert [row[0] for row in doc["sweep"]] == [1, 3, 7]
+    assert len(table.read_text().splitlines()) == 4
+    for size, add, mul, _ in doc["sweep"]:  # the plain fold's op counts, at every cap
+        counted, counts = sd.instrumented(sd.minplus_semiring())
+        sd.nw_align(sd.AlignmentProblem(size, size, lambda i, j: 1.0), counted)
+        assert (add, mul) == (counts.add, counts.mul), size
+
+
 # --- nan costs and nan fold results ---------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import functools
 import math
 import operator
 import random
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 import pytest
 
@@ -384,7 +384,7 @@ def elementwise_cases():
     cases += [
         ("lifted", sd.lifted_semiring(CATALOG["count"], alg),
          lifted_values(catalog_samplers()["count"], alg.size)),
-        # its mul takes a lifted edge (weight, key) on the right, as the scale tests draw
+        # its mul takes a lifted edge (weight, key) on the right, as the broadcast tests draw
         ("edge-lifted", edge_lifted, lifted_values(catalog_samplers()["minplus"], alg.size)),
     ]
     return cases
@@ -403,11 +403,11 @@ def test_elementwise_rows_are_their_per_entry_ops(name, s, sample):
         zs = [(rng.uniform(0, 3), rng.randint(0, 4)) for _ in xs] if name == "edge-lifted" else ys
         assert s.add_rows(xs, ys) == [s.add(a, b) for a, b in zip(xs, ys)], name
         assert s.mul_rows(xs, zs) == [s.mul(a, b) for a, b in zip(xs, zs)], name
-        assert s.scale(xs, y) == [s.mul(x, y) for x in xs], name
+        assert s.mul_rows(xs, repeat(y)) == [s.mul(x, y) for x in xs], name
         # iterators in, lists out: the lifted edge products pass islice views
         assert s.add_rows(iter(xs), islice(ys, None)) == [s.add(a, b) for a, b in zip(xs, ys)]
         assert s.mul_rows(iter(xs), islice(zs, None)) == [s.mul(a, b) for a, b in zip(xs, zs)]
-        assert s.scale(islice(xs, 1, None), y) == [s.mul(x, y) for x in xs[1:]], name
+        assert s.mul_rows(islice(xs, 1, None), repeat(y)) == [s.mul(x, y) for x in xs[1:]], name
 
 
 def test_instrumented_tallies_each_entry_of_an_elementwise_row():
@@ -418,13 +418,14 @@ def test_instrumented_tallies_each_entry_of_an_elementwise_row():
         counted, counts = sd.instrumented(s)
         assert counted.add_rows(xs, xs[::-1]) == s.add_rows(xs, xs[::-1]), name
         assert (counts.add, counts.mul) == (4, 0), name
-        assert counted.scale(islice(xs, 1, None), y) == s.scale(xs[1:], y), name
+        broadcast = counted.mul_rows(islice(xs, 1, None), repeat(y))
+        assert broadcast == s.mul_rows(xs[1:], repeat(y)), name
         assert (counts.add, counts.mul) == (4, 3), name
         assert counted.mul_rows(xs[:2], [y, y]) == s.mul_rows(xs[:2], [y, y]), name
         assert (counts.add, counts.mul) == (4, 5), name
         counted.add_rows([], [])
         counted.mul_rows([], [])
-        counted.scale([], y)
+        counted.mul_rows([], repeat(y))
         assert (counts.add, counts.mul) == (4, 5), name
 
 
