@@ -15,6 +15,7 @@ the traceback follows on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -661,94 +662,76 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_outputs(args, doc, table) -> None:
-    """Write the table and the document all or nothing; the document goes to stdout without --out.
+    """Write the table, then the document (to stdout without --out), all or nothing.
 
-    A target that is absent or a regular file, once symlinks are
-    followed, is written to a temporary file beside the file it resolves
-    to, and the temporaries are renamed into place only once every
-    output is written, so a failed write leaves neither file (nor stdout)
-    touched.  Two such targets that resolve to one file are refused.
-    Any other target (a device such as /dev/null, a FIFO or pipe such as
-    /dev/stdout) is written directly, after the temporaries and before
-    the renames, since a rename would replace it.  So is the file that
-    descriptor 1 has open, through descriptor 1: that keeps its offset
-    and append mode (``>>``), where reopening the path would truncate it.
+    Each target is one of three kinds.  Staged: absent or a regular file
+    once links are followed, written to a new temporary beside the file
+    it resolves to, with a replaced file's permissions.  A stream, written
+    in place: stdout or the file descriptor 1 has open (both through
+    ``sys.stdout``, which keeps the offset and append mode of ``>>``), or
+    any other non-directory, such as /dev/null or a FIFO.  Refused: a
+    directory, or a file (its inode, or its resolved path while absent)
+    that another output names.  Every file is staged first, then every
+    stream, stdout included, is written and flushed, then the temporaries
+    are renamed: a failure before the renames changes no target, and no
+    failure leaves a temporary behind.
     """
-    payload = canonical_json(doc) + "\n"
     if not args.out and sys.stdout is None:  # descriptor 1 was closed at startup
         raise DataError("cannot write the document: stdout is closed")
-    files = []
+    outputs = []
     if args.out_table:
         if table is None:
             raise DataError("this invocation has no tabular output")
         lines = [",".join(_csv_cell(v) for v in row) for row in table]
-        files.append((args.out_table, "\n".join(lines) + "\n"))
-    if args.out:
-        files.append((args.out, payload))
+        outputs.append((args.out_table, "\n".join(lines) + "\n"))
+    outputs.append((args.out or None, canonical_json(doc) + "\n"))  # None is stdout
     try:
-        stdout = os.fstat(1)
+        info = os.fstat(1)
+        stdout = info.st_dev, info.st_ino
     except OSError:  # descriptor 1 is closed
         stdout = None
-    plan, direct = [], []
-    for path, text in files:
-        try:
-            info = os.stat(path)  # follows links: /dev/stdout is the file or pipe it names
-        except FileNotFoundError:
-            info = None
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc.strerror}") from None
-        mode = None if info is None else info.st_mode
-        if info is not None and stdout is not None and os.path.samestat(info, stdout):
-            direct.append((path, text, 1))
-        elif mode is None or stat.S_ISREG(mode):
-            plan.append((path, os.path.realpath(path), text, mode))
-        elif stat.S_ISDIR(mode):  # the rename would fail after the other file was renamed
-            raise DataError(f"cannot write {path}: it is a directory")
-        else:
-            direct.append((path, text, path))
-    if len({target for _, target, _, _ in plan}) < len(plan):
-        raise DataError(f"--out and --out-table both name {plan[0][1]}")
-    staged = []
+    planned, staged, streams = set(), [], []
     try:
-        for path, target, text, mode in plan:
-            staged.append((_stage(path, target, text, mode), target, path))
-        if sys.stdout is not None:  # None when descriptor 1 was closed at startup
-            sys.stdout.flush()
-        for path, text, target in direct:
-            try:
-                with open(target, "w", closefd=target != 1) as out:
-                    out.write(text)
-            except OSError as exc:
-                raise DataError(f"cannot write {path}: {exc.strerror}") from None
-        for temp, target, path in staged:
-            try:
-                os.replace(temp, target)
-            except OSError as exc:
-                raise DataError(f"cannot write {path}: {exc.strerror}") from None
+        for path, text in outputs:
+            name = path or "stdout"
+            try:  # follows links: /dev/stdout is the file or pipe it names
+                info = os.stat(1 if path is None else path)
+            except FileNotFoundError:
+                info = None
+            key = os.path.realpath(path) if info is None else (info.st_dev, info.st_ino)
+            if key in planned:
+                raise DataError(f"--out-table and the document both name {name}")
+            planned.add(key)
+            if key == stdout:
+                streams.append((name, None, text))
+            elif info is None or stat.S_ISREG(info.st_mode):
+                target = Path(os.path.realpath(path))
+                temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+                with open(temp, "x") as handle:  # new, created as the target would be (umask)
+                    staged.append((name, target, temp))
+                    handle.write(text)
+                if info is not None:  # a replaced file keeps its permissions
+                    os.chmod(temp, stat.S_IMODE(info.st_mode))
+            elif stat.S_ISDIR(info.st_mode):
+                raise DataError(f"cannot write {name}: it is a directory")
+            else:
+                streams.append((name, path, text))
+        for name, path, text in streams:
+            with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+                out.write(text)
+                out.flush()
+        for name, path, temp in staged:
+            os.replace(temp, path)
+    except OSError as exc:
+        # path is None only for sys.stdout, which keeps what it failed to write:
+        # close it, or the flush at exit fails again
+        if path is None:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        raise DataError(f"cannot write {name}: {exc.strerror}") from None
     finally:
-        for temp, _, _ in staged:
+        for _, _, temp in staged:
             temp.unlink(missing_ok=True)
-    if not args.out:
-        sys.stdout.write(payload)
-
-
-def _stage(path, target, text, mode) -> Path:
-    """Write ``text`` to a new temporary file beside ``target``, with ``mode``'s permissions if given."""
-    target = Path(target)
-    temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    try:
-        handle = open(temp, "x")  # a new file, created as the target would be (umask applies)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
-    try:
-        with handle:
-            handle.write(text)
-        if mode is not None:  # a replaced file keeps its permissions
-            os.chmod(temp, stat.S_IMODE(mode))
-    except OSError as exc:
-        temp.unlink(missing_ok=True)
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
-    return temp
 
 
 def _csv_cell(v) -> str:

@@ -5,12 +5,16 @@ run must end in a right answer (exit 0, oracle ``pass`` or ``skipped``)
 or a named data error (exit 2), or, for a malformed flag (a count or
 length below 1, or a ``--count-range`` whose LO exceeds HI), a usage
 error (exit 1); never an oracle ``fail``, a traceback or another exit
-code.  The draws are derandomized, so the run is repeatable.
+code.  The draws are derandomized, so the run is repeatable.  The
+output writer is fuzzed the same way, over the kinds of file that
+``--out`` and ``--out-table`` can name.
 """
 
 import contextlib
 import io
 import json
+import os
+import stat
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,3 +132,88 @@ def test_rejected_semirings(tmp_path_factory, semiring, command):
     files = {"y.csv": "1\n2\n", "a.txt": "AC\n", "b.txt": "AG\n"}
     inputs = ["y.csv"] if command == "segment" else ["a.txt", "b.txt"]
     check_run(tmp_path_factory, files, [command, *inputs, "--semiring", semiring], (2,))
+
+
+# --- output targets -----------------------------------------------------------------
+
+TARGETS = ("absent", "file-600", "file-644", "symlink", "dangling-symlink", "directory",
+           "below-missing-directory", "below-file", "/dev/null", "other")
+
+
+def make_target(work, kind: str, label: str) -> str:
+    """Create an output target of one kind in ``work``; ``label`` keeps the two flags' apart."""
+    path = work / f"{label}.out"
+    if kind.startswith("file-"):
+        path.write_text(f"old {label}\n")
+        path.chmod(int(kind[5:], 8))
+    elif kind == "symlink":
+        (work / f"{label}.real").write_text(f"old {label}\n")
+        path.symlink_to(work / f"{label}.real")
+    elif kind == "dangling-symlink":
+        path.symlink_to(work / f"{label}.gone")
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "below-missing-directory":
+        path = work / "missing" / f"{label}.out"
+    elif kind == "below-file":
+        path = work / "y.csv" / f"{label}.out"
+    elif kind == "/dev/null":
+        return os.devnull
+    return str(path)
+
+
+def snapshot(work) -> dict:
+    """Every entry below ``work``: its mode and its bytes, or its link's target."""
+    found = {}
+    for root, dirs, files in os.walk(work):
+        for name in dirs + files:
+            path = os.path.join(root, name)
+            mode = os.lstat(path).st_mode
+            if stat.S_ISLNK(mode):
+                found[path] = (mode, os.readlink(path))
+            elif stat.S_ISREG(mode):
+                with open(path, "rb") as f:
+                    found[path] = (mode, f.read())
+            else:
+                found[path] = (mode, None)
+    return found
+
+
+@FUZZ
+@given(doc_kind=st.sampled_from(TARGETS), table_kind=st.sampled_from(TARGETS))
+def test_output_targets(tmp_path_factory, doc_kind, table_kind):
+    # every outcome is the written outputs (exit 0) or one data error that
+    # leaves the work directory exactly as it was (exit 2), never a temporary
+    work = tmp_path_factory.mktemp("outputs").resolve()  # real paths, as the writer sees them
+    (work / "y.csv").write_text(column([1.0, 4.0, 2.0, 8.0, 0.5, 1.5]))
+    if doc_kind == table_kind == "other":  # both name one absent file
+        doc = table = str(work / "shared.out")
+    elif doc_kind == "other":
+        doc = table = make_target(work, table_kind, "table")
+    else:
+        doc = make_target(work, doc_kind, "doc")
+        table = doc if table_kind == "other" else make_target(work, table_kind, "table")
+    before = snapshot(work)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["segment", str(work / "y.csv"), "--count", "2", "--out", doc,
+                     "--out-table", table])
+    assert "Traceback" not in stderr.getvalue()
+    assert code in (0, 2), stderr.getvalue()
+    after = snapshot(work)
+    assert not [path for path in after if path.endswith(".tmp")]
+    assert stdout.getvalue() == ""
+    if code == 2:
+        assert stderr.getvalue().startswith("semiring-dp: data error:")
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert after == before
+        return
+    assert stderr.getvalue() == ""
+    for path, check in ((doc, lambda text: json.loads(text)["command"] == "segment"),
+                        (table, lambda text: text.startswith("index,value,fit,segment\n"))):
+        if os.path.isfile(path):  # a regular file, once links are followed
+            with open(path) as f:
+                assert check(f.read())
+            real = os.path.realpath(path)
+            if real in before:
+                assert os.stat(real).st_mode == before[real][0]

@@ -607,3 +607,83 @@ def test_document_to_a_closed_stdout_is_a_data_error(inputs, tmp_path):
     assert proc.returncode == 2
     assert_one_data_error(proc.stderr, "stdout is closed")
     assert not table.exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe whose reader has closed")
+@pytest.mark.parametrize("table", [False, True])
+def test_document_to_a_broken_stdout_is_a_data_error(inputs, tmp_path, monkeypatch, table):
+    # a traceback with exit 4 after the table was renamed into place; with a
+    # buffered stdout, exit 120 from the flush at shutdown
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    argv = ["segment", str(inputs / "y.csv")]
+    if table:
+        argv += ["--out-table", str(tmp_path / "t.csv")]
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = run_cli_process(argv, stdout=writer)
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    assert_one_data_error(proc.stderr, "cannot write stdout: Broken pipe")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "y.csv"]
+
+
+def test_one_fifo_named_by_both_outputs_is_refused(capsys, inputs, tmp_path):
+    # the table and then the document used to be written to the FIFO, with exit 0
+    fifo = tmp_path / "both.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets a writer open without blocking
+    try:
+        argv = ["segment", str(inputs / "y.csv"), "--out", str(fifo), "--out-table", str(fifo)]
+        code, out, err = run(capsys, argv)
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "both name", "both.fifo")
+    assert written == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_dev_stdout_named_by_both_outputs_is_refused(inputs, tmp_path):
+    # `--out /dev/stdout --out-table /dev/stdout > o.txt` used to write both, with exit 0
+    target = tmp_path / "o.txt"
+    with open(target, "w") as stdout:
+        proc = run_cli_process(["segment", str(inputs / "y.csv"), "--out", "/dev/stdout",
+                                "--out-table", "/dev/stdout"], stdout=stdout)
+    assert proc.returncode == 2
+    assert_one_data_error(proc.stderr, "both name", "/dev/stdout")
+    assert target.read_text() == ""
+
+
+def test_hard_linked_outputs_are_refused(capsys, inputs, tmp_path):
+    # one inode under two names: the document's rename used to replace the table's
+    doc, table = tmp_path / "x.json", tmp_path / "t.csv"
+    doc.write_text("old\n")
+    os.link(doc, table)
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(doc), "--out-table", str(table)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "both name", "x.json")
+    assert doc.read_text() == table.read_text() == "old\n"
+    assert os.path.samefile(doc, table)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["a.txt", "b.txt", "t.csv", "x.json", "y.csv"]
+
+
+def test_failed_rename_is_a_data_error_and_leaves_no_temporaries(capsys, inputs, tmp_path,
+                                                                 monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    doc, table = tmp_path / "x.json", tmp_path / "t.csv"
+    argv = ["segment", str(inputs / "y.csv"), "--out", str(doc), "--out-table", str(table)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, f"cannot write {table}: Permission denied")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "y.csv"]
