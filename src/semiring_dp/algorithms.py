@@ -19,7 +19,8 @@ row times one weight ``y`` is ``s.mul_rows(xs, repeat(y))``.  An
 anti-diagonal of ``nw_align`` is one ``s.dot_rows(xss, yss)``, whose
 entries are the three-term sums of products of the cell recurrence,
 folded left from the first product; a score-and-witness semiring builds
-the one product that survives.
+the one product that survives, and over a ``MoveTable`` (min/max bases)
+takes each diagonal as one block of score and trail-reference arrays.
 
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
@@ -38,10 +39,18 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import lifting
-from .semirings import Scored, Semiring, maxplus_semiring, viterbi_simple_semiring
+from .semirings import (
+    EMPTY,
+    JoinArena,
+    Scored,
+    Semiring,
+    WitnessBlock,
+    maxplus_semiring,
+    viterbi_simple_semiring,
+)
 
 Weight = Callable[[int], Any]
 
@@ -202,6 +211,20 @@ def segment_min_length(
     return lifting.project(s, alg, segment_opt(edges, lifted))
 
 
+class Moves(NamedTuple):
+    """The move weights one alignment fold reads, in the rows it keeps.
+
+    ``row(values)`` makes a diagonal buffer; ``inserts`` holds w(0, j) for
+    j = 1..cols and ``deletes`` w(i, 0) for i = 1..rows, and
+    ``diagonal(d, first, last)`` gives w(i, d - i) for i = first..last.
+    """
+
+    row: Callable
+    inserts: Any
+    deletes: Any
+    diagonal: Callable
+
+
 @dataclass(frozen=True)
 class AlignmentProblem:
     """Two sequence lengths plus a move-cost map.
@@ -210,6 +233,8 @@ class AlignmentProblem:
     position i of the first sequence with position j of the second;
     weight(i, 0) is the cost of consuming position i alone (deletion)
     and weight(0, j) of consuming position j alone (insertion).
+    ``weight`` may also hold its values as tables (``MoveTable``), which
+    a fold then reads a diagonal at a time; called, it is the same map.
     """
 
     rows: int
@@ -220,29 +245,83 @@ class AlignmentProblem:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("lengths must be non-negative")
 
+    def moves(self, s: Semiring, cap: int | None = None) -> Moves:
+        """The weights a fold over ``s`` reads, ``s.zero`` on every move whose gap exceeds ``cap``.
 
-def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
-    """Three-branch alignment fold over match / delete / insert moves.
+        A move (i, j) has gap |i - j|.  A ``weight`` with tables gives
+        them in the form ``s`` takes, if it has one for ``s``; otherwise
+        they are lists read from the callable, each in-cap weight once,
+        in ``s.row`` buffers.
+        """
+        n, m = self.rows, self.cols
+        tables = getattr(self.weight, "moves", None)
+        found = tables(s, n, m, cap) if tables is not None else None
+        if found is not None:
+            return found
+        w, zero = self.weight, s.zero
+        cap = max(n, m) if cap is None else cap  # no move has a larger gap
 
-    f[i][j] = f[i-1][j-1]*w(i,j) + f[i-1][j]*w(i,0) + f[i][j-1]*w(0,j),
-    computed one anti-diagonal i + j = d at a time, from the two before
-    it; O(rows * cols) operations.  Diagonal d holds f[i][d-i] at index
-    i of an (rows + 1)-entry ``s.row`` buffer, which a semiring may hold
-    as an array; two buffers take turns, diagonal d written over
-    diagonal d-2 once its slices are read.  A diagonal's cells with
-    i, j >= 1 are ``dot_rows((diagonal d-2, diagonal d-1, diagonal d-1
-    shifted by one), (w(i, d-i), deletes, inserts reversed))``: per cell
-    the sum of the three products, added left to right, so every cell
-    makes the ops of the formula in its order.  Its two cells on the
-    table's edges are one ``mul`` each.  Each move weight is read once:
-    w(0, j) per column, w(i, 0) per row and w(i, j) per cell.
+        def diagonal(d, first, last):  # |i - (d - i)| <= cap for the rows lo..hi
+            lo, hi = (d - cap + 1) // 2, (d + cap) // 2
+            if lo <= first and last <= hi:
+                return [w(i, d - i) for i in range(first, last + 1)]
+            return [w(i, d - i) if lo <= i <= hi else zero for i in range(first, last + 1)]
+
+        return Moves(s.row, [w(0, j) if j <= cap else zero for j in range(1, m + 1)],
+                     [w(i, 0) if i <= cap else zero for i in range(1, n + 1)], diagonal)
+
+
+class MoveTable:
+    """Alignment move weights with their scores held as float arrays, each move its own label.
+
+    Called, it is ``weight``, the complete map.  ``match(i, j)`` gives the
+    scores of w(i, j) for int arrays i, j >= 1, entry by entry, and
+    ``deletes[i - 1]`` and ``inserts[j - 1]`` hold those of w(i, 0) and
+    w(0, j); each weight's trail is its one label (i, j), and a smaller
+    problem reads the top-left corner.  A fold over a semiring whose
+    ``dot_rows`` takes blocks (``block_rows``) reads them as
+    ``WitnessBlock``s, a diagonal at a time, with leaf codes for labels:
+    no Scored is built per cell.  Other semirings read the callable.
     """
-    n, m = p.rows, p.cols
-    w = p.weight
+
+    def __init__(self, weight, match, deletes, inserts):
+        self.weight = weight
+        self.match = match
+        self.deletes = deletes
+        self.inserts = inserts
+
+    def __call__(self, i, j):
+        return self.weight(i, j)
+
+    def moves(self, s: Semiring, rows: int, cols: int, cap: int | None) -> Moves | None:
+        """``AlignmentProblem.moves`` as blocks, or None for a semiring without block rows."""
+        if not s.block_rows:
+            return None
+        import numpy as np
+        arena, zero = JoinArena(rows, cols), s.zero.score
+
+        def block(scores, codes, gaps):  # zero on the moves whose gap exceeds the cap
+            if cap is not None:
+                past = gaps > cap
+                scores, codes = np.where(past, zero, scores), np.where(past, EMPTY, codes)
+            return WitnessBlock(scores, codes, arena)
+
+        j, i = np.arange(1, cols + 1), np.arange(1, rows + 1)
+        inserts = block(self.inserts[:cols], arena.leaf(0, j), j)
+        deletes = block(self.deletes[:rows], arena.leaf(i, 0), i)
+
+        def diagonal(d, first, last):
+            i = np.arange(first, last + 1)
+            return block(self.match(i, d - i), arena.leaf(i, d - i), np.abs(2 * i - d))
+
+        return Moves(arena.row, inserts, deletes, diagonal)
+
+
+def _nw_fold(n: int, m: int, moves: Moves, s: Semiring) -> Any:
+    """``nw_align``'s fold over the weights ``moves``."""
     mul, dot_rows = s.mul, s.dot_rows
-    inserts = [w(0, j) for j in range(1, m + 1)]
-    deletes = [w(i, 0) for i in range(1, n + 1)]
-    old, cur = (s.row([s.zero] * (n + 1)) for _ in range(2))
+    inserts, deletes, diagonal = moves.inserts, moves.deletes, moves.diagonal
+    old, cur = (moves.row([s.zero] * (n + 1)) for _ in range(2))
     cur[0] = s.one
     for d in range(1, n + m + 1):
         old, cur = cur, old  # cur holds diagonal d-2 until diagonal d is written over it
@@ -250,7 +329,7 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
         if first <= last:
             cur[first : last + 1] = dot_rows(
                 (cur[first - 1 : last], old[first - 1 : last], old[first : last + 1]),
-                ([w(i, d - i) for i in range(first, last + 1)], deletes[first - 1 : last],
+                (diagonal(d, first, last), deletes[first - 1 : last],
                  inserts[d - last - 1 : d - first][::-1]),
             )
         if d <= m:  # f[0][d]
@@ -258,6 +337,26 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
         if d <= n:  # f[d][0]
             cur[d] = mul(old[d - 1], deletes[d - 1])
     return cur[n]
+
+
+def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
+    """Three-branch alignment fold over match / delete / insert moves.
+
+    f[i][j] = f[i-1][j-1]*w(i,j) + f[i-1][j]*w(i,0) + f[i][j-1]*w(0,j),
+    computed one anti-diagonal i + j = d at a time, from the two before
+    it; O(rows * cols) operations.  Diagonal d holds f[i][d-i] at index
+    i of an (rows + 1)-entry buffer made by ``p.moves(s).row``: a list, or
+    the array or block a semiring or move table keeps it in.  Two
+    buffers take turns, diagonal d written over diagonal d-2 once its
+    slices are read.  A diagonal's cells with i, j >= 1 are
+    ``dot_rows((diagonal d-2, diagonal d-1, diagonal d-1 shifted by
+    one), (w(i, d-i), deletes, inserts reversed))``: per cell the sum of
+    the three products, added left to right, so every cell makes the ops
+    of the formula in its order.  Its two cells on the table's edges are
+    one ``mul`` each.  Each move weight is read once: w(0, j) per column,
+    w(i, 0) per row and w(i, j) per cell.
+    """
+    return _nw_fold(p.rows, p.cols, p.moves(s), s)
 
 
 def delannoy(n: int, m: int) -> int:
@@ -284,9 +383,14 @@ _MISALIGNMENT = {"sum": lifting.subset_size_algebra, "max": lifting.max_count_al
 def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
     """Grades an alignment by the gaps |i - j| of its move labels (i, j).
 
-    A deletion (i, 0) has gap i and an insertion (0, j) gap j.  ``kind``
-    "sum" adds the gaps up, "max" keeps their running maximum; either is
-    tracked up to ``cap``.
+    A deletion (i, 0) has gap i and an insertion (0, j) gap j: the
+    position of the element it consumes, not the offset of the cell it
+    lands on.  So with a = ABCDEFGHIJXKLM and b = ABCDEFGHIJKLM, a largest
+    gap of 2 cannot delete the X (gap 11), and ``align --semiring
+    viterbi:minplus --mismatch-cost 5 --max-misalign 2`` gives 46: B
+    deleted early (gap 2), then nine mismatches.  With the X moved to the
+    front it gives 1.  ``kind`` "sum" adds the gaps up, "max" keeps their
+    running maximum; either is tracked up to ``cap``.
     """
     return _MISALIGNMENT[kind](cap, label_map=lambda e: abs(e[0] - e[1]))
 
@@ -315,15 +419,14 @@ def nw_align_max_constrained(p: AlignmentProblem, diff_cap: int, s: Semiring) ->
 
     The largest gap is at most the cap exactly when every move's gap
     is, so lifting over the running maximum collapses to one entry:
-    ``nw_align`` with ``s.zero`` on every move whose gap exceeds the cap.
+    ``nw_align`` with ``s.zero`` on every move whose gap exceeds the cap
+    (``p.moves(s, diff_cap)``; the weights past it are not read).
     O(rows * cols) operations.
     """
     n, m = p.rows, p.cols
     if not 0 <= diff_cap <= max(n, m, 0):
         raise ValueError(f"diff_cap {diff_cap} invalid for lengths ({n}, {m})")
-    w, zero = p.weight, s.zero
-    kept = lambda i, j: w(i, j) if abs(i - j) <= diff_cap else zero
-    return nw_align(AlignmentProblem(n, m, kept), s)
+    return _nw_fold(n, m, p.moves(s, diff_cap), s)
 
 
 def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:

@@ -30,6 +30,7 @@ from pathlib import Path
 from . import algorithms
 from .algorithms import (
     AlignmentProblem,
+    MoveTable,
     SegmentationProblem,
     combinations,
     delannoy,
@@ -433,6 +434,23 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     return doc, table
 
 
+# Witness alignments of at least this many cells read their weights from a
+# MoveTable and fold as blocks.  The block route saves a few microseconds per
+# cell but needs numpy, whose import costs more than the saving on a smaller
+# fold: cold runs broke even at about 60,000 cells on a shared 2-CPU host.
+BLOCK_CELLS = 60_000
+
+
+def _edit_table(a, b, weight, mismatch_cost, gap_cost) -> MoveTable:
+    """``weight``, the edit costs of ``a`` against ``b``, with its scores as tables."""
+    import numpy as np
+    symbols = {}  # each distinct symbol as an int, so == is Python's
+    ids = [np.array([symbols.setdefault(x, len(symbols)) for x in seq]) for seq in (a, b)]
+    equal = ids[0][:, None] == ids[1][None, :]
+    match = lambda i, j: np.where(equal[i - 1, j - 1], 0.0, mismatch_cost)
+    return MoveTable(weight, match, np.full(len(a), gap_cost), np.full(len(b), gap_cost))
+
+
 def cmd_align(args) -> tuple[dict, list | None]:
     for flag, cost in (("--gap-cost", args.gap_cost), ("--mismatch-cost", args.mismatch_cost)):
         if math.isnan(cost):
@@ -456,6 +474,8 @@ def cmd_align(args) -> tuple[dict, list | None]:
         return gap_cost
 
     weight, scalar_weight = _weights(base, edit_cost, tupled)
+    if s.block_rows and args.sum_misalign is None and len(a) * len(b) >= BLOCK_CELLS:
+        weight = _edit_table(a, b, weight, mismatch_cost, gap_cost)
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: nw_align(p, counted)
     if args.sum_misalign is not None:
@@ -669,22 +689,25 @@ def _write_outputs(args, doc, table) -> None:
     it resolves to, with a replaced file's permissions.  A stream, written
     in place: stdout or the file descriptor 1 has open (both through
     ``sys.stdout``, which keeps the offset and append mode of ``>>``), or
-    any other non-directory, such as /dev/null or a FIFO.  Refused: a
-    directory, or a file (its inode, or its resolved path while absent)
-    that another output names.  Every file is staged first, then every
-    stream, stdout included, is written and flushed, then the temporaries
-    are renamed: a failure before the renames changes no target, and no
-    failure leaves a temporary behind.
+    any other non-directory, such as /dev/null or a FIFO.  Refused: an
+    empty path, a directory, or a file (its inode, or its resolved path
+    while absent) that another output names.  Every file is staged first,
+    then every stream, stdout included, is written and flushed, then the
+    temporaries are renamed: a failure before the renames changes no
+    target, and no failure leaves a temporary behind.
     """
-    if not args.out and sys.stdout is None:  # descriptor 1 was closed at startup
+    if args.out is None and sys.stdout is None:  # descriptor 1 was closed at startup
         raise DataError("cannot write the document: stdout is closed")
     outputs = []
-    if args.out_table:
+    if args.out_table is not None:
         if table is None:
             raise DataError("this invocation has no tabular output")
         lines = [",".join(_csv_cell(v) for v in row) for row in table]
         outputs.append((args.out_table, "\n".join(lines) + "\n"))
-    outputs.append((args.out or None, canonical_json(doc) + "\n"))  # None is stdout
+    outputs.append((args.out, canonical_json(doc) + "\n"))  # None is stdout
+    for path, _ in outputs:
+        if path == "":  # names no file (its realpath would be the working directory)
+            raise DataError("cannot write '': No such file or directory")
     try:
         info = os.fstat(1)
         stdout = info.st_dev, info.st_ino

@@ -26,7 +26,10 @@ and numpy sums pairwise, so neither equals the left fold bit for bit.
 ``row(values)`` makes the container a recurrence keeps a row of values
 in, a list by default.  The min/max bases' elementwise rows also take
 1-D float arrays (``array_rows``), entry for entry the builtin's result;
-numpy is imported only when an array arrives.
+numpy is imported only when an array arrives.  Score-and-witness
+tupling over them takes ``WitnessBlock``s in ``dot_rows``
+(``block_rows``): a float array of scores and an int array of trail
+references into a ``JoinArena``, whose joins are stored by column.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ class Semiring:
 
     # whether add_rows and mul_rows also take 1-D float arrays, and return one
     array_rows = False
+    # whether dot_rows also takes WitnessBlocks, and returns one
+    block_rows = False
 
     def row(self, values: Iterable[Any]) -> list:
         """A row holding ``values``, as the row operations take and return it."""
@@ -215,11 +220,11 @@ def _array_op(op, xs, ys):
     silently, and so do these arrays.
     """
     import numpy as np
+    if op is min:  # comparisons raise no floating-point warnings
+        return np.where(ys < xs, ys, xs)
+    if op is max:
+        return np.where(ys > xs, ys, xs)
     with np.errstate(all="ignore"):
-        if op is min:
-            return np.where(ys < xs, ys, xs)
-        if op is max:
-            return np.where(ys > xs, ys, xs)
         return op(xs, ys)
 
 
@@ -328,11 +333,11 @@ class _Join:
 
 
 def _flatten(trail):
-    """The label tuple a trail of joins spells; any other trail is returned as is.
+    """The label tuple a trail of joins and arena references spells; any other trail as is.
 
     Iterative, since a fold's trail is as deep as its witness is long.
     """
-    if type(trail) is not _Join:
+    if type(trail) is not _Join and type(trail) is not _Ref:
         return trail
     labels = []
     pending = [trail]
@@ -341,9 +346,139 @@ def _flatten(trail):
         if type(node) is _Join:
             pending.append(node.right)
             pending.append(node.left)
+        elif type(node) is _Ref:
+            node.arena.spell(node.ref, labels)
         else:
             labels.extend(node)
     return tuple(labels)
+
+
+# A block's trail reference: EMPTY is the empty trail, a code >= 0 a leaf (a
+# one-label trail, as JoinArena.leaf packs it) and -2 - k the arena's join k.
+EMPTY = -1
+
+
+class _Ref:
+    """A non-empty trail held by a ``JoinArena``, as its reference."""
+
+    __slots__ = ("arena", "ref")
+
+    def __init__(self, arena, ref):
+        self.arena = arena
+        self.ref = ref
+
+
+class JoinArena:
+    """Append-only joins of witness trails, stored by column: no object per join.
+
+    Join k is the concatenation of the trails that ``lefts[k]`` and
+    ``rights[k]`` refer to.  The arena serves one fold over a table of
+    labels (i, j), 0 <= i <= rows and 0 <= j <= cols: the leaf, the
+    one-label trail ((i, j),), is coded i * (cols + 1) + j, and one join
+    per cell is reserved up front (the columns grow past that).  Its
+    blocks refer into it, and a value read out of a block keeps it alive.
+    References are int32 when every code and reserved join fits.
+    """
+
+    def __init__(self, rows: int, cols: int):
+        import numpy as np
+        self.stride = cols + 1
+        capacity = rows * cols + rows + cols  # also the largest leaf code
+        self.dtype = np.int32 if capacity < 2**31 - 2 else np.int64
+        self.lefts = np.empty(capacity, self.dtype)
+        self.rights = np.empty(capacity, self.dtype)
+        self.size = 0
+
+    def leaf(self, i, j):
+        """The code of the label (i, j), for ints or int arrays entry by entry."""
+        return i * self.stride + j
+
+    def row(self, values) -> WitnessBlock:
+        """A block holding Scored ``values``, whose trails are empty or this arena's."""
+        import numpy as np
+        values = list(values)
+        return WitnessBlock(np.array([v[0] for v in values], dtype=float),
+                            np.array([self.ref(v[1]) for v in values], dtype=self.dtype), self)
+
+    def _claim(self, count: int) -> int:
+        """Room for ``count`` more joins; the index of the first."""
+        start = self.size
+        self.size += count
+        if self.size > len(self.lefts):
+            import numpy as np
+            grown = max(self.size, 2 * len(self.lefts))
+            self.lefts, self.rights = (np.resize(c, grown) for c in (self.lefts, self.rights))
+        return start
+
+    def joins(self, lefts, rights):
+        """The references of new joins of two int arrays of references, entry by entry."""
+        import numpy as np
+        start = self._claim(len(lefts))
+        self.lefts[start : self.size] = lefts
+        self.rights[start : self.size] = rights
+        return np.arange(-2 - start, -2 - self.size, -1)
+
+    def join(self, left: int, right: int) -> int:
+        k = self._claim(1)
+        self.lefts[k], self.rights[k] = left, right
+        return -2 - k
+
+    def trail(self, ref: int):
+        return () if ref == EMPTY else _Ref(self, ref)
+
+    def ref(self, trail) -> int:
+        """The reference of a trail that is empty, this arena's, or joins of those."""
+        if not trail:
+            return EMPTY
+        if type(trail) is _Ref and trail.arena is self:
+            return trail.ref
+        if type(trail) is _Join:
+            return self.join(self.ref(trail.left), self.ref(trail.right))
+        raise TypeError(f"a witness block holds no trail {trail!r} from outside its arena")
+
+    def spell(self, ref: int, labels: list) -> None:
+        """Append the labels the trail ``ref`` spells to ``labels``."""
+        lefts, rights, pending = self.lefts, self.rights, [ref]
+        while pending:
+            ref = pending.pop()
+            if ref >= 0:
+                labels.append(divmod(ref, self.stride))
+            else:
+                pending.append(rights.item(-2 - ref))
+                pending.append(lefts.item(-2 - ref))
+
+
+class WitnessBlock:
+    """A row of score-and-witness values by column: a float array of scores and an
+    int array of trail references into ``arena``.
+
+    Slices are blocks viewing the same arrays; an entry reads and writes as
+    a Scored value (a non-empty trail is then a reference into the arena,
+    and a join of such references is appended to it).
+    """
+
+    __slots__ = ("scores", "refs", "arena")
+
+    def __init__(self, scores, refs, arena: JoinArena):
+        self.scores = scores
+        self.refs = refs
+        self.arena = arena
+
+    def __len__(self):
+        return len(self.scores)
+
+    def __getitem__(self, k):
+        if type(k) is slice:
+            return WitnessBlock(self.scores[k], self.refs[k], self.arena)
+        return Scored(self.scores[k].item(), self.arena.trail(self.refs[k].item()))
+
+    def __setitem__(self, k, value):
+        if type(k) is slice:
+            self.scores[k] = value.scores
+            self.refs[k] = value.refs
+        else:
+            self.scores[k] = value[0]
+            self.refs[k] = self.arena.ref(value[1])
 
 
 def _spelled(value):
@@ -506,8 +641,10 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     the builtin min or max, the row operations pick the winning score
     with one scan over the row's scores and build one product for it,
     not one per term; rows where the near-tie rule could decide, or with
-    a nan score, are folded term by term.  The result is the left fold's
-    in both score and witness.
+    a nan score, are folded term by term.  Over a min/max catalog base,
+    ``dot_rows`` also takes ``WitnessBlock``s, ranking whole arrays and
+    appending the joins to an arena.  The result is the left fold's in
+    both score and witness.
     """
     _require_selective(base)
     base_add, base_mul, base_zero = base.add, base.mul, base.zero
@@ -546,12 +683,21 @@ class _PickedWitness(Semiring):
     A row's winner is picked with ``_selection`` and one product is built
     for it; rows the selection cannot settle are folded term by term.
     ``dot_rows`` walks each entry's k product scores with ``add``'s own
-    rule and builds the product of the surviving term only.
+    rule and builds the product of the surviving term only.  Given
+    ``WitnessBlock``s, it does the same over whole arrays and returns a
+    block (``block_rows``, when the base's rows take arrays).
     """
 
     base: Semiring | None = field(default=None, compare=False)
 
+    @property
+    def block_rows(self):
+        return self.base.array_rows
+
     def dot_rows(self, xss, yss):
+        xss = list(xss)
+        if xss and type(xss[0]) is WitnessBlock:
+            return self._dot_blocks(xss, list(yss))
         xss = [xs if isinstance(xs, list) else list(xs) for xs in xss]
         yss = [ys if isinstance(ys, list) else list(ys) for ys in yss]
         if not xss:
@@ -566,6 +712,36 @@ class _PickedWitness(Semiring):
             kept = [k if left else t for left, k in zip(keep, kept)]
             best = [b if left else s for left, b, s in zip(keep, best, scores)]
         return [mul(xss[k][c], yss[k][c]) for c, k in enumerate(kept)]
+
+    def _dot_blocks(self, xss, yss):
+        """``dot_rows`` of blocks, the same rule over whole arrays.
+
+        Per entry, the product scores are ranked in order with
+        ``_keeps_left``'s rule; the kept pair's trails are joined (one
+        arena join where both are non-empty), and a score equal to the
+        base zero is ``zero`` itself, as ``mul`` gives it.
+        """
+        import numpy as np
+        base = self.base
+        best = base.mul_rows(xss[0].scores, yss[0].scores)
+        lefts, rights = xss[0].refs, yss[0].refs  # the trails of the pair kept so far
+        for xs, ys in zip(xss[1:], yss[1:]):
+            scores = base.mul_rows(xs.scores, ys.scores)
+            picked = base.add_rows(best, scores)
+            with np.errstate(all="ignore"):  # math.isclose(picked, best, rel_tol=...)
+                gap = np.abs(picked - best)
+                near = gap <= FLOAT_REL_TOL * np.maximum(np.abs(picked), np.abs(best))
+            keep = (picked == best) | (near & (gap < math.inf))
+            best = np.where(keep, best, scores)
+            lefts, rights = np.where(keep, lefts, xs.refs), np.where(keep, rights, ys.refs)
+        has_left = lefts != EMPTY
+        refs = np.where(has_left, lefts, rights)
+        dead = best == base.zero
+        both = has_left & (rights != EMPTY) & ~dead
+        arena = xss[0].arena
+        refs[both] = arena.joins(lefts[both], rights[both])
+        best[dead], refs[dead] = base.zero, EMPTY  # -0.0 too becomes zero's own score
+        return WitnessBlock(best, refs, arena)
 
     def sum(self, values):
         values = values if isinstance(values, list) else list(values)
@@ -619,6 +795,10 @@ class _Counted(Semiring):
     @property
     def array_rows(self):
         return self.inner.array_rows
+
+    @property
+    def block_rows(self):
+        return self.inner.block_rows
 
     def add_rows(self, xs, ys) -> list:
         out = self.inner.add_rows(xs, ys)

@@ -844,6 +844,21 @@ def test_nw_align_reads_each_move_weight_once():
         assert sum(reads.values()) == rows * cols + rows + cols
 
 
+def test_a_gap_cap_reads_each_move_weight_within_it_once():
+    for rows, cols in ((0, 3), (4, 0), (3, 5), (6, 6), (7, 4)):
+        for cap in range(max(rows, cols) + 1):
+            reads = collections.Counter()
+
+            def weight(i, j):
+                reads[i, j] += 1
+                return 1
+
+            want = collections.Counter(m for m in oracles.alignment_labels(rows, cols)
+                                       if abs(m[0] - m[1]) <= cap)
+            sd.nw_align_max_constrained(sd.AlignmentProblem(rows, cols, weight), cap, COUNT)
+            assert reads == want, (rows, cols, cap)
+
+
 def test_nw_align_keeps_two_diagonal_buffers():
     made = []
 
@@ -899,6 +914,96 @@ def test_witness_alignments_are_the_term_by_term_fold_on_tie_heavy_moves(name):
                              lambda s: reference_nw_align(
                                  filtered_moves(p, cap, s.zero), term_by_term(s)),
                              vit, (cap, moves))
+
+
+def move_table(rows, cols, moves):
+    """``moves``, Scored weights each labelled with its own move, as a ``MoveTable``."""
+    import numpy as np
+
+    scores = lambda labels: np.array([moves[m].score for m in labels], dtype=float)
+    match = scores([(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)])
+    match = match.reshape(rows, cols)
+    return algorithms.MoveTable(lambda i, j: moves[i, j], lambda i, j: match[i - 1, j - 1],
+                                scores([(i, 0) for i in range(1, rows + 1)]),
+                                scores([(0, j) for j in range(1, cols + 1)]))
+
+
+@pytest.mark.parametrize("name", BLOCK_BASES)
+def test_witness_block_route_is_the_term_by_term_fold_on_tie_heavy_moves(name):
+    # below any size threshold: a move table takes the block route at every size
+    base = CATALOG[name]
+    grid = TIE_HEAVY_SCORES + (base.zero, base.one)
+    vit = sd.viterbi_simple_semiring(base)
+    rng = random.Random(107)
+    for rows in range(7):
+        for cols in range(7):
+            moves = {mv: sd.Scored(rng.choice(grid), (mv,))
+                     for mv in oracles.alignment_labels(rows, cols)}
+            listed = sd.AlignmentProblem(rows, cols, lambda i, j: moves[i, j])
+            p = sd.AlignmentProblem(rows, cols, move_table(rows, cols, moves))
+            assert type(p.moves(vit).deletes) is semirings.WitnessBlock
+            assert type(p.moves(sd.instrumented(vit)[0]).inserts) is semirings.WitnessBlock
+            cap = rng.randint(0, max(rows, cols))
+            # repr spells the score bit for bit (-0.0, nan) and the witness out
+            assert_same_fold(lambda s: sd.nw_align(p, s),
+                             lambda s: reference_nw_align(listed, term_by_term(s)), vit, moves)
+            assert_same_fold(lambda s: sd.nw_align(p, s), lambda s: sd.nw_align(listed, s),
+                             vit, moves)
+            assert_same_fold(lambda s: sd.nw_align_max_constrained(p, cap, s),
+                             lambda s: reference_nw_align(
+                                 filtered_moves(listed, cap, s.zero), term_by_term(s)),
+                             vit, (cap, moves))
+
+
+def test_witness_block_route_past_simd_widths():
+    # 61-cell diagonals, each on three live terms with ties, against the list route
+    vit = sd.viterbi_simple_semiring(MINPLUS)
+    rng = random.Random(109)
+    moves = {mv: sd.Scored(rng.choice((0.0, 1.0, 1.0 + 5e-10, 2.0)), (mv,))
+             for mv in oracles.alignment_labels(60, 60)}
+    listed = sd.AlignmentProblem(60, 60, lambda i, j: moves[i, j])
+    p = sd.AlignmentProblem(60, 60, move_table(60, 60, moves))
+    assert_same_fold(lambda s: sd.nw_align(p, s), lambda s: sd.nw_align(listed, s), vit, None)
+    for cap in (0, 7, 60):
+        assert_same_fold(lambda s: sd.nw_align_max_constrained(p, cap, s),
+                         lambda s: sd.nw_align_max_constrained(listed, cap, s), vit, cap)
+
+
+def test_move_tables_fold_other_semirings_through_the_callable():
+    moves = {mv: sd.Scored(1.0, (mv,)) for mv in oracles.alignment_labels(3, 4)}
+    table = move_table(3, 4, moves)
+    assert table(2, 3) is moves[2, 3]
+    for s in (sd.viterbi_semiring(MINPLUS), sd.viterbi_simple_semiring(sd.Semiring(
+            "custom-min", min, operator.add, math.inf, 0.0))):
+        p = sd.AlignmentProblem(3, 4, table)
+        assert type(p.moves(s).deletes) is list
+        assert sd.nw_align(p, s) == sd.nw_align(sd.AlignmentProblem(3, 4, table.weight), s)
+
+
+def test_a_replaced_weight_never_folds_from_the_table():
+    # dataclasses.replace(problem, weight=...) must read the new weights, not the old table
+    import dataclasses
+
+    vit = sd.viterbi_simple_semiring(MINPLUS)
+    moves = {mv: sd.Scored(1.0, (mv,)) for mv in oracles.alignment_labels(4, 4)}
+    p = sd.AlignmentProblem(4, 4, move_table(4, 4, moves))
+    cheap = {mv: sd.Scored(0.0 if mv[0] == mv[1] else 5.0, (mv,)) for mv in moves}
+    replaced = dataclasses.replace(p, weight=lambda i, j: cheap[i, j])
+    got = sd.nw_align(replaced, vit)
+    assert (got.score, got.witness) == (0.0, ((1, 1), (2, 2), (3, 3), (4, 4)))
+    assert sd.nw_align(p, vit).score == 4.0
+
+
+def test_a_prefix_reads_the_top_left_corner_of_its_table():
+    vit = sd.viterbi_simple_semiring(MAXPLUS)
+    rng = random.Random(113)
+    moves = {mv: sd.Scored(rng.choice((0.0, 1.0, 2.0, 3.0)), (mv,))
+             for mv in oracles.alignment_labels(9, 7)}
+    table = move_table(9, 7, moves)
+    for rows, cols in ((0, 0), (1, 1), (4, 2), (9, 7), (5, 7)):
+        got = sd.nw_align(sd.AlignmentProblem(rows, cols, table), vit)
+        want = sd.nw_align(sd.AlignmentProblem(rows, cols, lambda i, j: moves[i, j]), vit)
+        assert repr(got) == repr(want), (rows, cols)
 
 
 def test_witness_alignment_builds_one_product_per_cell(monkeypatch):

@@ -309,17 +309,27 @@ def test_bench_table(tmp_path):
 
 
 def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
-    # only the segment costs and summed-gap alignments over min/max bases use numpy,
-    # whose import is most of the start-up of a cold run that needs none of it
+    # only the segment costs, summed-gap alignments over min/max bases and witness
+    # alignments of at least BLOCK_CELLS cells use numpy, whose import is most of
+    # the start-up of a cold run that needs none of it
     values = write_column(tmp_path, "v.txt", [3.0, 1.0, 2.0, 5.0])
     probs = write_column(tmp_path, "p.txt", [0.5, 0.25, 0.75])
-    (tmp_path / "a.txt").write_text("GATTA\n")
-    (tmp_path / "b.txt").write_text("GCTAC\n")
-    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    rows = math.isqrt(cli.BLOCK_CELLS - 1) + 1
+    lengths = {"a": 5, "b": 5, "long": rows, "short": (cli.BLOCK_CELLS - 1) // rows,
+               "just": -(-cli.BLOCK_CELLS // rows)}
+    for name, length in lengths.items():
+        (tmp_path / f"{name}.txt").write_text(("GATTACA" * length)[:length] + "\n")
+    a, b, long, short, just = (str(tmp_path / f"{name}.txt") for name in lengths)
+    vit = ["--semiring", "viterbi:minplus"]
     calls = [["lis", values, "--verify"], ["events", probs, "-M", "1", "--verify"],
              ["events", probs, "-M", "1", "--mode", "viterbi"],
              ["align", a, b, "--verify"], ["align", a, b, "--max-misalign", "1"],
              ["align", a, b, "--sum-misalign", "2", "--semiring", "viterbi:minplus"],
+             ["align", a, b, *vit, "--verify"], ["align", a, b, *vit, "--max-misalign", "1"],
+             # one cell below the break-even, with and without a gap cap
+             ["align", long, short, *vit], ["align", long, short, *vit, "--max-misalign", "8"],
+             # at the break-even a witness alignment reads a move table as blocks
+             ["align", long, just, *vit],
              ["align", a, b, "--sum-misalign", "2"]]
     script = ("import json, sys\n"
               "from semiring_dp.cli import main\n"
@@ -332,8 +342,48 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls), str(tmp_path / "o")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    # the last call, a summed gap over minplus, takes the block route
-    assert proc.stdout.split() == ["False"] * len(calls) + ["True"]
+    # the last two calls take the block routes
+    assert proc.stdout.split() == ["False"] * (len(calls) - 1) + ["True", "True"]
+
+
+def test_move_tables_give_the_documents_of_the_callable_weights(tmp_path, monkeypatch, capsys):
+    # BLOCK_CELLS 0 runs every witness alignment over a move table as blocks
+    tables = []
+    edit_table = cli._edit_table
+    monkeypatch.setattr(cli, "_edit_table", lambda *a: tables.append(1) or edit_table(*a))
+    rng = np.random.default_rng(7)
+    (tmp_path / "a.txt").write_text("".join(rng.choice(list("ACG"), 20)) + "\n")
+    (tmp_path / "b.txt").write_text("".join(rng.choice(list("ACG"), 19)) + "\n")
+    (tmp_path / "ta.txt").write_text("to be or not to be that is\n")
+    (tmp_path / "tb.txt").write_text("not to be is to be or that\n")
+    pairs = [("a.txt", "b.txt", ()), ("ta.txt", "tb.txt", ("--tokens",))]
+    failed = []
+    for base, costs in (("minplus", ("--mismatch-cost", "1.5")), ("maxplus", ("--gap-cost", "-1")),
+                        ("maxprod", ("--gap-cost", "0.5", "--mismatch-cost", "0.25")),
+                        ("bottleneck", ("--gap-cost", "0.75", "--mismatch-cost", "0.25"))):
+        for first, second, tokens in pairs:
+            for extra in ((), ("--max-misalign", "2"), ("--sweep", "1,5,7"),
+                          ("--max-misalign", "3", "--sweep", "2,6")):
+                argv = ["align", str(tmp_path / first), str(tmp_path / second), *tokens,
+                        "--semiring", f"viterbi:{base}", *costs, *extra]
+                outcomes = []
+                for cells in (10**12, 0):
+                    monkeypatch.setattr(cli, "BLOCK_CELLS", cells)
+                    code, doc, out = run_cli(tmp_path, *argv)
+                    if code == 0:
+                        out.unlink()
+                        doc.pop("wall_time_s")
+                        for row in doc.get("sweep", ()):
+                            row.pop()  # seconds
+                    outcomes.append((code, doc, capsys.readouterr().err))
+                assert outcomes[0] == outcomes[1], argv
+                if outcomes[0][0]:
+                    assert outcomes[0][0] == 2
+                    failed.append(base)
+    assert len(tables) == 32
+    # a zero-cost match zeroes a maxprod or bottleneck score, and under a gap cap
+    # of 2 or 3 every alignment has one: the data error, the same on both routes
+    assert sorted(failed) == ["bottleneck"] * 4 + ["maxprod"] * 4
 
 
 def test_usage_errors_exit_one():

@@ -432,6 +432,21 @@ def test_unwritable_output_is_a_data_error(capsys, inputs, flag, target, reason)
     assert not (inputs / "t.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [("--out-table", ""), ("--out", ""),
+                                   ("--out", "", "--out-table", "t.csv")],
+                         ids=["--out-table", "--out", "--out-with-a-table"])
+def test_empty_output_path_is_a_data_error(capsys, inputs, monkeypatch, flags):
+    # an empty --out-table was taken as no table and an empty --out as stdout, with exit 0
+    monkeypatch.chdir(inputs)
+    before = sorted(p.name for p in inputs.parent.iterdir())
+    code, out, err = run(capsys, ["segment", "y.csv", "--count", "2", *flags])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, "cannot write ''", "No such file or directory")
+    assert sorted(p.name for p in inputs.iterdir()) == ["a.txt", "b.txt", "y.csv"]
+    assert sorted(p.name for p in inputs.parent.iterdir()) == before
+
+
 def test_missing_table_is_refused_before_any_output(capsys, inputs, tmp_path):
     table = tmp_path / "t.csv"
     argv = ["segment", str(inputs / "y.csv"), "--semiring", "minplus", "--out-table", str(table)]
