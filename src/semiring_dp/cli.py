@@ -1,12 +1,16 @@
 """Command-line front end: semiring-dp <segment|align|events|lis|bench>.
 
 Every subcommand runs one pipeline: it reads its inputs into a weight
-map and picks its recurrence, then ``_solve`` folds that recurrence over
-an op-counting copy of the semiring, unpacks the witness of a
-score-and-witness value, checks the score against the exhaustive
-path-set oracle on request (``_oracle``: generate, filter, evaluate) and
-builds the result document.  Documents are canonical JSON (sorted keys,
-floats at 12 significant digits), byte-stable under a parse/re-serialize
+map and states its recurrence input once, as a builder ``make(weight
+map)``, next to its (possibly constrained) recurrence ``run(input,
+semiring)``.  ``_solve`` folds ``make(weights)`` over an op-counting
+copy of the semiring, unpacks the witness of a score-and-witness value,
+reruns ``make(unit weights)`` over the boolean semiring to explain a
+witness score at the base zero, checks the score on request against
+the exhaustive path-set oracle of ``make(singleton labels)``
+(``_oracle``: generate, filter, evaluate) and builds the result
+document.  Documents are canonical JSON (sorted keys, floats at 12
+significant digits), byte-stable under a parse/re-serialize
 round trip.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 oracle-check failure, 4 internal error (a bug: one line names it and
 the traceback follows on stderr).
@@ -269,29 +273,30 @@ def _oracle(solutions, what, generate, alg, base, weight, got) -> dict:
     return {"status": "fail", "reason": f"direct {got!r} != exhaustive {want!r}"}
 
 
-def _verify_segment(n, scalar_weight, alg, base, got) -> dict:
-    problem = SegmentationProblem(n, lambda i, j: singleton_weights((i, j)))
+def _labels(*label):
+    """The oracle's weight map: each label, such as (i, j), as a one-step path set."""
+    return singleton_weights(label)
+
+
+def _verify_segment(make, alg, base, scalar_weight, got) -> dict:
+    problem = make(_labels)
+    n = problem.length
     generate = lambda gen: segment_opt(problem, gen)
     return _oracle(2 ** (n - 1), f"2^{n - 1} covers", generate, alg, base, scalar_weight, got)
 
 
-def _verify_align(n, m, alg, base, scalar_weight, got) -> dict:
-    problem = AlignmentProblem(n, m, lambda i, j: singleton_weights((i, j)))
-    count = delannoy(n, m)
+def _verify_align(make, alg, base, scalar_weight, got) -> dict:
+    problem = make(_labels)
+    count = delannoy(problem.rows, problem.cols)
     generate = lambda gen: nw_align(problem, gen)
     return _oracle(count, f"{count} alignments", generate, alg, base, scalar_weight, got)
 
 
-def _verify_events(probs, occurrences, base, scalar_weight, got) -> dict:
-    n = len(probs)
-
-    def generate(gen):  # every outcome sequence; the algebra keeps those with M occurrences
-        paths = gen.one
-        for k in range(1, n + 1):
-            branch = gen.add(singleton_weights((0, k)), singleton_weights((1, k)))
-            paths = gen.mul(paths, branch)
-        return paths
-
+def _verify_events(make, occurrences, base, scalar_weight, got) -> dict:
+    pairs = make(_labels)
+    n = len(pairs)
+    # every outcome sequence; the algebra keeps those with M occurrences
+    generate = lambda gen: gen.prod(gen.add(absent, present) for absent, present in pairs)
     alg = subset_size_algebra(
         max(n, 1), label_map=lambda e: e[0], accept=lambda m: m == occurrences
     )
@@ -331,35 +336,30 @@ def _document(command, config, result, witness, counts, elapsed, oracle) -> dict
     }
 
 
-def _zero_score(what, infeasible, base, feasible):
-    """The error message for a witness score exactly at ``base.zero``, as a thunk.
+def _solve(args, command, config, s, base, make, weight, run, verify, zero=None) -> dict:
+    """Run one recurrence input over three semirings, and document the result.
 
-    ``feasible(bool semiring)`` reruns the same constrained fold with unit
-    weights: it tells an infeasible constraint (``infeasible``) from
-    solutions that all score the base zero.
+    ``make(weight map)`` builds the input and ``run(input, semiring)`` folds
+    it: over the counted ``s`` with ``weight``; when a witness score is
+    exactly ``base.zero`` and ``zero`` = (what the solutions are, the
+    infeasible-constraint message) is given, over the boolean semiring with
+    unit weights, to name which cause holds; and on request ``verify(make,
+    score)`` builds the path-set oracle from ``make(_labels)``.  A nan score
+    is a data error.
     """
-    def message():
-        if feasible(boolean_semiring()):
-            return f"every {what} scores the zero of {base.name} ({base.zero})"
-        return infeasible
-
-    return message
-
-
-def _solve(args, command, config, s, run, verify, zero_score) -> dict:
-    """Fold, read a Scored value's witness, verify the score if asked, and document.
-
-    A nan score is a data error; a witness score exactly at the base zero
-    raises the message ``zero_score()``, if given.
-    """
-    value, counts, elapsed = _fold(s, run)
+    problem = make(weight)
+    value, counts, elapsed = _fold(s, lambda counted: run(problem, counted))
     result, witness = (value.score, value.witness) if isinstance(value, Scored) else (value, None)
     if isinstance(result, float) and math.isnan(result):
         raise DataError(f"the {s.name} fold gave nan: the weights meet an undefined "
                         f"operation such as inf * 0 or inf - inf")
-    if zero_score is not None and witness is not None and result == s.zero.score:
-        raise DataError(zero_score())
-    oracle = verify(result) if args.verify else _oracle_skipped("not requested")
+    if zero is not None and witness is not None and result == base.zero:
+        what, infeasible = zero
+        unit = boolean_semiring()
+        if run(make(lambda *label: unit.one), unit):
+            raise DataError(f"every {what} scores the zero of {base.name} ({base.zero})")
+        raise DataError(infeasible)
+    oracle = verify(make, result) if args.verify else _oracle_skipped("not requested")
     return _document(command, config, result, witness, counts, elapsed, oracle)
 
 
@@ -392,7 +392,7 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     s, base, tupled = resolve_semiring(args.semiring)
     # costs.weight is read at each call, so a replacement on the instance is seen
     weight, scalar_weight = _weights(base, lambda i, j: costs.weight(i, j), tupled)
-    problem = SegmentationProblem(n, weight)
+    make = lambda weight: SegmentationProblem(n, weight)
 
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: segment_opt(p, counted)
@@ -415,13 +415,10 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     config = _config(args, "input", "semiring", "model", "header", constraint=constraint)
     config["lambda"] = args.lam
     doc = _solve(
-        args, "segment", config, s, lambda counted: run(problem, counted),
-        lambda got: _verify_segment(n, scalar_weight, alg, base, got),
-        _zero_score(
-            "segmentation" + (" that satisfies the constraint" if constraint else ""),
-            "constraint infeasible: no segmentation satisfies it", base,
-            lambda unit: run(SegmentationProblem(n, lambda i, j: unit.one), unit),
-        ),
+        args, "segment", config, s, base, make, weight, run,
+        lambda make, got: _verify_segment(make, alg, base, scalar_weight, got),
+        ("segmentation" + (" that satisfies the constraint" if constraint else ""),
+         "constraint infeasible: no segmentation satisfies it"),
     )
     table = None
     witness = doc["witness"]
@@ -452,21 +449,25 @@ def _edit_table(a, b, weight, mismatch_cost, gap_cost) -> MoveTable:
 
 
 def cmd_align(args) -> tuple[dict, list | None]:
-    for flag, cost in (("--gap-cost", args.gap_cost), ("--mismatch-cost", args.mismatch_cost)):
-        if math.isnan(cost):
-            raise DataError(f"{flag} is nan; a cost must be a number")
     a = read_sequence(args.first, tokens=args.tokens)
     b = read_sequence(args.second, tokens=args.tokens)
     name = "count" if args.count_paths else args.semiring
     s, base, tupled = resolve_semiring(name)
-    if base.name not in ("count", "bool"):  # those score with unit weights, not the costs
-        for flag, cost in (("--gap-cost", args.gap_cost), ("--mismatch-cost", args.mismatch_cost)):
-            product = base.mul(cost, base.zero)
-            if product != base.zero:
+    gap_cost, mismatch_cost = args.gap_cost, args.mismatch_cost
+    for flag, cost in (("--gap-cost", gap_cost), ("--mismatch-cost", mismatch_cost)):
+        if math.isnan(cost):
+            raise DataError(f"{flag} is nan; a cost must be a number")
+        if base.name in ("count", "bool"):  # those score with unit weights, not the costs
+            continue
+        # every fold assumes a cost is in the carrier: zero annihilates it, and
+        # adding zero or multiplying by one gives it back
+        for law, operand, op, want in (("times its zero", base.zero, base.mul, "zero"),
+                                       ("plus its zero", base.zero, base.add, "itself"),
+                                       ("times its one", base.one, base.mul, "itself")):
+            got = op(cost, operand)
+            if got != (base.zero if want == "zero" else cost):
                 raise DataError(f"{flag} {cost} is outside the carrier of {base.name}: "
-                                f"times its zero {base.zero} it gives {product}, not zero")
-    mismatch_cost = args.mismatch_cost
-    gap_cost = args.gap_cost
+                                f"{law} {operand} it gives {got}, not {want}")
 
     def edit_cost(i, j):
         if i and j:
@@ -493,7 +494,7 @@ def cmd_align(args) -> tuple[dict, list | None]:
         run = lambda p, counted: nw_align_max_constrained(p, min(cap, max(p.rows, p.cols)), counted)
         alg = algorithms.misalignment_algebra("max", cap)
 
-    problem = AlignmentProblem(len(a), len(b), weight)
+    make = lambda weight: AlignmentProblem(len(a), len(b), weight)
     sweep_rows = None
     if args.sweep:
         sizes = _parse_sizes(args.sweep)
@@ -501,19 +502,16 @@ def cmd_align(args) -> tuple[dict, list | None]:
             if size > len(a) or size > len(b):
                 raise DataError(f"--sweep size {size} exceeds an input length")
         # a prefix pair's move weights are the full pair's, restricted
-        prefix = lambda size: AlignmentProblem(size, size, problem.weight)
+        prefix = lambda size: AlignmentProblem(size, size, weight)
         sweep_rows = _scaling(sizes, s, lambda size, counted: run(prefix(size), counted))
 
     config = _config(args, "tokens", "gap_cost", "mismatch_cost", constraint=constraint,
                      inputs=[args.first, args.second], semiring=name)
     doc = _solve(
-        args, "align", config, s, lambda counted: run(problem, counted),
-        lambda got: _verify_align(len(a), len(b), alg, base, scalar_weight, got),
-        _zero_score(
-            "alignment" + (" that satisfies the constraint" if constraint else ""),
-            "constraint infeasible: no alignment satisfies it", base,
-            lambda unit: run(AlignmentProblem(len(a), len(b), lambda i, j: unit.one), unit),
-        ),
+        args, "align", config, s, base, make, weight, run,
+        lambda make, got: _verify_align(make, alg, base, scalar_weight, got),
+        ("alignment" + (" that satisfies the constraint" if constraint else ""),
+         "constraint infeasible: no alignment satisfies it"),
     )
     if sweep_rows is not None:
         doc["sweep"] = [list(r) for r in sweep_rows[1:]]
@@ -526,25 +524,22 @@ def cmd_events(args) -> tuple[dict, list | None]:
         if not 0.0 <= p <= 1.0:
             raise DataError(f"probability #{pos} is {p}, outside [0, 1]")
     occurrences = args.occurrences
-
+    # the chance of outcome e of event k: it occurs (e = 1) or not (e = 0)
+    chance = lambda e, k: probs[k - 1] if e else 1.0 - probs[k - 1]
     if args.mode == "exact":
         base = s = probability_semiring()
-        pairs = [(1.0 - p, p) for p in probs]
-    else:  # most probable combination
+        weight = chance
+    else:  # most probable combination, witnessed by the events that occur
         base = max_product_semiring()
         s = viterbi_simple_semiring(base)
-        pairs = [(Scored(1.0 - p, ()), Scored(p, (k,))) for k, p in enumerate(probs, start=1)]
-    scalar_weight = lambda e: probs[e[1] - 1] if e[0] else 1.0 - probs[e[1] - 1]
-
+        weight = lambda e, k: Scored(chance(e, k), (k,) if e else ())
+    make = lambda weight: [(weight(0, k), weight(1, k)) for k in range(1, len(probs) + 1)]
     doc = _solve(
-        args, "events", _config(args, "input", "occurrences", "mode", "header"), s,
-        lambda counted: events_m_of_n(pairs, occurrences, counted),
-        lambda got: _verify_events(probs, occurrences, base, scalar_weight, got),
-        _zero_score(
-            "outcome with the requested number of occurrences",
-            "no outcome has the requested number of occurrences", base,
-            lambda unit: events_m_of_n([(unit.one, unit.one)] * len(probs), occurrences, unit),
-        ),
+        args, "events", _config(args, "input", "occurrences", "mode", "header"), s, base,
+        make, weight, lambda pairs, counted: events_m_of_n(pairs, occurrences, counted),
+        lambda make, got: _verify_events(make, occurrences, base, lambda e: chance(*e), got),
+        ("outcome with the requested number of occurrences",
+         "no outcome has the requested number of occurrences"),
     )
     return doc, None
 
@@ -569,17 +564,17 @@ def cmd_lis(args) -> tuple[dict, list | None]:
                 )
     relation = _RELATIONS[args.relation]
 
-    def run(counted):  # (length, chained values); an empty input folds to length 0
-        best = algorithms.ordered_subsequences(
-            values, counted, lambda k: Scored(1.0, (k,)), relation
-        )
+    def run(weight, counted):  # (length, chained values); an empty input folds to length 0
+        best = algorithms.ordered_subsequences(values, counted, weight, relation)
         length = 0 if best.score == -math.inf else int(best.score)
         return Scored(length, [values[k - 1] for k in best.witness] or None)
 
+    # the input is the weight map over positions k; the oracle's labels are k, not pairs
+    base = maxplus_semiring()
     doc = _solve(
-        args, "lis", _config(args, "input", "relation", "header"),
-        viterbi_simple_semiring(maxplus_semiring()), run,
-        lambda got: _verify_lis(values, relation, got), None,
+        args, "lis", _config(args, "input", "relation", "header"), viterbi_simple_semiring(base),
+        base, lambda weight: weight, lambda k: Scored(1.0, (k,)), run,
+        lambda make, got: _verify_lis(values, relation, got),
     )
     return doc, None
 

@@ -97,11 +97,17 @@ sweeps = st.one_of(
 )
 
 
+# finite, signed-zero and infinite costs; in and outside each semiring's carrier
+costs = st.sampled_from(("0", "0.25", "1", "2", "-1", "-0.0", "inf", "-inf"))
+
+
 @FUZZ
 @given(a=sequences, b=sequences, cap=align_caps, semiring=st.sampled_from(ACCEPTED),
-       sweep=sweeps)
-def test_align(tmp_path_factory, a, b, cap, semiring, sweep):
-    argv = ["align", "a.txt", "b.txt", *cap, "--semiring", semiring, *sweep]
+       sweep=sweeps, gap=costs, mismatch=costs)
+def test_align(tmp_path_factory, a, b, cap, semiring, sweep, gap, mismatch):
+    # the = form, since argparse would read -inf or -1 as a flag
+    argv = ["align", "a.txt", "b.txt", *cap, "--semiring", semiring, *sweep,
+            f"--gap-cost={gap}", f"--mismatch-cost={mismatch}"]
     check_run(tmp_path_factory, {"a.txt": a + "\n", "b.txt": b + "\n"}, argv, (0, 2))
 
 

@@ -182,6 +182,27 @@ def test_zero_scoring_segmentations_are_not_called_infeasible(capsys, tmp_path):
     assert_one_data_error(err, "every segmentation scores the zero of maxprod")
 
 
+@pytest.mark.parametrize(
+    "probs, occurrences, message",
+    [
+        # every outcome with one occurrence has a factor p = 0
+        ("0\n0\n0\n", 1, "every outcome with the requested number of occurrences "
+                         "scores the zero of maxprod (0.0)"),
+        # three occurrences of two events
+        ("0.5\n0.25\n", 3, "no outcome has the requested number of occurrences"),
+    ],
+    ids=["zero-scoring", "infeasible"],
+)
+def test_zero_scoring_events_name_their_cause(capsys, tmp_path, probs, occurrences, message):
+    path = tmp_path / "p.txt"
+    path.write_text(probs)
+    argv = ["events", str(path), "-M", str(occurrences), "--mode", "viterbi"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"semiring-dp: data error: {message}\n"
+
+
 # --- summed-gap caps beyond any alignment's total ---------------------------------------
 
 
@@ -273,13 +294,18 @@ def test_overflowing_fold_results_are_named(capsys, inputs, constraint):
     assert_one_data_error(err, "prob fold gave nan")
 
 
-# a cost c lies in a semiring's carrier when c times zero is zero, as every fold assumes
+# a cost c lies in a semiring's carrier when c times zero is zero and c plus zero and
+# c times one are c, as every fold assumes
 OUTSIDE_CARRIER = [("prob", "inf"), ("minplus", "-inf"), ("maxplus", "inf"), ("maxprod", "inf"),
-                   ("softmax", "-inf"), ("bottleneck", "-0.5"), ("viterbi:bottleneck", "-0.5")]
+                   ("softmax", "-inf"), ("bottleneck", "-0.5"), ("viterbi:bottleneck", "-0.5"),
+                   ("maxprod", "-1"), ("viterbi:maxprod", "-0.5"), ("bottleneck", "2")]
+# a case is named by its semiring, and by its cost too where an earlier case has that semiring
+CARRIER_IDS = [f"{name}={cost}" if name in [n for n, _ in OUTSIDE_CARRIER[:k]] else name
+               for k, (name, cost) in enumerate(OUTSIDE_CARRIER)]
 
 
 @pytest.mark.parametrize("flag", ["--gap-cost", "--mismatch-cost"])
-@pytest.mark.parametrize("name, cost", OUTSIDE_CARRIER, ids=[c[0] for c in OUTSIDE_CARRIER])
+@pytest.mark.parametrize("name, cost", OUTSIDE_CARRIER, ids=CARRIER_IDS)
 def test_alignment_costs_outside_the_carrier_are_data_errors(capsys, inputs, name, cost, flag):
     # the parent answered some of these (bottleneck with -0.5 gave -0.5) and met
     # nan in others; the max-gap filter multiplies by zero, so it met nan more often
