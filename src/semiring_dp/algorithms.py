@@ -35,7 +35,6 @@ tests check each form against generate-filter-evaluate.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -488,8 +487,6 @@ def longest_chain(values: Sequence, relation=operator.lt) -> tuple[int, list]:
         return 0, []
     vit = viterbi_simple_semiring(maxplus_semiring())
     result = ordered_subsequences(u, vit, lambda k: Scored(1.0, (k,)), relation)
-    if result.score == -math.inf:
-        return 0, []
     return int(result.score), [u[k - 1] for k in result.witness]
 
 

@@ -229,14 +229,32 @@ def resolve_semiring(name: str) -> tuple[Semiring, Semiring, bool]:
     )
 
 
-def _weights(base: Semiring, cost, tupled: bool):
+def _weights(base: Semiring, cost, tupled: bool, bounds: dict):
     """(The fold's weight map over (i, j), the oracle's weight of a label (i, j)).
 
     Both score with ``cost(i, j)``, or with unit weights where the semiring
-    grades structure, not cost; the fold's is tupled with its label when
-    witnesses are kept.
+    grades structure, not cost (count, bool); the fold's is tupled with its
+    label when witnesses are kept.  ``bounds`` names the values that every
+    cost lies between, with 0.0, which is in every catalog carrier: align's
+    gap and mismatch costs, or segment's one-segment weight, the largest
+    (a fit cost never falls as its interval grows).  A nan bound is a data
+    error; so, unless the weights are units, is one outside the carrier,
+    which every fold assumes: zero annihilates it, and adding zero or
+    multiplying by one gives it back.
     """
-    if base.name in ("count", "bool"):
+    unit = base.name in ("count", "bool")
+    for what, value in bounds.items():
+        if math.isnan(value):
+            raise DataError(f"{what} is nan; a cost must be a number")
+        if unit:
+            continue
+        for law, got, want in (("times its zero", base.mul(value, base.zero), base.zero),
+                               ("plus its zero", base.add(value, base.zero), value),
+                               ("times its one", base.mul(value, base.one), value)):
+            if got != want:
+                raise DataError(f"{what} {value} is outside the carrier of {base.name}: "
+                                f"{law} gives {got}, not {want}")
+    if unit:
         cost = lambda i, j: base.one
     scalar = lambda label: cost(*label)
     if not tupled:
@@ -391,7 +409,8 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     n = len(ts)
     s, base, tupled = resolve_semiring(args.semiring)
     # costs.weight is read at each call, so a replacement on the instance is seen
-    weight, scalar_weight = _weights(base, lambda i, j: costs.weight(i, j), tupled)
+    weight, scalar_weight = _weights(base, lambda i, j: costs.weight(i, j), tupled,
+                                     {"the one-segment weight": costs.weight(1, n)})
     make = lambda weight: SegmentationProblem(n, weight)
 
     constraint = alg = None  # the constraint's record, and its oracle filter
@@ -454,27 +473,14 @@ def cmd_align(args) -> tuple[dict, list | None]:
     name = "count" if args.count_paths else args.semiring
     s, base, tupled = resolve_semiring(name)
     gap_cost, mismatch_cost = args.gap_cost, args.mismatch_cost
-    for flag, cost in (("--gap-cost", gap_cost), ("--mismatch-cost", mismatch_cost)):
-        if math.isnan(cost):
-            raise DataError(f"{flag} is nan; a cost must be a number")
-        if base.name in ("count", "bool"):  # those score with unit weights, not the costs
-            continue
-        # every fold assumes a cost is in the carrier: zero annihilates it, and
-        # adding zero or multiplying by one gives it back
-        for law, operand, op, want in (("times its zero", base.zero, base.mul, "zero"),
-                                       ("plus its zero", base.zero, base.add, "itself"),
-                                       ("times its one", base.one, base.mul, "itself")):
-            got = op(cost, operand)
-            if got != (base.zero if want == "zero" else cost):
-                raise DataError(f"{flag} {cost} is outside the carrier of {base.name}: "
-                                f"{law} {operand} it gives {got}, not {want}")
 
     def edit_cost(i, j):
         if i and j:
             return 0.0 if a[i - 1] == b[j - 1] else mismatch_cost
         return gap_cost
 
-    weight, scalar_weight = _weights(base, edit_cost, tupled)
+    weight, scalar_weight = _weights(base, edit_cost, tupled, {"--gap-cost": gap_cost,
+                                                               "--mismatch-cost": mismatch_cost})
     if s.block_rows and args.sum_misalign is None and len(a) * len(b) >= BLOCK_CELLS:
         weight = _edit_table(a, b, weight, mismatch_cost, gap_cost)
     constraint = alg = None  # the constraint's record, and its oracle filter

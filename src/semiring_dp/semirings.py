@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -100,10 +101,7 @@ class Semiring:
 
     def sum(self, values: Iterable[Any]) -> Any:
         """add(...add(add(zero, v1), v2)..., vn)."""
-        add, acc = self.add, self.zero
-        for v in values:
-            acc = add(acc, v)
-        return acc
+        return reduce(self.add, values, self.zero)
 
     def dot(self, xs: Sequence[Any], ys: Sequence[Any]) -> Any:
         """The ``sum`` of mul(x, y) over equal-length rows: a mul, then an add, per term.
@@ -148,18 +146,13 @@ class Semiring:
         them: ``repeat(y)``, ``mul_rows``' broadcast operand, is no row here.
         """
         products = map(self.mul_rows, xss, yss)
-        acc = next(products, None)
-        if acc is None:
+        first = next(products, None)
+        if first is None:
             raise ValueError("dot_rows of no rows")
-        for row in products:
-            acc = self.add_rows(acc, row)
-        return acc
+        return reduce(self.add_rows, products, first)
 
     def prod(self, values: Iterable[Any]) -> Any:
-        acc = self.one
-        for v in values:
-            acc = self.mul(acc, v)
-        return acc
+        return reduce(self.mul, values, self.one)
 
     def __repr__(self) -> str:
         return f"Semiring({self.name})"

@@ -19,6 +19,7 @@ import stat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiring_dp import SegmentCostModel, SegmentCosts, TimeSeries
 from semiring_dp.cli import EXIT_INTERNAL, main
 
 SELECTIVE = ("bool", "minplus", "maxplus", "maxprod", "bottleneck")
@@ -33,7 +34,7 @@ small_ints = st.integers(min_value=0, max_value=10)
 
 
 def check_run(tmp_path_factory, files: dict, argv: list, want_codes: tuple):
-    """Write ``files``, run the CLI on ``argv`` (names replaced by paths) and check the outcome."""
+    """Write ``files``, run the CLI on ``argv`` (names as paths), check and return its exit code."""
     work = tmp_path_factory.mktemp("fuzz")
     for name, text in files.items():
         (work / name).write_text(text)
@@ -51,6 +52,7 @@ def check_run(tmp_path_factory, files: dict, argv: list, want_codes: tuple):
         assert stderr.getvalue().startswith("semiring-dp: data error:")
     else:  # a malformed flag, named on argparse's last line
         assert stderr.getvalue().splitlines()[-1].startswith(f"semiring-dp {argv[0]}: error:")
+    return code
 
 
 def column(values) -> str:
@@ -79,7 +81,13 @@ def test_segment(tmp_path_factory, values, constraint, semiring, model, lam):
     bounds = [int(v) for v in constraint[1:]]
     # a count or length below 1, or a --count-range whose LO exceeds HI
     malformed = bool(bounds) and (min(bounds) < 1 or bounds[0] > bounds[-1])
-    check_run(tmp_path_factory, {"y.csv": column(values)}, argv, (1,) if malformed else (0, 2))
+    code = check_run(tmp_path_factory, {"y.csv": column(values)}, argv,
+                     (1,) if malformed else (0, 2))
+    if code == 0 and semiring.endswith("bottleneck"):
+        # bottleneck's carrier is [0, 1], and the one-segment weight is the largest
+        cost_model = SegmentCostModel(model, regularization=float(lam))
+        costs = SegmentCosts(TimeSeries(values), cost_model)
+        assert costs.weight(1, len(values)) <= 1
 
 
 align_caps = st.one_of(

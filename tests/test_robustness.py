@@ -328,6 +328,42 @@ def test_unit_weight_alignments_take_any_cost(capsys, inputs, name):
     assert json.loads(out)["oracle_check"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("name", ["bottleneck", "viterbi:bottleneck"])
+def test_segment_weights_outside_the_carrier_are_data_errors(capsys, inputs, tmp_path, name):
+    # y.csv's one-segment weight, its largest, is the fit cost 19.64 plus lambda 0.5;
+    # weights above 1 were once taken as 1, bottleneck's one, by the fold and oracle alike
+    code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--semiring", name,
+                                  "--lambda", "0.5", "--verify"])
+    assert (code, out) == (2, "")
+    assert_one_data_error(err, "one-segment weight 20.138", "bottleneck", "carrier")
+    # every weight of this series lies in [0, 1], so it runs, and the best cover is one segment
+    path = tmp_path / "small.csv"
+    path.write_text("0.1\n0.3\n0.2\n0.5\n0.4\n")
+    code, out, err = run(capsys, ["segment", str(path), "--semiring", name, "--verify"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["result"] == pytest.approx(0.018)
+    assert doc["oracle_check"]["status"] == "pass"
+
+
+def test_only_bottleneck_segments_refuse_weights_above_one(capsys, inputs):
+    # count and bool score with unit weights and minplus takes any weight >= 0,
+    # so on a series whose one-segment weight exceeds 1 they answer as before
+    want = {"count": 32, "bool": True, "minplus": 1.5, "viterbi:minplus": 1.5,
+            "bottleneck": None}
+    for name, result in want.items():
+        code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), "--semiring", name,
+                                      "--lambda", "0.5", "--verify"])
+        if result is None:
+            assert code == 2
+            assert_one_data_error(err, "bottleneck", "carrier")
+            continue
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["result"], doc["op_counts"]) == (result, {"add": 21, "mul": 21})
+        assert doc["oracle_check"]["status"] == "pass"
+
+
 # --- conflicting constraint flags -------------------------------------------------
 
 
