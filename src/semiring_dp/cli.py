@@ -419,6 +419,8 @@ def cmd_segment(args) -> tuple[dict, list | None]:
         lo, hi = (args.count, args.count) if args.count is not None else args.count_range
         if hi > n:
             flag = f"--count {lo}" if args.count is not None else f"--count-range {lo} {hi}"
+            if lo <= n:  # covers with lo..n segments exist: the bound, not the range, fails
+                raise DataError(f"{flag} reaches past {n} samples: a cover has at most {n} segments")
             raise DataError(f"{flag} infeasible for {n} samples")
         constraint = {"kind": "count", "lo": lo, "hi": hi}
         run = lambda p, counted: algorithms.segment_fixed_count(p, lo, hi, counted)

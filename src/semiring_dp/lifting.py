@@ -11,6 +11,7 @@ without ever enumerating and filtering solutions.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from typing import Any, Callable
@@ -412,27 +413,29 @@ def algebra_catalog(bound: int = 6) -> dict[str, ConstraintAlgebra]:
 # Each function below is the simplified form of
 # mul_by_lifted_edge_general for one algebra, derived from the defining
 # condition combine(m', key) == m; the equivalence tests pin them to the
-# general product.  The index-arithmetic forms build their output in a
-# list and make one tuple of the carrier's size: slicing into tuples of
-# every shorter length would fill the interpreter's per-length tuple
-# free lists, about 3 MB of peak memory at cap 16.
+# general product.  Each is row operations over exactly the entries that
+# condition reads: zeros, one mul_rows(..., repeat(weight)) for the
+# entries the key leaves in place, and one fold, times the weight, for
+# the entry it collapses onto (abs_difference: one dot per entry).  The
+# output is a list made into one tuple of the carrier's size: tuples of
+# every shorter length would fill the interpreter's per-length tuple free
+# lists, about 3 MB of peak memory at cap 16.
 
 
 def min_count_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     # {m' : min(m', key) == m} is {m} below key, the suffix {m..bound} at
-    # key, empty above.
-    size = alg.size
-    suffix = [base.zero] * (size + 1)
-    for i in range(size - 1, -1, -1):
-        suffix[i] = base.add(vec[i], suffix[i + 1])
-    out = []
-    for i, m in enumerate(alg.carrier):
-        if m < key:
-            out.append(base.mul(vec[i], weight))
-        elif m == key:
-            out.append(base.mul(suffix[i], weight))
-        else:
-            out.append(base.zero)
+    # key, empty above; the carrier ascends, so the entries below key
+    # come first, and a key outside the carrier collapses nothing.
+    carrier = alg.carrier
+    size, k = len(vec), bisect_left(carrier, key)
+    out = base.mul_rows(islice(vec, k), repeat(weight))
+    if k < size and carrier[k] == key:
+        rest = base.zero
+        for v in islice(reversed(vec), size - k):
+            rest = base.add(v, rest)
+        out.append(base.mul(rest, weight))
+    if len(out) < size:
+        out += [base.zero] * (size - len(out))
     return tuple(out)
 
 
@@ -442,6 +445,9 @@ def subset_size_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     size = len(vec)
     if key >= size:
         return (base.zero,) * size
+    if key < 0:  # shifts down: entry m reads m - key
+        out = base.mul_rows(islice(vec, -key, None), repeat(weight))
+        return tuple(out + [base.zero] * min(-key, size))
     out = [base.zero] * key
     out.extend(base.mul_rows(islice(vec, size - key), repeat(weight)))
     return tuple(out)
@@ -450,10 +456,12 @@ def subset_size_edge_product(base, alg, vec, weight, key) -> LiftedVector:
 def max_count_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     # {m' : max(m', key) == m} is {m} above key, the prefix {0..m} at
     # key, empty below; the carrier is 0..bound, so value m sits at
-    # index m, and keys are >= 0.
+    # index m, and a key below 0 leaves every entry in place.
     size = len(vec)
     if key >= size:
         return (base.zero,) * size
+    if key < 0:
+        return tuple(base.mul_rows(vec, repeat(weight)))
     out = [base.zero] * key
     out.append(base.mul(base.sum(islice(vec, key + 1)), weight))
     out.extend(base.mul_rows(islice(vec, key + 1, None), repeat(weight)))
@@ -465,42 +473,31 @@ def abs_difference_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     # with the carrier (a single solution when m == 0).
     out = []
     for m in alg.carrier:
-        acc = base.zero
-        for mp in {key - m, key + m}:
-            i = alg.index_of(mp)
-            if i is not None:
-                acc = base.add(acc, base.mul(vec[i], weight))
-        out.append(acc)
+        held = [vec[i] for i in map(alg.index_of, {key - m, key + m}) if i is not None]
+        out.append(base.dot(held, [weight] * len(held)))
     return tuple(out)
 
 
 def exists_edge_product(base, alg, vec, weight, key) -> LiftedVector:
-    v_false, v_true = vec
     if not key:
-        return (base.mul(v_false, weight), base.mul(v_true, weight))
-    return (base.zero, base.mul(base.add(v_false, v_true), weight))
+        return tuple(base.mul_rows(vec, repeat(weight)))
+    return (base.zero, base.mul(base.add(*vec), weight))
 
 
 def forall_edge_product(base, alg, vec, weight, key) -> LiftedVector:
-    v_false, v_true = vec
     if key:
-        return (base.mul(v_false, weight), base.mul(v_true, weight))
-    return (base.mul(base.add(v_false, v_true), weight), base.zero)
+        return tuple(base.mul_rows(vec, repeat(weight)))
+    return (base.mul(base.add(*vec), weight), base.zero)
 
 
 def ordering_edge_product(base, alg, vec, weight, key) -> LiftedVector:
     # Non-zero only at the edge's own position: fold every chainable
     # predecessor, i.e. every m' with combine(m', key) == key.
-    out = []
-    for m in alg.carrier:
-        if m != key:
-            out.append(base.zero)
-            continue
-        acc = base.zero
-        for i, mp in enumerate(alg.carrier):
-            if alg.combine(mp, key) == key:
-                acc = base.add(acc, vec[i])
-        out.append(base.mul(acc, weight))
+    out = [base.zero] * alg.size
+    k = alg.index_of(key)
+    if k is not None:
+        chainable = [alg.combine(m, key) == key for m in alg.carrier]
+        out[k] = base.mul(base.sum(compress(vec, chainable)), weight)
     return tuple(out)
 
 

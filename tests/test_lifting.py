@@ -255,6 +255,67 @@ def test_closed_form_edge_products_past_the_carrier(alg_name):
     assert (counts.add, counts.mul) == (0, 0)
 
 
+def _outside_keys(alg_name):
+    # (algebra, keys): the catalog algebra and one whose carrier dataclasses.replace
+    # swapped, each with keys below its least value and above its greatest
+    if alg_name == "ordering":  # combine reads a value at each key, so keys stop at 5
+        alg = sd.ordering_algebra([0.3, 0.1, 0.4, 0.2, 0.5])
+        return [(alg, range(-1, 6)), (replace(alg, carrier=(1, 2, 4)), range(-1, 6))]
+    alg = small_algebras()[alg_name]
+    if alg_name == "min_count":  # a min reads values, not indices: gaps and offsets too
+        narrowed = replace(alg, carrier=(2, 3, 5), identity=5)
+    else:  # the shifts read value m at index m
+        narrowed = replace(alg, carrier=(0, 1, 2))
+    return [(a, range(min(a.carrier) - 2, max(a.carrier) + 3)) for a in (alg, narrowed)]
+
+
+@pytest.mark.parametrize("alg_name", ("min_count", "max_count", "subset_size", "ordering"))
+def test_closed_form_edge_products_outside_the_carrier(alg_name):
+    # a key outside the carrier (or a carrier replaced under the form) gets
+    # what the general product gives: no collapsed entry, nothing out of place
+    closed = CLOSED_FORM_EDGE_PRODUCTS.get(alg_name, ordering_edge_product)
+    rng = random.Random(43)
+    for alg, keys in _outside_keys(alg_name):
+        for key in keys:
+            for _ in range(20):
+                vec = tuple(rng.randint(0, 9) for _ in range(alg.size))
+                want = sd.mul_by_lifted_edge_general(COUNT, alg, vec, 3, key)
+                assert closed(COUNT, alg, vec, 3, key) == want, (alg.carrier, key, vec)
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_min_count_edge_product_folds_only_the_collapsed_suffix(bound):
+    # entries below the key are one mul each; the key's entry folds the
+    # entries from the key onward (one add each) and multiplies once
+    alg = sd.min_count_algebra(bound)
+    vec = tuple(range(1, alg.size + 1))
+    for i, key in enumerate(alg.carrier):
+        counted, counts = sd.instrumented(COUNT)
+        got = CLOSED_FORM_EDGE_PRODUCTS["min_count"](counted, alg, vec, 5, key)
+        assert got == sd.mul_by_lifted_edge_general(COUNT, alg, vec, 5, key)
+        assert (counts.add, counts.mul) == (alg.size - i, i + 1), key
+
+
+@pytest.mark.parametrize("bound", range(0, 7))
+@pytest.mark.parametrize(
+    "algebra, product, adds",
+    [
+        # one mul per entry the shift keeps
+        (sd.subset_size_algebra, CLOSED_FORM_EDGE_PRODUCTS["subset_size"], lambda key: 0),
+        # the key's entry folds the prefix 0..key (one add each); one mul per entry from the key on
+        (sd.max_count_algebra, CLOSED_FORM_EDGE_PRODUCTS["max_count"], lambda key: key + 1),
+    ],
+    ids=["subset_size", "max_count"],
+)
+def test_shift_edge_product_op_counts(bound, algebra, product, adds):
+    alg = algebra(bound)
+    vec = tuple(range(1, alg.size + 1))
+    for key in alg.carrier:
+        counted, counts = sd.instrumented(COUNT)
+        assert product(counted, alg, vec, 5, key) == sd.mul_by_lifted_edge_general(COUNT, alg, vec, 5, key)
+        assert (counts.add, counts.mul) == (adds(key), alg.size - key), key
+
+
 @pytest.mark.parametrize("alg_name", sorted(CLOSED_FORM_EDGE_PRODUCTS))
 def test_edge_lifted_recurrence_matches_dense_lifting(alg_name):
     # nw_align over sparse (weight, key) edges gives the same vector with

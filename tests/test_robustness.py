@@ -455,6 +455,27 @@ def test_count_range_longer_than_the_input_is_a_data_error(capsys, inputs):
     assert_one_data_error(err, "--count-range 2 7", "6 samples")
 
 
+@pytest.mark.parametrize(
+    "bounds, words",
+    [
+        # covers with 2..6 segments exist, so only the bound past 6 is wrong
+        (["--count-range", "2", "7"], ["reaches past 6 samples", "at most 6 segments"]),
+        (["--count-range", "6", "9"], ["reaches past 6 samples", "at most 6 segments"]),
+        # no cover of 6 samples has 7 or more segments
+        (["--count-range", "7", "8"], ["--count-range 7 8 infeasible for 6 samples"]),
+        (["--count", "7"], ["--count 7 infeasible for 6 samples"]),
+    ],
+    ids=["range-2-7", "range-6-9", "range-7-8", "count-7"],
+)
+def test_a_count_bound_past_the_input_names_what_fails(capsys, inputs, bounds, words):
+    # "--count-range 2 7 infeasible for 6 samples" called a satisfiable range infeasible
+    code, out, err = run(capsys, ["segment", str(inputs / "y.csv"), *bounds])
+    assert code == 2
+    assert out == ""
+    assert_one_data_error(err, *words)
+    assert ("infeasible" in err) == (int(bounds[1]) > 6)  # only a least count past 6 is
+
+
 # --- unreadable inputs -------------------------------------------------------------
 
 
