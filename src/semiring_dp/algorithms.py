@@ -27,7 +27,8 @@ constraint algebra cut down to the values acceptance can tell apart,
 and accept exactly what that algebra accepts: a summed gap runs
 ``nw_align`` over closed-form edge products, a minimum segment length
 ``segment_opt`` over a 3-chain (below, equal or above the target), and
-a largest gap ``nw_align`` with zero on the moves past the cap.  A
+a largest gap ``nw_align`` with zero on the moves past the cap.  Under
+either gap cap the alignment folds only the band of cells within it.  A
 segment count stays a shifted table by hand, since ``segment_opt`` over
 lifted vectors measured slower, as its docstring shows.  The oracle
 tests check each form against generate-filter-evaluate.
@@ -245,12 +246,13 @@ class AlignmentProblem:
             raise ValueError("lengths must be non-negative")
 
     def moves(self, s: Semiring, cap: int | None = None) -> Moves:
-        """The weights a fold over ``s`` reads, ``s.zero`` on every move whose gap exceeds ``cap``.
+        """The weights a fold over ``s`` reads, ``s.zero`` on the edge moves past ``cap``.
 
-        A move (i, j) has gap |i - j|.  A ``weight`` with tables gives
-        them in the form ``s`` takes, if it has one for ``s``; otherwise
-        they are lists read from the callable, each in-cap weight once,
-        in ``s.row`` buffers.
+        A move (i, j) has gap |i - j|; a fold banded at ``cap`` asks
+        ``diagonal`` only for the rows within it, so only the edges are
+        filtered.  A ``weight`` with tables gives them in the form ``s``
+        takes, if it has one for ``s``; otherwise they are lists read from
+        the callable, each in-cap weight once, in ``s.row`` buffers.
         """
         n, m = self.rows, self.cols
         tables = getattr(self.weight, "moves", None)
@@ -260,11 +262,8 @@ class AlignmentProblem:
         w, zero = self.weight, s.zero
         cap = max(n, m) if cap is None else cap  # no move has a larger gap
 
-        def diagonal(d, first, last):  # |i - (d - i)| <= cap for the rows lo..hi
-            lo, hi = (d - cap + 1) // 2, (d + cap) // 2
-            if lo <= first and last <= hi:
-                return [w(i, d - i) for i in range(first, last + 1)]
-            return [w(i, d - i) if lo <= i <= hi else zero for i in range(first, last + 1)]
+        def diagonal(d, first, last):
+            return [w(i, d - i) for i in range(first, last + 1)]
 
         return Moves(s.row, [w(0, j) if j <= cap else zero for j in range(1, m + 1)],
                      [w(i, 0) if i <= cap else zero for i in range(1, n + 1)], diagonal)
@@ -311,31 +310,54 @@ class MoveTable:
 
         def diagonal(d, first, last):
             i = np.arange(first, last + 1)
-            return block(self.match(i, d - i), arena.leaf(i, d - i), np.abs(2 * i - d))
+            return WitnessBlock(self.match(i, d - i), arena.leaf(i, d - i), arena)
 
         return Moves(arena.row, inserts, deletes, diagonal)
 
 
-def _nw_fold(n: int, m: int, moves: Moves, s: Semiring) -> Any:
-    """``nw_align``'s fold over the weights ``moves``."""
-    mul, dot_rows = s.mul, s.dot_rows
+def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, cap: int | None = None) -> Any:
+    """``nw_align``'s fold over ``moves``, on the cells within ``cap`` of the diagonal.
+
+    The band is exact when the weights make every path with a move of gap
+    past the cap zero, as a largest or a summed gap of at most ``cap``
+    does: a path first enters row i by a match (i, j' <= j) or a deletion
+    (i, 0), and either has gap at least i - j (columns likewise), so a
+    cell (i, j) with |i - j| > cap is zero.  Diagonal d folds only its
+    rows i with |2i - d| <= cap, and an edge cell only while d <= cap:
+    O(max(rows, cols) * cap) cells.  The band's lower end rises a row
+    every two diagonals, so the buffer cell just below it still holds
+    diagonal d-2's value once diagonal d is written; it is cleared then,
+    after ``dot_rows`` has read it as a match term, since diagonal d+1
+    reads it as a cell on the band's edge.  No cap is the whole table,
+    with nothing cleared.
+    """
+    mul, dot_rows, zero = s.mul, s.dot_rows, s.zero
     inserts, deletes, diagonal = moves.inserts, moves.deletes, moves.diagonal
-    old, cur = (moves.row([s.zero] * (n + 1)) for _ in range(2))
+    band = n + m if cap is None else cap  # a band of n + m rows is the whole table
+    old, cur = (moves.row([zero] * (n + 1)) for _ in range(2))
     cur[0] = s.one
     for d in range(1, n + m + 1):
         old, cur = cur, old  # cur holds diagonal d-2 until diagonal d is written over it
-        first, last = max(1, d - m), min(n, d - 1)  # the rows i of the cells off the edges
+        lo, hi = (d - band + 1) // 2, (d + band) // 2  # the rows i with |2i - d| <= band
+        first, last = max(1, d - m, lo), min(n, d - 1, hi)  # its cells off the edges
         if first <= last:
             cur[first : last + 1] = dot_rows(
                 (cur[first - 1 : last], old[first - 1 : last], old[first : last + 1]),
                 (diagonal(d, first, last), deletes[first - 1 : last],
                  inserts[d - last - 1 : d - first][::-1]),
             )
-        if d <= m:  # f[0][d]
+        if 0 < lo <= n + 1:  # the cell diagonal d-2 left just below the band
+            cur[lo - 1] = zero
+        if d <= m and d <= band:  # f[0][d]
             cur[0] = mul(old[0], inserts[d - 1])
-        if d <= n:  # f[d][0]
+        if d <= n and d <= band:  # f[d][0]
             cur[d] = mul(old[d - 1], deletes[d - 1])
     return cur[n]
+
+
+def band_cells(rows: int, cols: int, cap: int) -> int:
+    """The cells (i, j), i, j >= 1, with |i - j| <= cap: those a fold banded at cap visits."""
+    return sum(max(0, min(cols, i + cap) - max(1, i - cap) + 1) for i in range(1, rows + 1))
 
 
 def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
@@ -397,18 +419,22 @@ def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
 def nw_align_sum_constrained(p: AlignmentProblem, total_cap: int, s: Semiring) -> Any:
     """Alignment value over moves whose summed gap is at most ``total_cap``.
 
-    ``nw_align`` over vectors indexed by the summed gap
+    ``nw_align``'s fold over vectors indexed by the summed gap
     (``misalignment_algebra``), projected back down; totals past the cap
     can never come back down, so they are dropped and every tracked
-    total is accepted.  O(rows * cols * total_cap) operations.
+    total is accepted.  A summed gap bounds each move's gap, so the cells
+    farther than the cap from the diagonal are zero vectors and the fold
+    visits only the band within it: O(max(rows, cols) * cap * cap)
+    operations, at most O(rows * cols * cap).
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
+    n, m = p.rows, p.cols
     alg = misalignment_algebra("sum", total_cap)
     lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product)
     w, gap = p.weight, alg.label_map
-    edges = AlignmentProblem(p.rows, p.cols, lambda i, j: (w(i, j), gap((i, j))))
-    vec = nw_align(edges, lifted)
+    edges = AlignmentProblem(n, m, lambda i, j: (w(i, j), gap((i, j))))
+    vec = _nw_fold(n, m, edges.moves(lifted), lifted, min(total_cap, max(n, m)))
     # a block form's vector is a row of its float array: project Python floats
     return lifting.project(s, alg, vec.tolist() if hasattr(vec, "tolist") else vec)
 
@@ -418,14 +444,16 @@ def nw_align_max_constrained(p: AlignmentProblem, diff_cap: int, s: Semiring) ->
 
     The largest gap is at most the cap exactly when every move's gap
     is, so lifting over the running maximum collapses to one entry:
-    ``nw_align`` with ``s.zero`` on every move whose gap exceeds the cap
-    (``p.moves(s, diff_cap)``; the weights past it are not read).
-    O(rows * cols) operations.
+    ``nw_align``'s fold with ``s.zero`` on every move whose gap exceeds
+    the cap (``p.moves(s, diff_cap)``; the weights past it are not read).
+    Every cell farther than the cap from the diagonal is then zero, so
+    the fold visits only the band within it: O(max(rows, cols) *
+    diff_cap) operations, at most O(rows * cols).
     """
     n, m = p.rows, p.cols
     if not 0 <= diff_cap <= max(n, m, 0):
         raise ValueError(f"diff_cap {diff_cap} invalid for lengths ({n}, {m})")
-    return _nw_fold(n, m, p.moves(s, diff_cap), s)
+    return _nw_fold(n, m, p.moves(s, diff_cap), s, diff_cap)
 
 
 def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:

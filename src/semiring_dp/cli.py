@@ -452,10 +452,11 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     return doc, table
 
 
-# Witness alignments of at least this many cells read their weights from a
-# MoveTable and fold as blocks.  The block route saves a few microseconds per
-# cell but needs numpy, whose import costs more than the saving on a smaller
-# fold: cold runs broke even at about 60,000 cells on a shared 2-CPU host.
+# Witness alignments that fold at least this many cells (under a largest-gap cap,
+# those of its band) read their weights from a MoveTable and fold as blocks.  The
+# block route saves a few microseconds per cell but needs numpy, whose import
+# costs more than the saving on a smaller fold: cold runs broke even at about
+# 60,000 cells on a shared 2-CPU host.
 BLOCK_CELLS = 60_000
 
 
@@ -483,7 +484,9 @@ def cmd_align(args) -> tuple[dict, list | None]:
 
     weight, scalar_weight = _weights(base, edit_cost, tupled, {"--gap-cost": gap_cost,
                                                                "--mismatch-cost": mismatch_cost})
-    if s.block_rows and args.sum_misalign is None and len(a) * len(b) >= BLOCK_CELLS:
+    cells = (len(a) * len(b) if args.max_misalign is None
+             else algorithms.band_cells(len(a), len(b), args.max_misalign))
+    if s.block_rows and args.sum_misalign is None and cells >= BLOCK_CELLS:
         weight = _edit_table(a, b, weight, mismatch_cost, gap_cost)
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: nw_align(p, counted)

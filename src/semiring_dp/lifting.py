@@ -177,7 +177,8 @@ class _GapShiftBlocks(Semiring):
 
     ``row`` holds a row of lifted vectors as one (cells, carrier size)
     float array.  ``mul_rows`` of a block and a row of edges shifts each
-    cell's vector up by its edge's key and hands the entries that stay in
+    cell's vector up by its edge's key (down, for a negative key), as
+    ``subset_size_edge_product`` does, and hands the entries that stay in
     the carrier, as flat arrays, to one ``base.mul_rows``; ``add_rows``
     of two blocks is one ``base.add_rows`` of the flattened blocks.  So
     every entry is the scalar form's, made by the same base op, and a
@@ -201,11 +202,12 @@ class _GapShiftBlocks(Semiring):
             return super().mul_rows(xs, ys)
         import numpy as np
         edges = np.fromiter(chain.from_iterable(ys), float, 2 * len(ys)).reshape(-1, 2)
-        keys = edges[:, 1].astype(np.intp)
-        # (cell, m) for every carrier value m the shift keeps: m >= key
-        cells, ms = np.nonzero(np.arange(xs.shape[1]) >= keys[:, None])
+        size = xs.shape[1]
+        reads = np.arange(size) - edges[:, 1:].astype(np.intp)  # entry m reads m - key
+        # (cell, m) for every carrier value m the shift keeps: 0 <= m - key < size
+        cells, ms = np.nonzero((reads >= 0) & (reads < size))
         out = np.full(xs.shape, self.base.zero)
-        out[cells, ms] = self.base.mul_rows(xs[cells, ms - keys[cells]], edges[cells, 0])
+        out[cells, ms] = self.base.mul_rows(xs[cells, reads[cells, ms]], edges[cells, 0])
         return out
 
 
@@ -371,7 +373,7 @@ ORDER_BLOCKED = float("inf")
 def ordering_algebra(values, relation=operator.lt) -> ConstraintAlgebra:
     """Chain constraint over positions 1..N of ``values``.
 
-    combine(i, j) yields j when i < j and relation(values[i-1],
+    combine(i, j) yields j when 1 <= i < j <= N and relation(values[i-1],
     values[j-1]) holds, else a blocking sentinel that annihilates the
     rest of the fold.  The operator has no identity and is only
     left-associative, so the algebra is flagged non-associative; it is
@@ -379,11 +381,11 @@ def ordering_algebra(values, relation=operator.lt) -> ConstraintAlgebra:
     oracle, never by generic lifting.
     """
     u = tuple(values)
+    n = len(u)
 
-    def combine(i, j):
-        if i == ORDER_BLOCKED or j == ORDER_BLOCKED:
-            return ORDER_BLOCKED
-        if i < j and relation(u[i - 1], u[j - 1]):
+    def combine(i, j):  # a position outside 1..N, the sentinel included, blocks
+        # i < j first: a fold already blocked (i the sentinel) fails it at once
+        if i < j <= n and i >= 1 and relation(u[i - 1], u[j - 1]):
             return j
         return ORDER_BLOCKED
 

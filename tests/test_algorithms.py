@@ -646,14 +646,20 @@ def reference_events(pairs, occurrences, s):
     return row[occurrences]
 
 
-def reference_nw_align(p, s):
+def reference_nw_align(p, s, band=None):
+    """The cell-by-cell fold; with ``band``, the cells (i, j) with |i - j| > band stay
+    ``s.zero`` and make no ops, nor read a weight."""
     w = p.weight
+    live = lambda i, j: band is None or abs(i - j) <= band
     prev = [s.one]
     for j in range(1, p.cols + 1):
-        prev.append(s.mul(prev[j - 1], w(0, j)))
+        prev.append(s.mul(prev[j - 1], w(0, j)) if live(0, j) else s.zero)
     for i in range(1, p.rows + 1):
-        cur = [s.mul(prev[0], w(i, 0))]
+        cur = [s.mul(prev[0], w(i, 0)) if live(i, 0) else s.zero]
         for j in range(1, p.cols + 1):
+            if not live(i, j):
+                cur.append(s.zero)
+                continue
             val = s.mul(prev[j - 1], w(i, j))
             val = s.add(val, s.mul(prev[j], w(i, 0)))
             val = s.add(val, s.mul(cur[j - 1], w(0, j)))
@@ -683,8 +689,9 @@ def reference_edge_product(kind):
     return product
 
 
-def reference_misalignment(p, kind, cap, base):
-    """The constrained alignment over a lifted semiring whose add is one base add per entry."""
+def reference_misalignment(p, kind, cap, base, band=None):
+    """The constrained alignment over a lifted semiring whose add is one base add per entry,
+    cell by cell over the cells within ``band`` of the diagonal (all, if None)."""
     alg = algorithms.misalignment_algebra(kind, cap)
     product = reference_edge_product(kind)
     lifted = sd.Semiring(
@@ -696,7 +703,7 @@ def reference_misalignment(p, kind, cap, base):
     )
     edges = sd.AlignmentProblem(p.rows, p.cols,
                                 lambda i, j: (p.weight(i, j), alg.label_map((i, j))))
-    return lifting.project(base, alg, reference_nw_align(edges, lifted))
+    return lifting.project(base, alg, reference_nw_align(edges, lifted, band))
 
 
 def elementwise_fold_cases(rng, grid, tupled):
@@ -724,10 +731,10 @@ def elementwise_fold_cases(rng, grid, tupled):
          lambda s: reference_events(events, occurrences, s)),
         ("nw_align", lambda s: sd.nw_align(align, s), lambda s: reference_nw_align(align, s)),
         ("nw_align_sum_constrained", lambda s: sd.nw_align_sum_constrained(align, sum_cap, s),
-         lambda s: reference_misalignment(align, "sum", sum_cap, s)),
+         lambda s: reference_misalignment(align, "sum", sum_cap, s, band=sum_cap)),
         ("nw_align_max_constrained", lambda s: sd.nw_align_max_constrained(align, max_cap, s),
          lambda s: reference_misalignment(align, "max", max_cap, s),
-         lambda s: reference_nw_align(filtered_moves(align, max_cap, s.zero), s)),
+         lambda s: reference_nw_align(filtered_moves(align, max_cap, s.zero), s, max_cap)),
     ]
 
 
@@ -814,8 +821,33 @@ def test_summed_gap_blocks_match_the_term_by_term_folds(name):
                              lambda s: reference_nw_align(p, s), base, what)
             for cap in range(max(rows, cols) + 2):  # from 0 to past the largest gap
                 assert_same_fold(lambda s: sd.nw_align_sum_constrained(p, cap, s),
-                                 lambda s: reference_misalignment(p, "sum", cap, s),
+                                 lambda s: reference_misalignment(p, "sum", cap, s, band=cap),
                                  base, (cap, *what))
+
+
+@pytest.mark.parametrize("name", BLOCK_BASES)
+def test_summed_gap_blocks_shift_by_every_key(name):
+    # keys from -2 to past the carrier, one per cell of a block: a negative key
+    # shifts down, as the scalar closed form does, with its values and op counts
+    base = CATALOG[name]
+    alg = sd.subset_size_algebra(3)
+    rng = random.Random(137)
+    keys = range(-2, alg.size + 2)
+    for _ in range(10):
+        vecs = [tuple(rng.choice(SPECIAL_WEIGHTS) for _ in range(alg.size)) for _ in keys]
+        edges = [(rng.choice(SPECIAL_WEIGHTS), key) for key in keys]
+        blocks, block_counts = sd.instrumented(base)
+        lifted = lifting.edge_lifted_semiring(blocks, alg, lifting.subset_size_edge_product)
+        got = lifted.mul_rows(lifted.row(vecs), edges)
+        scalar, scalar_counts = sd.instrumented(base)
+        want = [lifting.subset_size_edge_product(scalar, alg, vec, weight, key)
+                for vec, (weight, key) in zip(vecs, edges)]
+        assert repr([tuple(vec) for vec in got.tolist()]) == repr(want), (vecs, edges)
+        assert (block_counts.add, block_counts.mul) == (scalar_counts.add, scalar_counts.mul)
+    if name == "minplus":
+        one = lifting.edge_lifted_semiring(base, alg, lifting.subset_size_edge_product)
+        got = one.mul_rows(one.row([(1.0, 2.0, 3.0, 4.0)]), [(0.5, -1)])
+        assert got.tolist() == [[2.5, 3.5, 4.5, math.inf]]
 
 
 @pytest.mark.parametrize("name", BLOCK_BASES)
@@ -828,7 +860,7 @@ def test_summed_gap_blocks_past_simd_widths(name):
              for mv in oracles.alignment_labels(60, 60)}
     p = sd.AlignmentProblem(60, 60, lambda i, j: moves[i, j])
     assert_same_fold(lambda s: sd.nw_align_sum_constrained(p, 20, s),
-                     lambda s: reference_misalignment(p, "sum", 20, s), base, name)
+                     lambda s: reference_misalignment(p, "sum", 20, s, band=20), base, name)
 
 
 def test_nw_align_reads_each_move_weight_once():
@@ -912,7 +944,7 @@ def test_witness_alignments_are_the_term_by_term_fold_on_tie_heavy_moves(name):
                              lambda s: reference_nw_align(p, term_by_term(s)), vit, moves)
             assert_same_fold(lambda s: sd.nw_align_max_constrained(p, cap, s),
                              lambda s: reference_nw_align(
-                                 filtered_moves(p, cap, s.zero), term_by_term(s)),
+                                 filtered_moves(p, cap, s.zero), term_by_term(s), cap),
                              vit, (cap, moves))
 
 
@@ -951,7 +983,7 @@ def test_witness_block_route_is_the_term_by_term_fold_on_tie_heavy_moves(name):
                              vit, moves)
             assert_same_fold(lambda s: sd.nw_align_max_constrained(p, cap, s),
                              lambda s: reference_nw_align(
-                                 filtered_moves(listed, cap, s.zero), term_by_term(s)),
+                                 filtered_moves(listed, cap, s.zero), term_by_term(s), cap),
                              vit, (cap, moves))
 
 
@@ -967,6 +999,22 @@ def test_witness_block_route_past_simd_widths():
     for cap in (0, 7, 60):
         assert_same_fold(lambda s: sd.nw_align_max_constrained(p, cap, s),
                          lambda s: sd.nw_align_max_constrained(listed, cap, s), vit, cap)
+
+
+def test_witness_block_route_under_a_narrow_cap():
+    # a 250 x 250 table whose band at cap 5 is a twentieth of it: blocks, lists and
+    # the banded cell-by-cell fold agree on every score, witness and op count
+    vit = sd.viterbi_simple_semiring(MINPLUS)
+    rng = random.Random(131)
+    moves = {mv: sd.Scored(rng.choice((0.0, 1.0, 1.0 + 5e-10, 2.0)), (mv,))
+             for mv in oracles.alignment_labels(250, 250)}
+    listed = sd.AlignmentProblem(250, 250, lambda i, j: moves[i, j])
+    p = sd.AlignmentProblem(250, 250, move_table(250, 250, moves))
+    assert_same_fold(lambda s: sd.nw_align_max_constrained(p, 5, s),
+                     lambda s: sd.nw_align_max_constrained(listed, 5, s), vit, "lists")
+    assert_same_fold(lambda s: sd.nw_align_max_constrained(p, 5, s),
+                     lambda s: reference_nw_align(filtered_moves(listed, 5, s.zero),
+                                                  term_by_term(s), 5), vit, "cells")
 
 
 def test_move_tables_fold_other_semirings_through_the_callable():
@@ -1026,6 +1074,47 @@ def test_witness_alignment_builds_one_product_per_cell(monkeypatch):
     got = sd.nw_align(p, sd.viterbi_simple_semiring(MINPLUS))
     assert len(joins) <= n * n + 2 * n  # one per interior cell, one per edge cell
     assert got.witness == reference_nw_align(p, concatenating_viterbi(MINPLUS)).witness
+
+
+# --- gap caps fold a band ------------------------------------------------------------
+
+BAND_CASES = {
+    "count": (COUNT, (0, 1, 2, 3)),
+    "prob": (CATALOG["prob"], (0.0, 0.25, 0.5, 1.0)),
+    "bool": (CATALOG["bool"], (False, True)),
+    "minplus": (MINPLUS, (0.0, 1.0, 2.5, math.inf)),
+    "viterbi:minplus": (sd.viterbi_simple_semiring(MINPLUS),
+                        (0.0, 1.0, 1.0 + 5e-10, 2.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", BAND_CASES)
+def test_gap_caps_give_the_unbanded_folds(name):
+    # the banded folds against every cell of the table: a cell that diagonal d-2
+    # left just below the band, read as f[i][j] on the band's edge, would show
+    s, grid = BAND_CASES[name]
+    tupled = isinstance(s.zero, sd.Scored)
+    rng = random.Random(127)
+    shapes = [(1, 7), (7, 1), (0, 5), (5, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(14)]
+    for rows, cols in shapes:
+        for _ in range(3):
+            moves = {}
+            for mv in oracles.alignment_labels(rows, cols):
+                x = rng.choice(grid)
+                moves[mv] = sd.Scored(x, (mv,)) if tupled else x
+            p = sd.AlignmentProblem(rows, cols, lambda i, j: moves[i, j])
+            for cap in range(max(rows, cols) + 2):
+                assert algorithms.band_cells(rows, cols, cap) == sum(
+                    abs(i - j) <= cap for i in range(1, rows + 1) for j in range(1, cols + 1))
+                filtered = filtered_moves(p, cap, s.zero)
+                got = sd.nw_align_sum_constrained(p, cap, s)
+                want = reference_misalignment(filtered, "sum", cap, s)
+                assert repr(got) == repr(want), ("sum", cap, moves)
+                if cap <= max(rows, cols):  # a larger largest-gap cap is refused
+                    got = sd.nw_align_max_constrained(p, cap, s)
+                    want = reference_nw_align(filtered, s)
+                    assert repr(got) == repr(want), ("max", cap, moves)
 
 
 # --- quotient constraint algebras ------------------------------------------------------
@@ -1122,10 +1211,14 @@ def test_quotient_constraints_keep_the_plain_op_growth():
     for n in (24, 48):
         p = sd.SegmentationProblem(n, lambda i, j: 1)
         assert count_ops(lambda s: sd.segment_min_length(p, 2, s)) <= 8 * n * n
+    # a gap cap makes the ops of the cells within it, as the banded cell-by-cell
+    # fold does, and the plain fold's once the band is the whole table
     p = sd.AlignmentProblem(10, 10, lambda i, j: 1)
     plain = count_ops(lambda s: sd.nw_align(p, s))
     for cap in range(11):
-        assert count_ops(lambda s: sd.nw_align_max_constrained(p, cap, s)) == plain
+        banded = count_ops(lambda s: reference_nw_align(filtered_moves(p, cap, s.zero), s, cap))
+        assert count_ops(lambda s: sd.nw_align_max_constrained(p, cap, s)) == banded, cap
+        assert (banded == plain) == (cap >= 10), cap
 
 
 # --- operation-count scaling ------------------------------------------------------------

@@ -328,6 +328,8 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
              ["align", a, b, *vit, "--verify"], ["align", a, b, *vit, "--max-misalign", "1"],
              # one cell below the break-even, with and without a gap cap
              ["align", long, short, *vit], ["align", long, short, *vit, "--max-misalign", "8"],
+             # past it, a gap cap of 8 folds only its band of about 4,000 cells
+             ["align", long, just, *vit, "--max-misalign", "8"],
              # at the break-even a witness alignment reads a move table as blocks
              ["align", long, just, *vit],
              ["align", a, b, "--sum-misalign", "2"]]

@@ -258,9 +258,9 @@ def test_closed_form_edge_products_past_the_carrier(alg_name):
 def _outside_keys(alg_name):
     # (algebra, keys): the catalog algebra and one whose carrier dataclasses.replace
     # swapped, each with keys below its least value and above its greatest
-    if alg_name == "ordering":  # combine reads a value at each key, so keys stop at 5
+    if alg_name == "ordering":  # positions 1..5: keys -1, 0 and 6 name no value
         alg = sd.ordering_algebra([0.3, 0.1, 0.4, 0.2, 0.5])
-        return [(alg, range(-1, 6)), (replace(alg, carrier=(1, 2, 4)), range(-1, 6))]
+        return [(alg, range(-1, 7)), (replace(alg, carrier=(1, 2, 4)), range(-1, 7))]
     alg = small_algebras()[alg_name]
     if alg_name == "min_count":  # a min reads values, not indices: gaps and offsets too
         narrowed = replace(alg, carrier=(2, 3, 5), identity=5)
