@@ -165,22 +165,24 @@ def segment_fixed_count(p: SegmentationProblem, lo: int, hi: int, s: Semiring) -
 
     Lifting segment counting shifts the table by one segment per piece:
     f[j][m] = sum_i f[i-1][m-1] * w(i, j), one ``dot`` of column m-1
-    with the weights ending at j.  O(N^2 * hi) operations, O(N * hi)
+    with the weights ending at j.  The dot runs over the column's live
+    rows only: f[i][0] is zero for i >= 1, and f[i][m-1] for i < m-1
+    (fewer samples than segments).  O(N^2 * hi) operations, O(N * hi)
     values stored.  This is ``segment_opt`` over subset-size vectors with
-    the shift hoisted by hand; ``segment_opt`` itself keeps the op counts
-    but holds lifted rows, transposed into the columns ``dot`` takes,
-    which measured 4-18% slower at N=420, count 3, for more code.
+    the shift hoisted by hand; ``segment_opt`` itself holds lifted rows,
+    transposed into the columns ``dot`` takes, which measured 4-18%
+    slower at N=420, count 3, for more code.
     """
     n = p.length
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"segment count range [{lo}, {hi}] invalid for length {n}")
-    # cols[m][j] is f[j][m]: column slices are the rows dot takes
+    # cols[m][j] is f[j][m], for m >= 1: column slices are the rows dot takes
     cols = [[s.one]] + [[s.zero] for _ in range(hi)]
     for j in range(1, n + 1):
         w = [p.weight(i, j) for i in range(1, j + 1)]
-        cols[0].append(s.zero)
         for m in range(1, hi + 1):
-            cols[m].append(s.dot(cols[m - 1][:j], w))
+            live = slice(m - 1, j if m > 1 else 1)
+            cols[m].append(s.dot(cols[m - 1][live], w[live]))
     return s.sum(cols[m][n] for m in range(lo, hi + 1))
 
 
@@ -380,11 +382,14 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
     return _nw_fold(p.rows, p.cols, p.moves(s), s)
 
 
-def delannoy(n: int, m: int) -> int:
+def delannoy(n: int, m: int, cap: int | None = None) -> int:
     """Count of lattice paths with unit right, down and diagonal steps.
 
     Equals the unit-weight counting run of nw_align; exact at any size
-    thanks to arbitrary-precision integers.
+    thanks to arbitrary-precision integers.  With ``cap``, counting stops
+    once a count passes it, and the result is min(count, cap + 1): the
+    count grows with either size, so a smaller grid past the cap puts
+    this one past it too.
     """
     if n < 0 or m < 0:
         raise ValueError("sizes must be non-negative")
@@ -393,6 +398,8 @@ def delannoy(n: int, m: int) -> int:
         cur = [1]
         for j in range(1, m + 1):
             cur.append(prev[j - 1] + prev[j] + cur[j - 1])
+            if cap is not None and cur[j] > cap:
+                return cap + 1
         prev = cur
     return prev[m]
 

@@ -1,7 +1,7 @@
 """Least-squares segment costs wired into the segmentation recurrences.
 
-Interval fit costs come from cumulative sums in O(1) per query after an
-O(N) build; the segmentation solvers combine them with a
+Interval fit costs come from cumulative sums, one O(N) column of them
+per segment end; the segmentation solvers combine them with a
 score-and-witness semiring so the optimal cost and its breakpoints come
 out of one forward pass.  numpy is imported by the functions that use it,
 so importing the package does not load it.
@@ -74,20 +74,16 @@ class SegmentCostModel:
 class SegmentCosts:
     """Interval fit costs for one series/model pair.
 
-    Builds cumulative sums of (1, n, n^2, y, n*y, y^2) once; each p=2
-    cost query is then O(1).  Non-quadratic exponents and very long
-    segments fall back to an O(j - i) centered computation.
-
-    ``weight`` (cost plus the regularization) reads p=2 weights from a
-    column of float64 values when N <= LONG_SEGMENT_DIRECT: column j, the
-    weights of every segment ending at j, is computed with numpy when a
-    weight ending at j is asked for and the column held is another one,
-    by the same float operations as ``cost``, so it matches
-    ``cost(i, j) + regularization`` bit for bit.  Only the latest column
-    is kept (N floats, 8 bytes each): the segmentation folds read column
+    Builds cumulative sums of (1, n, n^2, y, n*y, y^2) once.  A p=2 cost
+    is read from a column: column j, the costs of every segment ending
+    at j, is computed with numpy from the sums when a cost ending at j is
+    asked for and the column held is another one.  Only the latest
+    column is kept (N Python floats): the segmentation folds read column
     j only while computing their row j, so each column is built once per
-    fold.  Past LONG_SEGMENT_DIRECT samples ``cost`` switches method for
-    long segments, which the column formula does not follow.
+    fold.  Reads out of column order (the ``--verify`` oracle, tests)
+    build one column per change of j.  Non-quadratic exponents and
+    segments longer than LONG_SEGMENT_DIRECT fall back to an O(j - i)
+    centered computation.
     """
 
     def __init__(self, ts: TimeSeries, model: SegmentCostModel):
@@ -96,6 +92,8 @@ class SegmentCosts:
         n = np.arange(1, y.size + 1, dtype=float)
         zero = np.zeros(1)
         self.model = model
+        # read on every query, so held here (a model is frozen)
+        self._exponent, self._regularization = model.error_exponent, model.regularization
         self._y = y
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
             self._sy = np.concatenate([zero, np.cumsum(y)])
@@ -107,8 +105,7 @@ class SegmentCosts:
             bound = y.size * self._snn[-1] * self._syy[-1]
         if not np.isfinite(bound):
             raise ValueError("sample magnitudes overflow the cost model's sums; rescale the series")
-        self._tabled = model.error_exponent == 2.0 and y.size <= LONG_SEGMENT_DIRECT
-        # (j, column): weight(i, j) at index i - 1 of the column, for the last j asked
+        # (j, column): cost(i, j) at index i - 1 of the column, for the last j asked
         self._column = (0, None)
 
     @property
@@ -135,39 +132,22 @@ class SegmentCosts:
 
     def cost(self, i: int, j: int) -> float:
         """Best-fit cost of the interval [i, j], 1-based inclusive."""
-        if not 1 <= i <= j <= self.length:
-            raise ValueError(f"interval ({i}, {j}) outside 1..{self.length}")
-        length = j - i + 1
-        if self.model.error_exponent != 2.0 or length > LONG_SEGMENT_DIRECT:
-            return self._direct_cost(i, j)
-        sy = self._sy[j] - self._sy[i - 1]
-        syy = self._syy[j] - self._syy[i - 1]
-        if self.model.kind == "constant" or length == 1:
-            rss = syy - sy * sy / length
-        else:
-            sn = self._sn[j] - self._sn[i - 1]
-            snn = self._snn[j] - self._snn[i - 1]
-            sny = self._sny[j] - self._sny[i - 1]
-            sxx = snn - sn * sn / length
-            sxy = sny - sn * sy / length
-            syy_c = syy - sy * sy / length
-            rss = syy_c - sxy * sxy / sxx if sxx > 0 else syy_c
-        return float(max(rss, 0.0) / 2.0)
-
-    def weight(self, i: int, j: int) -> float:
-        """``cost(i, j) + regularization``, as a Python float when read from the table."""
-        if not self._tabled:
-            return self.cost(i, j) + self.model.regularization
         if not 1 <= i <= j <= self._y.size:
             raise ValueError(f"interval ({i}, {j}) outside 1..{self.length}")
+        if j - i >= LONG_SEGMENT_DIRECT or self._exponent != 2.0:
+            return self._direct_cost(i, j)
         end, column = self._column
         if end != j:
-            column = self._weight_column(j)
+            column = self._cost_column(j)
             self._column = (j, column)
-        return column.item(i - 1)
+        return column[i - 1]
 
-    def _weight_column(self, j: int) -> np.ndarray:
-        """weight(i, j) for i = 1..j: ``cost``'s p=2 branch with i as an array."""
+    def weight(self, i: int, j: int) -> float:
+        """The recurrence weight of segment [i, j]: ``cost(i, j) + regularization``."""
+        return self.cost(i, j) + self._regularization
+
+    def _cost_column(self, j: int) -> list[float]:
+        """cost(i, j) for i = 1..j by the p=2 closed form, as Python floats."""
         import numpy as np
         start = np.arange(j)  # i - 1
         length = j - start
@@ -184,7 +164,7 @@ class SegmentCosts:
             with np.errstate(divide="ignore", invalid="ignore"):  # where sxx > 0 fails
                 fitted = syy_c - sxy * sxy / sxx
             rss = np.where((length > 1) & (sxx > 0), fitted, syy_c)
-        return np.where(rss < 0.0, 0.0, rss) / 2.0 + self.model.regularization
+        return (np.where(rss < 0.0, 0.0, rss) / 2.0).tolist()
 
 
 class SegmentationResult(NamedTuple):

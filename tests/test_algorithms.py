@@ -138,6 +138,17 @@ def test_segment_fixed_count_validates_range():
         sd.segment_fixed_count(p, 1, 5, COUNT)
 
 
+@pytest.mark.parametrize("n, hi", [(1, 1), (6, 6), (14, 3), (420, 3)])
+def test_segment_fixed_count_dots_only_live_rows(n, hi):
+    # f[i][0] is zero for i >= 1, and f[i][m-1] for i < m-1: the dot for
+    # f[j][m] reads row 0 of column 0 when m = 1, rows m-1..j-1 of column m-1 otherwise
+    p = sd.SegmentationProblem(n, lambda i, j: 1)
+    counted, counts = sd.instrumented(COUNT)
+    assert sd.segment_fixed_count(p, 1, hi, counted) == sd.segment_fixed_count(p, 1, hi, COUNT)
+    live = n + sum(j - m + 1 for m in range(2, hi + 1) for j in range(m - 1, n + 1))
+    assert (counts.mul, counts.add) == (live, live + hi)  # and one add per count summed
+
+
 def test_segment_fixed_count_matches_exhaustive():
     rng = random.Random(13)
     n = 8
@@ -242,6 +253,17 @@ def test_nw_align_boundary_row():
     w = {(0, j): float(j) for j in range(1, 4)}
     p = sd.AlignmentProblem(0, 3, lambda i, j: w[(i, j)])
     assert MINPLUS.eq(sd.nw_align(p, MINPLUS), 1.0 + 2.0 + 3.0)
+
+
+def test_delannoy_counts_up_to_a_cap():
+    for n in range(9):
+        for m in range(9):
+            exact = sd.delannoy(n, m)
+            for cap in (0, 1, 12, 13, 8_988, 8_989, 20_000):
+                assert sd.delannoy(n, m, cap) == min(exact, cap + 1), (n, m, cap)
+    assert sd.delannoy(1, 9_999, 20_000) == 19_999
+    assert sd.delannoy(1, 10_000, 20_000) == 20_001
+    assert sd.delannoy(2_000, 2_000, 20_000) == 20_001  # stops in row 2, not row 2,000
 
 
 def test_delannoy_values():

@@ -413,6 +413,35 @@ def test_verify_skips_when_too_large(tmp_path):
     assert "cap" in doc["oracle_check"]["reason"]
 
 
+def test_align_verify_states_its_skip_as_a_bound(tmp_path):
+    # 300 x 300 has a 229-digit count of alignments; the reason names the cap it passes
+    rng = np.random.default_rng(4)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("".join(rng.choice(list("ACGT"), 300)))
+    b.write_text("".join(rng.choice(list("ACGT"), 300)))
+    code, doc, _ = run_cli(tmp_path, "align", str(a), str(b), "--verify")
+    assert code == 0
+    assert doc["oracle_check"]["status"] == "skipped"
+    assert doc["oracle_check"]["reason"] == (
+        f"more than {cli.VERIFY_PATH_CAP} alignments exceed the {cli.VERIFY_PATH_CAP}-path cap")
+    assert len(doc["oracle_check"]["reason"]) < 80
+
+
+def test_align_verify_runs_up_to_the_cap(tmp_path):
+    # D(6, 6) = 8,989 alignments lie within the cap; D(7, 7) = 48,639 do not
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("GATTAC")
+    b.write_text("GCTACA")
+    code, doc, _ = run_cli(tmp_path, "align", str(a), str(b), "--verify")
+    assert code == 0
+    assert doc["oracle_check"]["status"] == "pass"
+    a.write_text("GATTACA")
+    b.write_text("GCTACAG")
+    code, doc, _ = run_cli(tmp_path, "align", str(a), str(b), "--verify")
+    assert code == 0
+    assert doc["oracle_check"]["status"] == "skipped"
+
+
 def test_verify_skips_over_the_path_storage_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "generator_semiring", lambda: generator_semiring(50))
     path = write_column(tmp_path, "y.txt", [1.0, 4.0, 2.0, 8.0, 0.5, 1.5])

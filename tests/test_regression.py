@@ -136,7 +136,7 @@ def test_untabled_weight_is_the_scalar_cost_plus_regularization(monkeypatch, unt
     y = np.random.default_rng(11).normal(0, 2, 30)
     exponent = 1.5 if untabled == "exponent" else 2.0
     if untabled == "long":
-        monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 10)  # read at construction
+        monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 10)  # read at each query
     model = sd.SegmentCostModel(kind="linear", error_exponent=exponent, regularization=0.25)
     costs = sd.SegmentCosts(series(y), model)
     for j in range(1, 31):
@@ -144,8 +144,21 @@ def test_untabled_weight_is_the_scalar_cost_plus_regularization(monkeypatch, unt
             assert costs.weight(i, j).hex() == (costs.cost(i, j) + 0.25).hex(), (i, j)
 
 
+def test_long_segment_limit_is_read_at_each_query(monkeypatch):
+    import semiring_dp.regression as reg
+
+    y = np.random.default_rng(14).normal(0, 2, 30)
+    costs = sd.SegmentCosts(series(y), sd.SegmentCostModel(regularization=0.25))
+    closed_form = costs.cost(1, 30)
+    monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 10)  # after construction
+    direct = costs._direct_cost(1, 30)
+    assert costs.cost(1, 30).hex() == direct.hex() != closed_form.hex()
+    assert costs.weight(1, 30).hex() == (direct + 0.25).hex()
+    assert costs.cost(21, 30).hex() == costs._cost_column(30)[20].hex()  # 10 long: a column read
+
+
 def test_cost_and_untabled_weight_are_python_floats(monkeypatch):
-    # the O(1) p=2 branch used to return numpy.float64
+    # costs come from numpy sums, but a fold mixing numpy.float64 into its floats is slower
     import semiring_dp.regression as reg
 
     y = np.random.default_rng(12).normal(0, 2, 5)
@@ -153,7 +166,7 @@ def test_cost_and_untabled_weight_are_python_floats(monkeypatch):
     for j in range(1, 6):
         for i in range(1, j + 1):
             assert type(costs.cost(i, j)) is float, (i, j)
-    monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 10)  # read at construction
+    monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 10)  # read at each query
     y = np.random.default_rng(13).normal(0, 2, 30)
     assert type(sd.SegmentCosts(series(y), sd.SegmentCostModel()).weight(1, 5)) is float
 
