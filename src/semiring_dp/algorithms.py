@@ -11,11 +11,15 @@ semiring's row operations, ``s.sum(values)`` and ``s.dot(xs, ys)``, the
 ``zero`` and counts one op per term, so the values and op counts are
 those of the term-by-term fold; semirings that can pick a row's winner
 in one scan (the min/max bases and score-and-witness tupling over them)
-do so inside those calls.  Rows updated elementwise (``combinations``,
-``events_m_of_n`` and the lifted vectors of the constrained folds) go
-through ``s.add_rows(xs, ys)`` and ``s.mul_rows(xs, ys)``, whose entries
-are the per-term ``add`` and ``mul`` and which count one op per entry; a
-row times one weight ``y`` is ``s.mul_rows(xs, repeat(y))``.  An
+do so inside those calls.  Given its values as a float array,
+``ordered_subsequences`` hands ``s.sum`` each chain as a ``MaskedRow``
+found by one array comparison, and those semirings pick its winner
+from f's scores, kept in a float array beside f.  Rows updated
+elementwise (``combinations``, ``events_m_of_n`` and the lifted vectors
+of the constrained folds) go through ``s.add_rows(xs, ys)`` and
+``s.mul_rows(xs, ys)``, whose entries are the per-term ``add`` and
+``mul`` and which count one op per entry; a row times one weight ``y``
+is ``s.mul_rows(xs, repeat(y))``.  An
 anti-diagonal of ``nw_align`` is one ``s.dot_rows(xss, yss)``, whose
 entries are the three-term sums of products of the cell recurrence,
 folded left from the first product; a score-and-witness semiring builds
@@ -45,6 +49,7 @@ from . import lifting
 from .semirings import (
     EMPTY,
     JoinArena,
+    MaskedRow,
     Scored,
     Semiring,
     WitnessBlock,
@@ -497,15 +502,37 @@ def ordered_subsequences(
     f[m] carries the value of all chains ending at position m, seeded
     with the singleton chain w(m); position k then folds every
     chainable predecessor once.  O(N^2) operations; the result folds
-    f over all end positions.
+    f over all end positions.  Each weight is read once.
+
+    ``values`` as a float array, ``relation`` ``lt`` or ``le`` and a
+    semiring with a ``row_score`` whose scores of f are all floats take
+    the array route: f's scores are kept in a float array beside f, and
+    each chain sum is ``s.sum`` of a ``MaskedRow`` whose mask is one
+    array comparison, written into one buffer that every position
+    reuses, so the semiring picks its winner from the scores.  The
+    values and op counts are the list route's.
     """
-    u = tuple(values)
-    n = len(u)
-    f = [w(m) for m in range(1, n + 1)]
-    for k in range(1, n + 1):
-        chainable = map(relation, u[: k - 1], repeat(u[k - 1]))
-        chain = s.sum(compress(f, chainable))
-        f[k - 1] = s.add(f[k - 1], s.mul(chain, w(k)))
+    n = len(values)
+    weights = [w(m) for m in range(1, n + 1)]
+    f = list(weights)
+    score = s.row_score
+    if (score is None or relation not in (operator.lt, operator.le)
+            or getattr(values, "dtype", None) != float
+            or not all(isinstance(score(v), float) for v in f)):
+        u = tuple(values)
+        for k in range(1, n + 1):
+            chainable = map(relation, u[: k - 1], repeat(u[k - 1]))
+            chain = s.sum(compress(f, chainable))
+            f[k - 1] = s.add(f[k - 1], s.mul(chain, weights[k - 1]))
+        return s.sum(f)
+    import numpy as np
+    compare = np.less if relation is operator.lt else np.less_equal
+    scores, mask = np.array([score(v) for v in f]), np.empty(n, bool)
+    for k in range(n):
+        chainable = compare(values[:k], values[k], out=mask[:k])
+        chain = s.sum(MaskedRow(f, scores[:k], chainable))
+        f[k] = s.add(f[k], s.mul(chain, weights[k]))
+        scores[k] = score(f[k])
     return s.sum(f)
 
 

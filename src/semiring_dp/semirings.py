@@ -30,6 +30,9 @@ numpy is imported only when an array arrives.  Score-and-witness
 tupling over them takes ``WitnessBlock``s in ``dot_rows``
 (``block_rows``): a float array of scores and an int array of trail
 references into a ``JoinArena``, whose joins are stored by column.
+Every ``sum`` takes a ``MaskedRow``, the values a bool array keeps with
+a float array of their scores; the min/max bases and the tupling over
+them (``row_score``) pick its winner from the arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 BinOp = Callable[[Any, Any], Any]
@@ -119,6 +122,9 @@ class Semiring:
     array_rows = False
     # whether dot_rows also takes WitnessBlocks, and returns one
     block_rows = False
+    # a value's float score, by which sum picks a MaskedRow's winner from its
+    # score array; None where sum iterates the row
+    row_score = None
 
     def row(self, values: Iterable[Any]) -> list:
         """A row holding ``values``, as the row operations take and return it."""
@@ -178,19 +184,30 @@ def probability_semiring() -> Semiring:
     return Semiring("prob", operator.add, operator.mul, 0.0, 1.0, float_eq)
 
 
+def _itself(value):
+    return value
+
+
 class _Selective(Semiring):
     """A float semiring whose add is builtin min or max.
 
     Its row sums, ``dot``'s included, are one ``add`` over the terms
     seeded with ``zero``: the builtin keeps its current value unless a
     later term beats it, which is the left fold's rule, nan included.
-    ``add_rows`` and ``mul_rows`` of two 1-D float arrays give the array
-    of the per-entry results.
+    A ``MaskedRow``'s sum is picked from its scores, the values
+    themselves, where ``_masked_selection`` settles it.  ``add_rows`` and
+    ``mul_rows`` of two 1-D float arrays give the array of the per-entry
+    results.
     """
 
     array_rows = True
+    row_score = staticmethod(_itself)
 
     def sum(self, values):
+        if type(values) is MaskedRow:
+            k = _masked_selection(self.add, values, self.zero)
+            if k is not None:
+                return self.zero if k < 0 else values.values[k]
         return self.add(chain((self.zero,), values))
 
     def add_rows(self, xs, ys):
@@ -566,6 +583,60 @@ def _selection(pick, scores: list, zero_score):
     return scores.index(best)
 
 
+class MaskedRow:
+    """The entries of ``values`` where the bool array ``mask`` is true, as a row ``sum`` takes.
+
+    ``scores`` is a float array of the first ``len(mask)`` values' scores
+    (``row_score`` of each); the row ends with ``mask``, which may be
+    shorter than ``values``.  Iterated, it gives the kept values in order;
+    ``len`` counts them without listing them.
+    """
+
+    __slots__ = ("values", "scores", "mask")
+
+    def __init__(self, values: Sequence, scores, mask):
+        self.values = values
+        self.scores = scores
+        self.mask = mask
+
+    def __iter__(self):
+        return compress(self.values, self.mask)
+
+    def __len__(self):
+        import numpy as np
+        return int(np.count_nonzero(self.mask))
+
+
+def _masked_selection(pick, row: MaskedRow, zero_score):
+    """``_selection`` over the scores a ``MaskedRow`` keeps: an index into ``row.values``.
+
+    The same rule over arrays, with one exception that cannot change the
+    answer: a row with both infinities and no nan is settled here, since
+    the fold keeps its first infinite winner as surely.  numpy's min and
+    max let a nan win, so a nan best is the nan rule's None.
+    """
+    import numpy as np
+    at = row.mask.nonzero()[0]
+    if not at.size:
+        return -1
+    scores = row.scores[at]
+    best = float(scores.max() if pick is max else scores.min())
+    if best != best:  # a nan score
+        return None
+    if pick(zero_score, best) == zero_score:
+        return -1
+    if math.isclose(best, zero_score, rel_tol=FLOAT_REL_TOL):
+        return None
+    exact = scores == best
+    if not math.isinf(best):
+        # every score within 1e-9 relative of best lies within 2e-9 * |best| of it
+        margin = 2 * FLOAT_REL_TOL * abs(best)
+        near = scores <= best + margin if pick is min else scores >= best - margin
+        if np.count_nonzero(near) != np.count_nonzero(exact):
+            return None
+    return int(at[exact.argmax()])
+
+
 def viterbi_semiring(base: Semiring) -> Semiring:
     """Tuple ``base`` scores with *sets* of witness label sequences.
 
@@ -632,9 +703,10 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     ``base`` must be selective; a catalog base outside
     ``SELECTIVE_SEMIRINGS`` raises ``ValueError``.  When ``base.add`` is
     the builtin min or max, the row operations pick the winning score
-    with one scan over the row's scores and build one product for it,
-    not one per term; rows where the near-tie rule could decide, or with
-    a nan score, are folded term by term.  Over a min/max catalog base,
+    with one scan over the row's scores (over a ``MaskedRow``'s score
+    array, for ``sum``) and build one product for it, not one per term;
+    rows where the near-tie rule could decide, or with a nan score, are
+    folded term by term.  Over a min/max catalog base,
     ``dot_rows`` also takes ``WitnessBlock``s, ranking whole arrays and
     appending the joins to an arena.  The result is the left fold's in
     both score and witness.
@@ -673,8 +745,9 @@ _score = operator.itemgetter(0)
 class _PickedWitness(Semiring):
     """``viterbi_simple_semiring`` over a ``base`` whose add is builtin min or max.
 
-    A row's winner is picked with ``_selection`` and one product is built
-    for it; rows the selection cannot settle are folded term by term.
+    A row's winner is picked with ``_selection`` (``_masked_selection``
+    for a ``MaskedRow``) and one product is built for it; rows the
+    selection cannot settle are folded term by term.
     ``dot_rows`` walks each entry's k product scores with ``add``'s own
     rule and builds the product of the surviving term only.  Given
     ``WitnessBlock``s, it does the same over whole arrays and returns a
@@ -682,6 +755,7 @@ class _PickedWitness(Semiring):
     """
 
     base: Semiring | None = field(default=None, compare=False)
+    row_score = _score
 
     @property
     def block_rows(self):
@@ -737,11 +811,15 @@ class _PickedWitness(Semiring):
         return WitnessBlock(best, refs, arena)
 
     def sum(self, values):
-        values = values if isinstance(values, list) else list(values)
-        k = _selection(self.base.add, list(map(_score, values)), self.zero.score)
+        if type(values) is MaskedRow:
+            k = _masked_selection(self.base.add, values, self.zero.score)
+            kept = values.values
+        else:
+            kept = values = values if isinstance(values, list) else list(values)
+            k = _selection(self.base.add, list(map(_score, values)), self.zero.score)
         if k is None:
             return super().sum(values)
-        return self.zero if k < 0 else values[k]
+        return self.zero if k < 0 else kept[k]
 
     def _dot(self, xs, ys):
         base = self.base
@@ -775,7 +853,8 @@ class _Counted(Semiring):
     counts: OpCounts | None = field(default=None, compare=False)
 
     def sum(self, values):
-        values = values if isinstance(values, list) else list(values)
+        if type(values) is not MaskedRow:
+            values = values if isinstance(values, list) else list(values)
         self.counts.add += len(values)
         return self.inner.sum(values)
 
@@ -792,6 +871,10 @@ class _Counted(Semiring):
     @property
     def block_rows(self):
         return self.inner.block_rows
+
+    @property
+    def row_score(self):
+        return self.inner.row_score
 
     def add_rows(self, xs, ys) -> list:
         out = self.inner.add_rows(xs, ys)

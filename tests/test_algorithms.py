@@ -5,6 +5,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiring_dp as sd
 from semiring_dp import algorithms, lifting, semirings
@@ -480,6 +482,99 @@ def test_longest_chain_other_relations():
     subset = lambda a, b: (int(a) | int(b)) == int(b)
     length, witness = sd.longest_chain(masks, subset)
     assert length == 3 and witness == [1, 3, 7]
+
+
+# the array route of ordered_subsequences against its list route: same values (by repr),
+# witnesses and op counts, over weights with exact ties, near-ties within 1e-9, nan,
+# infinities and signed zeros, and values with duplicates and signed zeros
+CHAIN_SCORES = (0.0, -0.0, 0.5, 1.0, 1.0 + 5e-10, 2.0, 2.0 - 1e-9, 3.0, -1.0, 1e-300,
+                math.inf, -math.inf, math.nan)
+CHAIN_VALUES = (-1.0, -0.0, 0.0, 1.0, 1.5, 2.0, 3.0)
+CHAIN_BASES = ("maxplus", "minplus", "maxprod", "bottleneck")
+
+
+def chain_routes(values, weights, s, relation, monkeypatch):
+    """ordered_subsequences over a list and over a float array: (repr, witness, counts) each."""
+    np = pytest.importorskip("numpy")
+    picked = []
+    selection = semirings._masked_selection
+    monkeypatch.setattr(semirings, "_masked_selection",
+                        lambda *args: picked.append(1) or selection(*args))
+    runs = []
+    for route in (list(values), np.array(values, dtype=float)):
+        counted, counts = sd.instrumented(s)
+        got = sd.ordered_subsequences(route, counted, lambda k: weights[k - 1], relation)
+        witness = got.witness if isinstance(got, sd.Scored) else None
+        runs.append((repr(got), witness, counts.add, counts.mul))
+    assert len(picked) == len(values)  # the array route picks each chain sum's winner
+    return runs
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(CHAIN_VALUES), st.sampled_from(CHAIN_SCORES)),
+                max_size=12),
+       st.sampled_from(CHAIN_BASES), st.booleans(), st.sampled_from((operator.lt, operator.le)))
+def test_chain_sums_over_score_arrays_are_the_list_route(items, base, witnessed, relation):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        values = [v for v, _ in items]
+        s = CATALOG[base]
+        weights = [x for _, x in items]
+        if witnessed:
+            s = sd.viterbi_simple_semiring(s)
+            weights = [sd.Scored(x, (k,)) for k, x in enumerate(weights, start=1)]
+        listed, arrayed = chain_routes(values, weights, s, relation, monkeypatch)
+        assert listed == arrayed
+
+
+@pytest.mark.parametrize("base", CHAIN_BASES)
+def test_longest_chains_over_score_arrays_are_the_list_route(base, monkeypatch):
+    # rows of hundreds of scores with many exact ties: a permutation, then its shifted
+    # reverse, as lis sees it past the CLI's break-even
+    rng = random.Random(61)
+    half = list(range(150))
+    rng.shuffle(half)
+    values = [float(v) for v in half + [150 + v for v in reversed(half)]]
+    unit = {"maxplus": 1.0, "minplus": -1.0, "maxprod": 2.0, "bottleneck": 0.5}[base]
+    for relation in (operator.lt, operator.le):
+        weights = [sd.Scored(unit, (k,)) for k in range(1, len(values) + 1)]
+        vit = sd.viterbi_simple_semiring(CATALOG[base])
+        listed, arrayed = chain_routes(values, weights, vit, relation, monkeypatch)
+        assert listed == arrayed
+        plain = chain_routes(values, [unit] * len(values), CATALOG[base], relation, monkeypatch)
+        assert plain[0] == plain[1]
+
+
+def test_ordered_subsequences_reads_each_weight_once():
+    np = pytest.importorskip("numpy")
+    values = [3.0, 1.0, 2.0, 2.0, 5.0, 4.0]
+    vit = sd.viterbi_simple_semiring(MAXPLUS)
+    for route in (values, np.array(values)):
+        for s, relation in ((vit, operator.lt), (vit, operator.le), (COUNT, operator.lt)):
+            reads = collections.Counter()
+
+            def w(k):
+                reads[k] += 1
+                return sd.Scored(1.0, (k,)) if s is vit else 1
+
+            sd.ordered_subsequences(route, s, w, relation)
+            assert reads == collections.Counter(range(1, len(values) + 1))
+
+
+def test_chain_sums_take_the_list_route_off_float_arrays_and_lt_le():
+    np = pytest.importorskip("numpy")
+    vit = sd.viterbi_simple_semiring(MAXPLUS)
+    subset = lambda a, b: (int(a) | int(b)) == int(b)
+    # int scores past 2**53 are told apart as Python ints, not as float64s
+    big = lambda k: (2**53, 2**53 + 1, 2**53)[k - 1]
+    cases = [(np.array([1.0, 3.0, 2.0, 7.0]), vit, lambda k: sd.Scored(1.0, (k,)), subset),
+             (np.array([1, 3, 2, 7]), vit, lambda k: sd.Scored(1.0, (k,)), operator.lt),
+             (np.array([0.0, 0.0, 1.0]), MAXPLUS, big, operator.lt),
+             (np.array([1.0, 3.0, 2.0, 7.0]), COUNT, lambda k: 1, operator.lt)]
+    for values, s, w, relation in cases:
+        got = sd.ordered_subsequences(values, s, w, relation)
+        assert got == sd.ordered_subsequences(list(values), s, w, relation)
+        assert type(got) is type(sd.ordered_subsequences(list(values), s, w, relation))
+    assert sd.ordered_subsequences(np.array([0.0, 0.0, 1.0]), MAXPLUS, big) == 2**54 + 1
 
 
 # --- full fusion sweep over one small instance per algorithm ---------------------------

@@ -102,6 +102,24 @@ def test_segment_verify_passes_with_count_semiring(tmp_path):
     assert doc["oracle_check"]["status"] == "pass"
 
 
+def test_segment_oracle_builds_each_cost_column_once(tmp_path, monkeypatch):
+    # the oracle once weighed labels in path order, one cost column per change of j:
+    # 117 columns for --count 3 --verify at n = 14, against 15 without --verify
+    built = []
+    column = cli.SegmentCosts._cost_column
+    monkeypatch.setattr(cli.SegmentCosts, "_cost_column",
+                        lambda self, j: built.append(j) or column(self, j))
+    rng = np.random.default_rng(21)
+    for n, extra, status in ((14, ("--count", "3"), "pass"), (14, ("--lambda", "0.5"), "pass"),
+                             (16, ("--count", "3"), "skipped")):
+        path = write_column(tmp_path, f"y{n}.txt", rng.normal(0.0, 1.0, n))
+        built.clear()
+        code, doc, _ = run_cli(tmp_path, "segment", path, *extra, "--verify")
+        assert (code, doc["oracle_check"]["status"]) == (0, status)
+        # the one-segment weight's check, the fold, and the oracle unless it is skipped
+        assert len(built) == (2 * n + 1 if status == "pass" else n + 1), (n, extra)
+
+
 def test_segment_table_output(tmp_path):
     path = write_column(tmp_path, "y.csv", [0.0, 0.0, 5.0, 5.0])
     table = tmp_path / "fit.csv"
@@ -297,6 +315,60 @@ def test_lis_subset_demo(tmp_path):
 
     bad = write_column(tmp_path, "bad.txt", [1.5])
     assert main(["lis", bad, "--relation", "subset-demo"]) == 2
+
+
+def test_lis_documents_are_the_same_on_both_sides_of_chain_pairs(tmp_path, monkeypatch):
+    # CHAIN_PAIRS 0 runs every lt or le fold over a float array, 10**12 none
+    routes = []
+    fold = cli.algorithms.ordered_subsequences
+    monkeypatch.setattr(cli.algorithms, "ordered_subsequences",
+                        lambda values, *a: routes.append(type(values).__name__) or fold(values, *a))
+    rng = np.random.default_rng(22)
+    half = rng.permutation(40)
+    inputs = {
+        "chain.txt": np.concatenate([half, 40 + half[::-1]]),
+        "ties.txt": rng.choice([-1.0, -0.0, 0.0, 1.0, 2.5], 60),
+        "small.txt": rng.permutation(14),
+    }
+    for name, values in inputs.items():
+        path = write_column(tmp_path, name, values)
+        for extra in (("--relation", "lt"), ("--relation", "le"), ("--verify",)):
+            texts = []
+            for pairs in (10**12, 0):
+                monkeypatch.setattr(cli, "CHAIN_PAIRS", pairs)
+                code, doc, out = run_cli(tmp_path, "lis", path, *extra)
+                assert code == 0
+                if "--verify" in extra and name == "small.txt":
+                    assert doc["oracle_check"]["status"] == "pass"
+                doc.pop("wall_time_s")
+                texts.append(canonical_json(doc))
+            assert texts[0] == texts[1], (name, extra)
+    assert routes == ["list", "ndarray"] * 9
+    monkeypatch.setattr(cli, "CHAIN_PAIRS", 0)
+    path = write_column(tmp_path, "masks.txt", [1, 3, 2, 7])
+    assert run_cli(tmp_path, "lis", path, "--relation", "subset-demo")[0] == 0
+    assert routes[-1] == "list"
+
+
+def test_lis_below_chain_pairs_leaves_numpy_unloaded(tmp_path):
+    # 14 values chain over 91 pairs: numpy is loaded only once CHAIN_PAIRS is down to 91,
+    # and never for subset-demo
+    values = write_column(tmp_path, "v.txt", [5, 3, 9, 1, 4, 4, 8, 0, 2, 7, 6, 11, 10, 12])
+    script = ("import json, sys\n"
+              "from semiring_dp import cli\n"
+              "for pairs, argv in json.loads(sys.argv[1]):\n"
+              "    cli.CHAIN_PAIRS = pairs\n"
+              "    assert cli.main(argv + ['--out', sys.argv[2]]) == 0, argv\n"
+              "    print('numpy' in sys.modules)\n")
+    calls = [(92, ["lis", values]), (92, ["lis", values, "--relation", "le", "--verify"]),
+             (0, ["lis", values, "--relation", "subset-demo", "--verify"]),
+             (91, ["lis", values, "--relation", "le"])]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls), str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["False", "False", "False", "True"]
 
 
 # --- bench and plumbing --------------------------------------------------------------

@@ -332,6 +332,39 @@ def test_witness_rows_equal_their_left_folds_in_score_and_witness(name):
             assert got.witness == want.witness, scores
 
 
+@pytest.mark.parametrize("name", ONE_SCAN_BASES)
+def test_masked_rows_sum_to_the_left_folds_of_the_values_they_keep(name):
+    np = pytest.importorskip("numpy")
+    rng = random.Random(41)
+    both_infinities = [[math.inf, -math.inf, 0.5], [-math.inf, 0.5, math.inf, math.inf]]
+    for base in (CATALOG[name], dataclasses.replace(CATALOG[name], zero=0.5)):
+        vit = sd.viterbi_simple_semiring(base)
+        for scores in score_rows(base) + both_infinities:
+            mask = np.array([rng.random() < 0.7 for _ in scores], dtype=bool)
+            kept = [x for x, keep in zip(scores, mask) if keep]
+            # the values past the mask are not in the row
+            row = semirings.MaskedRow(scores + [base.one], np.array(scores), mask)
+            assert same_float(base.sum(row), left_sum(base, kept)), (scores, mask)
+            counted, counts = sd.instrumented(base)
+            assert same_float(counted.sum(row), left_sum(base, kept)), (scores, mask)
+            assert counts.add == len(kept) == len(row) == len(list(row))
+            values = [sd.Scored(x, (k,)) for k, x in enumerate(scores)]
+            got = vit.sum(semirings.MaskedRow(values + [vit.one], np.array(scores), mask))
+            want = left_sum(vit, [v for v, keep in zip(values, mask) if keep])
+            assert same_float(got.score, want.score) and got.witness == want.witness, scores
+
+
+def test_only_the_one_scan_rows_read_masked_scores():
+    for name, s in CATALOG.items():
+        want = name in ONE_SCAN_BASES
+        assert (s.row_score is not None) is want, name
+        assert (sd.instrumented(s)[0].row_score is not None) is want, name
+    vit = sd.viterbi_simple_semiring(CATALOG["maxplus"])
+    assert vit.row_score(sd.Scored(2.0, (1,))) == 2.0
+    assert sd.instrumented(vit)[0].row_score is vit.row_score
+    assert sd.viterbi_semiring(CATALOG["maxplus"]).row_score is None
+
+
 def test_near_tie_chain_is_not_the_first_score_near_the_best():
     # the fold keeps 1.0 over 1 - 6e-10, then loses it to 1 - 1.2e-9: the last entry
     vit = sd.viterbi_simple_semiring(sd.minplus_semiring())
