@@ -29,9 +29,10 @@ takes each diagonal as one block of score and trail-reference arrays.
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
 and accept exactly what that algebra accepts: a summed gap runs
-``nw_align`` over closed-form edge products, a minimum segment length
-``segment_opt`` over a 3-chain (below, equal or above the target), and
-a largest gap ``nw_align`` with zero on the moves past the cap.  Under
+``nw_align`` over closed-form edge products, a largest gap ``nw_align``
+with zero on the moves past the cap, and a minimum segment length
+``segment_opt`` with zero on the segments shorter than it (an exact
+minimum lifted over ``exists``: some segment of that length).  Under
 either gap cap the alignment folds only the band of cells within it.  A
 segment count stays a shifted table by hand, since ``segment_opt`` over
 lifted vectors measured slower, as its docstring shows.  The oracle
@@ -196,25 +197,24 @@ def segment_min_length(
 ) -> Any:
     """Value over covers whose minimum segment length is ``target``.
 
-    ``segment_opt`` lifted over the running minimum of segment lengths,
-    then projected.  Acceptance only tells a length below, equal to or
-    above ``target`` apart, and so does the minimum of two lengths, so
-    the minimum runs over that 3-chain (``min_count_algebra(3)``), not
-    over 1..N.  Accepts equal, or equal and above with ``at_least``.
-    O(N^2) operations.
+    The minimum is at least ``target`` exactly when every segment is, and
+    one shorter segment keeps a cover below it whatever follows, so the
+    running minimum collapses to ``s.zero`` on the segments shorter than
+    ``target`` (their weights are not read): with ``at_least``,
+    ``segment_opt`` over those weights.  A minimum of exactly ``target``
+    also needs a segment of that length: the same weights lifted over
+    ``exists_algebra``, keyed by ``j - i + 1 == target``, projected onto
+    True.  O(N^2) operations.
     """
     n = p.length
     if not 1 <= target <= n:
         raise ValueError(f"minimum segment length {target} invalid for length {n}")
-
-    def side(segment):  # its length against the target: 1 below, 2 equal, 3 above
-        length = segment[1] - segment[0] + 1
-        return 1 + (length >= target) + (length > target)
-
-    accept = (lambda m: m >= 2) if at_least else (lambda m: m == 2)
-    alg = lifting.min_count_algebra(3, label_map=side, accept=accept)
-    lifted = lifting.edge_lifted_semiring(s, alg, lifting.min_count_edge_product)
-    edges = SegmentationProblem(n, lambda i, j: (p.weight(i, j), side((i, j))))
+    long_enough = SegmentationProblem(n, lambda i, j: p.weight(i, j) if j - i + 1 >= target else s.zero)
+    if at_least:
+        return segment_opt(long_enough, s)
+    alg = lifting.exists_algebra(accept=bool)
+    lifted = lifting.edge_lifted_semiring(s, alg, lifting.exists_edge_product)
+    edges = SegmentationProblem(n, lambda i, j: (long_enough.weight(i, j), j - i + 1 == target))
     return lifting.project(s, alg, segment_opt(edges, lifted))
 
 

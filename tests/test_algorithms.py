@@ -1338,6 +1338,29 @@ def test_quotient_constraints_keep_the_plain_op_growth():
         assert (banded == plain) == (cap >= 10), cap
 
 
+def test_at_least_min_length_makes_the_plain_fold_ops():
+    # every segment at least L long is an edge filter, not a lifting: segment_opt's
+    # N(N+1)/2 adds and muls at every target (N=3: 6 and 6)
+    for n in (3, 12):
+        p = sd.SegmentationProblem(n, lambda i, j: 1)
+        for target in range(1, n + 1):
+            counted, counts = sd.instrumented(COUNT)
+            sd.segment_min_length(p, target, counted, at_least=True)
+            assert (counts.add, counts.mul) == (n * (n + 1) // 2,) * 2, (n, target)
+
+
+@pytest.mark.parametrize("at_least", [False, True], ids=["exact", "at_least"])
+def test_min_length_reads_no_shorter_segment(at_least):
+    n = 7
+    for target in range(1, n + 1):
+        read = []
+        p = sd.SegmentationProblem(n, lambda i, j: read.append((i, j)) or 1)
+        sd.segment_min_length(p, target, COUNT, at_least=at_least)
+        assert sorted(read) == sorted(
+            (i, j) for i, j in oracles.segment_labels(n) if j - i + 1 >= target
+        ), target
+
+
 # --- operation-count scaling ------------------------------------------------------------
 
 
@@ -1393,7 +1416,7 @@ def test_absolute_op_budgets():
     for n in (8, 12):
         p = sd.SegmentationProblem(n, lambda i, j: 1)
         total = count_ops(lambda s: sd.segment_min_length(p, 2, s))
-        assert total <= c * n**3
+        assert total <= c * n**2
 
     for rows, cols in ((10, 14), (20, 20)):
         p = sd.AlignmentProblem(rows, cols, lambda i, j: 1)
