@@ -14,7 +14,9 @@ in one scan (the min/max bases and score-and-witness tupling over them)
 do so inside those calls.  Given its values as a float array,
 ``ordered_subsequences`` hands ``s.sum`` each chain as a ``MaskedRow``
 found by one array comparison, and those semirings pick its winner
-from f's scores, kept in a float array beside f.  Rows updated
+from f's scores, kept in a float array beside f; the segmentation folds
+over a ``ColumnTable`` likewise hand ``s.dot`` f and each weight column
+as ``ScoreRow``s.  Rows updated
 elementwise (``combinations``, ``events_m_of_n`` and the lifted vectors
 of the constrained folds) go through ``s.add_rows(xs, ys)`` and
 ``s.mul_rows(xs, ys)``, whose entries are the per-term ``add`` and
@@ -52,6 +54,7 @@ from .semirings import (
     JoinArena,
     MaskedRow,
     Scored,
+    ScoreRow,
     Semiring,
     WitnessBlock,
     maxplus_semiring,
@@ -146,9 +149,74 @@ def combinations(n: int, k: int, s: Semiring, w: Weight) -> Any:
     return row[k]
 
 
+# A segmentation of at least this many samples whose weight is a ColumnTable reads
+# it a column at a time as score arrays, over a semiring that takes them.  An array
+# dot costs about 8 us whatever its length, a list dot about 0.25 us a term plus a
+# weight read.  In process (the costs have loaded numpy already) on a shared 2-CPU
+# host, the array fold broke even near N = 20 for segment_opt and N = 37 for a count
+# of 3, whose m = 1 dots are one term long.
+COLUMN_SAMPLES = 30
+
+
+class ColumnTable:
+    """Segment weights read from float columns of their scores, each segment its own label.
+
+    ``cost(i, j)`` is the score of segment (i, j), and ``scores(j)`` a new
+    float array of cost(1, j), ..., cost(j, j).  The weight of (i, j) is
+    ``value(cost(i, j), i, j)``: the score itself, or with ``labelled``
+    the score with the trail ((i, j),).  Called, it is that weight map.
+    """
+
+    def __init__(self, cost, scores, labelled: bool):
+        self.cost = cost
+        self.scores = scores
+        self.labelled = labelled
+
+    def __call__(self, i, j):
+        return self.value(self.cost(i, j), i, j)
+
+    def value(self, score, i, j):
+        return Scored(score, ((i, j),)) if self.labelled else score
+
+
+class _ScoredRow:
+    """A fold's row of f: its values, with their scores in a float array beside them.
+
+    Indexed, it gives a value; sliced, a ``ScoreRow`` over the values and
+    a view of their scores.  ``size`` bounds the values appended.
+    """
+
+    __slots__ = ("values", "scores", "score")
+
+    def __init__(self, first, score, size: int):
+        import numpy as np
+        self.values, self.scores, self.score = [], np.empty(size), score
+        self.append(first)
+
+    def append(self, value):
+        self.scores[len(self.values)] = self.score(value)
+        self.values.append(value)
+
+    def __getitem__(self, k):
+        if type(k) is slice:
+            scores = self.scores[: len(self.values)][k]
+            return ScoreRow(scores, self.values.__getitem__, k.start or 0)
+        return self.values[k]
+
+
 @dataclass(frozen=True)
 class SegmentationProblem:
-    """A length plus a weight for every interval 1 <= i <= j <= length."""
+    """A length plus a weight for every interval 1 <= i <= j <= length.
+
+    A fold reads the weights a column at a time, ``column(s, j)`` (w(1..j,
+    j)), and keeps f in ``row(s, ...)``.  Over a ``ColumnTable`` of at
+    least ``COLUMN_SAMPLES`` samples, a semiring whose rows take arrays
+    (``array_rows``) or blocks (``block_rows``) reads each column as a
+    ``ScoreRow`` of the table's scores, and f's row keeps its scores in a
+    float array beside it, so ``dot`` picks its winner from the arrays
+    and builds one product.  Otherwise columns and rows are lists, each
+    weight read from the callable.
+    """
 
     length: int
     weight: Callable[[int, int], Any]
@@ -157,13 +225,47 @@ class SegmentationProblem:
         if self.length < 1:
             raise ValueError("length must be at least 1")
 
+    def _arrays(self, s: Semiring) -> bool:
+        return (self.length >= COLUMN_SAMPLES and isinstance(self.weight, ColumnTable)
+                and (s.array_rows or s.block_rows))
+
+    def row(self, s: Semiring, first, size: int):
+        """A row of f holding ``first``, to which a fold over ``s`` appends up to ``size`` values."""
+        return _ScoredRow(first, s.row_score, size) if self._arrays(s) else [first]
+
+    def column(self, s: Semiring, j: int, shortest: int = 1):
+        """w(1..j, j) in the form ``s`` takes, ``s.zero`` on the segments shorter than ``shortest``.
+
+        A list reads each weight at least ``shortest`` long once; a
+        ``ScoreRow`` holds the table's column j with its short tail's
+        scores set to zero's, and builds a weight where it is read.
+        """
+        w, zero = self.weight, s.zero
+        long = j - shortest + 1  # the segments (i, j) with i <= long are long enough
+        if not self._arrays(s):
+            return [w(i, j) if i <= long else zero for i in range(1, j + 1)]
+        scores, value = w.scores(j), w.value
+        scores[max(long, 0):] = s.row_score(zero)
+        return ScoreRow(scores, lambda k: value(scores.item(k), k + 1, j) if k < long else zero)
+
+
+def _segment_fold(p: SegmentationProblem, s: Semiring, shortest: int = 1) -> Any:
+    """``segment_opt``'s fold, with ``s.zero`` on the segments shorter than ``shortest``."""
+    n = p.length
+    f = p.row(s, s.one, n + 1)
+    for j in range(1, n + 1):
+        f.append(s.dot(f[:j], p.column(s, j, shortest)))
+    return f[n]
+
 
 def segment_opt(p: SegmentationProblem, s: Semiring) -> Any:
-    """Value over every contiguous cover of 1..N: f[j] = sum_i f[i-1] * w(i, j)."""
-    f = [s.one]
-    for j in range(1, p.length + 1):
-        f.append(s.dot(f, [p.weight(i, j) for i in range(1, j + 1)]))
-    return f[p.length]
+    """Value over every contiguous cover of 1..N: f[j] = sum_i f[i-1] * w(i, j).
+
+    One ``dot`` of f[0..j-1] with column j per j, O(N^2) operations; over
+    a ``ColumnTable`` both may be ``ScoreRow``s (see
+    ``SegmentationProblem``), with the same values and op counts.
+    """
+    return _segment_fold(p, s)
 
 
 def segment_fixed_count(p: SegmentationProblem, lo: int, hi: int, s: Semiring) -> Any:
@@ -173,19 +275,22 @@ def segment_fixed_count(p: SegmentationProblem, lo: int, hi: int, s: Semiring) -
     f[j][m] = sum_i f[i-1][m-1] * w(i, j), one ``dot`` of column m-1
     with the weights ending at j.  The dot runs over the column's live
     rows only: f[i][0] is zero for i >= 1, and f[i][m-1] for i < m-1
-    (fewer samples than segments).  O(N^2 * hi) operations, O(N * hi)
-    values stored.  This is ``segment_opt`` over subset-size vectors with
-    the shift hoisted by hand; ``segment_opt`` itself holds lifted rows,
-    transposed into the columns ``dot`` takes, which measured 4-18%
-    slower at N=420, count 3, for more code.
+    (fewer samples than segments).  Each weight column is read once per
+    j and sliced to those rows; over a ``ColumnTable`` the slices may be
+    ``ScoreRow``s (see ``SegmentationProblem``), with the same values and
+    op counts.  O(N^2 * hi) operations, O(N * hi) values stored.  This
+    is ``segment_opt`` over subset-size vectors with the shift hoisted
+    by hand; ``segment_opt`` itself holds lifted rows, transposed into
+    the columns ``dot`` takes, which measured 4-18% slower at N=420,
+    count 3, for more code.
     """
     n = p.length
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"segment count range [{lo}, {hi}] invalid for length {n}")
     # cols[m][j] is f[j][m], for m >= 1: column slices are the rows dot takes
-    cols = [[s.one]] + [[s.zero] for _ in range(hi)]
+    cols = [p.row(s, s.one, n + 1)] + [p.row(s, s.zero, n + 1) for _ in range(hi)]
     for j in range(1, n + 1):
-        w = [p.weight(i, j) for i in range(1, j + 1)]
+        w = p.column(s, j)
         for m in range(1, hi + 1):
             live = slice(m - 1, j if m > 1 else 1)
             cols[m].append(s.dot(cols[m - 1][live], w[live]))
@@ -201,20 +306,23 @@ def segment_min_length(
     one shorter segment keeps a cover below it whatever follows, so the
     running minimum collapses to ``s.zero`` on the segments shorter than
     ``target`` (their weights are not read): with ``at_least``,
-    ``segment_opt`` over those weights.  A minimum of exactly ``target``
-    also needs a segment of that length: the same weights lifted over
-    ``exists_algebra``, keyed by ``j - i + 1 == target``, projected onto
-    True.  O(N^2) operations.
+    ``segment_opt``'s fold over the columns with their short tails set to
+    zero, which may be ``ScoreRow``s as there.  A minimum of exactly
+    ``target`` also needs a segment of that length: the same weights
+    lifted over ``exists_algebra``, keyed by ``j - i + 1 == target``,
+    projected onto True.  O(N^2) operations.
     """
     n = p.length
     if not 1 <= target <= n:
         raise ValueError(f"minimum segment length {target} invalid for length {n}")
-    long_enough = SegmentationProblem(n, lambda i, j: p.weight(i, j) if j - i + 1 >= target else s.zero)
     if at_least:
-        return segment_opt(long_enough, s)
+        return _segment_fold(p, s, target)
     alg = lifting.exists_algebra(accept=bool)
     lifted = lifting.edge_lifted_semiring(s, alg, lifting.exists_edge_product)
-    edges = SegmentationProblem(n, lambda i, j: (long_enough.weight(i, j), j - i + 1 == target))
+    w, zero = p.weight, s.zero
+    edges = SegmentationProblem(
+        n, lambda i, j: (w(i, j) if j - i + 1 >= target else zero, j - i + 1 == target)
+    )
     return lifting.project(s, alg, segment_opt(edges, lifted))
 
 

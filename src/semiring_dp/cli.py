@@ -34,6 +34,7 @@ from pathlib import Path
 from . import algorithms
 from .algorithms import (
     AlignmentProblem,
+    ColumnTable,
     MoveTable,
     SegmentationProblem,
     combinations,
@@ -417,8 +418,11 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     n = len(ts)
     s, base, tupled = resolve_semiring(args.semiring)
     # costs.weight is read at each call, so a replacement on the instance is seen
-    weight, scalar_weight = _weights(base, lambda i, j: costs.weight(i, j), tupled,
+    cost = lambda i, j: costs.weight(i, j)
+    weight, scalar_weight = _weights(base, cost, tupled,
                                      {"the one-segment weight": costs.weight(1, n)})
+    if base.array_rows:  # the folds may read whole cost columns (see SegmentationProblem)
+        weight = ColumnTable(cost, costs.weights, labelled=tupled)
     make = lambda weight: SegmentationProblem(n, weight)
 
     constraint = alg = None  # the constraint's record, and its oracle filter

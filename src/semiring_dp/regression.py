@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algorithms import (
+    ColumnTable,
     SegmentationProblem,
     segment_fixed_count,
     segment_min_length,
     segment_opt,
 )
-from .semirings import Scored, Semiring, minplus_semiring, viterbi_simple_semiring
+from .semirings import Semiring, minplus_semiring, viterbi_simple_semiring
 
 # past this segment length, costs are recomputed directly on centered
 # data instead of differenced cumulative sums (cancellation guard)
@@ -74,16 +75,18 @@ class SegmentCostModel:
 class SegmentCosts:
     """Interval fit costs for one series/model pair.
 
-    Builds cumulative sums of (1, n, n^2, y, n*y, y^2) once.  A p=2 cost
-    is read from a column: column j, the costs of every segment ending
-    at j, is computed with numpy from the sums when a cost ending at j is
-    asked for and the column held is another one.  Only the latest
-    column is kept (N Python floats): the segmentation folds read column
-    j only while computing their row j, so each column is built once per
-    fold.  Reads out of column order (the ``--verify`` oracle, tests)
-    build one column per change of j.  Non-quadratic exponents and
+    Builds cumulative sums of (1, n, n^2, y, n*y, y^2) once.  Column j,
+    the costs of every segment ending at j, is computed with numpy from
+    the sums.  ``weights(j)`` gives it as a float array of the weights,
+    which a segmentation fold over a ``ColumnTable`` reads whole.  A
+    scalar p=2 cost is read from the column as Python floats: it is built
+    when a cost ending at j is asked for and the column held is another
+    one, and only the latest is kept (N floats), so a list-route fold,
+    which reads column j only while computing its row j, builds each
+    column once.  Reads out of column order (the ``--verify`` oracle,
+    tests) build one column per change of j.  Non-quadratic exponents and
     segments longer than LONG_SEGMENT_DIRECT fall back to an O(j - i)
-    centered computation.
+    centered computation, in ``weights`` too.
     """
 
     def __init__(self, ts: TimeSeries, model: SegmentCostModel):
@@ -94,7 +97,7 @@ class SegmentCosts:
         self.model = model
         # read on every query, so held here (a model is frozen)
         self._exponent, self._regularization = model.error_exponent, model.regularization
-        self._y = y
+        self._y, self._n = y, n
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
             self._sy = np.concatenate([zero, np.cumsum(y)])
             self._syy = np.concatenate([zero, np.cumsum(y * y)])
@@ -138,7 +141,7 @@ class SegmentCosts:
             return self._direct_cost(i, j)
         end, column = self._column
         if end != j:
-            column = self._cost_column(j)
+            column = self._cost_column(j).tolist()
             self._column = (j, column)
         return column[i - 1]
 
@@ -146,11 +149,20 @@ class SegmentCosts:
         """The recurrence weight of segment [i, j]: ``cost(i, j) + regularization``."""
         return self.cost(i, j) + self._regularization
 
-    def _cost_column(self, j: int) -> list[float]:
-        """cost(i, j) for i = 1..j by the p=2 closed form, as Python floats."""
+    def weights(self, j: int) -> np.ndarray:
+        """weight(i, j) for i = 1..j as a new float array, entry for entry the scalar's."""
+        costs = self._cost_column(j)
+        # the entries cost computes directly: every one off p=2, else the long segments
+        last = j if self._exponent != 2.0 else j - LONG_SEGMENT_DIRECT
+        for i in range(1, last + 1):
+            costs[i - 1] = self._direct_cost(i, j)
+        return costs + self._regularization
+
+    def _cost_column(self, j: int) -> np.ndarray:
+        """cost(i, j) for i = 1..j by the p=2 closed form, as a new float array."""
         import numpy as np
-        start = np.arange(j)  # i - 1
-        length = j - start
+        start = slice(0, j)  # the sums before i, for i = 1..j
+        length = self._n[j - 1 :: -1]  # j - i + 1: j, ..., 1
         sy = self._sy[j] - self._sy[start]
         syy = self._syy[j] - self._syy[start]
         syy_c = syy - sy * sy / length  # the constant fit's rss, and any length-1 rss
@@ -164,7 +176,7 @@ class SegmentCosts:
             with np.errstate(divide="ignore", invalid="ignore"):  # where sxx > 0 fails
                 fitted = syy_c - sxy * sxy / sxx
             rss = np.where((length > 1) & (sxx > 0), fitted, syy_c)
-        return (np.where(rss < 0.0, 0.0, rss) / 2.0).tolist()
+        return np.where(rss < 0.0, 0.0, rss) / 2.0
 
 
 class SegmentationResult(NamedTuple):
@@ -198,8 +210,10 @@ def segment_series(
     segment to span at least that many samples.  ``base`` is the
     selection semiring scoring the fit costs (min-plus by default); the
     witness comes from score-and-witness tupling, so no backtracking
-    pass exists.  An unsatisfiable constraint yields the base zero
-    score with no segments.
+    pass exists.  The folds read the costs as a ``ColumnTable``, a whole
+    column at a time where the series and ``base`` allow it (see
+    ``SegmentationProblem``).  An unsatisfiable constraint yields the
+    base zero score with no segments.
     """
     n = len(ts)
     given = [c for c in (count, count_range, min_length) if c is not None]
@@ -211,9 +225,7 @@ def segment_series(
     base = base if base is not None else minplus_semiring()
     vit = viterbi_simple_semiring(base)
     costs = SegmentCosts(ts, model)
-    problem = SegmentationProblem(
-        n, lambda i, j: Scored(costs.weight(i, j), ((i, j),))
-    )
+    problem = SegmentationProblem(n, ColumnTable(costs.weight, costs.weights, labelled=True))
     if min_length is not None:
         result = segment_min_length(problem, min_length, vit, at_least=True)
     elif count_range is not None:

@@ -31,8 +31,10 @@ tupling over them takes ``WitnessBlock``s in ``dot_rows``
 (``block_rows``): a float array of scores and an int array of trail
 references into a ``JoinArena``, whose joins are stored by column.
 Every ``sum`` takes a ``MaskedRow``, the values a bool array keeps with
-a float array of their scores; the min/max bases and the tupling over
-them (``row_score``) pick its winner from the arrays.
+a float array of their scores, and every ``dot`` two ``ScoreRow``s, rows
+whose entries are built only where read, with a float array of their
+scores; the min/max bases and the tupling over them (``row_score``) pick
+the winner from the arrays and read one entry of each row.
 """
 
 from __future__ import annotations
@@ -194,10 +196,10 @@ class _Selective(Semiring):
     Its row sums, ``dot``'s included, are one ``add`` over the terms
     seeded with ``zero``: the builtin keeps its current value unless a
     later term beats it, which is the left fold's rule, nan included.
-    A ``MaskedRow``'s sum is picked from its scores, the values
-    themselves, where ``_masked_selection`` settles it.  ``add_rows`` and
-    ``mul_rows`` of two 1-D float arrays give the array of the per-entry
-    results.
+    A ``MaskedRow``'s sum, and the ``dot`` of two ``ScoreRow``s, are
+    picked from the scores, the values themselves, where
+    ``_array_selection`` settles them.  ``add_rows`` and ``mul_rows`` of
+    two 1-D float arrays give the array of the per-entry results.
     """
 
     array_rows = True
@@ -209,6 +211,13 @@ class _Selective(Semiring):
             if k is not None:
                 return self.zero if k < 0 else values.values[k]
         return self.add(chain((self.zero,), values))
+
+    def _dot(self, xs, ys):
+        if type(xs) is ScoreRow and type(ys) is ScoreRow:
+            k = _array_selection(self.add, _array_op(self.mul, xs.scores, ys.scores), self.zero)
+            if k is not None:
+                return self.zero if k < 0 else self.mul(xs[k], ys[k])
+        return self.sum(map(self.mul, xs, ys))
 
     def add_rows(self, xs, ys):
         if hasattr(xs, "shape"):
@@ -607,34 +616,68 @@ class MaskedRow:
         return int(np.count_nonzero(self.mask))
 
 
-def _masked_selection(pick, row: MaskedRow, zero_score):
-    """``_selection`` over the scores a ``MaskedRow`` keeps: an index into ``row.values``.
+class ScoreRow:
+    """A row whose entry k is ``value(start + k)``, with its score in ``scores[k]``, as ``dot`` takes it.
 
-    The same rule over arrays, with one exception that cannot change the
-    answer: a row with both infinities and no nan is settled here, since
-    the fold keeps its first infinite winner as surely.  numpy's min and
-    max let a nan win, so a nan best is the nan rule's None.
+    ``scores`` is a float array (``row_score`` of each entry).  An entry is
+    built only when read, so a semiring that picks a ``dot``'s winner from
+    the scores builds one entry per row.  A slice (of step one, from a
+    non-negative start) is a row over the same ``value`` and a view of the
+    scores; iterated, a row gives its entries in order.
+    """
+
+    __slots__ = ("scores", "value", "start")
+
+    def __init__(self, scores, value: Callable[[int], Any], start: int = 0):
+        self.scores = scores
+        self.value = value
+        self.start = start
+
+    def __len__(self):
+        return len(self.scores)
+
+    def __iter__(self):
+        return map(self.value, range(self.start, self.start + len(self.scores)))
+
+    def __getitem__(self, k):
+        if type(k) is slice:
+            return ScoreRow(self.scores[k], self.value, self.start + (k.start or 0))
+        return self.value(self.start + k)
+
+
+def _array_selection(pick, scores, zero_score):
+    """``_selection`` over a float array of scores, in a few array passes.
+
+    The same rule, with one exception that cannot change the answer: a row
+    with both infinities and no nan is settled here, since the fold keeps
+    its first infinite winner as surely.  numpy's argmin and argmax give
+    the first best score, or the first nan, which is the nan rule's None.
     """
     import numpy as np
-    at = row.mask.nonzero()[0]
-    if not at.size:
+    if not scores.size:
         return -1
-    scores = row.scores[at]
-    best = float(scores.max() if pick is max else scores.min())
+    k = int(scores.argmax() if pick is max else scores.argmin())
+    best = scores.item(k)
     if best != best:  # a nan score
         return None
     if pick(zero_score, best) == zero_score:
         return -1
     if math.isclose(best, zero_score, rel_tol=FLOAT_REL_TOL):
         return None
-    exact = scores == best
     if not math.isinf(best):
         # every score within 1e-9 relative of best lies within 2e-9 * |best| of it
         margin = 2 * FLOAT_REL_TOL * abs(best)
         near = scores <= best + margin if pick is min else scores >= best - margin
-        if np.count_nonzero(near) != np.count_nonzero(exact):
+        if np.count_nonzero(near) != np.count_nonzero(scores == best):
             return None
-    return int(at[exact.argmax()])
+    return k
+
+
+def _masked_selection(pick, row: MaskedRow, zero_score):
+    """``_array_selection`` over the scores a ``MaskedRow`` keeps: an index into ``row.values``."""
+    at = row.mask.nonzero()[0]
+    k = _array_selection(pick, row.scores[at], zero_score)
+    return k if k is None or k < 0 else int(at[k])
 
 
 def viterbi_semiring(base: Semiring) -> Semiring:
@@ -704,7 +747,8 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     ``SELECTIVE_SEMIRINGS`` raises ``ValueError``.  When ``base.add`` is
     the builtin min or max, the row operations pick the winning score
     with one scan over the row's scores (over a ``MaskedRow``'s score
-    array, for ``sum``) and build one product for it, not one per term;
+    array, for ``sum``, and the products of two ``ScoreRow``s' arrays,
+    for ``dot``) and build one product for it, not one per term;
     rows where the near-tie rule could decide, or with a nan score, are
     folded term by term.  Over a min/max catalog base,
     ``dot_rows`` also takes ``WitnessBlock``s, ranking whole arrays and
@@ -745,9 +789,10 @@ _score = operator.itemgetter(0)
 class _PickedWitness(Semiring):
     """``viterbi_simple_semiring`` over a ``base`` whose add is builtin min or max.
 
-    A row's winner is picked with ``_selection`` (``_masked_selection``
-    for a ``MaskedRow``) and one product is built for it; rows the
-    selection cannot settle are folded term by term.
+    A row's winner is picked with ``_selection`` (``_array_selection``
+    for a ``MaskedRow`` and for the ``dot`` of two ``ScoreRow``s, over
+    the products of their score arrays) and one product is built for it;
+    rows the selection cannot settle are folded term by term.
     ``dot_rows`` walks each entry's k product scores with ``add``'s own
     rule and builds the product of the surviving term only.  Given
     ``WitnessBlock``s, it does the same over whole arrays and returns a
@@ -823,8 +868,12 @@ class _PickedWitness(Semiring):
 
     def _dot(self, xs, ys):
         base = self.base
-        scores = list(map(base.mul, map(_score, xs), map(_score, ys)))
-        k = _selection(base.add, scores, self.zero.score)
+        if type(xs) is ScoreRow and type(ys) is ScoreRow:
+            scores = _array_op(base.mul, xs.scores, ys.scores)
+            k = _array_selection(base.add, scores, self.zero.score)
+        else:
+            scores = list(map(base.mul, map(_score, xs), map(_score, ys)))
+            k = _selection(base.add, scores, self.zero.score)
         if k is None:  # the term-by-term fold, not a second selection
             return Semiring.sum(self, map(self.mul, xs, ys))
         return self.zero if k < 0 else self.mul(xs[k], ys[k])

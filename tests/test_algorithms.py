@@ -224,6 +224,96 @@ def test_segmentation_constrained_fusion():
     oracles.check_constrained_fusion(labels, generate, ge_alg, minlen_ge, seed=5)
 
 
+# the column route of the segmentation folds against their list route: same values (by
+# repr), witnesses and op counts, over weights with exact ties, near-ties within 1e-9,
+# nan, infinities, signed zeros and a live score next to zero
+SEGMENT_SCORES = (0.0, -0.0, 0.5, 1.0, 1.0 + 5e-10, 2.0, 2.0 - 1e-9, 3.0, -1.0, 1e-300,
+                  math.inf, -math.inf, math.nan)
+SEGMENT_FOLDS = ("opt", "count", "min-length", "min-length-at-least")
+MINMAX_BASES = ("maxplus", "minplus", "maxprod", "bottleneck")
+
+
+def segment_routes(n, scores, s, labelled, fold, lo, hi, monkeypatch):
+    """``fold`` over the weights' callable and over their ColumnTable: (repr, witness, counts) each.
+
+    The exact minimum length folds over a lifted semiring, whose rows are lists, so only
+    the other folds must read the table's columns.
+    """
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(algorithms, "COLUMN_SAMPLES", 1)
+    cells = [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
+    cost = dict(zip(cells, scores)).__getitem__
+    read = []
+
+    def column(j):
+        read.append(j)
+        return np.array([cost((i, j)) for i in range(1, j + 1)])
+
+    table = algorithms.ColumnTable(lambda i, j: cost((i, j)), column, labelled)
+    run = {
+        "opt": lambda p, s: sd.segment_opt(p, s),
+        "count": lambda p, s: sd.segment_fixed_count(p, lo, hi, s),
+        "min-length": lambda p, s: sd.segment_min_length(p, lo, s),
+        "min-length-at-least": lambda p, s: sd.segment_min_length(p, lo, s, at_least=True),
+    }[fold]
+    runs = []
+    for weight in (lambda i, j: table(i, j), table):
+        counted, counts = sd.instrumented(s)
+        got = run(sd.SegmentationProblem(n, weight), counted)
+        witness = got.witness if isinstance(got, sd.Scored) else None
+        runs.append((repr(got), witness, counts.add, counts.mul))
+    assert read == ([] if fold == "min-length" else list(range(1, n + 1)))
+    return runs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.sampled_from(SEGMENT_SCORES), min_size=n * (n + 1) // 2,
+                                max_size=n * (n + 1) // 2),
+           st.integers(1, n), st.integers(0, n))),
+       st.sampled_from(MINMAX_BASES), st.booleans(), st.sampled_from(SEGMENT_FOLDS))
+def test_segment_columns_as_score_arrays_are_the_list_route(drawn, base, witnessed, fold):
+    n, scores, lo, spread = drawn
+    hi = min(n, lo + spread)  # lo < hi too
+    s = CATALOG[base]
+    if witnessed:
+        s = sd.viterbi_simple_semiring(s)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        listed, arrayed = segment_routes(n, scores, s, witnessed, fold, lo, hi, monkeypatch)
+    assert listed == arrayed
+
+
+@pytest.mark.parametrize("base", MINMAX_BASES)
+def test_segment_columns_with_many_ties_are_the_list_route(base, monkeypatch):
+    # columns of dozens of scores drawn from four values, so most dots hold exact ties
+    n = 40
+    rng = random.Random(24)
+    scores = [rng.choice((0.25, 0.5, 0.75, 1.0)) for _ in range(n * (n + 1) // 2)]
+    for fold, lo, hi in (("opt", 1, 1), ("count", 3, 3), ("count", 2, 5),
+                         ("min-length-at-least", 4, 4)):
+        for s, witnessed in ((CATALOG[base], False),
+                             (sd.viterbi_simple_semiring(CATALOG[base]), True)):
+            listed, arrayed = segment_routes(n, scores, s, witnessed, fold, lo, hi, monkeypatch)
+            assert listed == arrayed, (fold, lo, hi, witnessed)
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_segment_folds_read_columns_from_column_samples_on(below):
+    # the array route needs a ColumnTable, a semiring that takes arrays and N >= COLUMN_SAMPLES
+    np = pytest.importorskip("numpy")
+    n = algorithms.COLUMN_SAMPLES - below
+    read = []
+    vit = sd.viterbi_simple_semiring(MINPLUS)
+    for s, labelled, arrays in ((MINPLUS, False, True), (vit, True, True),
+                                (COUNT, False, False), (CATALOG["prob"], False, False)):
+        read.clear()
+        table = algorithms.ColumnTable(lambda i, j: float(i * j),
+                                       lambda j: read.append(j) or np.arange(1.0, j + 1) * j,
+                                       labelled)
+        sd.segment_opt(sd.SegmentationProblem(n, table), s)
+        assert read == (list(range(1, n + 1)) if arrays and not below else []), s
+
+
 # --- alignment ----------------------------------------------------------------------
 
 
@@ -487,10 +577,9 @@ def test_longest_chain_other_relations():
 # the array route of ordered_subsequences against its list route: same values (by repr),
 # witnesses and op counts, over weights with exact ties, near-ties within 1e-9, nan,
 # infinities and signed zeros, and values with duplicates and signed zeros
-CHAIN_SCORES = (0.0, -0.0, 0.5, 1.0, 1.0 + 5e-10, 2.0, 2.0 - 1e-9, 3.0, -1.0, 1e-300,
-                math.inf, -math.inf, math.nan)
+CHAIN_SCORES = SEGMENT_SCORES
 CHAIN_VALUES = (-1.0, -0.0, 0.0, 1.0, 1.5, 2.0, 3.0)
-CHAIN_BASES = ("maxplus", "minplus", "maxprod", "bottleneck")
+CHAIN_BASES = MINMAX_BASES
 
 
 def chain_routes(values, weights, s, relation, monkeypatch):

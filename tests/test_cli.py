@@ -120,6 +120,36 @@ def test_segment_oracle_builds_each_cost_column_once(tmp_path, monkeypatch):
         assert len(built) == (2 * n + 1 if status == "pass" else n + 1), (n, extra)
 
 
+def test_segment_columns_read_no_scalar_weight(tmp_path, monkeypatch):
+    # past COLUMN_SAMPLES the folds over a min/max base read each weight column whole, as
+    # a score array: the one-segment weight's check is the only scalar weight read, where
+    # the list route read every weight, and the document is the list route's
+    calls = []
+    build = cli.SegmentCosts
+
+    def recording(*args):
+        costs = build(*args)
+        weight = costs.weight
+        costs.weight = lambda i, j: calls.append((i, j)) or weight(i, j)
+        return costs
+
+    monkeypatch.setattr(cli, "SegmentCosts", recording)
+    n = 60
+    path = write_column(tmp_path, "y.txt", np.random.default_rng(24).normal(0.0, 1.0, n))
+    for extra in ((), ("--count", "3"), ("--count-range", "2", "4"), ("--min-length", "4"),
+                  ("--semiring", "minplus"), ("--semiring", "viterbi:maxplus")):
+        docs = []
+        for samples in (n, n + 1):  # the array route, then the list route
+            monkeypatch.setattr(cli.algorithms, "COLUMN_SAMPLES", samples)
+            calls.clear()
+            code, doc, _ = run_cli(tmp_path, "segment", path, *extra)
+            assert code == 0, extra
+            del doc["wall_time_s"]
+            docs.append(doc)
+            assert (calls == [(1, n)]) == (samples == n), (extra, len(calls))
+        assert docs[0] == docs[1], extra
+
+
 def test_segment_table_output(tmp_path):
     path = write_column(tmp_path, "y.csv", [0.0, 0.0, 5.0, 5.0])
     table = tmp_path / "fit.csv"

@@ -144,6 +144,27 @@ def test_untabled_weight_is_the_scalar_cost_plus_regularization(monkeypatch, unt
             assert costs.weight(i, j).hex() == (costs.cost(i, j) + 0.25).hex(), (i, j)
 
 
+@pytest.mark.parametrize("untabled", ["closed form", "exponent", "long"])
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+@pytest.mark.parametrize("lam", [0.0, 0.25])
+def test_weight_columns_are_the_scalar_weight_bit_for_bit(monkeypatch, untabled, kind, lam):
+    # a fold over a ColumnTable reads weights(j) whole, so every entry must be the scalar
+    # weight's bits, the entries cost computes directly (off p=2, or long) included
+    import semiring_dp.regression as reg
+
+    y = np.random.default_rng(15).normal(0, 2, 30) + np.linspace(0, 4, 30)
+    if untabled == "long":
+        monkeypatch.setattr(reg, "LONG_SEGMENT_DIRECT", 5)  # read at each column
+    exponent = 1.5 if untabled == "exponent" else 2.0
+    model = sd.SegmentCostModel(kind=kind, error_exponent=exponent, regularization=lam)
+    costs = sd.SegmentCosts(series(y), model)
+    for j in range(1, 31):
+        column = costs.weights(j)
+        assert column.dtype == float and column.shape == (j,)
+        for i in range(1, j + 1):
+            assert column[i - 1].hex() == (costs.cost(i, j) + lam).hex(), (i, j)
+
+
 def test_long_segment_limit_is_read_at_each_query(monkeypatch):
     import semiring_dp.regression as reg
 
