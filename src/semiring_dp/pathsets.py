@@ -7,13 +7,25 @@ value in any other semiring, so the path-set run serves as a
 brute-force oracle for the efficient direct runs.  The operators are
 deliberately exponential; a storage budget aborts runs that grow past
 desk scale.
+
+A path set keeps its sequences in insertion order, as the keys of a
+dict, so union and cross-join build their results in C-level loops and
+only evaluation and printing sort them.  Evaluation walks the sequences
+in sorted order, where a sequence shares its longest common prefix with
+the one before it, and keeps the running products of that prefix: each
+product is still the left fold from ``one`` and the sum still runs in
+sorted order, but each shared prefix's labels are weighed once, so a
+stateful weight map sees fewer calls.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress, count, product, starmap
+from operator import concat, is_not
 from typing import Any, Callable, Iterable, Mapping
 
-from .lifting import ConstraintAlgebra
+from .lifting import ConstraintAlgebra, _identity_map
 from .semirings import Semiring
 
 DEFAULT_LABEL_BUDGET = 10**6
@@ -28,32 +40,46 @@ class PathSet:
 
     Labels must be hashable and mutually orderable, so iteration has a
     canonical sorted order and comparisons are deterministic; equality
-    is plain set equality with no duplicate sequences.
+    is plain set equality with no duplicate sequences.  The sequences
+    are stored as the keys of an insertion-ordered dict that is never
+    mutated; ``paths`` is its set-like keys view.
     """
 
-    __slots__ = ("paths", "labels_stored")
+    __slots__ = ("_order", "labels_stored")
 
     def __init__(self, paths: Iterable[Iterable[Any]] = ()):
-        self.paths = frozenset(tuple(p) for p in paths)
-        self.labels_stored = sum(len(p) for p in self.paths)
+        self._order = dict.fromkeys(map(tuple, paths))
+        self.labels_stored = sum(map(len, self._order))
+
+    @classmethod
+    def _of(cls, order: dict) -> PathSet:
+        """A path set over ``order``'s keys, which must be tuples, taking the dict as it is."""
+        x = object.__new__(cls)
+        x._order = order
+        x.labels_stored = sum(map(len, order))
+        return x
+
+    @property
+    def paths(self):
+        return self._order.keys()
 
     def sorted_paths(self) -> list[tuple]:
-        return sorted(self.paths)
+        return sorted(self._order)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PathSet) and self.paths == other.paths
+        return isinstance(other, PathSet) and self._order.keys() == other._order.keys()
 
     def __hash__(self) -> int:
-        return hash(self.paths)
+        return hash(frozenset(self._order))
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self._order)
 
     def __iter__(self):
         return iter(self.sorted_paths())
 
     def __contains__(self, path) -> bool:
-        return tuple(path) in self.paths
+        return tuple(path) in self._order
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(list(p)) for p in self.sorted_paths())
@@ -78,12 +104,12 @@ def generator_semiring(budget: int = DEFAULT_LABEL_BUDGET) -> Semiring:
 
     def union(x: PathSet, y: PathSet) -> PathSet:
         check(x.labels_stored + y.labels_stored)
-        return PathSet(x.paths | y.paths)
+        return PathSet._of(x._order | y._order)
 
     def cross_join(x: PathSet, y: PathSet) -> PathSet:
         """Concatenate every sequence of ``x`` with every sequence of ``y``."""
-        check(len(y.paths) * x.labels_stored + len(x.paths) * y.labels_stored)
-        return PathSet(a + b for a in x.paths for b in y.paths)
+        check(len(y._order) * x.labels_stored + len(x._order) * y.labels_stored)
+        return PathSet._of(dict.fromkeys(starmap(concat, product(x._order, y._order))))
 
     return Semiring("paths", union, cross_join, PathSet(), PathSet([()]))
 
@@ -112,9 +138,34 @@ def evaluate_paths(s: Semiring, weights, paths: PathSet):
     ``s.one``.  This is the structure-preserving map out of path sets:
     it sends unions to adds, cross-joins to muls and identities to
     identities, which the property tests check directly.
+
+    Each sequence's product is the left fold of ``mul`` from ``one``,
+    and the products are summed in sorted order.  A sequence shares the
+    running products of the prefix it has in common with the sequence
+    before it (the same label objects, compared by identity), so only
+    the labels after that prefix are weighed and multiplied in.
     """
     w = _weight_fn(weights)
-    return s.sum(s.prod(w(label) for label in path) for path in paths)
+    mul = s.mul
+    prefix = [s.one]  # prefix[k]: the product of the previous sequence's first k labels
+    previous = ()
+    products = []
+    for path in paths.sorted_paths():
+        # a sequence sorts after every prefix of it, so where no label differs,
+        # the previous sequence is a prefix of this one
+        shared = next(compress(count(), map(is_not, previous, path)), len(previous))
+        del prefix[shared + 1:]
+        acc = prefix[shared]
+        # mostly one or two labels: a plain loop beats accumulate and a slice assignment
+        for label in path[shared:]:
+            acc = mul(acc, w(label))
+            prefix.append(acc)
+        products.append(acc)
+        previous = path
+    return s.sum(products)
+
+
+_NO_LABEL = object()
 
 
 def constraint_fold(alg: ConstraintAlgebra, path: Iterable[Any]):
@@ -123,29 +174,26 @@ def constraint_fold(alg: ConstraintAlgebra, path: Iterable[Any]):
     Starts from the identity when the algebra has one; identity-less
     algebras start from the first label's value and reject empty paths.
     """
-    labels = list(path)
-    if alg.identity is None:
-        if not labels:
+    # the default label map gives each label back: no call per label for it
+    values = iter(path) if alg.label_map is _identity_map else map(alg.label_map, path)
+    start = alg.identity
+    if start is None:
+        start = next(values, _NO_LABEL)
+        if start is _NO_LABEL:
             raise ValueError(f"{alg.name}: no identity, cannot fold an empty path")
-        acc = alg.label_map(labels[0])
-        labels = labels[1:]
-    else:
-        acc = alg.identity
-    for label in labels:
-        acc = alg.combine(acc, alg.label_map(label))
-    return acc
+    return reduce(alg.combine, values, start)
 
 
 def filter_paths(alg: ConstraintAlgebra, paths: PathSet) -> PathSet:
     """Keep exactly the sequences whose constraint fold ``alg`` accepts.
 
     For identity-less algebras the empty sequence has no fold value and
-    is always dropped.
+    is always dropped.  The kept sequences keep their order.
     """
-    kept = []
-    for path in paths.paths:
-        if not path and alg.identity is None:
-            continue
-        if alg.accepts(constraint_fold(alg, path)):
-            kept.append(path)
-    return PathSet(kept)
+    accepts = alg.accepts
+    keep_empty = alg.identity is not None
+    kept = dict.fromkeys(
+        path for path in paths._order
+        if (path or keep_empty) and accepts(constraint_fold(alg, path))
+    )
+    return PathSet._of(kept)

@@ -196,10 +196,12 @@ class _Selective(Semiring):
     Its row sums, ``dot``'s included, are one ``add`` over the terms
     seeded with ``zero``: the builtin keeps its current value unless a
     later term beats it, which is the left fold's rule, nan included.
-    A ``MaskedRow``'s sum, and the ``dot`` of two ``ScoreRow``s, are
-    picked from the scores, the values themselves, where
-    ``_array_selection`` settles them.  ``add_rows`` and ``mul_rows`` of
-    two 1-D float arrays give the array of the per-entry results.
+    A ``MaskedRow``'s sum, and the ``dot`` of two ``ScoreRow``s of two
+    or more entries, are picked from the scores, the values themselves,
+    where ``_array_selection`` settles them; a one-term ``dot`` is
+    folded, since the pick's array passes cost more than its one
+    product.  ``add_rows`` and ``mul_rows`` of two 1-D float arrays give
+    the array of the per-entry results.
     """
 
     array_rows = True
@@ -213,7 +215,7 @@ class _Selective(Semiring):
         return self.add(chain((self.zero,), values))
 
     def _dot(self, xs, ys):
-        if type(xs) is ScoreRow and type(ys) is ScoreRow:
+        if type(xs) is ScoreRow and type(ys) is ScoreRow and len(xs) > 1:
             k = _array_selection(self.add, _array_op(self.mul, xs.scores, ys.scores), self.zero)
             if k is not None:
                 return self.zero if k < 0 else self.mul(xs[k], ys[k])
@@ -790,9 +792,10 @@ class _PickedWitness(Semiring):
     """``viterbi_simple_semiring`` over a ``base`` whose add is builtin min or max.
 
     A row's winner is picked with ``_selection`` (``_array_selection``
-    for a ``MaskedRow`` and for the ``dot`` of two ``ScoreRow``s, over
-    the products of their score arrays) and one product is built for it;
-    rows the selection cannot settle are folded term by term.
+    for a ``MaskedRow`` and for the ``dot`` of two ``ScoreRow``s of two
+    or more entries, over the products of their score arrays) and one
+    product is built for it; one-term ``ScoreRow`` dots, and rows the
+    selection cannot settle, are folded term by term.
     ``dot_rows`` walks each entry's k product scores with ``add``'s own
     rule and builds the product of the surviving term only.  Given
     ``WitnessBlock``s, it does the same over whole arrays and returns a
@@ -869,8 +872,11 @@ class _PickedWitness(Semiring):
     def _dot(self, xs, ys):
         base = self.base
         if type(xs) is ScoreRow and type(ys) is ScoreRow:
-            scores = _array_op(base.mul, xs.scores, ys.scores)
-            k = _array_selection(base.add, scores, self.zero.score)
+            if len(xs) > 1:
+                scores = _array_op(base.mul, xs.scores, ys.scores)
+                k = _array_selection(base.add, scores, self.zero.score)
+            else:  # one product, or none: folding builds no more than a pick
+                k = None
         else:
             scores = list(map(base.mul, map(_score, xs), map(_score, ys)))
             k = _selection(base.add, scores, self.zero.score)

@@ -9,7 +9,8 @@ import pytest
 
 from semiring_dp import cli
 from semiring_dp.cli import canonical_json, format_float, main
-from semiring_dp.pathsets import generator_semiring
+from semiring_dp.pathsets import PathSet, generator_semiring
+from semiring_dp.semirings import Semiring
 
 
 def run_cli(tmp_path, *argv):
@@ -542,6 +543,93 @@ def test_align_verify_runs_up_to_the_cap(tmp_path):
     code, doc, _ = run_cli(tmp_path, "align", str(a), str(b), "--verify")
     assert code == 0
     assert doc["oracle_check"]["status"] == "skipped"
+
+
+def _plain_paths():
+    """Path sets as plain frozensets of label tuples; a ``PathSet`` weight reads as its paths."""
+    plain = lambda x: frozenset(x.paths) if isinstance(x, PathSet) else x
+    return Semiring("plain paths", lambda x, y: plain(x) | plain(y),
+                    lambda x, y: frozenset(a + b for a in plain(x) for b in plain(y)),
+                    frozenset(), frozenset({()}))
+
+
+def _plain_oracle(generate, alg, base, weight):
+    """(the generated paths, the exhaustive value): generate, filter, evaluate, written out."""
+    generated = generate(_plain_paths())
+    kept = generated
+    if alg is not None:
+        def fold(path):
+            acc, rest = (alg.identity, path) if alg.identity is not None else (
+                alg.label_map(path[0]), path[1:])
+            for label in rest:
+                acc = alg.combine(acc, alg.label_map(label))
+            return acc
+
+        kept = [p for p in generated if (p or alg.identity is not None) and alg.accepts(fold(p))]
+    value = base.zero
+    for path in sorted(kept):
+        product = base.one
+        for label in path:
+            product = base.mul(product, weight(label))
+        value = base.add(value, product)
+    return frozenset(generated), value
+
+
+def test_oracle_values_are_the_plain_generate_filter_evaluate(tmp_path, monkeypatch):
+    # the calls of perfbench's oracle-verify workload at its sizes, then the other constraints
+    rng = np.random.default_rng(25)
+    y14 = write_column(tmp_path, "y14.txt", np.cumsum(rng.normal(0.0, 1.0, 14)))
+    y12 = write_column(tmp_path, "y12.txt", np.cumsum(rng.normal(0.0, 1.0, 12)))
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("".join(rng.choice(list("ACGT"), 6)) + "\n")
+    b.write_text("".join(rng.choice(list("ACGT"), 6)) + "\n")
+    p14 = write_column(tmp_path, "p14.txt", rng.uniform(0.05, 0.95, 14))
+    p12 = write_column(tmp_path, "p12.txt", rng.uniform(0.05, 0.95, 12))
+    half = rng.permutation(7)
+    chain = write_column(tmp_path, "chain.txt", [*half, *(7 + half[::-1])])
+    ties = write_column(tmp_path, "ties.txt", [3, 1, 2, 2, 5, 4, 4, 6, 0, 7, 3, 5])
+    calls = [
+        ("segment", y14, "--count", "3"),
+        ("segment", y14, "--lambda", "0.5"),
+        ("align", str(a), str(b)),
+        ("align", str(a), str(b), "--sum-misalign", "6"),
+        ("align", str(a), str(b), "--max-misalign", "2"),
+        ("events", p14, "-M", "5"),
+        ("lis", chain),
+        ("segment", y12, "--count-range", "2", "4"),
+        ("segment", y12, "--min-length", "3"),
+        ("segment", y12, "--min-length", "3", "--semiring", "count"),
+        ("align", str(a), str(b), "--semiring", "count"),
+        ("align", str(a), str(b), "--semiring", "prob"),
+        ("events", p12, "-M", "4", "--mode", "viterbi"),
+        ("lis", ties, "--relation", "le"),
+    ]
+    seen = {}
+    real_oracle, real_filter, real_evaluate = cli._oracle, cli.filter_paths, cli.evaluate_paths
+
+    def oracle(solutions, what, generate, alg, base, weight, got, order=()):
+        seen["want"] = _plain_oracle(generate, alg, base, weight)
+        return real_oracle(solutions, what, generate, alg, base, weight, got, order)
+
+    def filter_paths(alg, paths):
+        seen.setdefault("generated", paths)
+        return real_filter(alg, paths)
+
+    def evaluate_paths(base, weight, paths):
+        seen.setdefault("generated", paths)
+        seen["value"] = real_evaluate(base, weight, paths)
+        return seen["value"]
+
+    monkeypatch.setattr(cli, "_oracle", oracle)
+    monkeypatch.setattr(cli, "filter_paths", filter_paths)
+    monkeypatch.setattr(cli, "evaluate_paths", evaluate_paths)
+    for argv in calls:
+        seen.clear()
+        code, doc, _ = run_cli(tmp_path, *argv, "--verify")
+        assert (code, doc["oracle_check"]["status"]) == (0, "pass"), argv
+        generated, value = seen["want"]
+        assert seen["generated"].paths == generated, argv
+        assert repr(seen["value"]) == repr(value), argv
 
 
 def test_verify_skips_over_the_path_storage_budget(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 
@@ -158,3 +159,159 @@ def test_filter_identityless_drops_empty_path():
     alg = sd.ordering_algebra([1.0, 2.0])
     assert sd.filter_paths(alg, ps) == paths((1,), (1, 2))
 
+
+# --- differential checks against plain frozensets -------------------------------------
+
+
+LABELS = [("a", 1000), ("a", 2000), ("b", 1000), ("b", 3000)]
+
+
+def fresh(label):
+    """An equal label that is not the same object."""
+    return (label[0], int(str(label[1])))
+
+
+def random_paths(rng):
+    """Sequences with prefixes of one another, the empty path, duplicates and fresh equal labels."""
+    seqs = []
+    for _ in range(rng.randint(0, 6)):
+        seq = tuple(rng.choice(LABELS) for _ in range(rng.randint(0, 4)))
+        seqs.append(seq)
+        if seq and rng.random() < 0.5:
+            seqs.append(seq[: rng.randint(0, len(seq) - 1)])  # a prefix of it
+        if rng.random() < 0.3:
+            seqs.append(tuple(map(fresh, seq)))  # a duplicate of equal, distinct labels
+    if rng.random() < 0.3:
+        seqs.append(())
+    return seqs
+
+
+def reference_join(x, y):
+    return frozenset(a + b for a in x for b in y)
+
+
+def test_path_sets_are_their_plain_frozensets():
+    rng = random.Random(25)
+    for _ in range(300):
+        xs, ys = random_paths(rng), random_paths(rng)
+        x, y = sd.PathSet(xs), sd.PathSet(ys)
+        fx, fy = frozenset(xs), frozenset(ys)
+        for got, want in ((x, fx), (GEN.add(x, y), fx | fy), (GEN.mul(x, y), reference_join(fx, fy))):
+            assert got.paths == want and len(got) == len(want)
+            assert got.labels_stored == sum(len(p) for p in want)
+            assert list(got) == got.sorted_paths() == sorted(want)
+            assert repr(got) == "PathSet([" + ", ".join(repr(list(p)) for p in sorted(want)) + "])"
+            assert all(p in got for p in want) and all(list(p) in got for p in want)
+            assert hash(got) == hash(want)
+        assert (("z", 0),) not in x and x.paths - fx == set()
+
+
+def test_path_set_equality_and_hash_ignore_insertion_order():
+    rng = random.Random(26)
+    for _ in range(200):
+        seqs = random_paths(rng)
+        shuffled = seqs[:]
+        rng.shuffle(shuffled)
+        x, y = sd.PathSet(seqs), sd.PathSet(reversed(shuffled))
+        assert x == y and hash(x) == hash(y)
+        # the semiring's own results, built in other orders, too
+        assert GEN.add(x, GEN.one) == GEN.add(GEN.one, y)
+        assert hash(GEN.add(x, GEN.one)) == hash(GEN.add(GEN.one, y))
+    assert sd.PathSet([("a",)]) != frozenset({("a",)})
+
+
+def naive_evaluate(s, weights, paths):
+    """Each sequence's product from ``one``, summed in sorted order."""
+    total = s.zero
+    for path in sorted(paths):
+        total = s.add(total, reduce(s.mul, (weights[label] for label in path), s.one))
+    return total
+
+
+def test_evaluation_is_the_naive_sorted_sum_of_products():
+    rng = random.Random(27)
+    s = sd.probability_semiring()
+    weights = {label: rng.uniform(0.1, 3.0) for label in LABELS}
+    for _ in range(300):
+        x, y = sd.PathSet(random_paths(rng)), sd.PathSet(random_paths(rng))
+        for ps in (x, GEN.add(x, y), GEN.mul(x, y), GEN.mul(GEN.mul(x, y), x)):
+            assert repr(sd.evaluate_paths(s, weights, ps)) == repr(naive_evaluate(s, weights, ps.paths))
+
+
+def test_evaluation_weighs_a_shared_prefix_once():
+    calls = []
+
+    def weight(label):
+        calls.append(label)
+        return 2
+
+    a, b, c, d = LABELS
+    ps = GEN.mul(paths((a, b)), paths((), (c,), (d,), (c, d)))
+    assert sd.evaluate_paths(sd.counting_semiring(), weight, ps) == 4 + 8 + 8 + 16
+    # sorted: a b, a b c, a b c d, a b d; each label after the shared prefix once
+    assert calls == [a, b, c, d, d]
+    # equal labels that are distinct objects share no products, and give the same value
+    calls.clear()
+    apart = sd.PathSet([(a, b), (fresh(a), fresh(b), c)])
+    assert sd.evaluate_paths(sd.counting_semiring(), weight, apart) == 4 + 8
+    assert calls == [a, b, a, b, c]
+
+
+def test_budget_estimates_and_messages():
+    rng = random.Random(28)
+    for _ in range(100):
+        x, y = sd.PathSet(random_paths(rng)), sd.PathSet(random_paths(rng))
+        fx, fy = frozenset(x.paths), frozenset(y.paths)
+        labels = lambda f: sum(len(p) for p in f)
+        union = labels(fx) + labels(fy)
+        join = len(fy) * labels(fx) + len(fx) * labels(fy)
+        for op, estimate in (("add", union), ("mul", join)):
+            if estimate < 1:
+                continue
+            assert getattr(sd.generator_semiring(estimate), op)(x, y) is not None
+            if estimate > 1:
+                message = (f"path-set operation needs ~{estimate} stored labels, "
+                           f"over the budget of {estimate - 1}")
+                with pytest.raises(sd.PathBudgetError) as caught:
+                    getattr(sd.generator_semiring(estimate - 1), op)(x, y)
+                assert str(caught.value) == message
+
+
+def test_a_missing_weight_after_a_shared_prefix_names_its_label():
+    ps = paths(("a", "b"), ("a", "b", ("c", 1000)))
+    with pytest.raises(KeyError, match=r"\('c', 1000\)"):
+        sd.evaluate_paths(sd.counting_semiring(), {"a": 1, "b": 2}, ps)
+
+
+def test_a_type_error_in_combine_propagates():
+    def combine(i, j):
+        raise TypeError("combine refused")
+
+    for alg in (replace(sd.ordering_algebra([1.0, 2.0]), combine=combine),
+                replace(sd.subset_size_algebra(5), combine=combine)):
+        with pytest.raises(TypeError, match="combine refused"):
+            sd.constraint_fold(alg, (1, 2))
+        with pytest.raises(TypeError, match="combine refused"):
+            sd.filter_paths(alg, paths((1,), (1, 2)))
+    identityless = replace(sd.ordering_algebra([1.0, 2.0]), combine=combine)
+    assert sd.constraint_fold(identityless, (2,)) == 2  # one label: combine is never called
+    with pytest.raises(ValueError, match="no identity"):
+        sd.constraint_fold(identityless, ())
+
+
+def test_filtering_is_the_plain_per_path_filter():
+    rng = random.Random(29)
+    length = sd.subset_size_algebra(3, label_map=lambda e: 1, accept=lambda m: m >= 2)
+    keyed = sd.max_count_algebra(3000, label_map=lambda e: e[1], accept=lambda m: m < 3000)
+    for _ in range(200):
+        seqs = random_paths(rng)
+        for alg in (length, keyed):
+            want = {p for p in seqs if alg.accepts(naive_fold(alg, p))}
+            assert sd.filter_paths(alg, sd.PathSet(seqs)).paths == want
+
+
+def naive_fold(alg, path):
+    acc = alg.identity
+    for label in path:
+        acc = alg.combine(acc, alg.label_map(label))
+    return acc

@@ -354,6 +354,34 @@ def test_masked_rows_sum_to_the_left_folds_of_the_values_they_keep(name):
             assert same_float(got.score, want.score) and got.witness == want.witness, scores
 
 
+@pytest.mark.parametrize("name", ONE_SCAN_BASES)
+def test_one_term_score_row_dots_are_their_left_folds(name, monkeypatch):
+    np = pytest.importorskip("numpy")
+
+    def no_selection(*args):
+        raise AssertionError("a one-term dot picked from its scores")
+
+    monkeypatch.setattr(semirings, "_array_selection", no_selection)
+    for base in (CATALOG[name], dataclasses.replace(CATALOG[name], zero=0.5)):
+        vit = sd.viterbi_simple_semiring(base)
+        # nan, both infinities, the zero's score and the near-ties of one and of the 0.5 zero
+        entries = (*FLOAT_SPECIALS, base.zero, 0.5 * (1 + 4e-10), 0.5 * (1 - 4e-10), 1e-300)
+        for x in entries:
+            for y in entries:
+                row = lambda v: semirings.ScoreRow(np.array([v]), [v].__getitem__)
+                assert same_float(base.dot(row(x), row(y)), left_dot(base, [x], [y])), (x, y)
+                scored = lambda v, tag: semirings.ScoreRow(
+                    np.array([v]), lambda k: sd.Scored(v, ((tag, k),)))
+                got = vit.dot(scored(x, "x"), scored(y, "y"))
+                want = left_dot(vit, [sd.Scored(x, (("x", 0),))], [sd.Scored(y, (("y", 0),))])
+                assert same_float(got.score, want.score) and got.witness == want.witness, (x, y)
+                counted, counts = sd.instrumented(vit)
+                counted.dot(scored(x, "x"), scored(y, "y"))
+                assert (counts.add, counts.mul) == (1, 1)
+        empty = semirings.ScoreRow(np.array([]), [].__getitem__)
+        assert base.dot(empty, empty) == base.zero and vit.dot(empty, empty) == vit.zero
+
+
 def test_only_the_one_scan_rows_read_masked_scores():
     for name, s in CATALOG.items():
         want = name in ONE_SCAN_BASES
