@@ -21,7 +21,8 @@ elementwise (``combinations``, ``events_m_of_n`` and the lifted vectors
 of the constrained folds) go through ``s.add_rows(xs, ys)`` and
 ``s.mul_rows(xs, ys)``, whose entries are the per-term ``add`` and
 ``mul`` and which count one op per entry; a row times one weight ``y``
-is ``s.mul_rows(xs, repeat(y))``.  An
+is ``s.mul_rows(xs, repeat(y))``, or ``s.mul_rows(xs, y)`` for the float
+array row ``events_m_of_n`` keeps given a float array of pairs.  An
 anti-diagonal of ``nw_align`` is one ``s.dot_rows(xss, yss)``, whose
 entries are the three-term sums of products of the cell recurrence,
 folded left from the first product; a score-and-witness semiring builds
@@ -43,6 +44,7 @@ tests check each form against generate-filter-evaluate.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -58,6 +60,7 @@ from .semirings import (
     Semiring,
     WitnessBlock,
     maxplus_semiring,
+    quiet_arrays,
     viterbi_simple_semiring,
 )
 
@@ -210,7 +213,8 @@ class SegmentationProblem:
 
     A fold reads the weights a column at a time, ``column(s, j)`` (w(1..j,
     j)), and keeps f in ``row(s, ...)``.  Over a ``ColumnTable`` of at
-    least ``COLUMN_SAMPLES`` samples, a semiring whose rows take arrays
+    least ``COLUMN_SAMPLES`` samples, a semiring that picks a ``dot``'s
+    winner from scores (``row_score``) and whose rows take arrays
     (``array_rows``) or blocks (``block_rows``) reads each column as a
     ``ScoreRow`` of the table's scores, and f's row keeps its scores in a
     float array beside it, so ``dot`` picks its winner from the arrays
@@ -227,7 +231,7 @@ class SegmentationProblem:
 
     def _arrays(self, s: Semiring) -> bool:
         return (self.length >= COLUMN_SAMPLES and isinstance(self.weight, ColumnTable)
-                and (s.array_rows or s.block_rows))
+                and s.row_score is not None and (s.array_rows or s.block_rows))
 
     def row(self, s: Semiring, first, size: int):
         """A row of f holding ``first``, to which a fold over ``s`` appends up to ``size`` values."""
@@ -536,7 +540,9 @@ def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
     return _MISALIGNMENT[kind](cap, label_map=lambda e: abs(e[0] - e[1]))
 
 
-def nw_align_sum_constrained(p: AlignmentProblem, total_cap: int, s: Semiring) -> Any:
+def nw_align_sum_constrained(
+    p: AlignmentProblem, total_cap: int, s: Semiring, *, blocks: bool = True
+) -> Any:
     """Alignment value over moves whose summed gap is at most ``total_cap``.
 
     ``nw_align``'s fold over vectors indexed by the summed gap
@@ -545,13 +551,16 @@ def nw_align_sum_constrained(p: AlignmentProblem, total_cap: int, s: Semiring) -
     total is accepted.  A summed gap bounds each move's gap, so the cells
     farther than the cap from the diagonal are zero vectors and the fold
     visits only the band within it: O(max(rows, cols) * cap * cap)
-    operations, at most O(rows * cols * cap).
+    operations, at most O(rows * cols * cap).  ``blocks`` lets a min/max
+    base fold a diagonal as one float block (``edge_lifted_semiring``),
+    with the list route's values and op counts.
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
     n, m = p.rows, p.cols
     alg = misalignment_algebra("sum", total_cap)
-    lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product)
+    lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product,
+                                          blocks=blocks)
     w, gap = p.weight, alg.label_map
     edges = AlignmentProblem(n, m, lambda i, j: (w(i, j), gap((i, j))))
     vec = _nw_fold(n, m, edges.moves(lifted), lifted, min(total_cap, max(n, m)))
@@ -581,11 +590,17 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
 
     ``pairs[k] = (absent, present)`` are the two branch weights of event
     k+1; the row update is f[m] = f[m]*absent + f[m-1]*present, one
-    ``add_rows`` of two ``mul_rows`` by ``repeat(absent)`` and
-    ``repeat(present)`` per event, O(N*M) operations with one rolling
-    row.  With probability weights (1 - p, p) this is the exact
-    Poisson-binomial point mass.  Asking for more occurrences than
-    events yields zero.
+    ``add_rows`` of two ``mul_rows`` by the two weights per event, and f[0]
+    one ``mul``: O(N*M) operations with one rolling row.  The row is a
+    list, and a weight is broadcast as ``repeat(weight)``.  ``pairs`` as an
+    (N, 2) float array, over a semiring whose rows take float arrays
+    (``array_rows``), keeps the row as a float array instead, multiplied
+    by each weight itself under one ``quiet_arrays()``, and the value is
+    read back as a Python float.  float64 + and * round as Python's
+    floats do, so both rows give the same values (by ``repr``) and op
+    counts.  With probability weights (1 - p, p) this is the exact
+    Poisson-binomial point mass.  Asking for more occurrences than events
+    yields zero.
     """
     n = len(pairs)
     if occurrences < 0:
@@ -593,13 +608,19 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
     if occurrences > n:
         return s.zero
     row = [s.one] + [s.zero] * occurrences
-    for seen, (absent, present) in enumerate(pairs, start=1):
-        top = min(seen, occurrences)
-        row[1 : top + 1] = s.add_rows(
-            s.mul_rows(row[1 : top + 1], repeat(absent)), s.mul_rows(row[:top], repeat(present))
-        )
-        row[0] = s.mul(row[0], absent)
-    return row[occurrences]
+    scale, quiet = repeat, contextlib.nullcontext()  # a list row times one weight
+    if getattr(pairs, "dtype", None) == float:
+        pairs = pairs.tolist()  # Python floats, for either row
+        if s.array_rows:
+            import numpy as np
+            row, scale, quiet = np.array(row), float, quiet_arrays()
+    with quiet:
+        for seen, (absent, present) in enumerate(pairs, start=1):
+            top = min(seen, occurrences)
+            row[1 : top + 1] = s.add_rows(s.mul_rows(row[1 : top + 1], scale(absent)),
+                                          s.mul_rows(row[:top], scale(present)))
+            row[0] = s.mul(row[0], absent)
+    return row[occurrences] if type(row) is list else row.item(occurrences)
 
 
 def ordered_subsequences(

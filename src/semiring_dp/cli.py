@@ -404,6 +404,39 @@ def _config(args, *names, **extra) -> dict:
     return {name: getattr(args, name) for name in names} | extra
 
 
+# --- array routes ------------------------------------------------------------
+
+# array_route's inputs, measured on a shared 2-CPU host (Python 3.11.7, numpy 2.4.6)
+# on 2026-10-19: warm counted folds, best of 9, fitted by least squares; the import
+# as the median of 11 fresh interpreters that had imported this module
+NUMPY_IMPORT_S = 0.15
+# exact events: lists per event and per row entry (sum of min(k, M)), arrays per event
+EVENT_S, EVENT_ENTRY_S, EVENT_ARRAY_S = 3.0e-6, 0.165e-6, 6.2e-6
+# summed gaps: lists per lifted entry (band cells x (cap + 1)), blocks per diagonal
+GAP_ENTRY_S, GAP_DIAGONAL_S = 0.77e-6, 79e-6
+# lis over lt or le: arrays per position; CHAIN_PAIRS pairs, n(n - 1) / 2, win back
+# that and the import (cold runs broke even at 1.5-1.7 million pairs)
+CHAIN_POSITION_S = 5e-6
+CHAIN_PAIRS = 1_700_000
+
+
+def array_route(list_s: float, array_s: float) -> bool:
+    """Whether a fold estimated at ``list_s`` s on lists and ``array_s`` s on arrays takes arrays.
+
+    Only the difference counts, so a cost both routes share may be left
+    out of both.  A run that has not loaded numpy adds its import to the
+    array side; a tie takes arrays.  A yes imports numpy, so a caller
+    that decides before ``_fold`` starts its clock keeps the import out
+    of ``wall_time_s``.
+    """
+    if "numpy" not in sys.modules:
+        array_s += NUMPY_IMPORT_S
+    if list_s < array_s:
+        return False
+    import numpy  # noqa: F401  (the import the estimate charged)
+    return True
+
+
 # --- command handlers --------------------------------------------------------
 
 
@@ -421,7 +454,7 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     cost = lambda i, j: costs.weight(i, j)
     weight, scalar_weight = _weights(base, cost, tupled,
                                      {"the one-segment weight": costs.weight(1, n)})
-    if base.array_rows:  # the folds may read whole cost columns (see SegmentationProblem)
+    if base.row_score is not None:  # min/max folds may read whole cost columns
         weight = ColumnTable(cost, costs.weights, labelled=tupled)
     make = lambda weight: SegmentationProblem(n, weight)
 
@@ -506,7 +539,11 @@ def cmd_align(args) -> tuple[dict, list | None]:
         constraint = {"kind": "sum", "cap": args.sum_misalign}
         # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
-        run = lambda p, counted: nw_align_sum_constrained(p, cap, counted)
+        # over a min/max base, a diagonal may fold as one block (nw_align_sum_constrained)
+        entries = algorithms.band_cells(len(a), len(b), min(cap, max(len(a), len(b)))) * (cap + 1)
+        blocks = (s.array_rows and s.row_score is not None
+                  and array_route(entries * GAP_ENTRY_S, (len(a) + len(b)) * GAP_DIAGONAL_S))
+        run = lambda p, counted: nw_align_sum_constrained(p, cap, counted, blocks=blocks)
         alg = algorithms.misalignment_algebra("sum", cap)
     elif args.max_misalign is not None:
         cap = args.max_misalign
@@ -546,17 +583,27 @@ def cmd_events(args) -> tuple[dict, list | None]:
     for pos, p in enumerate(probs, start=1):
         if not 0.0 <= p <= 1.0:
             raise DataError(f"probability #{pos} is {p}, outside [0, 1]")
-    occurrences = args.occurrences
+    n, occurrences = len(probs), args.occurrences
     # the chance of outcome e of event k: it occurs (e = 1) or not (e = 0)
     chance = lambda e, k: probs[k - 1] if e else 1.0 - probs[k - 1]
     if args.mode == "exact":
         base = s = probability_semiring()
-        weight = chance
+        entries = occurrences * (occurrences + 1) // 2 + (n - occurrences) * occurrences
+        if occurrences <= n and array_route(n * EVENT_S + entries * EVENT_ENTRY_S,
+                                            n * EVENT_ARRAY_S):
+            import numpy as np
+            present = np.array(probs)
+            # (chance(0, k), chance(1, k)) in row k - 1, bit for bit: the fold's row is an array too
+            weight = np.column_stack((1.0 - present, present))
+        else:  # the same pairs, built in one pass
+            weight = [(1.0 - p, p) for p in probs]
     else:  # most probable combination, witnessed by the events that occur
         base = max_product_semiring()
         s = viterbi_simple_semiring(base)
         weight = lambda e, k: Scored(chance(e, k), (k,) if e else ())
-    make = lambda weight: [(weight(0, k), weight(1, k)) for k in range(1, len(probs) + 1)]
+    # the pairs (absent, present) of each event from a weight map; a table of them as it is
+    make = lambda weight: (weight if not callable(weight)
+                           else [(weight(0, k), weight(1, k)) for k in range(1, n + 1)])
     doc = _solve(
         args, "events", _config(args, "input", "occurrences", "mode", "header"), s, base,
         make, weight, lambda pairs, counted: events_m_of_n(pairs, occurrences, counted),
@@ -574,12 +621,16 @@ _RELATIONS = {
 }
 
 
-# lis folds over lt or le whose chain sums visit at least this many pairs, n(n - 1) / 2,
-# take their values as a float array, and each chain sum picks its winner from an array
-# of scores.  That fold runs five to seven times faster than the list route at n = 2000
-# but needs numpy, whose import costs more than the saving on a smaller fold: cold runs
-# broke even at 1.5-1.7 million pairs (n = 1750-1850) on a shared 2-CPU host.
-CHAIN_PAIRS = 1_700_000
+def _chain_route(n: int) -> bool:
+    """Whether ``lis`` over lt or le at ``n`` values takes the array route (``array_route``).
+
+    The array route spends ``CHAIN_POSITION_S`` more per position and saves
+    a fixed share per pair, scaled so that at ``CHAIN_PAIRS`` pairs it wins
+    back the import as well; a break-even of 0 pairs always takes arrays.
+    """
+    pairs, extra = n * (n - 1) // 2, n * CHAIN_POSITION_S
+    share = pairs / CHAIN_PAIRS if CHAIN_PAIRS else math.inf
+    return array_route(share * (NUMPY_IMPORT_S + extra), extra)
 
 
 def cmd_lis(args) -> tuple[dict, list | None]:
@@ -595,9 +646,9 @@ def cmd_lis(args) -> tuple[dict, list | None]:
                 )
     relation = _RELATIONS[args.relation]
     chained = values
-    if args.relation in ("lt", "le") and len(values) * (len(values) - 1) // 2 >= CHAIN_PAIRS:
+    if args.relation in ("lt", "le") and _chain_route(len(values)):
         import numpy as np
-        chained = np.array(values)
+        chained = np.array(values)  # each chain sum picks its winner from an array of scores
 
     def run(weight, counted):  # (length, chained values); an empty input folds to length 0
         best = algorithms.ordered_subsequences(chained, counted, weight, relation)

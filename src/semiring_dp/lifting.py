@@ -146,14 +146,19 @@ def lifted_semiring(base: Semiring, alg: ConstraintAlgebra) -> Semiring:
     )
 
 
-def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -> Semiring:
+def edge_lifted_semiring(
+    base: Semiring, alg: ConstraintAlgebra, edge_product, *, blocks: bool = True
+) -> Semiring:
     """Lifted vectors times sparse lifted edges, given as pairs (weight, key).
 
     mul(vec, (weight, key)) is edge_product(base, alg, vec, weight, key),
     the product with lift_edge(base, alg, weight, key); add is elementwise,
-    one ``base.add_rows``.  With ``subset_size_edge_product`` over a base
-    whose rows take float arrays (``base.array_rows``: min or max adds,
-    counted or not), the result is the block form, ``_GapShiftBlocks``.
+    one ``base.add_rows``.  With ``blocks`` and ``subset_size_edge_product``
+    over a min/max base whose rows take float arrays (``base.row_score``
+    and ``base.array_rows``, counted or not), the result is the block
+    form, ``_GapShiftBlocks``.  Otherwise rows are lists: without
+    ``blocks``, and over ``prob``, on whose summed gaps the block form was
+    never measured.
     """
     add_rows = base.add_rows
 
@@ -163,7 +168,8 @@ def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -
 
     name, add = f"{base.name}[{alg.name}]", lambda x, y: tuple(add_rows(x, y))
     zero, one = lifted_zero(base, alg), lifted_one(base, alg)
-    if edge_product is subset_size_edge_product and base.array_rows:
+    if (blocks and edge_product is subset_size_edge_product and base.array_rows
+            and base.row_score is not None):
         def block_mul(vec, edge):  # a vector read out of a block is an array row: use its floats
             return mul(vec.tolist() if hasattr(vec, "tolist") else vec, edge)
 

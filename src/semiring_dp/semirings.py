@@ -18,16 +18,20 @@ elementwise sum of the products of k row pairs, folded left from the
 first product.  Each counts one ``add`` per term and one ``mul`` per
 product, however it runs.  ``Semiring``'s methods compute them term by
 term; a subclass may override one with a faster method that returns
-exactly the same, as the min/max bases, the score-and-witness tupling
-over them and the op counter do.  ``prob``, ``softmax`` and ``count``
-keep the fold: builtin float ``sum`` is compensated from Python 3.12
-and numpy sums pairwise, so neither equals the left fold bit for bit.
+exactly the same, as the min/max bases, ``prob``, the score-and-witness
+tupling over the min/max bases and the op counter do.
 
 ``row(values)`` makes the container a recurrence keeps a row of values
-in, a list by default.  The min/max bases' elementwise rows also take
-1-D float arrays (``array_rows``), entry for entry the builtin's result;
-numpy is imported only when an array arrives.  Score-and-witness
-tupling over them takes ``WitnessBlock``s in ``dot_rows``
+in, a list by default.  The elementwise rows of the min/max bases and of
+``prob`` also take 1-D float arrays (``array_rows``), the other operand
+an array or one float, entry for entry the builtin's result: float64 +
+and * round as Python's floats do.  ``prob``'s sums still fold left, and
+``softmax`` and ``count`` keep lists: builtin float ``sum`` is
+compensated from Python 3.12 and numpy sums pairwise, so neither equals
+the left fold bit for bit.  numpy is imported only when an array
+arrives; inside ``quiet_arrays()`` its floating-point warnings are off
+once for a whole fold rather than once per row.  Score-and-witness
+tupling over the min/max bases takes ``WitnessBlock``s in ``dot_rows``
 (``block_rows``): a float array of scores and an int array of trail
 references into a ``JoinArena``, whose joins are stored by column.
 Every ``sum`` takes a ``MaskedRow``, the values a bool array keeps with
@@ -39,6 +43,8 @@ the winner from the arrays and read one entry of each row.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import operator
 from dataclasses import dataclass, field
@@ -181,16 +187,41 @@ def boolean_semiring() -> Semiring:
     return Semiring("bool", operator.or_, operator.and_, False, True)
 
 
+class _ArrayRows(Semiring):
+    """A float semiring whose elementwise rows also take 1-D float arrays.
+
+    ``add_rows`` and ``mul_rows`` of an array, with an array or one float,
+    give the array of the per-entry results (``_array_op``); other rows
+    give ``Semiring``'s lists, mapped here: a ``super()`` call added 7% to
+    ``prob``'s list fold of ``events``.
+    """
+
+    array_rows = True
+
+    def add_rows(self, xs, ys):
+        if hasattr(xs, "shape"):
+            return _array_op(self.add, xs, ys)
+        return list(map(self.add, xs, ys))
+
+    def mul_rows(self, xs, ys):
+        if hasattr(xs, "shape"):
+            return _array_op(self.mul, xs, ys)
+        return list(map(self.mul, xs, ys))
+
+
 def probability_semiring() -> Semiring:
-    """Reals under (+, *, 0, 1); sums likelihood over solutions."""
-    return Semiring("prob", operator.add, operator.mul, 0.0, 1.0, float_eq)
+    """Reals under (+, *, 0, 1); sums likelihood over solutions.
+
+    Its elementwise rows take float arrays; its sums fold left.
+    """
+    return _ArrayRows("prob", operator.add, operator.mul, 0.0, 1.0, float_eq)
 
 
 def _itself(value):
     return value
 
 
-class _Selective(Semiring):
+class _Selective(_ArrayRows):
     """A float semiring whose add is builtin min or max.
 
     Its row sums, ``dot``'s included, are one ``add`` over the terms
@@ -200,11 +231,9 @@ class _Selective(Semiring):
     or more entries, are picked from the scores, the values themselves,
     where ``_array_selection`` settles them; a one-term ``dot`` is
     folded, since the pick's array passes cost more than its one
-    product.  ``add_rows`` and ``mul_rows`` of two 1-D float arrays give
-    the array of the per-entry results.
+    product.
     """
 
-    array_rows = True
     row_score = staticmethod(_itself)
 
     def sum(self, values):
@@ -221,30 +250,42 @@ class _Selective(Semiring):
                 return self.zero if k < 0 else self.mul(xs[k], ys[k])
         return self.sum(map(self.mul, xs, ys))
 
-    def add_rows(self, xs, ys):
-        if hasattr(xs, "shape"):
-            return _array_op(self.add, xs, ys)
-        return super().add_rows(xs, ys)
 
-    def mul_rows(self, xs, ys):
-        if hasattr(xs, "shape"):
-            return _array_op(self.mul, xs, ys)
-        return super().mul_rows(xs, ys)
+# true inside quiet_arrays(), whose np.errstate already silences every array op
+_QUIET = contextvars.ContextVar("quiet_arrays", default=False)
+
+
+@contextlib.contextmanager
+def quiet_arrays():
+    """numpy's floating-point warnings off for the block, so ``_array_op`` need not turn them off.
+
+    A fold of many short array rows (``events_m_of_n`` makes three per
+    event) runs in one ``np.errstate``, since entering one costs more
+    than an array op of 50 entries (about 2 us against 1 us).
+    """
+    import numpy as np
+    token = _QUIET.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _QUIET.reset(token)
 
 
 def _array_op(op, xs, ys):
-    """``op`` (min, max, + or *) entry by entry over two float arrays.
+    """``op`` (min, max, + or *) entry by entry over a float array and an array or one float.
 
     ``min(x, y)`` is ``y`` exactly when ``y < x``, else ``x``, and ``max``
     likewise, so the ``where`` below gives the builtin's result on ties,
     signed zeros and nan.  Python floats give ``inf - inf`` as nan
     silently, and so do these arrays.
     """
+    if op is min or op is max:  # comparisons raise no floating-point warnings
+        import numpy as np
+        return np.where(ys < xs, ys, xs) if op is min else np.where(ys > xs, ys, xs)
+    if _QUIET.get():
+        return op(xs, ys)
     import numpy as np
-    if op is min:  # comparisons raise no floating-point warnings
-        return np.where(ys < xs, ys, xs)
-    if op is max:
-        return np.where(ys > xs, ys, xs)
     with np.errstate(all="ignore"):
         return op(xs, ys)
 
@@ -957,8 +998,8 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     operation counts, not wall time; the counters make them testable.
     A row operation tallies what its fold would (one add per term, one
     mul per pair of ``dot``; one add or mul per entry of ``add_rows`` or
-    ``mul_rows``, a broadcast ``repeat(y)`` included; k muls and k - 1
-    adds per entry of a ``dot_rows`` of k row pairs) in O(1) and then
+    ``mul_rows``, against a broadcast ``repeat(y)`` or float too; k muls
+    and k - 1 adds per entry of a ``dot_rows`` of k row pairs) in O(1) and then
     runs ``s``'s own.  The wrapper is not thread-safe and is meant for
     measurement only.
     """

@@ -512,6 +512,60 @@ def test_events_viterbi_witness():
         assert base.eq(rebuilt, got.score)
 
 
+# the probabilities where float rounding, subnormals and exact zeros and ones show
+EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, 1 - 1e-16, 0.5, 0.1, 1e-300, 0.999)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_events_array_row_matches_the_list_row(seed):
+    # pairs as an (N, 2) float array keep the row as a float array: the same values by
+    # repr, as Python floats, and the closed-form op counts: adds = sum of min(k, M)
+    # over the events, muls = twice that plus one per event
+    np = pytest.importorskip("numpy")
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    probs = [rng.choice(EDGE_PROBABILITIES + (rng.random(),)) for _ in range(n)]
+    pairs = [(1.0 - p, p) for p in probs]
+    table = np.array(pairs, dtype=float)
+    for m in sorted({0, 1, 2, 50, n - 1, n, n + 1}):
+        if m < 0:
+            continue
+        lists, list_counts = sd.instrumented(CATALOG["prob"])
+        arrays, array_counts = sd.instrumented(CATALOG["prob"])
+        want, got = sd.events_m_of_n(pairs, m, lists), sd.events_m_of_n(table, m, arrays)
+        assert type(got) is float and type(want) is float, m
+        assert repr(got) == repr(want), (m, probs)
+        tops = sum(min(k, m) for k in range(1, n + 1)) if m <= n else 0
+        closed = (tops, 2 * tops + n) if m <= n else (0, 0)
+        assert (array_counts.add, array_counts.mul) == (list_counts.add, list_counts.mul) == closed
+
+
+def test_events_array_row_keeps_nan_and_inf_silent():
+    # weights outside [0, 1]: inf * 0 and inf - inf give nan, as Python floats do,
+    # with no RuntimeWarning (which the test configuration turns into an error)
+    np = pytest.importorskip("numpy")
+    pairs = [(math.inf, 0.0), (0.0, math.inf), (-math.inf, 1e308), (1e308, 10.0), (-0.0, -1.0)]
+    for m in range(len(pairs) + 1):
+        want = sd.events_m_of_n(pairs, m, CATALOG["prob"])
+        got = sd.events_m_of_n(np.array(pairs), m, CATALOG["prob"])
+        assert repr(got) == repr(want), m
+
+
+@pytest.mark.parametrize("name", ["minplus", "maxprod", "bottleneck", "softmax", "count"])
+def test_events_array_pairs_over_other_semirings(name):
+    # the min/max bases keep an array row too; a semiring without array rows reads
+    # the array's weights as Python floats into its list row
+    np = pytest.importorskip("numpy")
+    s = CATALOG[name]
+    pairs = [(0.5, 0.75), (1.0, 0.25), (0.25, 1.0), (-0.0, 0.0)]
+    for m in range(len(pairs) + 2):
+        listed, list_counts = sd.instrumented(s)
+        arrayed, array_counts = sd.instrumented(s)
+        got = sd.events_m_of_n(np.array(pairs), m, arrayed)
+        assert repr(got) == repr(sd.events_m_of_n(pairs, m, listed)), m
+        assert (array_counts.add, array_counts.mul) == (list_counts.add, list_counts.mul)
+
+
 # --- ordered subsequences and longest chains ------------------------------------------
 
 

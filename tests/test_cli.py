@@ -302,6 +302,93 @@ def test_events_probability_out_of_range(tmp_path):
     assert main(["events", probs, "-M", "1"]) == 2
 
 
+def test_events_documents_are_the_same_on_both_routes(tmp_path, monkeypatch):
+    # the exact fold over a float array of pairs (the array route) and over a list
+    # of pairs: byte-identical documents, op counts and oracle checks included
+    routes = []
+    fold = cli.events_m_of_n
+    monkeypatch.setattr(cli, "events_m_of_n",
+                        lambda pairs, *a: routes.append(type(pairs).__name__) or fold(pairs, *a))
+    rng = np.random.default_rng(26)
+    edges = [0.0, 1.0, 5e-324, 1 - 1e-16]
+    inputs = {"edges.txt": edges + list(rng.uniform(0.0, 1.0, 8)),
+              "small.txt": rng.uniform(0.0, 0.01, 300)}
+    want = []  # the array route is asked for only when the fold has M <= N
+    for name, probs in inputs.items():
+        path = write_column(tmp_path, name, probs)
+        n = len(probs)
+        for m in (0, 1, 2, 50, n - 1, n, n + 1):
+            want += ["list", "ndarray" if m <= n else "list"]
+            extra = ("--verify",) if n <= 12 else ()
+            texts = []
+            for arrays in (False, True):
+                monkeypatch.setattr(cli, "array_route", lambda list_s, array_s: arrays)
+                code, doc, _ = run_cli(tmp_path, "events", path, "-M", str(m), *extra)
+                assert code == 0, (name, m)
+                if extra:
+                    assert doc["oracle_check"]["status"] == "pass"
+                doc.pop("wall_time_s")
+                texts.append(canonical_json(doc))
+            assert texts[0] == texts[1], (name, m)
+    assert routes == want
+
+
+def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
+    # with numpy loaded the rule weighs the folds alone: exact events take arrays from
+    # about 20 row entries per event, summed gaps blocks from about 100 lifted entries
+    # per diagonal, lis arrays from about n = 115
+    routes = []
+    events, gaps = cli.events_m_of_n, cli.nw_align_sum_constrained
+    monkeypatch.setattr(cli, "events_m_of_n",
+                        lambda pairs, *a: routes.append(type(pairs).__name__) or events(pairs, *a))
+    monkeypatch.setattr(cli, "nw_align_sum_constrained",
+                        lambda *a, blocks: routes.append(blocks) or gaps(*a, blocks=blocks))
+    rng = np.random.default_rng(7)
+    probs = write_column(tmp_path, "p.txt", rng.uniform(0.0, 0.01, 2000))
+    for m in (5, 50):
+        assert run_cli(tmp_path, "events", probs, "-M", str(m))[0] == 0
+    for n, cap in ((6, 6), (60, 8), (60, 16)):
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.txt").write_text("".join(rng.choice(list("ACGT"), n)) + "\n")
+        assert run_cli(tmp_path, "align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+                       "--sum-misalign", str(cap))[0] == 0
+    assert routes == ["list", "ndarray", False, False, True]
+    assert [cli._chain_route(n) for n in (14, 100, 130, 2000)] == [False, False, True, True]
+
+
+def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
+    # a fresh interpreter: the import is added to the array side, and a yes loads
+    # numpy before the fold's clock starts, for events and summed gaps alike
+    probs = write_column(tmp_path, "p.txt", [0.25, 0.5, 0.75])
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.txt").write_text("GATTACA\n")
+    script = ("import json, sys\n"
+              "from semiring_dp import cli\n"
+              "s = cli.NUMPY_IMPORT_S\n"
+              "print(cli.array_route(s * 0.99, 0.0), cli.array_route(s + 0.5, 1.0),\n"
+              "      'numpy' in sys.modules)\n"
+              "print(cli.array_route(s + 1.0, 1.0), 'numpy' in sys.modules)\n"
+              "print(cli.array_route(1e-9, 0.0))\n")
+    fold_script = ("import json, sys\n"
+                   "from semiring_dp import cli\n"
+                   "fold = cli._fold\n"
+                   "cli._fold = lambda *a: print('numpy' in sys.modules) or fold(*a)\n"
+                   "cli.NUMPY_IMPORT_S = cli.EVENT_ARRAY_S = cli.GAP_DIAGONAL_S = 0.0\n"
+                   "assert cli.main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]]) == 0\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["False", "False", "False", "True", "True", "True"]
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    for argv in (["events", probs, "-M", "2"], ["align", a, b, "--sum-misalign", "2"]):
+        proc = subprocess.run([sys.executable, "-c", fold_script, json.dumps(argv),
+                               str(tmp_path / "o")], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n"), argv
+
+
 # --- lis --------------------------------------------------------------------------
 
 
@@ -412,11 +499,14 @@ def test_bench_table(tmp_path):
 
 
 def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
-    # only the segment costs, summed-gap alignments over min/max bases and witness
-    # alignments of at least BLOCK_CELLS cells use numpy, whose import is most of
-    # the start-up of a cold run that needs none of it
+    # only the segment costs, the folds array_route sends to arrays once numpy's
+    # import is charged to them, and witness alignments of at least BLOCK_CELLS cells
+    # use numpy, whose import is most of the start-up of a cold run that needs none
+    # of it.  Exact events at M = 50 over 10^4 events, below the cold break-even
+    # (about 3 x 10^4 events at M = 50), and a summed gap of 2 over 5 x 5 keep lists
     values = write_column(tmp_path, "v.txt", [3.0, 1.0, 2.0, 5.0])
     probs = write_column(tmp_path, "p.txt", [0.5, 0.25, 0.75])
+    many = write_column(tmp_path, "many.txt", np.random.default_rng(26).uniform(0, 0.01, 10**4))
     rows = math.isqrt(cli.BLOCK_CELLS - 1) + 1
     lengths = {"a": 5, "b": 5, "long": rows, "short": (cli.BLOCK_CELLS - 1) // rows,
                "just": -(-cli.BLOCK_CELLS // rows)}
@@ -425,7 +515,8 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
     a, b, long, short, just = (str(tmp_path / f"{name}.txt") for name in lengths)
     vit = ["--semiring", "viterbi:minplus"]
     calls = [["lis", values, "--verify"], ["events", probs, "-M", "1", "--verify"],
-             ["events", probs, "-M", "1", "--mode", "viterbi"],
+             ["events", probs, "-M", "1", "--mode", "viterbi"], ["events", many, "-M", "50"],
+             ["align", a, b, "--sum-misalign", "2"],
              ["align", a, b, "--verify"], ["align", a, b, "--max-misalign", "1"],
              ["align", a, b, "--sum-misalign", "2", "--semiring", "viterbi:minplus"],
              ["align", a, b, *vit, "--verify"], ["align", a, b, *vit, "--max-misalign", "1"],
@@ -434,8 +525,7 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
              # past it, a gap cap of 8 folds only its band of about 4,000 cells
              ["align", long, just, *vit, "--max-misalign", "8"],
              # at the break-even a witness alignment reads a move table as blocks
-             ["align", long, just, *vit],
-             ["align", a, b, "--sum-misalign", "2"]]
+             ["align", long, just, *vit]]
     script = ("import json, sys\n"
               "from semiring_dp.cli import main\n"
               "print('numpy' in sys.modules)\n"
@@ -447,8 +537,8 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls), str(tmp_path / "o")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    # the last two calls take the block routes
-    assert proc.stdout.split() == ["False"] * (len(calls) - 1) + ["True", "True"]
+    # the last call takes the block route
+    assert proc.stdout.split() == ["False"] * len(calls) + ["True"]
 
 
 def test_move_tables_give_the_documents_of_the_callable_weights(tmp_path, monkeypatch, capsys):

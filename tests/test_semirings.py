@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import math
@@ -508,13 +509,37 @@ def test_selective_rows_of_float_arrays_are_the_builtin_per_entry_ops(name):
     assert (counts.add, counts.mul) == (len(xs), 5)
 
 
-def test_only_the_min_max_bases_take_array_rows():
+def test_the_min_max_bases_and_prob_take_array_rows():
     for name, s in CATALOG.items():
-        want = name in ("minplus", "maxplus", "maxprod", "bottleneck")
+        want = name in ("prob", "minplus", "maxplus", "maxprod", "bottleneck")
         assert s.array_rows is want, name
         assert sd.instrumented(s)[0].array_rows is want, name
         assert s.row(iter([s.one, s.zero])) == [s.one, s.zero], name
     assert sd.viterbi_simple_semiring(CATALOG["minplus"]).array_rows is False
+    # prob's sums still fold left, over lists: no score to pick a winner by
+    assert CATALOG["prob"].row_score is None
+
+
+def test_prob_rows_of_float_arrays_are_the_builtin_per_entry_ops():
+    import numpy as np
+
+    s = CATALOG["prob"]
+    specials = (-0.0, 0.0, 5e-324, 1 - 1e-16, 0.5, 2.0, 1e308, math.inf, -math.inf, math.nan)
+    xs, ys = zip(*((x, y) for x in specials for y in specials))
+    for quiet in (False, True):  # warnings off per op, or once for the block
+        with semirings.quiet_arrays() if quiet else contextlib.nullcontext():
+            for op, rows in ((s.add, s.add_rows), (s.mul, s.mul_rows)):
+                got = rows(np.array(xs), np.array(ys))
+                assert isinstance(got, np.ndarray)
+                assert list(map(repr, got.tolist())) == [repr(op(x, y)) for x, y in zip(xs, ys)]
+                for y in specials:  # one float times (or plus) every entry
+                    got = rows(np.array(xs), y)
+                    assert list(map(repr, got.tolist())) == [repr(op(x, y)) for x in xs]
+    counted, counts = sd.instrumented(s)
+    counted.add_rows(np.array(xs), np.array(ys))
+    counted.mul_rows(np.array(xs[:5]), 0.5)
+    assert (counts.add, counts.mul) == (len(xs), 5)
+    assert not semirings._QUIET.get()  # the block is left as it was entered
 
 
 def test_dot_refuses_rows_of_unequal_length():
