@@ -35,8 +35,9 @@ and accept exactly what that algebra accepts: a summed gap runs
 ``nw_align`` over closed-form edge products, a largest gap ``nw_align``
 with zero on the moves past the cap, and a minimum segment length
 ``segment_opt`` with zero on the segments shorter than it (an exact
-minimum lifted over ``exists``: some segment of that length).  Under
-either gap cap the alignment folds only the band of cells within it.  A
+minimum lifted over ``exists``: some segment of that length).  Under a
+largest gap the alignment folds only the band of cells within the cap,
+under a summed gap only the cells some capped path reaches.  A
 segment count stays a shifted table by hand, since ``segment_opt`` over
 lifted vectors measured slower, as its docstring shows.  The oracle
 tests check each form against generate-filter-evaluate.
@@ -434,44 +435,88 @@ class MoveTable:
         return Moves(arena.row, inserts, deletes, diagonal)
 
 
-def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, cap: int | None = None) -> Any:
-    """``nw_align``'s fold over ``moves``, on the cells within ``cap`` of the diagonal.
+def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, cap: int | None = None,
+             hull: list | None = None) -> Any:
+    """``nw_align``'s fold over ``moves``, on the cells within ``cap`` of the diagonal or ``hull``.
 
-    The band is exact when the weights make every path with a move of gap
-    past the cap zero, as a largest or a summed gap of at most ``cap``
-    does: a path first enters row i by a match (i, j' <= j) or a deletion
-    (i, 0), and either has gap at least i - j (columns likewise), so a
-    cell (i, j) with |i - j| > cap is zero.  Diagonal d folds only its
-    rows i with |2i - d| <= cap, and an edge cell only while d <= cap:
-    O(max(rows, cols) * cap) cells.  The band's lower end rises a row
-    every two diagonals, so the buffer cell just below it still holds
-    diagonal d-2's value once diagonal d is written; it is cleared then,
-    after ``dot_rows`` has read it as a match term, since diagonal d+1
-    reads it as a cell on the band's edge.  No cap is the whole table,
-    with nothing cleared.
+    A band or hull is exact when the weights make every cell outside it
+    zero.  The band of a cap, the rows i of diagonal d with |2i - d| <=
+    cap, is, when every path with a move of gap past the cap is zero, as
+    under a largest or a summed gap of at most the cap: a path first
+    enters row i by a match (i, j' <= j) or a deletion (i, 0), and either
+    has gap at least i - j (columns likewise), so a cell with |i - j| >
+    cap is zero; that is O(max(rows, cols) * cap) cells.  A summed gap's
+    ``gap_hull``, rows (lo, hi) per diagonal, is exact too, and smaller.
+    The edge cells f[0][d] and f[d][0] are folded when rows 0 and d are.
+    Once diagonal d is written, the buffer cells of diagonal d-2's rows
+    outside its own are cleared (for a band, the one cell below it every
+    other diagonal), after ``dot_rows`` has read them as match terms,
+    since diagonals d+1 and d+2 read them as cells off their rows.  Two
+    diagonals in a row with no rows reach nothing more, and the fold
+    stops with ``s.zero``.  No cap and no hull is the whole table.
     """
     mul, dot_rows, zero = s.mul, s.dot_rows, s.zero
     inserts, deletes, diagonal = moves.inserts, moves.deletes, moves.diagonal
-    band = n + m if cap is None else cap  # a band of n + m rows is the whole table
     old, cur = (moves.row([zero] * (n + 1)) for _ in range(2))
     cur[0] = s.one
+    band = n + m if cap is None else cap  # a band of n + m rows is the whole table
+    lo2, hi2, lo1, hi1 = 1, 0, 0, 0  # the rows of diagonals d-2 and d-1: none, and f[0][0]
     for d in range(1, n + m + 1):
         old, cur = cur, old  # cur holds diagonal d-2 until diagonal d is written over it
-        lo, hi = (d - band + 1) // 2, (d + band) // 2  # the rows i with |2i - d| <= band
-        first, last = max(1, d - m, lo), min(n, d - 1, hi)  # its cells off the edges
+        if hull:
+            lo, hi = hull[d]
+            if lo > hi and lo1 > hi1:
+                return zero
+        else:  # the rows i with |2i - d| <= band, within the buffer
+            lo, hi = max((d - band + 1) // 2, 0), min((d + band) // 2, n)
+        first, last = max(1, d - m, lo), min(d - 1, hi)  # the cells off the edges
         if first <= last:
             cur[first : last + 1] = dot_rows(
                 (cur[first - 1 : last], old[first - 1 : last], old[first : last + 1]),
                 (diagonal(d, first, last), deletes[first - 1 : last],
                  inserts[d - last - 1 : d - first][::-1]),
             )
-        if 0 < lo <= n + 1:  # the cell diagonal d-2 left just below the band
-            cur[lo - 1] = zero
-        if d <= m and d <= band:  # f[0][d]
+        if lo2 < lo:  # diagonal d-2's cells below diagonal d's rows, then above them
+            for i in range(lo2, min(lo, hi2 + 1)):
+                cur[i] = zero
+        if hi2 > hi:
+            for i in range(max(lo2, hi + 1), hi2 + 1):
+                cur[i] = zero
+        if lo == 0 and d <= m:  # f[0][d]
             cur[0] = mul(old[0], inserts[d - 1])
-        if d <= n and d <= band:  # f[d][0]
+        if hi >= d:  # f[d][0]
             cur[d] = mul(old[d - 1], deletes[d - 1])
+        lo2, hi2, lo1, hi1 = lo1, hi1, lo, hi
     return cur[n]
+
+
+def gap_hull(rows: int, cols: int, cap: int) -> list[tuple[int, int]]:
+    """The cells a path with summed gap at most ``cap`` reaches: (lo, hi) rows per diagonal.
+
+    F(i, j), the least summed gap of a path to (i, j), is ``nw_align``'s
+    recurrence over (min, +) with each move's gap as its weight: a match
+    adds |i - j|, a deletion i and an insertion j.  Entry d, for d =
+    0..rows + cols, holds the least and the greatest row i with F(i, d -
+    i) <= cap (lo > hi: none): the live cells, which lie between them.
+    Only the moves out of the live cells of diagonals d-1 and d-2 are
+    followed, so the cost is O(live cells), in plain ints and uncounted.
+    """
+    hull, older, old = [(0, 0)], {}, {0: 0}  # row -> F on the live cells of d-2 and d-1
+    for d in range(1, rows + cols + 1):
+        live = {}
+        for i, g in old.items():  # an insertion into row i
+            if d - i <= cols and g + d - i <= cap:
+                live[i] = g + d - i
+        for i, g in old.items():  # a deletion into row i + 1
+            if i < rows and g + i + 1 < live.get(i + 1, cap + 1):
+                live[i + 1] = g + i + 1
+        for i, g in older.items():  # a match into row i + 1
+            g += abs(2 * i + 2 - d)
+            if i < rows and d - i - 1 <= cols and g < live.get(i + 1, cap + 1):
+                live[i + 1] = g
+        hull.append((min(live), max(live)) if live else (1, 0))
+        older, old = old, live
+    return hull
 
 
 def band_cells(rows: int, cols: int, cap: int) -> int:
@@ -548,12 +593,14 @@ def nw_align_sum_constrained(
     ``nw_align``'s fold over vectors indexed by the summed gap
     (``misalignment_algebra``), projected back down; totals past the cap
     can never come back down, so they are dropped and every tracked
-    total is accepted.  A summed gap bounds each move's gap, so the cells
-    farther than the cap from the diagonal are zero vectors and the fold
-    visits only the band within it: O(max(rows, cols) * cap * cap)
-    operations, at most O(rows * cols * cap).  ``blocks`` lets a min/max
-    base fold a diagonal as one float block (``edge_lifted_semiring``),
-    with the list route's values and op counts.
+    total is accepted.  A cell no path reaches within the cap is a zero
+    vector, and a deletion (i, 0) already has gap i, so the fold visits
+    only the live cells' hull on each diagonal (``gap_hull``, whose own
+    int recurrence makes no counted op): O(live cells * (cap + 1))
+    operations, at most O(rows * cols * cap).  It reads the match
+    weights of those cells and the edge weights within the cap.
+    ``blocks`` lets a min/max base fold a diagonal as one float block
+    (``edge_lifted_semiring``), with the list route's values and op counts.
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
@@ -561,9 +608,11 @@ def nw_align_sum_constrained(
     alg = misalignment_algebra("sum", total_cap)
     lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product,
                                           blocks=blocks)
-    w, gap = p.weight, alg.label_map
-    edges = AlignmentProblem(n, m, lambda i, j: (w(i, j), gap((i, j))))
-    vec = _nw_fold(n, m, edges.moves(lifted), lifted, min(total_cap, max(n, m)))
+    w, zero = p.weight, s.zero
+    # a move past the cap makes the zero vector whatever its weight: it is not read
+    edges = AlignmentProblem(n, m, lambda i, j: (w(i, j) if abs(i - j) <= total_cap else zero,
+                                                 abs(i - j)))
+    vec = _nw_fold(n, m, edges.moves(lifted), lifted, hull=gap_hull(n, m, total_cap))
     # a block form's vector is a row of its float array: project Python floats
     return lifting.project(s, alg, vec.tolist() if hasattr(vec, "tolist") else vec)
 

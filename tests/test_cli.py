@@ -336,7 +336,8 @@ def test_events_documents_are_the_same_on_both_routes(tmp_path, monkeypatch):
 def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
     # with numpy loaded the rule weighs the folds alone: exact events take arrays from
     # about 20 row entries per event, summed gaps blocks from about 100 lifted entries
-    # per diagonal, lis arrays from about n = 115
+    # of the hull per diagonal (at cap 16 the hull of 60 x 60 has 121 cells, at cap 60
+    # 361), lis arrays from about n = 115
     routes = []
     events, gaps = cli.events_m_of_n, cli.nw_align_sum_constrained
     monkeypatch.setattr(cli, "events_m_of_n",
@@ -347,12 +348,12 @@ def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
     probs = write_column(tmp_path, "p.txt", rng.uniform(0.0, 0.01, 2000))
     for m in (5, 50):
         assert run_cli(tmp_path, "events", probs, "-M", str(m))[0] == 0
-    for n, cap in ((6, 6), (60, 8), (60, 16)):
+    for n, cap in ((6, 6), (60, 8), (60, 16), (60, 60)):
         for name in ("a", "b"):
             (tmp_path / f"{name}.txt").write_text("".join(rng.choice(list("ACGT"), n)) + "\n")
         assert run_cli(tmp_path, "align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
                        "--sum-misalign", str(cap))[0] == 0
-    assert routes == ["list", "ndarray", False, False, True]
+    assert routes == ["list", "ndarray", False, False, False, True]
     assert [cli._chain_route(n) for n in (14, 100, 130, 2000)] == [False, False, True, True]
 
 
