@@ -26,8 +26,10 @@ array row ``events_m_of_n`` keeps given a float array of pairs.  An
 anti-diagonal of ``nw_align`` is one ``s.dot_rows(xss, yss)``, whose
 entries are the three-term sums of products of the cell recurrence,
 folded left from the first product; a score-and-witness semiring builds
-the one product that survives, and over a ``MoveTable`` (min/max bases)
-takes each diagonal as one block of score and trail-reference arrays.
+the one product that survives.  Over a ``MoveTable`` (min/max bases) it
+takes each diagonal as one block of scores and gives the term each cell
+kept, which the fold records in a ``MoveCodes`` table, one int8 per
+cell, and spells into the witness by one walk back.
 
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
@@ -54,7 +56,6 @@ from typing import Any, Callable, NamedTuple, Sequence
 from . import lifting
 from .semirings import (
     EMPTY,
-    JoinArena,
     MaskedRow,
     Scored,
     ScoreRow,
@@ -337,12 +338,15 @@ class Moves(NamedTuple):
     ``row(values)`` makes a diagonal buffer; ``inserts`` holds w(0, j) for
     j = 1..cols and ``deletes`` w(i, 0) for i = 1..rows, and
     ``diagonal(d, first, last)`` gives w(i, d - i) for i = first..last.
+    ``codes``, for a fold of ``WitnessBlock``s, is the ``MoveCodes`` table
+    that keeps their trails.
     """
 
     row: Callable
     inserts: Any
     deletes: Any
     diagonal: Callable
+    codes: Any = None
 
 
 @dataclass(frozen=True)
@@ -392,14 +396,15 @@ class AlignmentProblem:
 class MoveTable:
     """Alignment move weights with their scores held as float arrays, each move its own label.
 
-    Called, it is ``weight``, the complete map.  ``match(i, j)`` gives the
-    scores of w(i, j) for int arrays i, j >= 1, entry by entry, and
-    ``deletes[i - 1]`` and ``inserts[j - 1]`` hold those of w(i, 0) and
-    w(0, j); each weight's trail is its one label (i, j), and a smaller
-    problem reads the top-left corner.  A fold over a semiring whose
-    ``dot_rows`` takes blocks (``block_rows``) reads them as
-    ``WitnessBlock``s, a diagonal at a time, with leaf codes for labels:
-    no Scored is built per cell.  Other semirings read the callable.
+    Called, it is ``weight``, the complete map.  ``match(d, first, last)``
+    gives the scores of w(i, d - i) for i = first..last (i, d - i >= 1) as
+    a float array, and ``deletes[i - 1]`` and ``inserts[j - 1]`` hold
+    those of w(i, 0) and w(0, j); each weight's trail is its one label
+    (i, j), and a smaller problem reads the top-left corner.  A fold over
+    a semiring whose ``dot_rows`` takes blocks (``block_rows``) reads the
+    scores as ``WitnessBlock``s, a diagonal at a time, and keeps the move
+    each cell kept in a ``MoveCodes`` table: no Scored and no trail is
+    built per cell.  Other semirings read the callable.
     """
 
     def __init__(self, weight, match, deletes, inserts):
@@ -416,23 +421,68 @@ class MoveTable:
         if not s.block_rows:
             return None
         import numpy as np
-        arena, zero = JoinArena(rows, cols), s.zero.score
+        zero = s.zero.score
 
-        def block(scores, codes, gaps):  # zero on the moves whose gap exceeds the cap
+        def edges(scores):  # zero on the moves whose gap, index + 1, exceeds the cap
             if cap is not None:
-                past = gaps > cap
-                scores, codes = np.where(past, zero, scores), np.where(past, EMPTY, codes)
-            return WitnessBlock(scores, codes, arena)
+                scores = scores.copy()
+                scores[cap:] = zero
+            return WitnessBlock(scores)
 
-        j, i = np.arange(1, cols + 1), np.arange(1, rows + 1)
-        inserts = block(self.inserts[:cols], arena.leaf(0, j), j)
-        deletes = block(self.deletes[:rows], arena.leaf(i, 0), i)
+        def row(values):
+            return WitnessBlock(np.array([v[0] for v in values], dtype=float))
 
         def diagonal(d, first, last):
-            i = np.arange(first, last + 1)
-            return WitnessBlock(self.match(i, d - i), arena.leaf(i, d - i), arena)
+            return WitnessBlock(self.match(d, first, last))
 
-        return Moves(arena.row, inserts, deletes, diagonal)
+        return Moves(row, edges(self.inserts[:cols]), edges(self.deletes[:rows]), diagonal,
+                     MoveCodes(rows, cols, cap, zero))
+
+
+# the move a cell of a table fold came by: the terms of _nw_fold's dot_rows, in order,
+# and the step (rows, cols) each takes back
+MATCH, DELETE, INSERT = 0, 1, 2
+_STEPS = ((1, 1), (1, 0), (0, 1))
+
+
+class MoveCodes:
+    """The move each cell of a fold over a ``MoveTable`` kept, one int8 per cell.
+
+    Cell (i, j) holds ``MATCH``, ``DELETE`` or ``INSERT``, or ``EMPTY``
+    where its value is zero and its trail empty; (0, 0) and the cells the
+    fold does not visit hold ``EMPTY`` too.  A cell's trail is then its
+    predecessor's followed by its move's label, and ``spell`` reads the
+    witness of (rows, cols) by one walk back.  A move whose gap exceeds
+    ``cap`` weighs zero with the empty trail, so it spells no label.
+    """
+
+    def __init__(self, rows: int, cols: int, cap: int | None, zero: float):
+        import numpy as np
+        self.rows, self.cols, self.zero = rows, cols, zero
+        self.cap = max(rows, cols) if cap is None else cap
+        # cell (i, j) at i * (cols + 1) + j, so diagonal d's cells are cols apart
+        self.codes = np.full((rows + 1) * (cols + 1), EMPTY, np.int8)
+
+    def keep(self, d: int, first: int, last: int, kept) -> None:
+        """Record ``kept``, the terms the cells (i, d - i), i = first..last, kept."""
+        m = self.cols
+        self.codes[first * m + d : last * m + d + 1 : m] = kept
+
+    def edge(self, i: int, j: int, value) -> None:
+        """Record the edge cell (i, 0) or (0, j), whose value is ``value``."""
+        move = EMPTY if value[0] == self.zero else INSERT if i == 0 else DELETE
+        self.codes[i * (self.cols + 1) + j] = move
+
+    def spell(self) -> tuple:
+        """The witness of (rows, cols): the labels of its moves back to a cell holding ``EMPTY``."""
+        codes, stride, cap = self.codes, self.cols + 1, self.cap
+        i, j, labels = self.rows, self.cols, []
+        while (move := codes.item(i * stride + j)) != EMPTY:
+            di, dj = _STEPS[move]
+            if abs(i * di - j * dj) <= cap:  # the label (i, j), (i, 0) or (0, j), and its gap
+                labels.append((i * di, j * dj))
+            i, j = i - di, j - dj
+        return tuple(reversed(labels))
 
 
 def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, cap: int | None = None,
@@ -454,40 +504,51 @@ def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, cap: int | None = None,
     since diagonals d+1 and d+2 read them as cells off their rows.  Two
     diagonals in a row with no rows reach nothing more, and the fold
     stops with ``s.zero``.  No cap and no hull is the whole table.
+    ``moves.codes``, a table fold's ``MoveCodes``, records the move each
+    cell kept: its buffers hold scores, and the result's witness is spelled
+    from the codes once the fold ends.
     """
     mul, dot_rows, zero = s.mul, s.dot_rows, s.zero
-    inserts, deletes, diagonal = moves.inserts, moves.deletes, moves.diagonal
+    inserts, deletes, diagonal, codes = moves.inserts, moves.deletes, moves.diagonal, moves.codes
     old, cur = (moves.row([zero] * (n + 1)) for _ in range(2))
     cur[0] = s.one
     band = n + m if cap is None else cap  # a band of n + m rows is the whole table
     lo2, hi2, lo1, hi1 = 1, 0, 0, 0  # the rows of diagonals d-2 and d-1: none, and f[0][0]
-    for d in range(1, n + m + 1):
-        old, cur = cur, old  # cur holds diagonal d-2 until diagonal d is written over it
-        if hull:
-            lo, hi = hull[d]
-            if lo > hi and lo1 > hi1:
-                return zero
-        else:  # the rows i with |2i - d| <= band, within the buffer
-            lo, hi = max((d - band + 1) // 2, 0), min((d + band) // 2, n)
-        first, last = max(1, d - m, lo), min(d - 1, hi)  # the cells off the edges
-        if first <= last:
-            cur[first : last + 1] = dot_rows(
-                (cur[first - 1 : last], old[first - 1 : last], old[first : last + 1]),
-                (diagonal(d, first, last), deletes[first - 1 : last],
-                 inserts[d - last - 1 : d - first][::-1]),
-            )
-        if lo2 < lo:  # diagonal d-2's cells below diagonal d's rows, then above them
-            for i in range(lo2, min(lo, hi2 + 1)):
-                cur[i] = zero
-        if hi2 > hi:
-            for i in range(max(lo2, hi + 1), hi2 + 1):
-                cur[i] = zero
-        if lo == 0 and d <= m:  # f[0][d]
-            cur[0] = mul(old[0], inserts[d - 1])
-        if hi >= d:  # f[d][0]
-            cur[d] = mul(old[d - 1], deletes[d - 1])
-        lo2, hi2, lo1, hi1 = lo1, hi1, lo, hi
-    return cur[n]
+    # a table fold picks from float arrays: numpy's warnings off once, not once per diagonal
+    with quiet_arrays() if codes is not None else contextlib.nullcontext():
+        for d in range(1, n + m + 1):
+            old, cur = cur, old  # cur holds diagonal d-2 until diagonal d is written over it
+            if hull:
+                lo, hi = hull[d]
+                if lo > hi and lo1 > hi1:
+                    return zero
+            else:  # the rows i with |2i - d| <= band, within the buffer
+                lo, hi = max((d - band + 1) // 2, 0), min((d + band) // 2, n)
+            first, last = max(1, d - m, lo), min(d - 1, hi)  # the cells off the edges
+            if first <= last:
+                cur[first : last + 1] = cells = dot_rows(
+                    (cur[first - 1 : last], old[first - 1 : last], old[first : last + 1]),
+                    (diagonal(d, first, last), deletes[first - 1 : last],
+                     inserts[d - last - 1 : d - first][::-1]),
+                )
+                if codes is not None:
+                    codes.keep(d, first, last, cells.kept)
+            if lo2 < lo:  # diagonal d-2's cells below diagonal d's rows, then above them
+                for i in range(lo2, min(lo, hi2 + 1)):
+                    cur[i] = zero
+            if hi2 > hi:
+                for i in range(max(lo2, hi + 1), hi2 + 1):
+                    cur[i] = zero
+            if lo == 0 and d <= m:  # f[0][d]
+                cur[0] = top = mul(old[0], inserts[d - 1])
+                if codes is not None:
+                    codes.edge(0, d, top)
+            if hi >= d:  # f[d][0]
+                cur[d] = side = mul(old[d - 1], deletes[d - 1])
+                if codes is not None:
+                    codes.edge(d, 0, side)
+            lo2, hi2, lo1, hi1 = lo1, hi1, lo, hi
+    return cur[n] if codes is None else Scored(cur[n][0], codes.spell())
 
 
 def gap_hull(rows: int, cols: int, cap: int) -> list[tuple[int, int]]:
@@ -586,7 +647,8 @@ def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
 
 
 def nw_align_sum_constrained(
-    p: AlignmentProblem, total_cap: int, s: Semiring, *, blocks: bool = True
+    p: AlignmentProblem, total_cap: int, s: Semiring, *, blocks: bool = True,
+    hull: list | None = None,
 ) -> Any:
     """Alignment value over moves whose summed gap is at most ``total_cap``.
 
@@ -601,10 +663,14 @@ def nw_align_sum_constrained(
     weights of those cells and the edge weights within the cap.
     ``blocks`` lets a min/max base fold a diagonal as one float block
     (``edge_lifted_semiring``), with the list route's values and op counts.
+    ``hull`` is ``gap_hull(p.rows, p.cols, total_cap)``, if the caller has
+    made it already.
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
     n, m = p.rows, p.cols
+    if hull is None:
+        hull = gap_hull(n, m, total_cap)
     alg = misalignment_algebra("sum", total_cap)
     lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product,
                                           blocks=blocks)
@@ -612,7 +678,7 @@ def nw_align_sum_constrained(
     # a move past the cap makes the zero vector whatever its weight: it is not read
     edges = AlignmentProblem(n, m, lambda i, j: (w(i, j) if abs(i - j) <= total_cap else zero,
                                                  abs(i - j)))
-    vec = _nw_fold(n, m, edges.moves(lifted), lifted, hull=gap_hull(n, m, total_cap))
+    vec = _nw_fold(n, m, edges.moves(lifted), lifted, hull=hull)
     # a block form's vector is a row of its float array: project Python floats
     return lifting.project(s, alg, vec.tolist() if hasattr(vec, "tolist") else vec)
 

@@ -498,10 +498,10 @@ def cmd_segment(args) -> tuple[dict, list | None]:
 
 
 # Witness alignments that fold at least this many cells (under a largest-gap cap,
-# those of its band) read their weights from a MoveTable and fold as blocks.  The
-# block route saves a few microseconds per cell but needs numpy, whose import
-# costs more than the saving on a smaller fold: cold runs broke even at about
-# 60,000 cells on a shared 2-CPU host.
+# those of its band) read their weights from a MoveTable and keep their moves in a
+# code table.  Warm, that route costs 0.4-0.8 us a cell against 2.3-4.5 us on lists,
+# but it needs numpy, whose import costs more than the saving on a smaller fold:
+# cold runs on a shared 2-CPU host broke even between 50,000 and 60,000 cells.
 BLOCK_CELLS = 60_000
 
 
@@ -510,8 +510,14 @@ def _edit_table(a, b, weight, mismatch_cost, gap_cost) -> MoveTable:
     import numpy as np
     symbols = {}  # each distinct symbol as an int, so == is Python's
     ids = [np.array([symbols.setdefault(x, len(symbols)) for x in seq]) for seq in (a, b)]
-    equal = ids[0][:, None] == ids[1][None, :]
-    match = lambda i, j: np.where(equal[i - 1, j - 1], 0.0, mismatch_cost)
+    # (i, j) at flipped[i - 1, len(b) - j]: the cells (i, d - i) lie on diagonal len(b) + 1 - d
+    flipped = (ids[0][:, None] == ids[1][None, :])[:, ::-1]
+
+    def match(d, first, last):
+        k = len(b) + 1 - d
+        start = first - 1 - max(0, -k)  # the diagonal's entries start at row max(0, -k)
+        return np.where(flipped.diagonal(k)[start : start + last - first + 1], 0.0, mismatch_cost)
+
     return MoveTable(weight, match, np.full(len(a), gap_cost), np.full(len(b), gap_cost))
 
 
@@ -539,13 +545,16 @@ def cmd_align(args) -> tuple[dict, list | None]:
         constraint = {"kind": "sum", "cap": args.sum_misalign}
         # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
+        hull = algorithms.gap_hull(len(a), len(b), cap)
         # over a min/max base, a diagonal may fold as one block (nw_align_sum_constrained)
         blocks = s.array_rows and s.row_score is not None
         if blocks:  # lists fold the hull's cells, cap + 1 entries each
-            hull = algorithms.gap_hull(len(a), len(b), cap)
             entries = sum(hi - lo + 1 for lo, hi in hull if lo <= hi) * (cap + 1)
             blocks = array_route(entries * GAP_ENTRY_S, (len(a) + len(b)) * GAP_DIAGONAL_S)
-        run = lambda p, counted: nw_align_sum_constrained(p, cap, counted, blocks=blocks)
+        # the inputs' own fold reads that hull; a sweep prefix makes its own
+        run = lambda p, counted: nw_align_sum_constrained(
+            p, cap, counted, blocks=blocks,
+            hull=hull if (p.rows, p.cols) == (len(a), len(b)) else None)
         alg = algorithms.misalignment_algebra("sum", cap)
     elif args.max_misalign is not None:
         cap = args.max_misalign

@@ -31,9 +31,9 @@ compensated from Python 3.12 and numpy sums pairwise, so neither equals
 the left fold bit for bit.  numpy is imported only when an array
 arrives; inside ``quiet_arrays()`` its floating-point warnings are off
 once for a whole fold rather than once per row.  Score-and-witness
-tupling over the min/max bases takes ``WitnessBlock``s in ``dot_rows``
-(``block_rows``): a float array of scores and an int array of trail
-references into a ``JoinArena``, whose joins are stored by column.
+tupling over the min/max bases takes ``WitnessBlock``s, float arrays of
+scores, in ``dot_rows`` (``block_rows``), and gives with the kept scores
+the term each entry kept; the fold that hands it blocks keeps the trails.
 Every ``sum`` takes a ``MaskedRow``, the values a bool array keeps with
 a float array of their scores, and every ``dot`` two ``ScoreRow``s, rows
 whose entries are built only where read, with a float array of their
@@ -395,11 +395,11 @@ class _Join:
 
 
 def _flatten(trail):
-    """The label tuple a trail of joins and arena references spells; any other trail as is.
+    """The label tuple a trail of joins spells; any other trail as is.
 
     Iterative, since a fold's trail is as deep as its witness is long.
     """
-    if type(trail) is not _Join and type(trail) is not _Ref:
+    if type(trail) is not _Join:
         return trail
     labels = []
     pending = [trail]
@@ -408,139 +408,43 @@ def _flatten(trail):
         if type(node) is _Join:
             pending.append(node.right)
             pending.append(node.left)
-        elif type(node) is _Ref:
-            node.arena.spell(node.ref, labels)
         else:
             labels.extend(node)
     return tuple(labels)
 
 
-# A block's trail reference: EMPTY is the empty trail, a code >= 0 a leaf (a
-# one-label trail, as JoinArena.leaf packs it) and -2 - k the arena's join k.
+# a WitnessBlock entry's kept term where its score is the base zero: as mul gives
+# such a product the empty trail, it keeps none
 EMPTY = -1
 
 
-class _Ref:
-    """A non-empty trail held by a ``JoinArena``, as its reference."""
-
-    __slots__ = ("arena", "ref")
-
-    def __init__(self, arena, ref):
-        self.arena = arena
-        self.ref = ref
-
-
-class JoinArena:
-    """Append-only joins of witness trails, stored by column: no object per join.
-
-    Join k is the concatenation of the trails that ``lefts[k]`` and
-    ``rights[k]`` refer to.  The arena serves one fold over a table of
-    labels (i, j), 0 <= i <= rows and 0 <= j <= cols: the leaf, the
-    one-label trail ((i, j),), is coded i * (cols + 1) + j, and one join
-    per cell is reserved up front (the columns grow past that).  Its
-    blocks refer into it, and a value read out of a block keeps it alive.
-    References are int32 when every code and reserved join fits.
-    """
-
-    def __init__(self, rows: int, cols: int):
-        import numpy as np
-        self.stride = cols + 1
-        capacity = rows * cols + rows + cols  # also the largest leaf code
-        self.dtype = np.int32 if capacity < 2**31 - 2 else np.int64
-        self.lefts = np.empty(capacity, self.dtype)
-        self.rights = np.empty(capacity, self.dtype)
-        self.size = 0
-
-    def leaf(self, i, j):
-        """The code of the label (i, j), for ints or int arrays entry by entry."""
-        return i * self.stride + j
-
-    def row(self, values) -> WitnessBlock:
-        """A block holding Scored ``values``, whose trails are empty or this arena's."""
-        import numpy as np
-        values = list(values)
-        return WitnessBlock(np.array([v[0] for v in values], dtype=float),
-                            np.array([self.ref(v[1]) for v in values], dtype=self.dtype), self)
-
-    def _claim(self, count: int) -> int:
-        """Room for ``count`` more joins; the index of the first."""
-        start = self.size
-        self.size += count
-        if self.size > len(self.lefts):
-            import numpy as np
-            grown = max(self.size, 2 * len(self.lefts))
-            self.lefts, self.rights = (np.resize(c, grown) for c in (self.lefts, self.rights))
-        return start
-
-    def joins(self, lefts, rights):
-        """The references of new joins of two int arrays of references, entry by entry."""
-        import numpy as np
-        start = self._claim(len(lefts))
-        self.lefts[start : self.size] = lefts
-        self.rights[start : self.size] = rights
-        return np.arange(-2 - start, -2 - self.size, -1)
-
-    def join(self, left: int, right: int) -> int:
-        k = self._claim(1)
-        self.lefts[k], self.rights[k] = left, right
-        return -2 - k
-
-    def trail(self, ref: int):
-        return () if ref == EMPTY else _Ref(self, ref)
-
-    def ref(self, trail) -> int:
-        """The reference of a trail that is empty, this arena's, or joins of those."""
-        if not trail:
-            return EMPTY
-        if type(trail) is _Ref and trail.arena is self:
-            return trail.ref
-        if type(trail) is _Join:
-            return self.join(self.ref(trail.left), self.ref(trail.right))
-        raise TypeError(f"a witness block holds no trail {trail!r} from outside its arena")
-
-    def spell(self, ref: int, labels: list) -> None:
-        """Append the labels the trail ``ref`` spells to ``labels``."""
-        lefts, rights, pending = self.lefts, self.rights, [ref]
-        while pending:
-            ref = pending.pop()
-            if ref >= 0:
-                labels.append(divmod(ref, self.stride))
-            else:
-                pending.append(rights.item(-2 - ref))
-                pending.append(lefts.item(-2 - ref))
-
-
 class WitnessBlock:
-    """A row of score-and-witness values by column: a float array of scores and an
-    int array of trail references into ``arena``.
+    """A row of score-and-witness values by their scores alone: a float array.
 
-    Slices are blocks viewing the same arrays; an entry reads and writes as
-    a Scored value (a non-empty trail is then a reference into the arena,
-    and a join of such references is appended to it).
+    A block holds no trails; the fold that makes blocks keeps them.  The
+    ``dot_rows`` of blocks is a block whose ``kept``, an int8 array, gives
+    the term each entry kept (0 for the first product), or ``EMPTY`` where
+    its score is the base zero.  Slices are blocks viewing the same scores,
+    written as blocks; an entry is written as a Scored value and read as
+    its score with the empty trail.
     """
 
-    __slots__ = ("scores", "refs", "arena")
+    __slots__ = ("scores", "kept")
 
-    def __init__(self, scores, refs, arena: JoinArena):
+    def __init__(self, scores, kept=None):
         self.scores = scores
-        self.refs = refs
-        self.arena = arena
+        self.kept = kept
 
     def __len__(self):
         return len(self.scores)
 
     def __getitem__(self, k):
         if type(k) is slice:
-            return WitnessBlock(self.scores[k], self.refs[k], self.arena)
-        return Scored(self.scores[k].item(), self.arena.trail(self.refs[k].item()))
+            return WitnessBlock(self.scores[k])
+        return Scored(self.scores.item(k), ())
 
     def __setitem__(self, k, value):
-        if type(k) is slice:
-            self.scores[k] = value.scores
-            self.refs[k] = value.refs
-        else:
-            self.scores[k] = value[0]
-            self.refs[k] = self.arena.ref(value[1])
+        self.scores[k] = value.scores if type(k) is slice else value[0]
 
 
 def _spelled(value):
@@ -794,8 +698,8 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     for ``dot``) and build one product for it, not one per term;
     rows where the near-tie rule could decide, or with a nan score, are
     folded term by term.  Over a min/max catalog base,
-    ``dot_rows`` also takes ``WitnessBlock``s, ranking whole arrays and
-    appending the joins to an arena.  The result is the left fold's in
+    ``dot_rows`` also takes ``WitnessBlock``s, ranking whole score arrays
+    and giving the term each entry kept.  The result is the left fold's in
     both score and witness.
     """
     _require_selective(base)
@@ -839,8 +743,9 @@ class _PickedWitness(Semiring):
     selection cannot settle, are folded term by term.
     ``dot_rows`` walks each entry's k product scores with ``add``'s own
     rule and builds the product of the surviving term only.  Given
-    ``WitnessBlock``s, it does the same over whole arrays and returns a
-    block (``block_rows``, when the base's rows take arrays).
+    ``WitnessBlock``s, it ranks whole score arrays and returns a block of
+    the kept scores and terms (``block_rows``, when the base's rows take
+    arrays).
     """
 
     base: Semiring | None = field(default=None, compare=False)
@@ -870,34 +775,32 @@ class _PickedWitness(Semiring):
         return [mul(xss[k][c], yss[k][c]) for c, k in enumerate(kept)]
 
     def _dot_blocks(self, xss, yss):
-        """``dot_rows`` of blocks, the same rule over whole arrays.
+        """``dot_rows`` of blocks: per entry, the score the fold keeps and which term it is.
 
         Per entry, the product scores are ranked in order with
-        ``_keeps_left``'s rule; the kept pair's trails are joined (one
-        arena join where both are non-empty), and a score equal to the
-        base zero is ``zero`` itself, as ``mul`` gives it.
+        ``_keeps_left``'s rule over whole arrays: a near tie keeps the left
+        term, and a nan running best takes the right one.  A score equal to
+        the base zero is zero's own score and keeps no term (``EMPTY``), as
+        ``mul`` gives it the empty trail.
         """
         import numpy as np
+        if not _QUIET.get():  # one np.errstate for the whole pick, not one per array op
+            with quiet_arrays():
+                return self._dot_blocks(xss, yss)
         base = self.base
         best = base.mul_rows(xss[0].scores, yss[0].scores)
-        lefts, rights = xss[0].refs, yss[0].refs  # the trails of the pair kept so far
-        for xs, ys in zip(xss[1:], yss[1:]):
-            scores = base.mul_rows(xs.scores, ys.scores)
+        kept = np.zeros(len(best), np.int8)
+        for t in range(1, len(xss)):
+            scores = base.mul_rows(xss[t].scores, yss[t].scores)
             picked = base.add_rows(best, scores)
-            with np.errstate(all="ignore"):  # math.isclose(picked, best, rel_tol=...)
-                gap = np.abs(picked - best)
-                near = gap <= FLOAT_REL_TOL * np.maximum(np.abs(picked), np.abs(best))
+            gap = np.abs(picked - best)  # math.isclose(picked, best, rel_tol=...)
+            near = gap <= FLOAT_REL_TOL * np.maximum(np.abs(picked), np.abs(best))
             keep = (picked == best) | (near & (gap < math.inf))
-            best = np.where(keep, best, scores)
-            lefts, rights = np.where(keep, lefts, xs.refs), np.where(keep, rights, ys.refs)
-        has_left = lefts != EMPTY
-        refs = np.where(has_left, lefts, rights)
+            best, kept = np.where(keep, best, scores), np.where(keep, kept, np.int8(t))
         dead = best == base.zero
-        both = has_left & (rights != EMPTY) & ~dead
-        arena = xss[0].arena
-        refs[both] = arena.joins(lefts[both], rights[both])
-        best[dead], refs[dead] = base.zero, EMPTY  # -0.0 too becomes zero's own score
-        return WitnessBlock(best, refs, arena)
+        best[dead] = base.zero  # -0.0 too becomes zero's own score
+        kept[dead] = EMPTY
+        return WitnessBlock(best, kept)
 
     def sum(self, values):
         if type(values) is MaskedRow:

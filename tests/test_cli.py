@@ -343,7 +343,8 @@ def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "events_m_of_n",
                         lambda pairs, *a: routes.append(type(pairs).__name__) or events(pairs, *a))
     monkeypatch.setattr(cli, "nw_align_sum_constrained",
-                        lambda *a, blocks: routes.append(blocks) or gaps(*a, blocks=blocks))
+                        lambda *a, blocks, **kw: routes.append(blocks) or gaps(*a, blocks=blocks,
+                                                                             **kw))
     rng = np.random.default_rng(7)
     probs = write_column(tmp_path, "p.txt", rng.uniform(0.0, 0.01, 2000))
     for m in (5, 50):
@@ -355,6 +356,24 @@ def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
                        "--sum-misalign", str(cap))[0] == 0
     assert routes == ["list", "ndarray", False, False, False, True]
     assert [cli._chain_route(n) for n in (14, 100, 130, 2000)] == [False, False, True, True]
+
+
+def test_a_summed_gap_alignment_builds_its_hull_once(tmp_path, monkeypatch):
+    # the route estimate's hull is the one the fold reads; a sweep prefix builds its own
+    from semiring_dp import algorithms
+
+    sizes = []
+    hull = algorithms.gap_hull
+    monkeypatch.setattr(algorithms, "gap_hull", lambda *a: sizes.append(a) or hull(*a))
+    for name, text in (("a", "GATTACAGAT"), ("b", "GCTTACGATT")):
+        (tmp_path / f"{name}.txt").write_text(text + "\n")
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    assert run_cli(tmp_path, "align", a, b, "--sum-misalign", "4")[0] == 0
+    assert sizes == [(10, 10, 4)]
+    sizes.clear()
+    # the whole-size prefix is the inputs' own problem
+    assert run_cli(tmp_path, "align", a, b, "--sum-misalign", "4", "--sweep", "3,10")[0] == 0
+    assert sizes == [(10, 10, 4), (3, 3, 4)]
 
 
 def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
