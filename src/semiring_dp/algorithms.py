@@ -12,11 +12,12 @@ semiring's row operations, ``s.sum(values)`` and ``s.dot(xs, ys)``, the
 those of the term-by-term fold; semirings that can pick a row's winner
 in one scan (the min/max bases and score-and-witness tupling over them)
 do so inside those calls.  Given its values as a float array,
-``ordered_subsequences`` hands ``s.sum`` each chain as a ``MaskedRow``
-found by one array comparison, and those semirings pick its winner
-from f's scores, kept in a float array beside f; the segmentation folds
-over a ``ColumnTable`` likewise hand ``s.dot`` f and each weight column
-as ``ScoreRow``s.  Rows updated
+``ordered_subsequences`` hands ``s.sum`` each chain as a ``ScoreRow``
+over the positions one array comparison keeps, and those semirings pick
+its winner from f's scores, kept in a float array beside f; the
+segmentation folds over a ``ColumnTable`` likewise hand ``s.dot`` f and
+each weight column as ``ScoreRow``s, whose ``dot`` is the ``sum`` of
+their products' ``ScoreRow``.  Rows updated
 elementwise (``combinations``, ``events_m_of_n`` and the lifted vectors
 of the constrained folds) go through ``s.add_rows(xs, ys)`` and
 ``s.mul_rows(xs, ys)``, whose entries are the per-term ``add`` and
@@ -56,7 +57,6 @@ from typing import Any, Callable, NamedTuple, Sequence
 from . import lifting
 from .semirings import (
     EMPTY,
-    MaskedRow,
     Scored,
     ScoreRow,
     Semiring,
@@ -751,10 +751,11 @@ def ordered_subsequences(
     ``values`` as a float array, ``relation`` ``lt`` or ``le`` and a
     semiring with a ``row_score`` whose scores of f are all floats take
     the array route: f's scores are kept in a float array beside f, and
-    each chain sum is ``s.sum`` of a ``MaskedRow`` whose mask is one
-    array comparison, written into one buffer that every position
-    reuses, so the semiring picks its winner from the scores.  The
-    values and op counts are the list route's.
+    each chain sum is ``s.sum`` of a ``ScoreRow`` over the chainable
+    positions, those where one array comparison, written into one buffer
+    that every position reuses, is true; the semiring picks its winner
+    from their scores and reads f at that position alone.  The values and
+    op counts are the list route's.
     """
     n = len(values)
     weights = [w(m) for m in range(1, n + 1)]
@@ -773,8 +774,8 @@ def ordered_subsequences(
     compare = np.less if relation is operator.lt else np.less_equal
     scores, mask = np.array([score(v) for v in f]), np.empty(n, bool)
     for k in range(n):
-        chainable = compare(values[:k], values[k], out=mask[:k])
-        chain = s.sum(MaskedRow(f, scores[:k], chainable))
+        at = compare(values[:k], values[k], out=mask[:k]).nonzero()[0]
+        chain = s.sum(ScoreRow(scores[at], lambda c: f[at.item(c)]))
         f[k] = s.add(f[k], s.mul(chain, weights[k]))
         scores[k] = score(f[k])
     return s.sum(f)

@@ -34,11 +34,12 @@ once for a whole fold rather than once per row.  Score-and-witness
 tupling over the min/max bases takes ``WitnessBlock``s, float arrays of
 scores, in ``dot_rows`` (``block_rows``), and gives with the kept scores
 the term each entry kept; the fold that hands it blocks keeps the trails.
-Every ``sum`` takes a ``MaskedRow``, the values a bool array keeps with
-a float array of their scores, and every ``dot`` two ``ScoreRow``s, rows
-whose entries are built only where read, with a float array of their
-scores; the min/max bases and the tupling over them (``row_score``) pick
-the winner from the arrays and read one entry of each row.
+Every ``sum`` takes a ``ScoreRow`` and every ``dot`` two, rows whose
+entries are built only where read, with a float array of their scores.
+The min/max bases and the tupling over them (``row_score``) pick a
+``sum``'s winner from the array and read one entry of the row; their
+``dot`` of two ``ScoreRow``s is the ``sum`` of the ``ScoreRow`` of the
+products, whose one read entry is one product.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 BinOp = Callable[[Any, Any], Any]
@@ -130,8 +131,8 @@ class Semiring:
     array_rows = False
     # whether dot_rows also takes WitnessBlocks, and returns one
     block_rows = False
-    # a value's float score, by which sum picks a MaskedRow's winner from its
-    # score array; None where sum iterates the row
+    # a value's float score, by which sum picks a ScoreRow's winner from its
+    # score array; None where sum folds every row term by term
     row_score = None
 
     def row(self, values: Iterable[Any]) -> list:
@@ -227,9 +228,10 @@ class _Selective(_ArrayRows):
     Its row sums, ``dot``'s included, are one ``add`` over the terms
     seeded with ``zero``: the builtin keeps its current value unless a
     later term beats it, which is the left fold's rule, nan included.
-    A ``MaskedRow``'s sum, and the ``dot`` of two ``ScoreRow``s of two
-    or more entries, are picked from the scores, the values themselves,
-    where ``_array_selection`` settles them; a one-term ``dot`` is
+    A ``ScoreRow``'s sum is picked from its scores, the values
+    themselves, where ``_array_selection`` settles it, and reads one
+    entry.  The ``dot`` of two ``ScoreRow``s of two or more entries is
+    the sum of the ``ScoreRow`` of their products; a one-term ``dot`` is
     folded, since the pick's array passes cost more than its one
     product.
     """
@@ -237,17 +239,17 @@ class _Selective(_ArrayRows):
     row_score = staticmethod(_itself)
 
     def sum(self, values):
-        if type(values) is MaskedRow:
-            k = _masked_selection(self.add, values, self.zero)
+        if type(values) is ScoreRow:
+            k = _array_selection(self.add, values.scores, self.zero)
             if k is not None:
-                return self.zero if k < 0 else values.values[k]
+                return self.zero if k < 0 else values[k]
         return self.add(chain((self.zero,), values))
 
     def _dot(self, xs, ys):
         if type(xs) is ScoreRow and type(ys) is ScoreRow and len(xs) > 1:
-            k = _array_selection(self.add, _array_op(self.mul, xs.scores, ys.scores), self.zero)
-            if k is not None:
-                return self.zero if k < 0 else self.mul(xs[k], ys[k])
+            mul = self.mul
+            return self.sum(ScoreRow(_array_op(mul, xs.scores, ys.scores),
+                                     lambda k: mul(xs[k], ys[k])))
         return self.sum(map(self.mul, xs, ys))
 
 
@@ -539,36 +541,13 @@ def _selection(pick, scores: list, zero_score):
     return scores.index(best)
 
 
-class MaskedRow:
-    """The entries of ``values`` where the bool array ``mask`` is true, as a row ``sum`` takes.
-
-    ``scores`` is a float array of the first ``len(mask)`` values' scores
-    (``row_score`` of each); the row ends with ``mask``, which may be
-    shorter than ``values``.  Iterated, it gives the kept values in order;
-    ``len`` counts them without listing them.
-    """
-
-    __slots__ = ("values", "scores", "mask")
-
-    def __init__(self, values: Sequence, scores, mask):
-        self.values = values
-        self.scores = scores
-        self.mask = mask
-
-    def __iter__(self):
-        return compress(self.values, self.mask)
-
-    def __len__(self):
-        import numpy as np
-        return int(np.count_nonzero(self.mask))
-
-
 class ScoreRow:
-    """A row whose entry k is ``value(start + k)``, with its score in ``scores[k]``, as ``dot`` takes it.
+    """A row whose entry k is ``value(start + k)``, scored ``scores[k]``, for ``sum`` and ``dot``.
 
     ``scores`` is a float array (``row_score`` of each entry).  An entry is
-    built only when read, so a semiring that picks a ``dot``'s winner from
-    the scores builds one entry per row.  A slice (of step one, from a
+    built only when read, so a semiring that picks a ``sum``'s winner from
+    the scores builds one entry of the row.  ``len`` counts the entries
+    without building them.  A slice (of step one, from a
     non-negative start) is a row over the same ``value`` and a view of the
     scores; iterated, a row gives its entries in order.
     """
@@ -618,13 +597,6 @@ def _array_selection(pick, scores, zero_score):
         if np.count_nonzero(near) != np.count_nonzero(scores == best):
             return None
     return k
-
-
-def _masked_selection(pick, row: MaskedRow, zero_score):
-    """``_array_selection`` over the scores a ``MaskedRow`` keeps: an index into ``row.values``."""
-    at = row.mask.nonzero()[0]
-    k = _array_selection(pick, row.scores[at], zero_score)
-    return k if k is None or k < 0 else int(at[k])
 
 
 def viterbi_semiring(base: Semiring) -> Semiring:
@@ -693,11 +665,11 @@ def viterbi_simple_semiring(base: Semiring) -> Semiring:
     ``base`` must be selective; a catalog base outside
     ``SELECTIVE_SEMIRINGS`` raises ``ValueError``.  When ``base.add`` is
     the builtin min or max, the row operations pick the winning score
-    with one scan over the row's scores (over a ``MaskedRow``'s score
-    array, for ``sum``, and the products of two ``ScoreRow``s' arrays,
-    for ``dot``) and build one product for it, not one per term;
-    rows where the near-tie rule could decide, or with a nan score, are
-    folded term by term.  Over a min/max catalog base,
+    with one scan over the row's scores (a ``ScoreRow``'s score array,
+    for ``sum``; a ``dot`` of two ``ScoreRow``s is the ``sum`` of the
+    ``ScoreRow`` of their products) and build one product for it, not one
+    per term; rows where the near-tie rule could decide, or with a nan
+    score, are folded term by term.  Over a min/max catalog base,
     ``dot_rows`` also takes ``WitnessBlock``s, ranking whole score arrays
     and giving the term each entry kept.  The result is the left fold's in
     both score and witness.
@@ -737,10 +709,11 @@ class _PickedWitness(Semiring):
     """``viterbi_simple_semiring`` over a ``base`` whose add is builtin min or max.
 
     A row's winner is picked with ``_selection`` (``_array_selection``
-    for a ``MaskedRow`` and for the ``dot`` of two ``ScoreRow``s of two
-    or more entries, over the products of their score arrays) and one
-    product is built for it; one-term ``ScoreRow`` dots, and rows the
-    selection cannot settle, are folded term by term.
+    for a ``ScoreRow``, whose one read entry is the result) and one
+    product is built for it.  The ``dot`` of two ``ScoreRow``s of two or
+    more entries is the ``sum`` of the ``ScoreRow`` of their products;
+    one-term ``ScoreRow`` dots, and rows the selection cannot settle, are
+    folded term by term.
     ``dot_rows`` walks each entry's k product scores with ``add``'s own
     rule and builds the product of the surviving term only.  Given
     ``WitnessBlock``s, it ranks whole score arrays and returns a block of
@@ -803,30 +776,28 @@ class _PickedWitness(Semiring):
         return WitnessBlock(best, kept)
 
     def sum(self, values):
-        if type(values) is MaskedRow:
-            k = _masked_selection(self.base.add, values, self.zero.score)
-            kept = values.values
+        if type(values) is ScoreRow:
+            k = _array_selection(self.base.add, values.scores, self.zero.score)
         else:
-            kept = values = values if isinstance(values, list) else list(values)
+            values = values if isinstance(values, list) else list(values)
             k = _selection(self.base.add, list(map(_score, values)), self.zero.score)
         if k is None:
             return super().sum(values)
-        return self.zero if k < 0 else kept[k]
+        return self.zero if k < 0 else values[k]
 
     def _dot(self, xs, ys):
-        base = self.base
+        base, mul = self.base, self.mul
         if type(xs) is ScoreRow and type(ys) is ScoreRow:
             if len(xs) > 1:
-                scores = _array_op(base.mul, xs.scores, ys.scores)
-                k = _array_selection(base.add, scores, self.zero.score)
-            else:  # one product, or none: folding builds no more than a pick
-                k = None
+                return self.sum(ScoreRow(_array_op(base.mul, xs.scores, ys.scores),
+                                         lambda k: mul(xs[k], ys[k])))
+            k = None  # one product, or none: folding builds no more than a pick
         else:
             scores = list(map(base.mul, map(_score, xs), map(_score, ys)))
             k = _selection(base.add, scores, self.zero.score)
         if k is None:  # the term-by-term fold, not a second selection
-            return Semiring.sum(self, map(self.mul, xs, ys))
-        return self.zero if k < 0 else self.mul(xs[k], ys[k])
+            return Semiring.sum(self, map(mul, xs, ys))
+        return self.zero if k < 0 else mul(xs[k], ys[k])
 
 
 @dataclass
@@ -852,7 +823,7 @@ class _Counted(Semiring):
     counts: OpCounts | None = field(default=None, compare=False)
 
     def sum(self, values):
-        if type(values) is not MaskedRow:
+        if type(values) is not ScoreRow:
             values = values if isinstance(values, list) else list(values)
         self.counts.add += len(values)
         return self.inner.sum(values)

@@ -640,8 +640,8 @@ def chain_routes(values, weights, s, relation, monkeypatch):
     """ordered_subsequences over a list and over a float array: (repr, witness, counts) each."""
     np = pytest.importorskip("numpy")
     picked = []
-    selection = semirings._masked_selection
-    monkeypatch.setattr(semirings, "_masked_selection",
+    selection = semirings._array_selection
+    monkeypatch.setattr(semirings, "_array_selection",
                         lambda *args: picked.append(1) or selection(*args))
     runs = []
     for route in (list(values), np.array(values, dtype=float)):

@@ -334,25 +334,47 @@ def test_witness_rows_equal_their_left_folds_in_score_and_witness(name):
 
 
 @pytest.mark.parametrize("name", ONE_SCAN_BASES)
-def test_masked_rows_sum_to_the_left_folds_of_the_values_they_keep(name):
+def test_score_rows_sum_to_the_left_folds_of_their_entries(name):
     np = pytest.importorskip("numpy")
     rng = random.Random(41)
     both_infinities = [[math.inf, -math.inf, 0.5], [-math.inf, 0.5, math.inf, math.inf]]
     for base in (CATALOG[name], dataclasses.replace(CATALOG[name], zero=0.5)):
         vit = sd.viterbi_simple_semiring(base)
         for scores in score_rows(base) + both_infinities:
-            mask = np.array([rng.random() < 0.7 for _ in scores], dtype=bool)
-            kept = [x for x, keep in zip(scores, mask) if keep]
-            # the values past the mask are not in the row
-            row = semirings.MaskedRow(scores + [base.one], np.array(scores), mask)
-            assert same_float(base.sum(row), left_sum(base, kept)), (scores, mask)
+            # the row is over the positions a mask keeps, as a chain sum's is
+            at = np.array([rng.random() < 0.7 for _ in scores], dtype=bool).nonzero()[0]
+            kept = [scores[k] for k in at]
+            row = semirings.ScoreRow(np.array(scores)[at], lambda c: scores[at.item(c)])
+            assert same_float(base.sum(row), left_sum(base, kept)), (scores, at)
             counted, counts = sd.instrumented(base)
-            assert same_float(counted.sum(row), left_sum(base, kept)), (scores, mask)
+            assert same_float(counted.sum(row), left_sum(base, kept)), (scores, at)
             assert counts.add == len(kept) == len(row) == len(list(row))
             values = [sd.Scored(x, (k,)) for k, x in enumerate(scores)]
-            got = vit.sum(semirings.MaskedRow(values + [vit.one], np.array(scores), mask))
-            want = left_sum(vit, [v for v, keep in zip(values, mask) if keep])
+            got = vit.sum(semirings.ScoreRow(np.array(scores)[at], lambda c: values[at.item(c)]))
+            want = left_sum(vit, [values[k] for k in at])
             assert same_float(got.score, want.score) and got.witness == want.witness, scores
+
+
+@pytest.mark.parametrize("name", ONE_SCAN_BASES)
+def test_a_score_row_sum_reads_one_entry_where_the_pick_settles(name):
+    np = pytest.importorskip("numpy")
+    base = CATALOG[name]
+    vit = sd.viterbi_simple_semiring(base)
+    # the first row's pick settles; a nan and the winner's near-ties make the others fold
+    for scores, folds in (([0.25, 0.75, 0.5], False), ([0.25, math.nan, 0.5], True),
+                          ([0.5 * (1 + 5e-10), 0.5, 0.5 * (1 - 5e-10)], True)):
+        for s, value in ((base, scores.__getitem__), (vit, lambda k: sd.Scored(scores[k], (k,)))):
+            for run, counts in ((s, None), sd.instrumented(s)):
+                reads = []
+                got = run.sum(semirings.ScoreRow(np.array(scores),
+                                                 lambda k: reads.append(k) or value(k)))
+                want = left_sum(s, map(value, range(len(scores))))
+                if s is vit:
+                    assert got.witness == want.witness, (scores, run)
+                    got, want = got.score, want.score
+                assert same_float(got, want), (scores, run)
+                assert reads == ([0, 1, 2] if folds else [scores.index(want)]), (scores, run)
+                assert counts is None or counts.add == 3
 
 
 @pytest.mark.parametrize("name", ONE_SCAN_BASES)
@@ -383,7 +405,7 @@ def test_one_term_score_row_dots_are_their_left_folds(name, monkeypatch):
         assert base.dot(empty, empty) == base.zero and vit.dot(empty, empty) == vit.zero
 
 
-def test_only_the_one_scan_rows_read_masked_scores():
+def test_only_the_one_scan_bases_have_row_scores():
     for name, s in CATALOG.items():
         want = name in ONE_SCAN_BASES
         assert (s.row_score is not None) is want, name
