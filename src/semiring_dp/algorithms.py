@@ -35,7 +35,8 @@ cell, and spells into the witness by one walk back.
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
 and accept exactly what that algebra accepts: a summed gap runs
-``nw_align`` over closed-form edge products, a largest gap ``nw_align``
+``nw_align`` over closed-form edge products (each cell's vector one
+float array over a base whose rows take them), a largest gap ``nw_align``
 with zero on the moves past the cap, and a minimum segment length
 ``segment_opt`` with zero on the segments shorter than it (an exact
 minimum lifted over ``exists``: some segment of that length).  Under a
@@ -647,7 +648,7 @@ def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
 
 
 def nw_align_sum_constrained(
-    p: AlignmentProblem, total_cap: int, s: Semiring, *, blocks: bool = True,
+    p: AlignmentProblem, total_cap: int, s: Semiring, *, arrays: bool = True,
     hull: list | None = None,
 ) -> Any:
     """Alignment value over moves whose summed gap is at most ``total_cap``.
@@ -661,8 +662,9 @@ def nw_align_sum_constrained(
     int recurrence makes no counted op): O(live cells * (cap + 1))
     operations, at most O(rows * cols * cap).  It reads the match
     weights of those cells and the edge weights within the cap.
-    ``blocks`` lets a min/max base fold a diagonal as one float block
-    (``edge_lifted_semiring``), with the list route's values and op counts.
+    With ``arrays``, a base whose rows take float arrays (``s.array_rows``)
+    keeps each vector as one (``lifting.summed_gap_arrays``), under one
+    ``quiet_arrays()``, with the tuple form's values and op counts.
     ``hull`` is ``gap_hull(p.rows, p.cols, total_cap)``, if the caller has
     made it already.
     """
@@ -672,15 +674,17 @@ def nw_align_sum_constrained(
     if hull is None:
         hull = gap_hull(n, m, total_cap)
     alg = misalignment_algebra("sum", total_cap)
-    lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product,
-                                          blocks=blocks)
     w, zero = p.weight, s.zero
     # a move past the cap makes the zero vector whatever its weight: it is not read
     edges = AlignmentProblem(n, m, lambda i, j: (w(i, j) if abs(i - j) <= total_cap else zero,
                                                  abs(i - j)))
-    vec = _nw_fold(n, m, edges.moves(lifted), lifted, hull=hull)
-    # a block form's vector is a row of its float array: project Python floats
-    return lifting.project(s, alg, vec.tolist() if hasattr(vec, "tolist") else vec)
+    if not (arrays and s.array_rows):
+        lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product)
+        return lifting.project(s, alg, _nw_fold(n, m, edges.moves(lifted), lifted, hull=hull))
+    lifted = lifting.summed_gap_arrays(s, alg)
+    with quiet_arrays():
+        vec = _nw_fold(n, m, edges.moves(lifted), lifted, hull=hull)
+    return lifting.project(s, alg, vec.tolist())  # Python floats, as the tuple form's
 
 
 def nw_align_max_constrained(p: AlignmentProblem, diff_cap: int, s: Semiring) -> Any:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import operator
@@ -412,8 +413,10 @@ def _config(args, *names, **extra) -> dict:
 NUMPY_IMPORT_S = 0.15
 # exact events: lists per event and per row entry (sum of min(k, M)), arrays per event
 EVENT_S, EVENT_ENTRY_S, EVENT_ARRAY_S = 3.0e-6, 0.165e-6, 6.2e-6
-# summed gaps: lists per lifted entry (hull cells x (cap + 1)), blocks per diagonal
-GAP_ENTRY_S, GAP_DIAGONAL_S = 0.77e-6, 79e-6
+# summed gaps: lists per lifted entry (hull cells x (cap + 1)), arrays per hull cell;
+# refitted on 2026-10-20 over 40 hull folds (n 60-300, caps 8-60, best of 15) by least
+# relative error, which puts the warm break-even near cap 27, as measured
+GAP_ENTRY_S, GAP_CELL_S = 0.66e-6, 18e-6
 # lis over lt or le: arrays per position; CHAIN_PAIRS pairs, n(n - 1) / 2, win back
 # that and the import (cold runs broke even at 1.5-1.7 million pairs)
 CHAIN_POSITION_S = 5e-6
@@ -546,14 +549,15 @@ def cmd_align(args) -> tuple[dict, list | None]:
         # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
         hull = algorithms.gap_hull(len(a), len(b), cap)
-        # over a min/max base, a diagonal may fold as one block (nw_align_sum_constrained)
-        blocks = s.array_rows and s.row_score is not None
-        if blocks:  # lists fold the hull's cells, cap + 1 entries each
-            entries = sum(hi - lo + 1 for lo, hi in hull if lo <= hi) * (cap + 1)
-            blocks = array_route(entries * GAP_ENTRY_S, (len(a) + len(b)) * GAP_DIAGONAL_S)
+        # over a base with array rows, a cell's vector may be one float array
+        # (nw_align_sum_constrained): lists fold the hull's cells, cap + 1 entries each
+        arrays = s.array_rows
+        if arrays:
+            cells = sum(hi - lo + 1 for lo, hi in hull if lo <= hi)
+            arrays = array_route(cells * (cap + 1) * GAP_ENTRY_S, cells * GAP_CELL_S)
         # the inputs' own fold reads that hull; a sweep prefix makes its own
         run = lambda p, counted: nw_align_sum_constrained(
-            p, cap, counted, blocks=blocks,
+            p, cap, counted, arrays=arrays,
             hull=hull if (p.rows, p.cols) == (len(a), len(b)) else None)
         alg = algorithms.misalignment_algebra("sum", cap)
     elif args.max_misalign is not None:
@@ -877,5 +881,18 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def console_main() -> int:
+    """The ``semiring-dp`` console script: ``main`` with cyclic garbage collection off.
+
+    The script owns its process: the few hundred objects a run leaves in
+    reference cycles (its argument parser among them) go when it exits,
+    and a collection would rescan every live value, the tens of thousands
+    of tuples of a path-set oracle included.  ``main`` itself leaves the
+    collector as it found it, for callers that run it in process.
+    """
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -5,15 +5,17 @@ recurrence values into dense vectors indexed by constraint values; the
 lifted product is a generalized convolution driven by the algebra's
 combine operator.  Projecting the accepted entries back down recovers a
 scalar, which is how a separable constraint is applied to a recurrence
-without ever enumerating and filtering solutions.
+without ever enumerating and filtering solutions.  Vectors are tuples;
+the summed-gap lifting over a base whose rows take float arrays keeps
+each as one such array (``summed_gap_arrays``), with the same entries.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from typing import Any, Callable
 
 from .semirings import Semiring
@@ -146,19 +148,13 @@ def lifted_semiring(base: Semiring, alg: ConstraintAlgebra) -> Semiring:
     )
 
 
-def edge_lifted_semiring(
-    base: Semiring, alg: ConstraintAlgebra, edge_product, *, blocks: bool = True
-) -> Semiring:
+def edge_lifted_semiring(base: Semiring, alg: ConstraintAlgebra, edge_product) -> Semiring:
     """Lifted vectors times sparse lifted edges, given as pairs (weight, key).
 
     mul(vec, (weight, key)) is edge_product(base, alg, vec, weight, key),
     the product with lift_edge(base, alg, weight, key); add is elementwise,
-    one ``base.add_rows``.  With ``blocks`` and ``subset_size_edge_product``
-    over a min/max base whose rows take float arrays (``base.row_score``
-    and ``base.array_rows``, counted or not), the result is the block
-    form, ``_GapShiftBlocks``.  Otherwise rows are lists: without
-    ``blocks``, and over ``prob``, on whose summed gaps the block form was
-    never measured.
+    one ``base.add_rows``.  Vectors are tuples; ``summed_gap_arrays`` is
+    the form of ``subset_size_edge_product`` whose vectors are float arrays.
     """
     add_rows = base.add_rows
 
@@ -166,55 +162,35 @@ def edge_lifted_semiring(
         weight, key = edge
         return edge_product(base, alg, vec, weight, key)
 
-    name, add = f"{base.name}[{alg.name}]", lambda x, y: tuple(add_rows(x, y))
-    zero, one = lifted_zero(base, alg), lifted_one(base, alg)
-    if (blocks and edge_product is subset_size_edge_product and base.array_rows
-            and base.row_score is not None):
-        def block_mul(vec, edge):  # a vector read out of a block is an array row: use its floats
-            return mul(vec.tolist() if hasattr(vec, "tolist") else vec, edge)
-
-        return _GapShiftBlocks(name, add, block_mul, zero, one, base=base)
-    return Semiring(name, add, mul, zero, one)
+    return Semiring(f"{base.name}[{alg.name}]", lambda x, y: tuple(add_rows(x, y)), mul,
+                    lifted_zero(base, alg), lifted_one(base, alg))
 
 
-@dataclass(frozen=True, repr=False)
-class _GapShiftBlocks(Semiring):
-    """Summed-gap lifting over a ``base`` with array rows, a row of cells as one block.
+def summed_gap_arrays(base: Semiring, alg: ConstraintAlgebra) -> Semiring:
+    """``edge_lifted_semiring(base, alg, subset_size_edge_product)`` with each vector one float array.
 
-    ``row`` holds a row of lifted vectors as one (cells, carrier size)
-    float array.  ``mul_rows`` of a block and a row of edges shifts each
-    cell's vector up by its edge's key (down, for a negative key), as
-    ``subset_size_edge_product`` does, and hands the entries that stay in
-    the carrier, as flat arrays, to one ``base.mul_rows``; ``add_rows``
-    of two blocks is one ``base.add_rows`` of the flattened blocks.  So
-    every entry is the scalar form's, made by the same base op, and a
-    counted base tallies the scalar form's ops.  Rows given as lists
-    (or iterators) of vectors get the scalar form's lists.
+    ``base`` takes float array rows (``base.array_rows``).  add is one
+    ``base.add_rows``; mul(vec, (weight, key)) shifts ``vec`` up by
+    ``key`` (down, for a negative key) with one ``base.mul_rows`` of the
+    entries that stay in the carrier, ``base.zero`` elsewhere.  So every
+    entry is the tuple form's, made by the same base op, and a counted
+    base tallies the tuple form's ops.  Rows of vectors are lists.
     """
+    import numpy as np
+    size = alg.size
 
-    base: Semiring | None = field(default=None, compare=False)
-
-    def row(self, values):
-        import numpy as np
-        return np.array(values, dtype=float).reshape(-1, len(self.zero))
-
-    def add_rows(self, xs, ys):
-        if hasattr(xs, "shape"):
-            return self.base.add_rows(xs.ravel(), ys.ravel()).reshape(xs.shape)
-        return super().add_rows(xs, ys)
-
-    def mul_rows(self, xs, ys):
-        if not hasattr(xs, "shape"):
-            return super().mul_rows(xs, ys)
-        import numpy as np
-        edges = np.fromiter(chain.from_iterable(ys), float, 2 * len(ys)).reshape(-1, 2)
-        size = xs.shape[1]
-        reads = np.arange(size) - edges[:, 1:].astype(np.intp)  # entry m reads m - key
-        # (cell, m) for every carrier value m the shift keeps: 0 <= m - key < size
-        cells, ms = np.nonzero((reads >= 0) & (reads < size))
-        out = np.full(xs.shape, self.base.zero)
-        out[cells, ms] = self.base.mul_rows(xs[cells, reads[cells, ms]], edges[cells, 0])
+    def mul(vec, edge):
+        weight, key = edge
+        out = np.full(size, base.zero)
+        lo, hi = max(key, 0), min(size + key, size)  # entry m reads m - key
+        if lo < hi:
+            out[lo:hi] = base.mul_rows(vec[lo - key : hi - key], weight)
         return out
+
+    return Semiring(f"{base.name}[{alg.name}]", base.add_rows, mul,
+                    np.array(lifted_zero(base, alg), dtype=float),
+                    np.array(lifted_one(base, alg), dtype=float),
+                    lambda x, y: x.tolist() == y.tolist())
 
 
 def project(base: Semiring, alg: ConstraintAlgebra, vec: LiftedVector):

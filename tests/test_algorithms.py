@@ -1056,27 +1056,39 @@ def test_elementwise_rows_match_term_by_term_folds(s, grid):
             assert (rows_counts.add, rows_counts.mul) == (terms_counts.add, terms_counts.mul), name
 
 
-# --- summed-gap blocks ---------------------------------------------------------------
+# --- summed-gap arrays ---------------------------------------------------------------
 
+# the min/max bases, whose score-and-witness tupling folds move tables as blocks
 BLOCK_BASES = ("minplus", "maxplus", "maxprod", "bottleneck")
+# the bases whose rows take float arrays: a summed gap keeps each vector as one
+ARRAY_BASES = (*BLOCK_BASES, "prob")
 # signed zeros, finite values, infinities and nan: the cases where numpy's own
 # minimum / maximum and builtin min / max part ways
 SPECIAL_WEIGHTS = (-0.0, 0.0, 0.25, 1.0, 2.5, math.inf, -math.inf, math.nan)
 
 
-def test_summed_gap_lifting_takes_the_block_form_over_min_max_bases_only():
+def test_summed_gap_lifting_takes_the_array_form_over_array_row_bases_only(monkeypatch):
     import numpy as np
 
-    alg = sd.subset_size_algebra(3)
+    arrays = lifting.summed_gap_arrays
+    made = []
+    monkeypatch.setattr(lifting, "summed_gap_arrays", lambda *a: made.append(a) or arrays(*a))
     bases = [*CATALOG.items(), ("viterbi-simple", sd.viterbi_simple_semiring(MINPLUS))]
     for name, s in bases:
         for base in (s, sd.instrumented(s)[0]):
-            lifted = lifting.edge_lifted_semiring(base, alg, lifting.subset_size_edge_product)
-            block = isinstance(lifted.row([lifted.zero, lifted.one]), np.ndarray)
-            assert block == (name in BLOCK_BASES), name
-    other = lifting.edge_lifted_semiring(MINPLUS, sd.max_count_algebra(3),
-                                         lifting.max_count_edge_product)
-    assert isinstance(other.row([other.zero]), list)
+            p = sd.AlignmentProblem(3, 3, lambda i, j: base.one)
+            for on in (True, False):
+                made.clear()
+                sd.nw_align_sum_constrained(p, 2, base, arrays=on)
+                assert len(made) == (on and name in ARRAY_BASES), (name, on)
+    # the edge-lifted semiring keeps tuples, whatever its base
+    for name in ARRAY_BASES:
+        lifted = lifting.edge_lifted_semiring(CATALOG[name], sd.subset_size_algebra(3),
+                                              lifting.subset_size_edge_product)
+        assert type(lifted.zero) is tuple and type(lifted.one) is tuple
+        assert type(lifted.mul(lifted.one, (1.0, 1))) is tuple
+    lifted = arrays(MINPLUS, sd.subset_size_algebra(3))
+    assert isinstance(lifted.one, np.ndarray) and lifted.one.tolist() == [0.0] + [math.inf] * 3
 
 
 def assert_same_fold(fold, reference, base, what):
@@ -1088,7 +1100,7 @@ def assert_same_fold(fold, reference, base, what):
     assert (rows_counts.add, rows_counts.mul) == (terms_counts.add, terms_counts.mul), what
 
 
-@pytest.mark.parametrize("name", BLOCK_BASES)
+@pytest.mark.parametrize("name", ARRAY_BASES)
 def test_summed_gap_blocks_match_the_term_by_term_folds(name):
     base = CATALOG[name]
     rng = random.Random(89)
@@ -1107,32 +1119,31 @@ def test_summed_gap_blocks_match_the_term_by_term_folds(name):
                                  base, (cap, *what))
 
 
-@pytest.mark.parametrize("name", BLOCK_BASES)
+@pytest.mark.parametrize("name", ARRAY_BASES)
 def test_summed_gap_blocks_shift_by_every_key(name):
-    # keys from -2 to past the carrier, one per cell of a block: a negative key
-    # shifts down, as the scalar closed form does, with its values and op counts
+    # keys from -5 to past the carrier, the vectors as float arrays: a negative key
+    # shifts down, as the tuple form's closed form does, with its values and op counts
+    import numpy as np
+
     base = CATALOG[name]
     alg = sd.subset_size_algebra(3)
     rng = random.Random(137)
-    keys = range(-2, alg.size + 2)
-    for _ in range(10):
-        vecs = [tuple(rng.choice(SPECIAL_WEIGHTS) for _ in range(alg.size)) for _ in keys]
-        edges = [(rng.choice(SPECIAL_WEIGHTS), key) for key in keys]
-        blocks, block_counts = sd.instrumented(base)
-        lifted = lifting.edge_lifted_semiring(blocks, alg, lifting.subset_size_edge_product)
-        got = lifted.mul_rows(lifted.row(vecs), edges)
-        scalar, scalar_counts = sd.instrumented(base)
-        want = [lifting.subset_size_edge_product(scalar, alg, vec, weight, key)
-                for vec, (weight, key) in zip(vecs, edges)]
-        assert repr([tuple(vec) for vec in got.tolist()]) == repr(want), (vecs, edges)
-        assert (block_counts.add, block_counts.mul) == (scalar_counts.add, scalar_counts.mul)
+    for key in range(-alg.size - 1, alg.size + 2):
+        for _ in range(10):
+            vec = tuple(rng.choice(SPECIAL_WEIGHTS) for _ in range(alg.size))
+            weight = rng.choice(SPECIAL_WEIGHTS)
+            arrays, array_counts = sd.instrumented(base)
+            got = lifting.summed_gap_arrays(arrays, alg).mul(np.array(vec), (weight, key))
+            scalar, scalar_counts = sd.instrumented(base)
+            want = lifting.subset_size_edge_product(scalar, alg, vec, weight, key)
+            assert repr(tuple(got.tolist())) == repr(want), (vec, weight, key)
+            assert (array_counts.add, array_counts.mul) == (scalar_counts.add, scalar_counts.mul)
     if name == "minplus":
-        one = lifting.edge_lifted_semiring(base, alg, lifting.subset_size_edge_product)
-        got = one.mul_rows(one.row([(1.0, 2.0, 3.0, 4.0)]), [(0.5, -1)])
-        assert got.tolist() == [[2.5, 3.5, 4.5, math.inf]]
+        got = lifting.summed_gap_arrays(base, alg).mul(np.array([1.0, 2.0, 3.0, 4.0]), (0.5, -1))
+        assert got.tolist() == [2.5, 3.5, 4.5, math.inf]
 
 
-@pytest.mark.parametrize("name", BLOCK_BASES)
+@pytest.mark.parametrize("name", ARRAY_BASES)
 def test_summed_gap_blocks_past_simd_widths(name):
     # 61-cell diagonals of 21-entry vectors: every array spans many vector registers
     base = CATALOG[name]
@@ -1185,7 +1196,7 @@ def test_gap_hull_holds_the_live_cells_of_each_diagonal():
 @pytest.mark.parametrize("name, s, base", HULL_BASES, ids=[b[0] for b in HULL_BASES])
 def test_summed_gap_hull_gives_the_unrestricted_fold(name, s, base):
     # values by repr against every cell of the table, and op counts against the cells
-    # a capped path reaches; the block form, where a base has one, and the lists
+    # a capped path reaches; the array form, where a base has one, and the tuples
     grid, tupled = HULL_WEIGHTS.get(base, SPECIAL_WEIGHTS), name != base
     rng = random.Random(131)
     unreachable = 0
@@ -1200,11 +1211,11 @@ def test_summed_gap_hull_gives_the_unrestricted_fold(name, s, base):
             unreachable += least[rows][cols] > cap
             want = repr(reference_misalignment(p, "sum", cap, s))
             live = gap_live(rows, cols, cap)
-            for blocks in (True, False):
-                what = (rows, cols, cap, blocks, moves)
-                got = sd.nw_align_sum_constrained(p, cap, s, blocks=blocks)
+            for arrays in (True, False):
+                what = (rows, cols, cap, arrays, moves)
+                got = sd.nw_align_sum_constrained(p, cap, s, arrays=arrays)
                 assert repr(got) == want, what
-                assert_same_fold(lambda c: sd.nw_align_sum_constrained(p, cap, c, blocks=blocks),
+                assert_same_fold(lambda c: sd.nw_align_sum_constrained(p, cap, c, arrays=arrays),
                                  lambda c: reference_misalignment(p, "sum", cap, c, live=live),
                                  s, what)
     assert unreachable > 0
@@ -1217,7 +1228,7 @@ def test_summed_gap_reads_the_hull_and_the_in_cap_edges_only():
             want = collections.Counter(
                 mv for mv in oracles.alignment_labels(rows, cols)
                 if (live(*mv) if mv[0] and mv[1] else max(mv) <= cap))
-            for s, blocks in ((COUNT, False), (MINPLUS, False), (MINPLUS, True)):
+            for s, arrays in ((COUNT, False), (MINPLUS, False), (MINPLUS, True)):
                 reads = collections.Counter()
 
                 def weight(i, j):
@@ -1225,8 +1236,8 @@ def test_summed_gap_reads_the_hull_and_the_in_cap_edges_only():
                     return s.one
 
                 sd.nw_align_sum_constrained(sd.AlignmentProblem(rows, cols, weight), cap, s,
-                                            blocks=blocks)
-                assert reads == want, (rows, cols, cap, s.name, blocks)
+                                            arrays=arrays)
+                assert reads == want, (rows, cols, cap, s.name, arrays)
 
 
 def test_nw_align_reads_each_move_weight_once():

@@ -335,26 +335,26 @@ def test_events_documents_are_the_same_on_both_routes(tmp_path, monkeypatch):
 
 def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
     # with numpy loaded the rule weighs the folds alone: exact events take arrays from
-    # about 20 row entries per event, summed gaps blocks from about 100 lifted entries
-    # of the hull per diagonal (at cap 16 the hull of 60 x 60 has 121 cells, at cap 60
-    # 361), lis arrays from about n = 115
+    # about 20 row entries per event, summed gaps arrays from a cap of 27 (28 lifted
+    # entries per hull cell), perfbench's sum190 (cap 16) lists, lis arrays from about
+    # n = 115
     routes = []
     events, gaps = cli.events_m_of_n, cli.nw_align_sum_constrained
     monkeypatch.setattr(cli, "events_m_of_n",
                         lambda pairs, *a: routes.append(type(pairs).__name__) or events(pairs, *a))
     monkeypatch.setattr(cli, "nw_align_sum_constrained",
-                        lambda *a, blocks, **kw: routes.append(blocks) or gaps(*a, blocks=blocks,
+                        lambda *a, arrays, **kw: routes.append(arrays) or gaps(*a, arrays=arrays,
                                                                              **kw))
     rng = np.random.default_rng(7)
     probs = write_column(tmp_path, "p.txt", rng.uniform(0.0, 0.01, 2000))
     for m in (5, 50):
         assert run_cli(tmp_path, "events", probs, "-M", str(m))[0] == 0
-    for n, cap in ((6, 6), (60, 8), (60, 16), (60, 60)):
+    for n, cap in ((6, 6), (60, 8), (60, 16), (190, 16), (60, 26), (60, 27), (60, 60)):
         for name in ("a", "b"):
             (tmp_path / f"{name}.txt").write_text("".join(rng.choice(list("ACGT"), n)) + "\n")
         assert run_cli(tmp_path, "align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
                        "--sum-misalign", str(cap))[0] == 0
-    assert routes == ["list", "ndarray", False, False, False, True]
+    assert routes == ["list", "ndarray", False, False, False, False, False, True, True]
     assert [cli._chain_route(n) for n in (14, 100, 130, 2000)] == [False, False, True, True]
 
 
@@ -393,7 +393,7 @@ def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
                    "from semiring_dp import cli\n"
                    "fold = cli._fold\n"
                    "cli._fold = lambda *a: print('numpy' in sys.modules) or fold(*a)\n"
-                   "cli.NUMPY_IMPORT_S = cli.EVENT_ARRAY_S = cli.GAP_DIAGONAL_S = 0.0\n"
+                   "cli.NUMPY_IMPORT_S = cli.EVENT_ARRAY_S = cli.GAP_CELL_S = 0.0\n"
                    "assert cli.main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]]) == 0\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -407,6 +407,15 @@ def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
                                str(tmp_path / "o")], capture_output=True, text=True, env=env,
                               timeout=120)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n"), argv
+    # perfbench's sum190, a summed gap of 16 over 190 x 190, keeps lists cold: no numpy
+    for name, seq in (("c", "GATTACA"), ("d", "TACAGAT")):
+        (tmp_path / f"{name}.txt").write_text((seq * 28)[:190] + "\n")
+    argv = ["align", str(tmp_path / "c.txt"), str(tmp_path / "d.txt"), "--sum-misalign", "16",
+            "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-c", "import sys\nfrom semiring_dp import cli\n"
+                           "assert cli.main(sys.argv[1:]) == 0\nprint('numpy' in sys.modules)\n",
+                           *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
 
 
 # --- lis --------------------------------------------------------------------------
@@ -789,3 +798,37 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert captured.err.splitlines()[-1] == "semiring-dp: internal error: RuntimeError: boom"
+
+
+def test_the_console_script_runs_main_with_the_collector_off(tmp_path, monkeypatch):
+    # the console script (pyproject's semiring-dp, and python -m semiring_dp.cli) owns
+    # its process and turns cyclic collection off; main, run in process, leaves it as is
+    import gc
+    import importlib
+    import re
+
+    with open(os.path.join(os.path.dirname(cli.__file__), "..", "..", "pyproject.toml")) as f:
+        module, name = re.search(r'^semiring-dp = "(.+):(.+)"$', f.read(), re.M).groups()
+    path = write_column(tmp_path, "v.txt", [3.0, 1.0, 2.0])
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run_cli(tmp_path, "lis", path)[0] == 0
+            assert gc.isenabled() is enabled
+        gc.enable()
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda argv=None: seen.append(gc.isenabled()) or 0)
+        assert getattr(importlib.import_module(module), name)() == 0
+        assert seen == [False]
+    finally:
+        gc.enable()
+    script = ("import gc, runpy, sys\n"
+              "try:\n"
+              "    runpy.run_module('semiring_dp.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exit:\n"
+              "    print(exit.code, gc.isenabled())\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, "lis", path, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 False\n")

@@ -759,25 +759,20 @@ def test_dot_rows_of_arrays_and_blocks_is_the_fold_of_their_product_rows(name):
             assert repr(got.tolist()) == repr(reference_dot_rows(folded, xss, yss).tolist())
             assert (counts.add, counts.mul) == (folded_counts.add, folded_counts.mul)
             assert (counts.add, counts.mul) == ((k - 1) * size, k * size)
-            # summed-gap lifting over the counted base: rows of cells as blocks
+            # summed-gap lifting over the counted base, each cell's vector one float array,
+            # against the tuple form: the same entries and op counts
             vectors = [[tuple(sample(rng) for _ in range(alg.size)) for _ in range(size)]
                        for _ in range(k)]
-            edges = [[(sample(rng), rng.randint(0, 4)) for _ in range(size)] for _ in range(k)]
+            edges = [[(sample(rng), rng.randint(-1, 4)) for _ in range(size)] for _ in range(k)]
             counted, counts = sd.instrumented(base)
             folded, folded_counts = sd.instrumented(base)
-            lifted, lifted_fold = (
-                lifting.edge_lifted_semiring(b, alg, lifting.subset_size_edge_product)
-                for b in (counted, folded)
-            )
-            blocks = [lifted.row(vs) for vs in vectors]
-            got = lifted.dot_rows(blocks, edges)
-            assert isinstance(got, np.ndarray) and got.shape == (size, alg.size)
-            want = reference_dot_rows(lifted_fold, [lifted_fold.row(vs) for vs in vectors], edges)
-            assert repr(got.tolist()) == repr(want.tolist())
+            lifted = lifting.summed_gap_arrays(counted, alg)
+            got = lifted.dot_rows([[np.array(v) for v in vs] for vs in vectors], edges)
+            assert type(got) is list and all(isinstance(v, np.ndarray) for v in got)
+            tupled = lifting.edge_lifted_semiring(folded, alg, lifting.subset_size_edge_product)
+            want = tupled.dot_rows(vectors, edges)
+            assert repr([tuple(v.tolist()) for v in got]) == repr(want)
             assert (counts.add, counts.mul) == (folded_counts.add, folded_counts.mul)
-            # the same vectors as list rows give the same entries
-            listed = lifted_fold.dot_rows(vectors, edges)
-            assert repr(got.tolist()) == repr([list(v) for v in listed])
 
 
 # --- selectivity ---------------------------------------------------------------------
