@@ -18,13 +18,15 @@ its winner from f's scores, kept in a float array beside f; the
 segmentation folds over a ``ColumnTable`` likewise hand ``s.dot`` f and
 each weight column as ``ScoreRow``s, whose ``dot`` is the ``sum`` of
 their products' ``ScoreRow``.  Rows updated
-elementwise (``combinations``, ``events_m_of_n`` and the lifted vectors
-of the constrained folds) go through ``s.add_rows(xs, ys)`` and
-``s.mul_rows(xs, ys)``, whose entries are the per-term ``add`` and
-``mul`` and which count one op per entry; a row times one weight ``y``
-is ``s.mul_rows(xs, repeat(y))``, or ``s.mul_rows(xs, y)`` for the float
-array row ``events_m_of_n`` keeps given a float array of pairs.  An
-anti-diagonal of ``nw_align`` is one ``s.dot_rows(xss, yss)``, whose
+elementwise (``combinations`` and the lifted vectors of the constrained
+folds) go through ``s.add_rows(xs, ys)`` and ``s.mul_rows(xs, ys)``,
+whose entries are the per-term ``add`` and ``mul`` and which count one
+op per entry; a row times one weight ``y`` is ``s.mul_rows(xs,
+repeat(y))``.  Each event of ``events_m_of_n`` is one
+``s.shift_rows(row, absent, present)``, in place on a list, a float
+array or a ``WitnessBlock`` of scores whose move codes spell the
+witness.  An anti-diagonal of ``nw_align`` is one ``s.dot_rows(xss,
+yss)``, whose
 entries are the three-term sums of products of the cell recurrence,
 folded left from the first product; a score-and-witness semiring builds
 the one product that survives.  Over a ``MoveTable`` (min/max bases) it
@@ -708,38 +710,70 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
     """Value over event sequences with exactly ``occurrences`` of N events.
 
     ``pairs[k] = (absent, present)`` are the two branch weights of event
-    k+1; the row update is f[m] = f[m]*absent + f[m-1]*present, one
-    ``add_rows`` of two ``mul_rows`` by the two weights per event, and f[0]
-    one ``mul``: O(N*M) operations with one rolling row.  The row is a
-    list, and a weight is broadcast as ``repeat(weight)``.  ``pairs`` as an
-    (N, 2) float array, over a semiring whose rows take float arrays
-    (``array_rows``), keeps the row as a float array instead, multiplied
-    by each weight itself under one ``quiet_arrays()``, and the value is
-    read back as a Python float.  float64 + and * round as Python's
-    floats do, so both rows give the same values (by ``repr``) and op
-    counts.  With probability weights (1 - p, p) this is the exact
-    Poisson-binomial point mass.  Asking for more occurrences than events
-    yields zero.
+    k+1; the row update is f[m] = f[m]*absent + f[m-1]*present, f[0] =
+    f[0]*absent, which is one ``s.shift_rows(f, absent, present)``: the
+    row as a polynomial times absent + present*x.  The row grows by one
+    zero entry per event up to M+1 entries, so the fold is Σ min(k, M)
+    adds and twice that plus N muls.  ``pairs`` as an (N, 2) float array
+    is read as Python floats, and over a semiring whose rows take float
+    arrays (``array_rows``) the row is a float array instead, updated in
+    place through views of one buffer, and the value is read back as a
+    Python float.  Over score-and-witness tupling whose rows take blocks
+    (``block_rows``) the row is a ``WitnessBlock`` of scores, and each
+    event's ``shift_rows`` writes the term each entry kept, absent or
+    present, or ``EMPTY``, into one int8 table of N*(M+1) codes
+    (``_event_witness``); the witness is the event numbers that occur.
+    float64 + and * round as Python's floats do, so every route gives the
+    same values (by ``repr``), witnesses and op counts.  With probability
+    weights (1 - p, p) this is the exact Poisson-binomial point mass.
+    Asking for more occurrences than events yields zero.
     """
     n = len(pairs)
     if occurrences < 0:
         raise ValueError("occurrences must be non-negative")
     if occurrences > n:
         return s.zero
-    row = [s.one] + [s.zero] * occurrences
-    scale, quiet = repeat, contextlib.nullcontext()  # a list row times one weight
+    row, codes, quiet = [s.one], None, contextlib.nullcontext()
+    grow = lambda row: row + [s.zero]  # a new list, one entry longer
     if getattr(pairs, "dtype", None) == float:
-        pairs = pairs.tolist()  # Python floats, for either row
-        if s.array_rows:
+        pairs = pairs.tolist()  # Python floats, for any row
+        if s.array_rows or s.block_rows:
             import numpy as np
-            row, scale, quiet = np.array(row), float, quiet_arrays()
+            one, zero = (s.one.score, s.zero.score) if s.block_rows else (s.one, s.zero)
+            full = np.full(occurrences + 1, zero)
+            full[0] = one
+            grow = lambda row: full[: len(row) + 1]  # a view of the one buffer
+            row, quiet = full[:1], quiet_arrays()
+            if s.block_rows:
+                codes = np.full((n, occurrences + 1), EMPTY, np.int8)
+                row, grow = WitnessBlock(row), lambda row: WitnessBlock(full[: len(row) + 1])
     with quiet:
         for seen, (absent, present) in enumerate(pairs, start=1):
-            top = min(seen, occurrences)
-            row[1 : top + 1] = s.add_rows(s.mul_rows(row[1 : top + 1], scale(absent)),
-                                          s.mul_rows(row[:top], scale(present)))
-            row[0] = s.mul(row[0], absent)
+            if seen <= occurrences:
+                row = grow(row)
+            if codes is not None:
+                row.kept = codes[seen - 1, : len(row)]
+            s.shift_rows(row, absent, present)
+    if codes is not None:
+        return Scored(row.scores.item(occurrences), _event_witness(codes, occurrences))
     return row[occurrences] if type(row) is list else row.item(occurrences)
+
+
+def _event_witness(codes, occurrences: int) -> tuple:
+    """The events that occur in the witness of (N, ``occurrences``), by one walk back.
+
+    Row k - 1 of ``codes`` holds what entry m kept at event k: 0 its
+    absent product, read at (k - 1, m), 1 its present product, read at
+    (k - 1, m - 1) with the label k, or ``EMPTY`` where its score is zero
+    and its trail empty, where the walk ends, as it does before event 1.
+    """
+    k, m, labels = len(codes), occurrences, []
+    while k and (code := codes.item(k - 1, m)) != EMPTY:
+        if code:
+            labels.append(k)
+            m -= 1
+        k -= 1
+    return tuple(reversed(labels))
 
 
 def ordered_subsequences(

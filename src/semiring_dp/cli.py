@@ -411,8 +411,13 @@ def _config(args, *names, **extra) -> dict:
 # on 2026-10-19: warm counted folds, best of 9, fitted by least squares; the import
 # as the median of 11 fresh interpreters that had imported this module
 NUMPY_IMPORT_S = 0.15
-# exact events: lists per event and per row entry (sum of min(k, M)), arrays per event
-EVENT_S, EVENT_ENTRY_S, EVENT_ARRAY_S = 3.0e-6, 0.165e-6, 6.2e-6
+# events, refitted on 2026-10-20 by least relative error over warm counted folds: exact
+# (N 500-10^4, M 1-200, best of 9) lists per event and per row entry (sum of min(k, M)),
+# arrays per event, which puts the warm break-even near M = 9; viterbi (N 200-3000, M
+# 1-100, best of 5) lists per row entry, score arrays with move codes per event, which
+# puts it near M = 7
+EVENT_S, EVENT_ENTRY_S, EVENT_ARRAY_S = 1.5e-6, 0.115e-6, 2.5e-6
+WITNESS_ENTRY_S, WITNESS_EVENT_S = 1.5e-6, 10e-6
 # summed gaps: lists per lifted entry (hull cells x (cap + 1)), arrays per hull cell;
 # refitted on 2026-10-20 over 40 hull folds (n 60-300, caps 8-60, best of 15) by least
 # relative error, which puts the warm break-even near cap 27, as measured
@@ -601,20 +606,23 @@ def cmd_events(args) -> tuple[dict, list | None]:
     n, occurrences = len(probs), args.occurrences
     # the chance of outcome e of event k: it occurs (e = 1) or not (e = 0)
     chance = lambda e, k: probs[k - 1] if e else 1.0 - probs[k - 1]
+    entries = occurrences * (occurrences + 1) // 2 + (n - occurrences) * occurrences
     if args.mode == "exact":
         base = s = probability_semiring()
-        entries = occurrences * (occurrences + 1) // 2 + (n - occurrences) * occurrences
-        if occurrences <= n and array_route(n * EVENT_S + entries * EVENT_ENTRY_S,
-                                            n * EVENT_ARRAY_S):
-            import numpy as np
-            present = np.array(probs)
-            # (chance(0, k), chance(1, k)) in row k - 1, bit for bit: the fold's row is an array too
-            weight = np.column_stack((1.0 - present, present))
-        else:  # the same pairs, built in one pass
-            weight = [(1.0 - p, p) for p in probs]
+        list_s, array_s = n * EVENT_S + entries * EVENT_ENTRY_S, n * EVENT_ARRAY_S
     else:  # most probable combination, witnessed by the events that occur
         base = max_product_semiring()
         s = viterbi_simple_semiring(base)
+        list_s, array_s = entries * WITNESS_ENTRY_S, n * WITNESS_EVENT_S
+    if occurrences <= n and array_route(list_s, array_s):
+        import numpy as np
+        present = np.array(probs)
+        # (chance(0, k), chance(1, k)) in row k - 1, bit for bit: the fold's row is an array
+        # too, of scores where it keeps witnesses, whose labels are then the event numbers
+        weight = np.column_stack((1.0 - present, present))
+    elif args.mode == "exact":  # the same pairs, built in one pass
+        weight = [(1.0 - p, p) for p in probs]
+    else:
         weight = lambda e, k: Scored(chance(e, k), (k,) if e else ())
     # the pairs (absent, present) of each event from a weight map; a table of them as it is
     make = lambda weight: (weight if not callable(weight)

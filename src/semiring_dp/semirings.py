@@ -8,14 +8,16 @@ interface can be re-run with any catalog entry to count solutions,
 optimize, marginalize probabilities or enumerate, without touching the
 recurrence itself.
 
-A semiring also has five row operations: ``sum(values)``, the left
+A semiring also has six row operations: ``sum(values)``, the left
 fold of ``add`` from ``zero``, and ``dot(xs, ys)``, the ``sum`` of the
 pairwise products; the elementwise ``add_rows(xs, ys)`` and
 ``mul_rows(xs, ys)``, the lists ``[add(x, y) ...]`` and
 ``[mul(x, y) ...]`` over pairs of entries (``mul_rows(xs, repeat(y))``
-multiplies every entry by one ``y``); and ``dot_rows(xss, yss)``, the
+multiplies every entry by one ``y``); ``dot_rows(xss, yss)``, the
 elementwise sum of the products of k row pairs, folded left from the
-first product.  Each counts one ``add`` per term and one ``mul`` per
+first product; and ``shift_rows(row, stay, move)``, which multiplies a
+row in place, as a polynomial truncated to its length, by ``stay +
+move * x``.  Each counts one ``add`` per term and one ``mul`` per
 product, however it runs.  ``Semiring``'s methods compute them term by
 term; a subclass may override one with a faster method that returns
 exactly the same, as the min/max bases, ``prob``, the score-and-witness
@@ -30,10 +32,11 @@ and * round as Python's floats do.  ``prob``'s sums still fold left, and
 compensated from Python 3.12 and numpy sums pairwise, so neither equals
 the left fold bit for bit.  numpy is imported only when an array
 arrives; inside ``quiet_arrays()`` its floating-point warnings are off
-once for a whole fold rather than once per row.  Score-and-witness
-tupling over the min/max bases takes ``WitnessBlock``s, float arrays of
-scores, in ``dot_rows`` (``block_rows``), and gives with the kept scores
-the term each entry kept; the fold that hands it blocks keeps the trails.
+once for a whole fold rather than once per row; an array's
+``shift_rows`` runs in place.  Score-and-witness tupling over the min/max
+bases takes ``WitnessBlock``s, float arrays of scores, in ``dot_rows`` and
+``shift_rows`` (``block_rows``), and gives with the kept scores the term
+each entry kept; the fold that hands it blocks keeps the trails.
 Every ``sum`` takes a ``ScoreRow`` and every ``dot`` two, rows whose
 entries are built only where read, with a float array of their scores.
 The min/max bases and the tupling over them (``row_score``) pick a
@@ -48,6 +51,7 @@ import contextlib
 import contextvars
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
@@ -166,6 +170,18 @@ class Semiring:
             raise ValueError("dot_rows of no rows")
         return reduce(self.add_rows, products, first)
 
+    def shift_rows(self, row, stay: Any, move: Any):
+        """``row`` times ``stay + move * x`` as a polynomial truncated to its length, in place.
+
+        Entry k >= 1 becomes add(mul(row[k], stay), mul(row[k - 1], move)),
+        both read before the update, and entry 0 mul(row[0], stay): len(row)
+        - 1 adds and 2 * len(row) - 1 muls.  Returns ``row``.
+        """
+        row[1:] = self.add_rows(self.mul_rows(row[1:], repeat(stay)),
+                                self.mul_rows(row[:-1], repeat(move)))
+        row[0] = self.mul(row[0], stay)
+        return row
+
     def prod(self, values: Iterable[Any]) -> Any:
         return reduce(self.mul, values, self.one)
 
@@ -194,7 +210,8 @@ class _ArrayRows(Semiring):
     ``add_rows`` and ``mul_rows`` of an array, with an array or one float,
     give the array of the per-entry results (``_array_op``); other rows
     give ``Semiring``'s lists, mapped here: a ``super()`` call added 7% to
-    ``prob``'s list fold of ``events``.
+    ``prob``'s list fold of ``events``.  ``shift_rows`` of an array runs in
+    place, three array ops with ``_array_op``'s results.
     """
 
     array_rows = True
@@ -208,6 +225,17 @@ class _ArrayRows(Semiring):
         if hasattr(xs, "shape"):
             return _array_op(self.mul, xs, ys)
         return list(map(self.mul, xs, ys))
+
+    def shift_rows(self, row, stay, move):
+        if not hasattr(row, "shape"):
+            return Semiring.shift_rows(self, row, stay, move)
+        if not _QUIET.get():
+            with quiet_arrays():
+                return self.shift_rows(row, stay, move)
+        moved = _array_op(self.mul, row[:-1], move)
+        _array_into(self.mul, row, stay)
+        _array_into(self.add, row[1:], moved)
+        return row
 
 
 def probability_semiring() -> Semiring:
@@ -261,9 +289,9 @@ _QUIET = contextvars.ContextVar("quiet_arrays", default=False)
 def quiet_arrays():
     """numpy's floating-point warnings off for the block, so ``_array_op`` need not turn them off.
 
-    A fold of many short array rows (``events_m_of_n`` makes three per
-    event) runs in one ``np.errstate``, since entering one costs more
-    than an array op of 50 entries (about 2 us against 1 us).
+    A fold of many short array rows (``events_m_of_n`` makes one
+    ``shift_rows`` per event) runs in one ``np.errstate``, since entering
+    one costs more than an array op of 50 entries (about 2 us against 1 us).
     """
     import numpy as np
     token = _QUIET.set(True)
@@ -290,6 +318,17 @@ def _array_op(op, xs, ys):
     import numpy as np
     with np.errstate(all="ignore"):
         return op(xs, ys)
+
+
+def _array_into(op, xs, ys) -> None:
+    """``xs = _array_op(op, xs, ys)``, written into the array ``xs`` itself (inside ``quiet_arrays()``)."""
+    if op is operator.mul:
+        xs *= ys
+    elif op is operator.add:
+        xs += ys
+    else:  # min or max: the builtin's result, as _array_op's where gives it
+        import numpy as np
+        np.copyto(xs, ys, where=ys < xs if op is min else ys > xs)
 
 
 def minplus_semiring() -> Semiring:
@@ -426,7 +465,8 @@ class WitnessBlock:
     A block holds no trails; the fold that makes blocks keeps them.  The
     ``dot_rows`` of blocks is a block whose ``kept``, an int8 array, gives
     the term each entry kept (0 for the first product), or ``EMPTY`` where
-    its score is the base zero.  Slices are blocks viewing the same scores,
+    its score is the base zero; ``shift_rows`` writes the same codes into
+    the block's own ``kept``.  Slices are blocks viewing the same scores,
     written as blocks; an entry is written as a Scored value and read as
     its score with the empty trail.
     """
@@ -644,6 +684,27 @@ def _keeps_left(base_add, left, right) -> bool:
     return best == left or math.isclose(best, left, rel_tol=FLOAT_REL_TOL)
 
 
+def _moved(pick, left, right):
+    """Where a witness ``add`` keeps its right operand, over float arrays of the two scores.
+
+    ``not _keeps_left(pick, left, right)`` entry by entry, for ``pick`` min
+    or max.  ``right`` is kept where it beats ``left`` by more than
+    math.isclose allows, its formula written out: |right - left| > 1e-9 *
+    max(|left|, |right|).  With (larger, smaller) = (right, left) under max
+    and (left, right) under min, the gap larger - smaller is positive
+    exactly where ``right`` beats ``left``, and there the maximum is
+    max(larger, -smaller); isclose calls no infinite gap close, so the
+    bound is capped at the largest float.  ``right`` is also kept where
+    ``left`` is nan, which ``pick`` does not keep.
+    """
+    import numpy as np
+    larger, smaller = (left, right) if pick is min else (right, left)
+    bound = np.maximum(larger, np.negative(smaller))
+    bound *= FLOAT_REL_TOL
+    np.minimum(bound, sys.float_info.max, out=bound)
+    return (larger - smaller > bound) | (left != left)
+
+
 def viterbi_simple_semiring(base: Semiring) -> Semiring:
     """Tuple ``base`` scores with a single witness label sequence.
 
@@ -718,7 +779,8 @@ class _PickedWitness(Semiring):
     rule and builds the product of the surviving term only.  Given
     ``WitnessBlock``s, it ranks whole score arrays and returns a block of
     the kept scores and terms (``block_rows``, when the base's rows take
-    arrays).
+    arrays); ``shift_rows`` of a block ranks its two products likewise, in
+    place.
     """
 
     base: Semiring | None = field(default=None, compare=False)
@@ -765,15 +827,40 @@ class _PickedWitness(Semiring):
         kept = np.zeros(len(best), np.int8)
         for t in range(1, len(xss)):
             scores = base.mul_rows(xss[t].scores, yss[t].scores)
-            picked = base.add_rows(best, scores)
-            gap = np.abs(picked - best)  # math.isclose(picked, best, rel_tol=...)
-            near = gap <= FLOAT_REL_TOL * np.maximum(np.abs(picked), np.abs(best))
-            keep = (picked == best) | (near & (gap < math.inf))
-            best, kept = np.where(keep, best, scores), np.where(keep, kept, np.int8(t))
+            moved = _moved(base.add, best, scores)
+            best, kept = np.where(moved, scores, best), np.where(moved, np.int8(t), kept)
         dead = best == base.zero
         best[dead] = base.zero  # -0.0 too becomes zero's own score
         kept[dead] = EMPTY
         return WitnessBlock(best, kept)
+
+    def shift_rows(self, row, stay, move):
+        """``Semiring.shift_rows``; of a ``WitnessBlock``, over scores, with the term each entry kept.
+
+        ``stay`` and ``move`` are then scores.  The block's scores are
+        updated in place, and its ``kept`` (an int8 array of its length)
+        receives 0 where an entry kept its ``stay`` product, 1 where it
+        kept its ``move`` product (``_moved``), and ``EMPTY`` where its
+        score is the base zero, which becomes zero's own score.
+        """
+        if type(row) is not WitnessBlock:
+            return Semiring.shift_rows(self, row, stay, move)
+        if not _QUIET.get():
+            with quiet_arrays():
+                return self.shift_rows(row, stay, move)
+        import numpy as np
+        base, scores, kept = self.base, row.scores, row.kept
+        shifted, upper = _array_op(base.mul, scores[:-1], move), scores[1:]
+        _array_into(base.mul, scores, stay)
+        moved = _moved(base.add, upper, shifted)
+        np.copyto(upper, shifted, where=moved)
+        kept[0] = 0
+        kept[1:] = moved
+        dead = scores == base.zero
+        if np.count_nonzero(dead):
+            scores[dead] = base.zero
+            kept[dead] = EMPTY
+        return row
 
     def sum(self, values):
         if type(values) is ScoreRow:
@@ -864,6 +951,13 @@ class _Counted(Semiring):
         self.counts.add += (k - 1) * len(out)
         return out
 
+    def shift_rows(self, row, stay, move):
+        out = self.inner.shift_rows(row, stay, move)
+        size, counts = len(out), self.counts
+        counts.add += size - 1
+        counts.mul += 2 * size - 1
+        return out
+
 
 def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     """Wrap ``s`` so every add/mul call is tallied.
@@ -873,9 +967,10 @@ def instrumented(s: Semiring) -> tuple[Semiring, OpCounts]:
     A row operation tallies what its fold would (one add per term, one
     mul per pair of ``dot``; one add or mul per entry of ``add_rows`` or
     ``mul_rows``, against a broadcast ``repeat(y)`` or float too; k muls
-    and k - 1 adds per entry of a ``dot_rows`` of k row pairs) in O(1) and then
-    runs ``s``'s own.  The wrapper is not thread-safe and is meant for
-    measurement only.
+    and k - 1 adds per entry of a ``dot_rows`` of k row pairs; len - 1 adds
+    and 2 * len - 1 muls for a ``shift_rows`` of a row of len entries) in
+    O(1) and then runs ``s``'s own.  The wrapper is not thread-safe and is
+    meant for measurement only.
     """
     counts = OpCounts()
 

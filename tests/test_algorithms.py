@@ -566,6 +566,70 @@ def test_events_array_pairs_over_other_semirings(name):
         assert (array_counts.add, array_counts.mul) == (list_counts.add, list_counts.mul)
 
 
+# probabilities whose products tie exactly (0.5) or within 1e-9 relative (near 0.5 and 0.25)
+NEAR_TIES = (0.5 * (1 + 2e-10), 0.5 * (1 - 3e-10), 0.25, 0.25 * (1 + 4e-10))
+
+
+def assert_witness_routes_agree(pairs, m, base):
+    # the list route over Scored pairs, present labelled with its event number, and the
+    # float-array route with its score row and move codes: the same score by repr, the
+    # same witness and the same op counts
+    np = pytest.importorskip("numpy")
+    vit = sd.viterbi_simple_semiring(base)
+    scored = [(sd.Scored(absent, ()), sd.Scored(present, (k,)))
+              for k, (absent, present) in enumerate(pairs, start=1)]
+    lists, list_counts = sd.instrumented(vit)
+    arrays, array_counts = sd.instrumented(vit)
+    want = sd.events_m_of_n(scored, m, lists)
+    got = sd.events_m_of_n(np.array(pairs, dtype=float).reshape(-1, 2), m, arrays)
+    assert type(got.score) is float, m
+    assert (repr(got.score), got.witness) == (repr(want.score), want.witness), (m, pairs)
+    assert (array_counts.add, array_counts.mul) == (list_counts.add, list_counts.mul)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_events_witness_arrays_match_the_list_route(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    probs = [rng.choice(EDGE_PROBABILITIES + NEAR_TIES + (rng.random(),)) for _ in range(n)]
+    for m in sorted({0, 1, 2, 50, n - 1, n, n + 1}):
+        if m >= 0:
+            assert_witness_routes_agree([(1.0 - p, p) for p in probs], m, CATALOG["maxprod"])
+
+
+def test_events_witness_arrays_decide_near_ties_as_the_list_route(monkeypatch):
+    # near 0.5 every entry of the row lies within 1e-9 relative of its neighbour, so
+    # the absent term is kept over a present one that beats it by less than that
+    near_kept = []
+    moved = semirings._moved
+
+    def spy(pick, left, right):
+        got = moved(pick, left, right)
+        near_kept.append(bool(((right > left) & ~got).any()))
+        return got
+
+    monkeypatch.setattr(semirings, "_moved", spy)
+    rng = random.Random(3)
+    probs = [rng.choice(NEAR_TIES[:2] + (0.5,)) for _ in range(40)]
+    for m in (1, 7, 20, 39):
+        assert_witness_routes_agree([(1.0 - p, p) for p in probs], m, CATALOG["maxprod"])
+    assert any(near_kept)
+
+
+@pytest.mark.parametrize("name", ["minplus", "maxplus", "maxprod", "bottleneck"])
+def test_events_witness_arrays_over_every_min_max_base(name):
+    # weights outside the carrier too: infinities, nan, signed zeros and near ties, which
+    # the codes rank as the witness add does
+    base = CATALOG[name]
+    rng = random.Random(29)
+    grid = (-0.0, 0.0, 0.5, 1.0, 1.0 + 5e-10, 2.0, math.inf, -math.inf, math.nan,
+            base.zero, base.one, base.one)
+    for n in (0, 1, 5, 12):
+        pairs = [(rng.choice(grid), rng.choice(grid)) for _ in range(n)]
+        for m in range(n + 2):
+            assert_witness_routes_agree(pairs, m, base)
+
+
 # --- ordered subsequences and longest chains ------------------------------------------
 
 

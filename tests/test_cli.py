@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -302,19 +303,25 @@ def test_events_probability_out_of_range(tmp_path):
     assert main(["events", probs, "-M", "1"]) == 2
 
 
-def test_events_documents_are_the_same_on_both_routes(tmp_path, monkeypatch):
-    # the exact fold over a float array of pairs (the array route) and over a list
-    # of pairs: byte-identical documents, op counts and oracle checks included
+def test_events_documents_are_the_same_on_both_routes(tmp_path, monkeypatch, capsys):
+    # the fold over a float array of pairs (the array route: a row of scores, and move
+    # codes where witnesses are kept) and over a list of pairs: byte-identical documents,
+    # witnesses, op counts and oracle checks included, or the same data error
     routes = []
     fold = cli.events_m_of_n
-    monkeypatch.setattr(cli, "events_m_of_n",
-                        lambda pairs, *a: routes.append(type(pairs).__name__) or fold(pairs, *a))
+
+    def spy(pairs, m, s):  # the route of each counted fold, not of the reruns over bool
+        if s.name != "bool":
+            routes.append(type(pairs).__name__)
+        return fold(pairs, m, s)
+
+    monkeypatch.setattr(cli, "events_m_of_n", spy)
     rng = np.random.default_rng(26)
-    edges = [0.0, 1.0, 5e-324, 1 - 1e-16]
-    inputs = {"edges.txt": edges + list(rng.uniform(0.0, 1.0, 8)),
+    edges = [0.0, 1.0, 5e-324, 1 - 1e-16, 0.5, 0.5, 0.5 * (1 + 2e-10)]
+    inputs = {"edges.txt": edges + list(rng.uniform(0.0, 1.0, 5)),
               "small.txt": rng.uniform(0.0, 0.01, 300)}
     want = []  # the array route is asked for only when the fold has M <= N
-    for name, probs in inputs.items():
+    for (name, probs), mode in itertools.product(inputs.items(), ("exact", "viterbi")):
         path = write_column(tmp_path, name, probs)
         n = len(probs)
         for m in (0, 1, 2, 50, n - 1, n, n + 1):
@@ -323,21 +330,27 @@ def test_events_documents_are_the_same_on_both_routes(tmp_path, monkeypatch):
             texts = []
             for arrays in (False, True):
                 monkeypatch.setattr(cli, "array_route", lambda list_s, array_s: arrays)
-                code, doc, _ = run_cli(tmp_path, "events", path, "-M", str(m), *extra)
-                assert code == 0, (name, m)
+                (tmp_path / "result.json").unlink(missing_ok=True)
+                code, doc, _ = run_cli(tmp_path, "events", path, "-M", str(m), "--mode", mode,
+                                       *extra)
+                err = capsys.readouterr().err
+                if code == 2:  # every outcome scores zero, or none has M occurrences
+                    texts.append(err)
+                    continue
+                assert code == 0, (name, m, err)
                 if extra:
                     assert doc["oracle_check"]["status"] == "pass"
                 doc.pop("wall_time_s")
                 texts.append(canonical_json(doc))
-            assert texts[0] == texts[1], (name, m)
+            assert texts[0] == texts[1], (name, mode, m)
     assert routes == want
 
 
 def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
-    # with numpy loaded the rule weighs the folds alone: exact events take arrays from
-    # about 20 row entries per event, summed gaps arrays from a cap of 27 (28 lifted
-    # entries per hull cell), perfbench's sum190 (cap 16) lists, lis arrays from about
-    # n = 115
+    # with numpy loaded the rule weighs the folds alone: events take arrays from about 9
+    # row entries per event when exact and about 7 when witnessed, summed gaps arrays
+    # from a cap of 27 (28 lifted entries per hull cell), perfbench's sum190 (cap 16)
+    # lists, lis arrays from about n = 115
     routes = []
     events, gaps = cli.events_m_of_n, cli.nw_align_sum_constrained
     monkeypatch.setattr(cli, "events_m_of_n",
@@ -347,14 +360,15 @@ def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
                                                                              **kw))
     rng = np.random.default_rng(7)
     probs = write_column(tmp_path, "p.txt", rng.uniform(0.0, 0.01, 2000))
-    for m in (5, 50):
-        assert run_cli(tmp_path, "events", probs, "-M", str(m))[0] == 0
+    for mode, m in itertools.product(("exact", "viterbi"), (5, 50)):
+        assert run_cli(tmp_path, "events", probs, "-M", str(m), "--mode", mode)[0] == 0
     for n, cap in ((6, 6), (60, 8), (60, 16), (190, 16), (60, 26), (60, 27), (60, 60)):
         for name in ("a", "b"):
             (tmp_path / f"{name}.txt").write_text("".join(rng.choice(list("ACGT"), n)) + "\n")
         assert run_cli(tmp_path, "align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
                        "--sum-misalign", str(cap))[0] == 0
-    assert routes == ["list", "ndarray", False, False, False, False, False, True, True]
+    assert routes == ["list", "ndarray", "list", "ndarray",
+                      False, False, False, False, False, True, True]
     assert [cli._chain_route(n) for n in (14, 100, 130, 2000)] == [False, False, True, True]
 
 
@@ -378,7 +392,7 @@ def test_a_summed_gap_alignment_builds_its_hull_once(tmp_path, monkeypatch):
 
 def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
     # a fresh interpreter: the import is added to the array side, and a yes loads
-    # numpy before the fold's clock starts, for events and summed gaps alike
+    # numpy before the fold's clock starts, for events in both modes and summed gaps
     probs = write_column(tmp_path, "p.txt", [0.25, 0.5, 0.75])
     for name in ("a", "b"):
         (tmp_path / f"{name}.txt").write_text("GATTACA\n")
@@ -393,7 +407,8 @@ def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
                    "from semiring_dp import cli\n"
                    "fold = cli._fold\n"
                    "cli._fold = lambda *a: print('numpy' in sys.modules) or fold(*a)\n"
-                   "cli.NUMPY_IMPORT_S = cli.EVENT_ARRAY_S = cli.GAP_CELL_S = 0.0\n"
+                   "cli.NUMPY_IMPORT_S = cli.EVENT_ARRAY_S = cli.WITNESS_EVENT_S = 0.0\n"
+                   "cli.GAP_CELL_S = 0.0\n"
                    "assert cli.main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]]) == 0\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -402,7 +417,8 @@ def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == ["False", "False", "False", "True", "True", "True"]
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-    for argv in (["events", probs, "-M", "2"], ["align", a, b, "--sum-misalign", "2"]):
+    for argv in (["events", probs, "-M", "2"], ["events", probs, "-M", "2", "--mode", "viterbi"],
+                 ["align", a, b, "--sum-misalign", "2"]):
         proc = subprocess.run([sys.executable, "-c", fold_script, json.dumps(argv),
                                str(tmp_path / "o")], capture_output=True, text=True, env=env,
                               timeout=120)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import semiring_dp as sd
+from semiring_dp import cli
 from semiring_dp.cli import main
 
 ACCEPTED_BASES = ("bool", "minplus", "maxplus", "maxprod", "bottleneck")
@@ -193,14 +194,18 @@ def test_zero_scoring_segmentations_are_not_called_infeasible(capsys, tmp_path):
     ],
     ids=["zero-scoring", "infeasible"],
 )
-def test_zero_scoring_events_name_their_cause(capsys, tmp_path, probs, occurrences, message):
+def test_zero_scoring_events_name_their_cause(capsys, tmp_path, monkeypatch, probs, occurrences,
+                                              message):
     path = tmp_path / "p.txt"
     path.write_text(probs)
     argv = ["events", str(path), "-M", str(occurrences), "--mode", "viterbi"]
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"semiring-dp: data error: {message}\n"
+    # on either route: the list of Scored pairs, or the row of scores with move codes
+    for arrays in (False, True):
+        monkeypatch.setattr(cli, "array_route", lambda list_s, array_s: arrays)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"semiring-dp: data error: {message}\n"
 
 
 # --- summed-gap caps beyond any alignment's total ---------------------------------------

@@ -740,6 +740,62 @@ def test_witness_dot_rows_of_blocks_is_the_fold_of_their_product_rows(name):
                 assert (counts.add, counts.mul) == (folded_counts.add, folded_counts.mul)
 
 
+@pytest.mark.parametrize("pick", [min, max])
+def test_moved_is_keeps_left_negated_entry_by_entry(pick):
+    # math.isclose's formula over arrays: exact and near ties within 1e-9 relative keep
+    # the left score, right at the bound too; nan, infinities, signed zeros, subnormals
+    # and gaps that overflow as the builtin rule settles them
+    import numpy as np
+
+    rng = random.Random(71)
+    values = FLOAT_SPECIALS + (5e-324, -5e-324, 1e308, -1e308, 3.0, -3.0, 1e-300, -0.25)
+    nudges = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.1e-9, -1.1e-9, 2e-9, 1e-16)
+    left = [rng.choice(values) for _ in range(4000)]
+    right = [x * (1 + rng.choice(nudges)) if rng.random() < 0.6 else rng.choice(values)
+             for x in left]
+    with semirings.quiet_arrays():
+        got = semirings._moved(pick, np.array(left), np.array(right))
+    want = [not semirings._keeps_left(pick, x, y) for x, y in zip(left, right)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("name", ONE_SCAN_BASES + ("prob",))
+def test_shift_rows_of_arrays_and_blocks_is_the_list_update(name):
+    # one event of the M-of-N fold in place: an array row gives the list row's entries;
+    # a block gives the witness row's scores and, per entry, the term it kept (0 stay,
+    # 1 move) or EMPTY where its score is the base zero
+    import numpy as np
+
+    base = CATALOG[name]
+    vit = None if name == "prob" else sd.viterbi_simple_semiring(base)
+    rng = random.Random(67)
+    sample = tie_heavy(base)
+    for size in (1, 2, 9, 40):
+        for _ in range(25):
+            row, stay, move = [sample(rng) for _ in range(size)], sample(rng), sample(rng)
+            counted, counts = sd.instrumented(base)
+            listed, list_counts = sd.instrumented(base)
+            array = np.array(row, dtype=float)
+            assert counted.shift_rows(array, stay, move) is array
+            assert repr(array.tolist()) == repr(listed.shift_rows(list(row), stay, move))
+            assert (counts.add, counts.mul) == (list_counts.add, list_counts.mul)
+            assert (counts.add, counts.mul) == (size - 1, 2 * size - 1)
+            if vit is None:
+                continue
+            counted, counts = sd.instrumented(vit)
+            block = semirings.WitnessBlock(np.array(row, dtype=float), np.zeros(size, np.int8))
+            assert counted.shift_rows(block, stay, move) is block
+            # entry k labelled k, and the move term "move": a witness names what it kept
+            scored = [sd.Scored(x, (k,)) for k, x in enumerate(row)]
+            want = vit.shift_rows(scored, sd.Scored(stay, ()), sd.Scored(move, ("move",)))
+            assert repr(block.scores.tolist()) == repr([w.score for w in want]), (row, stay, move)
+            codes = [semirings.EMPTY if not w.witness else 0 if w.witness == (k,) else 1
+                     for k, w in enumerate(want)]
+            assert block.kept.tolist() == codes, (row, stay, move)
+            assert (counts.add, counts.mul) == (size - 1, 2 * size - 1)
+
+
 @pytest.mark.parametrize("name", ONE_SCAN_BASES)
 def test_dot_rows_of_arrays_and_blocks_is_the_fold_of_their_product_rows(name):
     import numpy as np
