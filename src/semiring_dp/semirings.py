@@ -233,8 +233,8 @@ class _ArrayRows(Semiring):
             with quiet_arrays():
                 return self.shift_rows(row, stay, move)
         moved = _array_op(self.mul, row[:-1], move)
-        _array_into(self.mul, row, stay)
-        _array_into(self.add, row[1:], moved)
+        _array_op(self.mul, row, stay, into=True)
+        _array_op(self.add, row[1:], moved, into=True)
         return row
 
 
@@ -302,33 +302,29 @@ def quiet_arrays():
         _QUIET.reset(token)
 
 
-def _array_op(op, xs, ys):
+def _array_op(op, xs, ys, into=False):
     """``op`` (min, max, + or *) entry by entry over a float array and an array or one float.
 
     ``min(x, y)`` is ``y`` exactly when ``y < x``, else ``x``, and ``max``
     likewise, so the ``where`` below gives the builtin's result on ties,
     signed zeros and nan.  Python floats give ``inf - inf`` as nan
-    silently, and so do these arrays.
+    silently, and so do these arrays.  With ``into``, the result is
+    written into the array ``xs`` itself, which is returned.
     """
     if op is min or op is max:  # comparisons raise no floating-point warnings
         import numpy as np
-        return np.where(ys < xs, ys, xs) if op is min else np.where(ys > xs, ys, xs)
+        picked = ys < xs if op is min else ys > xs
+        if not into:
+            return np.where(picked, ys, xs)
+        np.copyto(xs, ys, where=picked)
+        return xs
+    if into:
+        op = operator.iadd if op is operator.add else operator.imul
     if _QUIET.get():
         return op(xs, ys)
     import numpy as np
     with np.errstate(all="ignore"):
         return op(xs, ys)
-
-
-def _array_into(op, xs, ys) -> None:
-    """``xs = _array_op(op, xs, ys)``, written into the array ``xs`` itself (inside ``quiet_arrays()``)."""
-    if op is operator.mul:
-        xs *= ys
-    elif op is operator.add:
-        xs += ys
-    else:  # min or max: the builtin's result, as _array_op's where gives it
-        import numpy as np
-        np.copyto(xs, ys, where=ys < xs if op is min else ys > xs)
 
 
 def minplus_semiring() -> Semiring:
@@ -705,6 +701,30 @@ def _moved(pick, left, right):
     return (larger - smaller > bound) | (left != left)
 
 
+def _rank_into(pick, best, scores):
+    """Entry by entry, the score a witness ``add`` keeps of ``best`` and ``scores``, into ``best``.
+
+    Returns where ``scores`` was kept: ``_moved(pick, best, scores)``.
+    """
+    import numpy as np
+    moved = _moved(pick, best, scores)
+    np.copyto(best, scores, where=moved)
+    return moved
+
+
+def _settle_zero(zero, scores, kept) -> None:
+    """In place, each score equal to ``zero`` becomes ``zero`` itself and keeps no term.
+
+    -0.0 too: a witness ``mul`` gives such a score zero's own score and
+    empty trail, so its ``kept`` is ``EMPTY``.
+    """
+    import numpy as np
+    dead = scores == zero
+    if np.count_nonzero(dead):
+        scores[dead] = zero
+        kept[dead] = EMPTY
+
+
 def viterbi_simple_semiring(base: Semiring) -> Semiring:
     """Tuple ``base`` scores with a single witness label sequence.
 
@@ -813,25 +833,21 @@ class _PickedWitness(Semiring):
         """``dot_rows`` of blocks: per entry, the score the fold keeps and which term it is.
 
         Per entry, the product scores are ranked in order with
-        ``_keeps_left``'s rule over whole arrays: a near tie keeps the left
-        term, and a nan running best takes the right one.  A score equal to
-        the base zero is zero's own score and keeps no term (``EMPTY``), as
-        ``mul`` gives it the empty trail.
+        ``_keeps_left``'s rule over whole arrays (``_rank_into``): a near tie
+        keeps the left term, and a nan running best takes the right one.  A
+        score equal to the base zero keeps no term (``_settle_zero``).
         """
         import numpy as np
         if not _QUIET.get():  # one np.errstate for the whole pick, not one per array op
             with quiet_arrays():
                 return self._dot_blocks(xss, yss)
         base = self.base
-        best = base.mul_rows(xss[0].scores, yss[0].scores)
+        best = base.mul_rows(xss[0].scores, yss[0].scores)  # a new array
         kept = np.zeros(len(best), np.int8)
         for t in range(1, len(xss)):
             scores = base.mul_rows(xss[t].scores, yss[t].scores)
-            moved = _moved(base.add, best, scores)
-            best, kept = np.where(moved, scores, best), np.where(moved, np.int8(t), kept)
-        dead = best == base.zero
-        best[dead] = base.zero  # -0.0 too becomes zero's own score
-        kept[dead] = EMPTY
+            kept[_rank_into(base.add, best, scores)] = t
+        _settle_zero(base.zero, best, kept)
         return WitnessBlock(best, kept)
 
     def shift_rows(self, row, stay, move):
@@ -840,26 +856,20 @@ class _PickedWitness(Semiring):
         ``stay`` and ``move`` are then scores.  The block's scores are
         updated in place, and its ``kept`` (an int8 array of its length)
         receives 0 where an entry kept its ``stay`` product, 1 where it
-        kept its ``move`` product (``_moved``), and ``EMPTY`` where its
-        score is the base zero, which becomes zero's own score.
+        kept its ``move`` product, ranked as ``_dot_blocks`` ranks, and
+        ``EMPTY`` where its score is the base zero.
         """
         if type(row) is not WitnessBlock:
             return Semiring.shift_rows(self, row, stay, move)
         if not _QUIET.get():
             with quiet_arrays():
                 return self.shift_rows(row, stay, move)
-        import numpy as np
         base, scores, kept = self.base, row.scores, row.kept
-        shifted, upper = _array_op(base.mul, scores[:-1], move), scores[1:]
-        _array_into(base.mul, scores, stay)
-        moved = _moved(base.add, upper, shifted)
-        np.copyto(upper, shifted, where=moved)
+        shifted = _array_op(base.mul, scores[:-1], move)
+        _array_op(base.mul, scores, stay, into=True)
         kept[0] = 0
-        kept[1:] = moved
-        dead = scores == base.zero
-        if np.count_nonzero(dead):
-            scores[dead] = base.zero
-            kept[dead] = EMPTY
+        kept[1:] = _rank_into(base.add, scores[1:], shifted)
+        _settle_zero(base.zero, scores, kept)
         return row
 
     def sum(self, values):
