@@ -7,20 +7,21 @@ semiring)``.  ``_solve`` folds ``make(weights)`` over an op-counting
 copy of the semiring, unpacks the witness of a score-and-witness value,
 reruns ``make(unit weights)`` over the boolean semiring to explain a
 witness score at the base zero, checks the score on request against
-the exhaustive path-set oracle of ``make(singleton labels)``
-(``_oracle``: generate, filter, evaluate) and builds the result
-document.  Documents are canonical JSON (sorted keys, floats at 12
-significant digits), byte-stable under a parse/re-serialize
-round trip.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 oracle-check failure, 4 internal error (a bug: one line names it and
-the traceback follows on stderr).
+the exhaustive path-set oracle of ``make(coded singletons)`` (``_oracle``:
+generate, filter, evaluate, over integer label codes with the cyclic
+collector paused) and builds the result document.  Documents are
+canonical JSON (sorted keys, floats at 12 significant digits),
+byte-stable under a parse/re-serialize round trip.  Exit codes:
+0 success, 1 usage error, 2 data error, 3 oracle-check failure,
+4 internal error (a bug: one line names it and the traceback follows
+on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
+import dataclasses
 import gc
 import json
 import math
@@ -272,73 +273,93 @@ def _oracle_skipped(reason: str) -> dict:
     return {"status": "skipped", "reason": reason}
 
 
-def _oracle(solutions, what, generate, alg, base, weight, got, order=()) -> dict:
+def _oracle(solutions, what, generate, alg, base, weight, got, alphabet) -> dict:
     """Compare ``got`` with the exhaustive value over every solution.
 
-    ``generate`` runs the recurrence over path sets, ``alg`` (if any) filters
-    them, ``weight`` scores them in ``base``; over VERIFY_PATH_CAP is skipped.
-    The labels in ``order`` are weighed first, in that order, which may be
-    the one a weight map reads cheaply in.
+    ``generate(one, gen)`` runs the recurrence over path sets ``gen``, each
+    label weighed as ``one(label)``: the one-step path of its code, its rank
+    in sorted ``alphabet`` order (a label outside it is a bug).  Codes keep
+    label order, so paths sort as their labels do and the value is the
+    label-level oracle's bit for bit.  ``alg`` (if any) filters the paths and
+    ``weight`` scores them in ``base``; each reads every label once, weights
+    in the alphabet's order, which may be one a weight map reads cheaply in.
+    Over VERIFY_PATH_CAP is skipped.  Path sets hold no reference cycles, so
+    the cyclic collector is paused while the oracle runs, then restored.
     """
     if solutions > VERIFY_PATH_CAP:
         return _oracle_skipped(f"{what} exceed the {VERIFY_PATH_CAP}-path cap")
-    weight = functools.cache(weight)  # each label recurs in many paths, in no fold's order
-    for label in order:
-        weight(label)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        paths = generate(generator_semiring())
+        weights = {label: weight(label) for label in alphabet}
+        labels = sorted(weights)
+        singles = {label: singleton_weights(code) for code, label in enumerate(labels)}
+
+        def one(label):
+            try:
+                return singles[label]
+            except KeyError:
+                raise LookupError(f"label {label!r} is outside the oracle's alphabet") from None
+
+        paths = generate(one, generator_semiring())
         if alg is not None:
-            paths = filter_paths(alg, paths)
-        want = evaluate_paths(base, weight, paths)
+            mapped = list(map(alg.label_map, labels))
+            paths = filter_paths(dataclasses.replace(alg, label_map=mapped.__getitem__), paths)
+        want = evaluate_paths(base, list(map(weights.__getitem__, labels)).__getitem__, paths)
     except PathBudgetError as exc:
         return _oracle_skipped(str(exc))
+    finally:
+        if enabled:
+            gc.enable()
     if base.eq(got, want):
         return {"status": "pass", "reason": None}
     return {"status": "fail", "reason": f"direct {got!r} != exhaustive {want!r}"}
 
 
-def _labels(*label):
-    """The oracle's weight map: each label, such as (i, j), as a one-step path set."""
-    return singleton_weights(label)
+def _label(*label):
+    """A weight map giving each label, such as (i, j), as itself: a problem's labels."""
+    return label
 
 
 def _verify_segment(make, alg, base, scalar_weight, got) -> dict:
-    problem = make(_labels)
-    n = problem.length
-    generate = lambda gen: segment_opt(problem, gen)
+    n = make(_label).length
+    generate = lambda one, gen: segment_opt(make(lambda *label: one(label)), gen)
     # column by column, as the fold reads them: SegmentCosts builds each cost column once
-    order = ((i, j) for j in range(1, n + 1) for i in range(1, j + 1))
+    alphabet = ((i, j) for j in range(1, n + 1) for i in range(1, j + 1))
     return _oracle(2 ** (n - 1), f"2^{n - 1} covers", generate, alg, base, scalar_weight, got,
-                   order)
+                   alphabet)
 
 
 def _verify_align(make, alg, base, scalar_weight, got) -> dict:
-    problem = make(_labels)
-    count = delannoy(problem.rows, problem.cols, VERIFY_PATH_CAP)  # counted up to the cap
-    generate = lambda gen: nw_align(problem, gen)
+    shape = make(_label)
+    count = delannoy(shape.rows, shape.cols, VERIFY_PATH_CAP)  # counted up to the cap
+    generate = lambda one, gen: nw_align(make(lambda *label: one(label)), gen)
+    alphabet = ((i, j) for i in range(shape.rows + 1) for j in range(shape.cols + 1) if i or j)
     return _oracle(count, f"more than {VERIFY_PATH_CAP} alignments", generate, alg, base,
-                   scalar_weight, got)
+                   scalar_weight, got, alphabet)
 
 
 def _verify_events(make, occurrences, base, scalar_weight, got) -> dict:
-    pairs = make(_labels)
+    pairs = make(_label)  # ((0, k), (1, k)): event k absent or present
     n = len(pairs)
     # every outcome sequence; the algebra keeps those with M occurrences
-    generate = lambda gen: gen.prod(gen.add(absent, present) for absent, present in pairs)
+    generate = lambda one, gen: gen.prod(gen.add(one(absent), one(present))
+                                         for absent, present in pairs)
     alg = subset_size_algebra(
         max(n, 1), label_map=lambda e: e[0], accept=lambda m: m == occurrences
     )
-    return _oracle(2**n, f"2^{n} outcome sequences", generate, alg, base, scalar_weight, got)
+    return _oracle(2**n, f"2^{n} outcome sequences", generate, alg, base, scalar_weight, got,
+                   (label for pair in pairs for label in pair))
 
 
 def _verify_lis(values, relation, got_length) -> dict:
     n = len(values)
     if n == 0:
         return {"status": "pass", "reason": "empty input is trivially length 0"}
-    generate = lambda gen: algorithms.nonempty_subsequences(n, gen, singleton_weights)
+    generate = lambda one, gen: algorithms.nonempty_subsequences(n, gen, one)
     alg = ordering_algebra(values, relation)
     return _oracle(2**n, f"2^{n} subsequences", generate, alg, maxplus_semiring(),
-                   lambda k: 1.0, got_length)
+                   lambda k: 1.0, got_length, range(1, n + 1))
 
 
 # --- the pipeline ------------------------------------------------------------
@@ -372,8 +393,8 @@ def _solve(args, command, config, s, base, make, weight, run, verify, zero=None)
     exactly ``base.zero`` and ``zero`` = (what the solutions are, the
     infeasible-constraint message) is given, over the boolean semiring with
     unit weights, to name which cause holds; and on request ``verify(make,
-    score)`` builds the path-set oracle from ``make(_labels)``.  A nan score
-    is a data error.
+    score)`` runs the path-set oracle over ``make`` of the coded singleton
+    map (``_oracle``).  A nan score is a data error.
     """
     problem = make(weight)
     value, counts, elapsed = _fold(s, lambda counted: run(problem, counted))
@@ -895,8 +916,9 @@ def console_main() -> int:
     The script owns its process: the few hundred objects a run leaves in
     reference cycles (its argument parser among them) go when it exits,
     and a collection would rescan every live value, the tens of thousands
-    of tuples of a path-set oracle included.  ``main`` itself leaves the
-    collector as it found it, for callers that run it in process.
+    of tuples of a path-set oracle included.  ``main`` itself pauses the
+    collector only while an oracle runs (``_oracle``) and leaves it as it
+    found it, for callers that run it in process.
     """
     gc.disable()
     return main()

@@ -691,8 +691,11 @@ def _plain_paths():
 
 
 def _plain_oracle(generate, alg, base, weight):
-    """(the generated paths, the exhaustive value): generate, filter, evaluate, written out."""
-    generated = generate(_plain_paths())
+    """(the generated paths, the exhaustive value): generate, filter, evaluate, written out.
+
+    The paths are of the real labels, each label its own one-step path.
+    """
+    generated = generate(lambda label: frozenset({(label,)}), _plain_paths())
     kept = generated
     if alg is not None:
         def fold(path):
@@ -744,9 +747,11 @@ def test_oracle_values_are_the_plain_generate_filter_evaluate(tmp_path, monkeypa
     seen = {}
     real_oracle, real_filter, real_evaluate = cli._oracle, cli.filter_paths, cli.evaluate_paths
 
-    def oracle(solutions, what, generate, alg, base, weight, got, order=()):
+    def oracle(solutions, what, generate, alg, base, weight, got, alphabet):
+        alphabet = list(alphabet)
+        seen["labels"] = sorted(alphabet)  # a code is its label's rank
         seen["want"] = _plain_oracle(generate, alg, base, weight)
-        return real_oracle(solutions, what, generate, alg, base, weight, got, order)
+        return real_oracle(solutions, what, generate, alg, base, weight, got, alphabet)
 
     def filter_paths(alg, paths):
         seen.setdefault("generated", paths)
@@ -765,8 +770,60 @@ def test_oracle_values_are_the_plain_generate_filter_evaluate(tmp_path, monkeypa
         code, doc, _ = run_cli(tmp_path, *argv, "--verify")
         assert (code, doc["oracle_check"]["status"]) == (0, "pass"), argv
         generated, value = seen["want"]
-        assert seen["generated"].paths == generated, argv
+        labels = seen["labels"]
+        decoded = {tuple(labels[code] for code in path) for path in seen["generated"].paths}
+        assert all(type(code) is int for path in seen["generated"].paths for code in path), argv
+        assert decoded == generated and len(seen["generated"]) == len(generated), argv
         assert repr(seen["value"]) == repr(value), argv
+
+
+def test_oracle_alphabets_hold_every_label_read_at_edge_shapes(tmp_path, monkeypatch, capsys):
+    # each oracle declares its alphabet, and codes only those labels: every label the
+    # recurrence reads through its weight map must be in it, and one left out is an
+    # internal error (exit 4, named), never a pass
+    texts = {"empty.txt": "", "gat.txt": "GAT\n", "t1.txt": "ab cd ab\n", "t2.txt": "cd ab\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    empty, gat, t1, t2 = (str(tmp_path / name) for name in texts)
+    y1, y2 = write_column(tmp_path, "y1.txt", [1.5]), write_column(tmp_path, "y2.txt", [1.5, 4.0])
+    p2 = write_column(tmp_path, "p2.txt", [0.5, 0.25])
+    v1 = write_column(tmp_path, "v1.txt", [3.0])
+    ties = write_column(tmp_path, "ties.txt", [2.0, 2.0, 1.0, 2.0, 3.0, 3.0])
+    calls = [
+        ("align", empty, gat), ("align", gat, empty), ("align", empty, empty),
+        ("align", t1, t2, "--tokens"), ("align", t1, t2, "--tokens", "--semiring", "viterbi:minplus"),
+        ("segment", y1), ("segment", y2), ("segment", y2, "--count", "2"),
+        ("events", empty, "-M", "0"), ("events", p2, "-M", "0"), ("events", p2, "-M", "3"),
+        ("events", p2, "-M", "1", "--mode", "viterbi"),
+        ("lis", v1), ("lis", ties, "--relation", "le"),
+    ]
+    real_oracle = cli._oracle
+    seen = {}
+
+    def oracle(solutions, what, generate, alg, base, weight, got, alphabet):
+        seen["alphabet"] = [label for label in alphabet if label != seen.get("drop")]
+        recorded = lambda one, gen: generate(lambda label: seen["read"].append(label) or one(label), gen)
+        return real_oracle(solutions, what, recorded, alg, base, weight, got, seen["alphabet"])
+
+    monkeypatch.setattr(cli, "_oracle", oracle)
+    for argv in calls:
+        seen.clear()
+        seen["read"] = []
+        code, doc, _ = run_cli(tmp_path, *argv, "--verify")
+        assert (code, doc["oracle_check"]["status"]) == (0, "pass"), argv
+        alphabet = seen["alphabet"]
+        assert len(set(alphabet)) == len(alphabet), argv
+        assert set(seen["read"]) <= set(alphabet), argv
+        capsys.readouterr()
+        for drop in dict.fromkeys(seen["read"]):
+            seen.clear()
+            seen.update(read=[], drop=drop)
+            (tmp_path / "result.json").unlink(missing_ok=True)
+            code, doc, _ = run_cli(tmp_path, *argv, "--verify")
+            lines = capsys.readouterr().err.splitlines()
+            assert (code, doc) == (4, None), (argv, drop)
+            assert lines[-1] == ("semiring-dp: internal error: LookupError: "
+                                 f"label {drop!r} is outside the oracle's alphabet"), (argv, drop)
 
 
 def test_verify_skips_over_the_path_storage_budget(tmp_path, monkeypatch):
@@ -776,6 +833,43 @@ def test_verify_skips_over_the_path_storage_budget(tmp_path, monkeypatch):
     assert code == 0
     assert doc["oracle_check"]["status"] == "skipped"
     assert "budget of 50" in doc["oracle_check"]["reason"]
+
+
+def test_the_oracle_pauses_the_collector_and_main_restores_it(tmp_path, monkeypatch):
+    # path sets hold no reference cycles, so the oracle runs with cyclic collection off;
+    # main leaves the collector as it found it whether the oracle passes, skips over the
+    # storage budget or meets a weight that raises
+    import gc
+
+    path = write_column(tmp_path, "y.txt", [1.0, 4.0, 2.0, 8.0, 0.5, 1.5])
+    real_verify, real_evaluate = cli._verify_segment, cli.evaluate_paths
+    paused = []  # whether the collector was off, at the step each case reaches last
+    seen = lambda: paused.append(not gc.isenabled())
+
+    def refuse(label):
+        seen()
+        raise RuntimeError(f"weight of {label} refused")
+
+    cases = {  # the cli name each case replaces, and what with
+        "pass": (0, "pass", "evaluate_paths", lambda *args: seen() or real_evaluate(*args)),
+        "skipped": (0, "skipped", "generator_semiring", lambda: seen() or generator_semiring(50)),
+        "raises": (4, None, "_verify_segment",
+                   lambda make, alg, base, weight, got: real_verify(make, alg, base, refuse, got)),
+    }
+    try:
+        for case, (want_code, want_status, name, patched) in cases.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, patched)
+                for enabled in (True, False):
+                    (gc.enable if enabled else gc.disable)()
+                    paused.clear()
+                    (tmp_path / "result.json").unlink(missing_ok=True)
+                    code, doc, _ = run_cli(tmp_path, "segment", path, "--verify")
+                    assert gc.isenabled() is enabled, (case, enabled)
+                    assert (code, doc and doc["oracle_check"]["status"]) == (want_code, want_status)
+                    assert paused == [True], (case, enabled)
+    finally:
+        gc.enable()
 
 
 def test_oracle_failure_exits_three(tmp_path, monkeypatch):

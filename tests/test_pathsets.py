@@ -1,3 +1,4 @@
+import operator
 import random
 from dataclasses import replace
 from functools import reduce
@@ -315,3 +316,35 @@ def naive_fold(alg, path):
     for label in path:
         acc = alg.combine(acc, alg.label_map(label))
     return acc
+
+
+def test_relabelling_by_sorted_rank_keeps_values_and_kept_paths():
+    # the CLI's oracle codes each label by its rank in the sorted alphabet: a map that keeps
+    # label order keeps path order, so evaluation sums the same products in the same order
+    rng = random.Random(30)
+    ranked = sorted(set(LABELS))
+    code = {label: rank for rank, label in enumerate(ranked)}
+    relabel = lambda seqs: [tuple(code[label] for label in p) for p in seqs]
+    decode = lambda ps: {tuple(ranked[c] for c in p) for p in ps.paths}
+    with_identity = sd.max_count_algebra(3000, label_map=lambda e: e[1], accept=lambda m: m < 3000)
+    position = {label: k for k, label in enumerate(ranked, start=1)}  # values 1, 2, 2, 3
+    identityless = replace(sd.ordering_algebra([1, 2, 2, 3], operator.le),
+                           label_map=position.__getitem__)
+    semirings = (sd.probability_semiring(), sd.counting_semiring(), sd.minplus_semiring())
+    for _ in range(300):
+        xs, ys = random_paths(rng), random_paths(rng)
+        pairs = [(sd.PathSet(xs), sd.PathSet(relabel(xs))), (sd.PathSet(ys), sd.PathSet(relabel(ys)))]
+        (x, cx), (y, cy) = pairs
+        pairs += [(GEN.add(x, y), GEN.add(cx, cy)), (GEN.mul(x, y), GEN.mul(cx, cy))]
+        for s in semirings:
+            draw = (lambda: rng.randint(0, 3)) if s.name == "count" else (lambda: rng.uniform(0.1, 3.0))
+            weights = {label: draw() for label in ranked}
+            table = [weights[label] for label in ranked]
+            for ps, coded in pairs:
+                assert decode(coded) == set(ps.paths)
+                assert (repr(sd.evaluate_paths(s, table.__getitem__, coded))
+                        == repr(sd.evaluate_paths(s, weights, ps)))
+        for alg in (with_identity, identityless):
+            mapped = replace(alg, label_map=[alg.label_map(label) for label in ranked].__getitem__)
+            for ps, coded in pairs:
+                assert decode(sd.filter_paths(mapped, coded)) == set(sd.filter_paths(alg, ps).paths)
