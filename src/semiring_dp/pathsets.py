@@ -16,13 +16,20 @@ the one before it, and keeps the running products of that prefix: each
 product is still the left fold from ``one`` and the sum still runs in
 sorted order, but each shared prefix's labels are weighed once, so a
 stateful weight map sees fewer calls.
+
+A constraint algebra is a finite monoid, so its fold is a finite-state
+test: filtering fills the automaton's transition table as it reads and
+runs each sequence through it in one C-level ``reduce``.  States are
+table keys, compared as the algebra's own ``_index`` compares carrier
+elements; ``label_map`` and ``combine`` must be pure, since each is read
+once per (state, label), so a stateful map sees fewer calls.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, count, product, starmap
-from operator import concat, is_not
+from itertools import compress, count, product, repeat, starmap
+from operator import attrgetter, concat, getitem, is_not
 from typing import Any, Callable, Iterable, Mapping
 
 from .lifting import ConstraintAlgebra, _identity_map
@@ -184,16 +191,58 @@ def constraint_fold(alg: ConstraintAlgebra, path: Iterable[Any]):
     return reduce(alg.combine, values, start)
 
 
+class _Row(dict):
+    """One fold state of ``filter_paths``'s table: each label read -> the next state's row."""
+
+    __slots__ = ("rows", "state", "accepted")
+
+    def __init__(self, rows: _Rows, state, accepted):
+        self.rows, self.state, self.accepted = rows, state, accepted
+
+    def __missing__(self, label):
+        rows, state = self.rows, self.state
+        alg = rows.alg
+        value = alg.label_map(label)
+        # an identity-less fold starts from its first label's value
+        row = self[label] = rows[value if state is _NO_LABEL else alg.combine(state, value)]
+        return row
+
+
+class _Rows(dict):
+    """``filter_paths``'s table: each fold state reached -> its row, made on first reach."""
+
+    __slots__ = ("alg",)
+
+    def __init__(self, alg: ConstraintAlgebra):
+        self.alg = alg
+
+    def __missing__(self, state):
+        row = self[state] = _Row(self, state, self.alg.accepts(state))
+        return row
+
+
 def filter_paths(alg: ConstraintAlgebra, paths: PathSet) -> PathSet:
     """Keep exactly the sequences whose constraint fold ``alg`` accepts.
 
     For identity-less algebras the empty sequence has no fold value and
     is always dropped.  The kept sequences keep their order.
+
+    The fold runs through a transition table filled as it is read: a
+    row per fold state reached, keyed as the algebra's ``_index`` keys
+    carrier elements (hash and ``==``: 1, 1.0 and True share the first
+    one's row), and an entry per label read from it.  ``label_map`` and
+    ``combine`` must be pure: each is called once per (state, label),
+    so a stateful map sees fewer calls, and ``accepts`` once per state.
     """
-    accepts = alg.accepts
-    keep_empty = alg.identity is not None
-    kept = dict.fromkeys(
-        path for path in paths._order
-        if (path or keep_empty) and accepts(constraint_fold(alg, path))
-    )
-    return PathSet._of(kept)
+    rows = _Rows(alg)
+    start = _Row(rows, _NO_LABEL, False) if alg.identity is None else rows[alg.identity]
+    order = paths._order
+    try:
+        ends = map(reduce, repeat(getitem), order, repeat(start))
+        return PathSet._of(dict.fromkeys(compress(order, map(attrgetter("accepted"), ends))))
+    finally:
+        # rows refer to one another and to the table: clear them, so no cycle outlives the call
+        start.clear()
+        for row in rows.values():
+            row.clear()
+        rows.clear()

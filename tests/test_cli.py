@@ -872,6 +872,46 @@ def test_the_oracle_pauses_the_collector_and_main_restores_it(tmp_path, monkeypa
         gc.enable()
 
 
+def test_the_lis_oracle_filter_reads_each_state_and_label_once(tmp_path, monkeypatch):
+    # a lis oracle at the benchmark's scale, over the CI's chain14 input: combine and the
+    # code-to-position map run once per (fold state, label), not once per label of each
+    # of the 2^14 - 1 paths
+    import dataclasses
+    import random
+
+    rng = random.Random(25)
+    half = list(range(7))
+    rng.shuffle(half)
+    chain = write_column(tmp_path, "chain14.txt", [*half, *(7 + v for v in reversed(half))])
+    real_filter = cli.filter_paths
+    seen = {}
+
+    def filter_paths(alg, paths):
+        calls = {"combine": 0, "label_map": 0}
+
+        def combine(state, value):
+            calls["combine"] += 1
+            return alg.combine(state, value)
+
+        def label_map(label):
+            calls["label_map"] += 1
+            return alg.label_map(label)
+
+        # every prefix's fold value is a state reached; the identity-less start is one more
+        states = set().union(*(itertools.accumulate(map(alg.label_map, p), alg.combine) for p in paths.paths))
+        labels = {label for p in paths.paths for label in p}
+        seen.update(calls=calls, states=len(states) + 1, labels=len(labels), paths=len(paths))
+        counted = dataclasses.replace(alg, combine=combine, label_map=label_map)
+        return real_filter(counted, paths)
+
+    monkeypatch.setattr(cli, "filter_paths", filter_paths)
+    code, doc, _ = run_cli(tmp_path, "lis", chain, "--verify")
+    assert (code, doc["oracle_check"]["status"]) == (0, "pass")
+    assert (seen["paths"], seen["labels"]) == (2**14 - 1, 14)
+    bound = seen["states"] * seen["labels"]
+    assert 0 < seen["calls"]["combine"] <= bound and 0 < seen["calls"]["label_map"] <= bound, seen
+
+
 def test_oracle_failure_exits_three(tmp_path, monkeypatch):
     # force a wrong exhaustive answer to check the exit path
     import semiring_dp.cli as cli_mod

@@ -1,3 +1,4 @@
+import gc
 import operator
 import random
 from dataclasses import replace
@@ -348,3 +349,97 @@ def test_relabelling_by_sorted_rank_keeps_values_and_kept_paths():
             mapped = replace(alg, label_map=[alg.label_map(label) for label in ranked].__getitem__)
             for ps, coded in pairs:
                 assert decode(sd.filter_paths(mapped, coded)) == set(sd.filter_paths(alg, ps).paths)
+
+
+# --- the filter's transition table against the per-path definition --------------------
+
+
+def reference_filter(alg, order):
+    """The definition, path by path: the empty path only with an identity, then the fold's verdict."""
+    return [p for p in order
+            if (p or alg.identity is not None) and alg.accepts(sd.constraint_fold(alg, p))]
+
+
+# int labels for the maps below; 10**20 is outside every carrier at bound 2 and every chain
+MAPPED = {("a", 1000): 0, ("a", 2000): 1, ("b", 1000): 2, ("b", 3000): 10**20}
+
+
+def as_ints(seqs):
+    """``seqs`` over MAPPED's ints: 0, 1 and 2 are shared objects, each 10**20 a fresh equal one."""
+    return [tuple(int(str(MAPPED[fresh(label)])) for label in p) for p in seqs]
+
+
+def filter_algebras():
+    """(algebra, whether its labels are the int values or LABELS) for each algebra checked."""
+    position = {label: k for k, label in enumerate(sorted(MAPPED), start=1)}
+    for alg in sd.algebra_catalog(2).values():
+        yield alg, True
+        yield replace(alg, label_map=MAPPED.__getitem__), False
+        yield replace(alg, label_map=lambda e: e[1] // 1000 - 1), False
+    for relation in (operator.lt, operator.le):
+        chain = sd.ordering_algebra([1, 2, 2, 3], relation)
+        yield chain, True
+        yield replace(chain, label_map=position.__getitem__), False
+
+
+def filter_inputs(rng):
+    x, y = sd.PathSet(random_paths(rng)), sd.PathSet(random_paths(rng))
+    return [x, y, GEN.add(x, y), GEN.mul(x, y), GEN.add(GEN.mul(x, y), GEN.one)]
+
+
+def test_the_filter_table_keeps_the_per_path_definition_and_its_order():
+    rng = random.Random(31)
+    algebras = list(filter_algebras())
+    for _ in range(150):
+        for ps in filter_inputs(rng):
+            coded = sd.PathSet(as_ints(ps.paths))
+            for alg, ints in algebras:
+                order = coded if ints else ps
+                assert list(sd.filter_paths(alg, order).paths) == reference_filter(alg, order.paths)
+
+
+def test_the_filter_table_raises_what_the_per_path_fold_raises():
+    def combine(a, b):
+        if b == 2:
+            raise TypeError(f"combine refused {a!r} and {b!r}")
+        return a + b
+
+    partial = {label: value for label, value in MAPPED.items() if label != ("b", 3000)}
+    algebras = [replace(sd.subset_size_algebra(2), combine=combine, label_map=lambda e: e[1] // 1000),
+                replace(sd.max_count_algebra(2), label_map=partial.__getitem__),
+                replace(sd.ordering_algebra([1, 2, 3]), combine=combine,
+                        label_map=lambda e: e[1] // 1000)]
+    rng = random.Random(32)
+    raised = 0
+    for _ in range(150):
+        for ps in filter_inputs(rng):
+            for alg in algebras:
+                try:
+                    want = reference_filter(alg, ps.paths)
+                except (TypeError, KeyError) as exc:
+                    with pytest.raises(type(exc)) as caught:
+                        sd.filter_paths(alg, ps)
+                    assert caught.value.args == exc.args
+                    raised += 1
+                else:
+                    assert list(sd.filter_paths(alg, ps).paths) == want
+    assert raised > 100
+
+
+def test_the_filter_table_leaves_no_reference_cycles():
+    # the CLI's oracle pauses the cyclic collector while it filters
+    rng = random.Random(33)
+    inputs = [ps for _ in range(20) for ps in filter_inputs(rng)]
+    algebras = list(filter_algebras())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for ps in inputs:
+            coded = sd.PathSet(as_ints(ps.paths))
+            for alg, ints in algebras:
+                sd.filter_paths(alg, coded if ints else ps)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
