@@ -32,7 +32,12 @@ folded left from the first product; a score-and-witness semiring builds
 the one product that survives.  Over a ``MoveTable`` (min/max bases) it
 takes each diagonal as one block of scores and gives the term each cell
 kept, which the fold records in a ``MoveCodes`` table, one int8 per
-cell, and spells into the witness by one walk back.
+cell, and spells into the witness by one walk back.  A fold routes only
+on what it is handed, a ``ColumnTable``, a ``MoveTable``, a float array
+or a summed gap's ``arrays``, and on what the semiring takes
+(``row_score``, ``array_rows``, ``block_rows``); it keeps no size
+threshold, so which to hand it is the caller's choice (the command line
+makes it with ``cli.array_route``).
 
 The constrained variants are the plain recurrences lifted over a
 constraint algebra cut down to the values acceptance can tell apart,
@@ -157,15 +162,6 @@ def combinations(n: int, k: int, s: Semiring, w: Weight) -> Any:
     return row[k]
 
 
-# A segmentation of at least this many samples whose weight is a ColumnTable reads
-# it a column at a time as score arrays, over a semiring that takes them.  An array
-# dot costs about 8 us whatever its length, a list dot about 0.25 us a term plus a
-# weight read.  In process (the costs have loaded numpy already) on a shared 2-CPU
-# host, the array fold broke even near N = 20 for segment_opt and N = 37 for a count
-# of 3, whose m = 1 dots are one term long.
-COLUMN_SAMPLES = 30
-
-
 class ColumnTable:
     """Segment weights read from float columns of their scores, each segment its own label.
 
@@ -217,14 +213,14 @@ class SegmentationProblem:
     """A length plus a weight for every interval 1 <= i <= j <= length.
 
     A fold reads the weights a column at a time, ``column(s, j)`` (w(1..j,
-    j)), and keeps f in ``row(s, ...)``.  Over a ``ColumnTable`` of at
-    least ``COLUMN_SAMPLES`` samples, a semiring that picks a ``dot``'s
-    winner from scores (``row_score``) and whose rows take arrays
-    (``array_rows``) or blocks (``block_rows``) reads each column as a
-    ``ScoreRow`` of the table's scores, and f's row keeps its scores in a
-    float array beside it, so ``dot`` picks its winner from the arrays
-    and builds one product.  Otherwise columns and rows are lists, each
-    weight read from the callable.
+    j)), and keeps f in ``row(s, ...)``.  The weight's type is the route:
+    over a ``ColumnTable``, a semiring that picks a ``dot``'s winner from
+    scores (``row_score``) and whose rows take arrays (``array_rows``) or
+    blocks (``block_rows``) reads each column as a ``ScoreRow`` of the
+    table's scores, and f's row keeps its scores in a float array beside
+    it, so ``dot`` picks its winner from the arrays and builds one
+    product.  Otherwise columns and rows are lists, each weight read from
+    the callable.
     """
 
     length: int
@@ -235,8 +231,8 @@ class SegmentationProblem:
             raise ValueError("length must be at least 1")
 
     def _arrays(self, s: Semiring) -> bool:
-        return (self.length >= COLUMN_SAMPLES and isinstance(self.weight, ColumnTable)
-                and s.row_score is not None and (s.array_rows or s.block_rows))
+        return (isinstance(self.weight, ColumnTable) and s.row_score is not None
+                and (s.array_rows or s.block_rows))
 
     def row(self, s: Semiring, first, size: int):
         """A row of f holding ``first``, to which a fold over ``s`` appends up to ``size`` values."""
@@ -338,9 +334,10 @@ def segment_min_length(
 class Moves(NamedTuple):
     """The move weights one alignment fold reads, in the rows it keeps.
 
-    ``row(values)`` makes a diagonal buffer; ``inserts`` holds w(0, j) for
-    j = 1..cols and ``deletes`` w(i, 0) for i = 1..rows, and
-    ``diagonal(d, first, last)`` gives w(i, d - i) for i = first..last.
+    ``row(values)`` makes a diagonal buffer (``list``, or a move table's
+    block); ``inserts`` holds w(0, j) for j = 1..cols and ``deletes``
+    w(i, 0) for i = 1..rows, and ``diagonal(d, first, last)`` gives w(i,
+    d - i) for i = first..last.
     ``codes``, for a fold of ``WitnessBlock``s, is the ``MoveCodes`` table
     that keeps their trails.
     """
@@ -379,7 +376,7 @@ class AlignmentProblem:
         ``diagonal`` only for the rows within it, so only the edges are
         filtered.  A ``weight`` with tables gives them in the form ``s``
         takes, if it has one for ``s``; otherwise they are lists read from
-        the callable, each in-cap weight once, in ``s.row`` buffers.
+        the callable, each in-cap weight once, in list buffers.
         """
         n, m = self.rows, self.cols
         tables = getattr(self.weight, "moves", None)
@@ -392,7 +389,7 @@ class AlignmentProblem:
         def diagonal(d, first, last):
             return [w(i, d - i) for i in range(first, last + 1)]
 
-        return Moves(s.row, [w(0, j) if j <= cap else zero for j in range(1, m + 1)],
+        return Moves(list, [w(0, j) if j <= cap else zero for j in range(1, m + 1)],
                      [w(i, 0) if i <= cap else zero for i in range(1, n + 1)], diagonal)
 
 
@@ -595,15 +592,15 @@ def nw_align(p: AlignmentProblem, s: Semiring) -> Any:
     computed one anti-diagonal i + j = d at a time, from the two before
     it; O(rows * cols) operations.  Diagonal d holds f[i][d-i] at index
     i of an (rows + 1)-entry buffer made by ``p.moves(s).row``: a list, or
-    the array or block a semiring or move table keeps it in.  Two
-    buffers take turns, diagonal d written over diagonal d-2 once its
-    slices are read.  A diagonal's cells with i, j >= 1 are
-    ``dot_rows((diagonal d-2, diagonal d-1, diagonal d-1 shifted by
-    one), (w(i, d-i), deletes, inserts reversed))``: per cell the sum of
-    the three products, added left to right, so every cell makes the ops
-    of the formula in its order.  Its two cells on the table's edges are
-    one ``mul`` each.  Each move weight is read once: w(0, j) per column,
-    w(i, 0) per row and w(i, j) per cell.
+    the block a move table keeps it in.  Two buffers take turns, diagonal
+    d written over diagonal d-2 once its slices are read.  A diagonal's
+    cells with i, j >= 1 are ``dot_rows((diagonal d-2, diagonal d-1,
+    diagonal d-1 shifted by one), (w(i, d-i), deletes, inserts
+    reversed))``: per cell the sum of the three products, added left to
+    right, so every cell makes the ops of the formula in its order.  Its
+    two cells on the table's edges are one ``mul`` each.  Each move
+    weight is read once: w(0, j) per column, w(i, 0) per row and w(i, j)
+    per cell.
     """
     return _nw_fold(p.rows, p.cols, p.moves(s), s)
 

@@ -9,7 +9,9 @@ reruns ``make(unit weights)`` over the boolean semiring to explain a
 witness score at the base zero, checks the score on request against
 the exhaustive path-set oracle of ``make(coded singletons)`` (``_oracle``:
 generate, filter, evaluate, over integer label codes with the cyclic
-collector paused) and builds the result document.  Documents are
+collector paused) and builds the result document.  Where a fold has a
+list and an array route, ``array_route`` picks one from per-unit cost
+estimates kept in one table, before the fold's clock starts.  Documents are
 canonical JSON (sorted keys, floats at 12 significant digits),
 byte-stable under a parse/re-serialize round trip.  Exit codes:
 0 success, 1 usage error, 2 data error, 3 oracle-check failure,
@@ -428,30 +430,40 @@ def _config(args, *names, **extra) -> dict:
 
 # --- array routes ------------------------------------------------------------
 
-# array_route's inputs, measured on a shared 2-CPU host (Python 3.11.7, numpy 2.4.6)
-# on 2026-10-19: warm counted folds, best of 9, fitted by least squares; the import
-# as the median of 11 fresh interpreters that had imported this module
-NUMPY_IMPORT_S = 0.15
-# events, refitted on 2026-10-20 by least relative error over warm counted folds: exact
-# (N 500-10^4, M 1-200, best of 9) lists per event and per row entry (sum of min(k, M)),
-# arrays per event, which puts the warm break-even near M = 9; viterbi (N 200-3000, M
-# 1-100, best of 5) lists per row entry, score arrays with move codes per event, which
-# puts it near M = 7
-EVENT_S, EVENT_ENTRY_S, EVENT_ARRAY_S = 1.5e-6, 0.115e-6, 2.5e-6
-WITNESS_ENTRY_S, WITNESS_EVENT_S = 1.5e-6, 10e-6
-# summed gaps: lists per lifted entry (hull cells x (cap + 1)), arrays per hull cell;
-# refitted on 2026-10-20 over 40 hull folds (n 60-300, caps 8-60, best of 15) by least
-# relative error, which puts the warm break-even near cap 27, as measured
-GAP_ENTRY_S, GAP_CELL_S = 0.66e-6, 18e-6
-# lis over lt or le: arrays per position; CHAIN_PAIRS pairs, n(n - 1) / 2, win back
-# that and the import (cold runs broke even at 1.5-1.7 million pairs)
-CHAIN_POSITION_S = 5e-6
-CHAIN_PAIRS = 1_700_000
+# array_route's inputs, one row per route: each side's seconds per unit of work.
+# All were fitted on 2026-10-20 in one sitting on a shared 2-CPU host (Python 3.11.7,
+# numpy 2.4.6), over warm counted folds (best of 5-11) by least relative error; no
+# second host was available.  A cost both routes pay alike is left out of both.
+# numpy's import: the median of 11 fresh interpreters that had imported this module
+# (other sets of 11 that day read 0.047-0.093 s: the host alternates between speeds)
+NUMPY_IMPORT_S = 0.093
+# exact events: lists per event and per row entry (E = sum of min(k, M)), arrays per event
+EVENT_S, EVENT_ENTRY_S, EVENT_ARRAY_S = 2.4e-6, 0.13e-6, 3.6e-6
+# viterbi events: lists per row entry, score arrays with move codes per event
+WITNESS_ENTRY_S, WITNESS_EVENT_S = 1.4e-6, 9.4e-6
+# summed gaps: tuples per hull cell and per lifted entry (cap + 1 a cell), arrays per hull cell
+GAP_S, GAP_ENTRY_S, GAP_ARRAY_S = 8.5e-6, 0.33e-6, 17e-6
+# lis over lt or le: lists per chainable pair, n(n - 1) / 2 of them, arrays per position
+# (past the 4.8 us a position both routes spend)
+CHAIN_PAIR_S, CHAIN_POSITION_S = 0.093e-6, 4.2e-6
+# segment columns: lists per weight read, score columns per dot (past the 18 us a
+# sample both spend).  Per weight, not per dot term: a count fold reads each weight
+# once for up to count dot terms.
+SEGMENT_READ_S, SEGMENT_DOT_S = 0.89e-6, 13e-6
+# witness alignments: lists per cell folded, the move table per diagonal.  Lists also
+# spend 11.5 us a diagonal, left out, so a banded fold, whose diagonals are short,
+# keeps lists: at 200 x 200 under a largest gap of 8 the two routes measure a tie.
+ALIGN_CELL_S, ALIGN_DIAGONAL_S = 2.0e-6, 28e-6
 
 
 def array_route(list_s: float, array_s: float) -> bool:
     """Whether a fold estimated at ``list_s`` s on lists and ``array_s`` s on arrays takes arrays.
 
+    Every list-or-array choice of the command line is one call, its two
+    estimates the units of work of the fold times the constants above:
+    exact and viterbi ``events``, summed gaps, ``lis``, segment columns
+    and witness alignments.  The folds keep no threshold of their own;
+    they route on the container a yes hands them.
     Only the difference counts, so a cost both routes share may be left
     out of both.  A run that has not loaded numpy adds its import to the
     array side; a tie takes arrays.  A yes imports numpy, so a caller
@@ -483,12 +495,11 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     cost = lambda i, j: costs.weight(i, j)
     weight, scalar_weight = _weights(base, cost, tupled,
                                      {"the one-segment weight": costs.weight(1, n)})
-    if base.row_score is not None:  # min/max folds may read whole cost columns
-        weight = ColumnTable(cost, costs.weights, labelled=tupled)
     make = lambda weight: SegmentationProblem(n, weight)
 
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: segment_opt(p, counted)
+    reads, dots = n * (n + 1) // 2, n  # the weights a list fold reads, and the fold's dots
     if args.count is not None or args.count_range is not None:
         lo, hi = (args.count, args.count) if args.count is not None else args.count_range
         if hi > n:
@@ -498,6 +509,7 @@ def cmd_segment(args) -> tuple[dict, list | None]:
             raise DataError(f"{flag} infeasible for {n} samples")
         constraint = {"kind": "count", "lo": lo, "hi": hi}
         run = lambda p, counted: algorithms.segment_fixed_count(p, lo, hi, counted)
+        dots = sum(min(j, hi) for j in range(1, n + 1))  # one per m = 1..min(j, hi) at j
         alg = subset_size_algebra(hi, label_map=lambda e: 1, accept=lambda m: lo <= m <= hi)
     elif args.min_length is not None:
         lo = args.min_length
@@ -505,7 +517,11 @@ def cmd_segment(args) -> tuple[dict, list | None]:
             raise DataError(f"--min-length {lo} infeasible for {n} samples")
         constraint = {"kind": "min-length", "lo": lo, "hi": lo}
         run = lambda p, counted: algorithms.segment_min_length(p, lo, counted, at_least=True)
+        reads = (n - lo + 1) * (n - lo + 2) // 2  # those at least lo long
         alg = min_count_algebra(n, label_map=lambda e: e[1] - e[0] + 1, accept=lambda m: m >= lo)
+    # min/max folds may read whole cost columns (the costs have loaded numpy)
+    if base.row_score is not None and array_route(reads * SEGMENT_READ_S, dots * SEGMENT_DOT_S):
+        weight = ColumnTable(cost, costs.weights, labelled=tupled)
 
     config = _config(args, "input", "semiring", "model", "header", constraint=constraint)
     config["lambda"] = args.lam
@@ -524,14 +540,6 @@ def cmd_segment(args) -> tuple[dict, list | None]:
             table += [(k, ts.values[k - 1], fit[k - 1], ordinal) for k in range(i, j + 1)]
         doc["breakpoints"] = [seg[1] for seg in witness[:-1]]
     return doc, table
-
-
-# Witness alignments that fold at least this many cells (under a largest-gap cap,
-# those of its band) read their weights from a MoveTable and keep their moves in a
-# code table.  Warm, that route costs 0.4-0.8 us a cell against 2.3-4.5 us on lists,
-# but it needs numpy, whose import costs more than the saving on a smaller fold:
-# cold runs on a shared 2-CPU host broke even between 50,000 and 60,000 cells.
-BLOCK_CELLS = 60_000
 
 
 def _edit_table(a, b, weight, mismatch_cost, gap_cost) -> MoveTable:
@@ -564,10 +572,13 @@ def cmd_align(args) -> tuple[dict, list | None]:
 
     weight, scalar_weight = _weights(base, edit_cost, tupled, {"--gap-cost": gap_cost,
                                                                "--mismatch-cost": mismatch_cost})
-    cells = (len(a) * len(b) if args.max_misalign is None
-             else algorithms.band_cells(len(a), len(b), args.max_misalign))
-    if s.block_rows and args.sum_misalign is None and cells >= BLOCK_CELLS:
-        weight = _edit_table(a, b, weight, mismatch_cost, gap_cost)
+    # a witness fold over a min/max base may read a move table, a diagonal at a time;
+    # lists fold each cell (under a largest-gap cap, those of its band)
+    if s.block_rows and args.sum_misalign is None:
+        cells = (len(a) * len(b) if args.max_misalign is None
+                 else algorithms.band_cells(len(a), len(b), args.max_misalign))
+        if array_route(cells * ALIGN_CELL_S, (len(a) + len(b)) * ALIGN_DIAGONAL_S):
+            weight = _edit_table(a, b, weight, mismatch_cost, gap_cost)
     constraint = alg = None  # the constraint's record, and its oracle filter
     run = lambda p, counted: nw_align(p, counted)
     if args.sum_misalign is not None:
@@ -576,11 +587,11 @@ def cmd_align(args) -> tuple[dict, list | None]:
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
         hull = algorithms.gap_hull(len(a), len(b), cap)
         # over a base with array rows, a cell's vector may be one float array
-        # (nw_align_sum_constrained): lists fold the hull's cells, cap + 1 entries each
+        # (nw_align_sum_constrained): tuples fold the hull's cells, cap + 1 entries each
         arrays = s.array_rows
         if arrays:
             cells = sum(hi - lo + 1 for lo, hi in hull if lo <= hi)
-            arrays = array_route(cells * (cap + 1) * GAP_ENTRY_S, cells * GAP_CELL_S)
+            arrays = array_route(cells * (GAP_S + (cap + 1) * GAP_ENTRY_S), cells * GAP_ARRAY_S)
         # the inputs' own fold reads that hull; a sweep prefix makes its own
         run = lambda p, counted: nw_align_sum_constrained(
             p, cap, counted, arrays=arrays,
@@ -665,18 +676,6 @@ _RELATIONS = {
 }
 
 
-def _chain_route(n: int) -> bool:
-    """Whether ``lis`` over lt or le at ``n`` values takes the array route (``array_route``).
-
-    The array route spends ``CHAIN_POSITION_S`` more per position and saves
-    a fixed share per pair, scaled so that at ``CHAIN_PAIRS`` pairs it wins
-    back the import as well; a break-even of 0 pairs always takes arrays.
-    """
-    pairs, extra = n * (n - 1) // 2, n * CHAIN_POSITION_S
-    share = pairs / CHAIN_PAIRS if CHAIN_PAIRS else math.inf
-    return array_route(share * (NUMPY_IMPORT_S + extra), extra)
-
-
 def cmd_lis(args) -> tuple[dict, list | None]:
     values = read_numeric_column(args.input, header=args.header)
     for pos, v in enumerate(values, start=1):
@@ -689,8 +688,9 @@ def cmd_lis(args) -> tuple[dict, list | None]:
                     f"value #{pos} is {v}; subset-demo needs non-negative integers (bit masks)"
                 )
     relation = _RELATIONS[args.relation]
-    chained = values
-    if args.relation in ("lt", "le") and _chain_route(len(values)):
+    chained, n = values, len(values)
+    if args.relation in ("lt", "le") and array_route(n * (n - 1) // 2 * CHAIN_PAIR_S,
+                                                     n * CHAIN_POSITION_S):
         import numpy as np
         chained = np.array(values)  # each chain sum picks its winner from an array of scores
 

@@ -211,9 +211,9 @@ def segment_series(
     selection semiring scoring the fit costs (min-plus by default); the
     witness comes from score-and-witness tupling, so no backtracking
     pass exists.  The folds read the costs as a ``ColumnTable``, a whole
-    column at a time where the series and ``base`` allow it (see
-    ``SegmentationProblem``).  An unsatisfiable constraint yields the
-    base zero score with no segments.
+    column at a time where ``base`` allows it (see
+    ``SegmentationProblem``), at any length.  An unsatisfiable
+    constraint yields the base zero score with no segments.
     """
     n = len(ts)
     given = [c for c in (count, count_range, min_length) if c is not None]

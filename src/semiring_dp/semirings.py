@@ -23,8 +23,7 @@ term; a subclass may override one with a faster method that returns
 exactly the same, as the min/max bases, ``prob``, the score-and-witness
 tupling over the min/max bases and the op counter do.
 
-``row(values)`` makes the container a recurrence keeps a row of values
-in, a list by default.  The elementwise rows of the min/max bases and of
+Rows are lists.  The elementwise rows of the min/max bases and of
 ``prob`` also take 1-D float arrays (``array_rows``), the other operand
 an array or one float, entry for entry the builtin's result: float64 +
 and * round as Python's floats do.  ``prob``'s sums still fold left, and
@@ -138,10 +137,6 @@ class Semiring:
     # a value's float score, by which sum picks a ScoreRow's winner from its
     # score array; None where sum folds every row term by term
     row_score = None
-
-    def row(self, values: Iterable[Any]) -> list:
-        """A row holding ``values``, as the row operations take and return it."""
-        return list(values)
 
     def add_rows(self, xs: Iterable[Any], ys: Iterable[Any]) -> list:
         """[add(x, y) for each pair of entries of two equal-length rows]."""

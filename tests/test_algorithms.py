@@ -233,14 +233,13 @@ SEGMENT_FOLDS = ("opt", "count", "min-length", "min-length-at-least")
 MINMAX_BASES = ("maxplus", "minplus", "maxprod", "bottleneck")
 
 
-def segment_routes(n, scores, s, labelled, fold, lo, hi, monkeypatch):
+def segment_routes(n, scores, s, labelled, fold, lo, hi):
     """``fold`` over the weights' callable and over their ColumnTable: (repr, witness, counts) each.
 
     The exact minimum length folds over a lifted semiring, whose rows are lists, so only
     the other folds must read the table's columns.
     """
     np = pytest.importorskip("numpy")
-    monkeypatch.setattr(algorithms, "COLUMN_SAMPLES", 1)
     cells = [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
     cost = dict(zip(cells, scores)).__getitem__
     read = []
@@ -278,13 +277,12 @@ def test_segment_columns_as_score_arrays_are_the_list_route(drawn, base, witness
     s = CATALOG[base]
     if witnessed:
         s = sd.viterbi_simple_semiring(s)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        listed, arrayed = segment_routes(n, scores, s, witnessed, fold, lo, hi, monkeypatch)
+    listed, arrayed = segment_routes(n, scores, s, witnessed, fold, lo, hi)
     assert listed == arrayed
 
 
 @pytest.mark.parametrize("base", MINMAX_BASES)
-def test_segment_columns_with_many_ties_are_the_list_route(base, monkeypatch):
+def test_segment_columns_with_many_ties_are_the_list_route(base):
     # columns of dozens of scores drawn from four values, so most dots hold exact ties
     n = 40
     rng = random.Random(24)
@@ -293,25 +291,24 @@ def test_segment_columns_with_many_ties_are_the_list_route(base, monkeypatch):
                          ("min-length-at-least", 4, 4)):
         for s, witnessed in ((CATALOG[base], False),
                              (sd.viterbi_simple_semiring(CATALOG[base]), True)):
-            listed, arrayed = segment_routes(n, scores, s, witnessed, fold, lo, hi, monkeypatch)
+            listed, arrayed = segment_routes(n, scores, s, witnessed, fold, lo, hi)
             assert listed == arrayed, (fold, lo, hi, witnessed)
 
 
-@pytest.mark.parametrize("below", [True, False])
-def test_segment_folds_read_columns_from_column_samples_on(below):
-    # the array route needs a ColumnTable, a semiring that takes arrays and N >= COLUMN_SAMPLES
+def test_segment_folds_read_columns_from_a_column_table():
+    # the array route needs a ColumnTable and a semiring that takes arrays, at any length
     np = pytest.importorskip("numpy")
-    n = algorithms.COLUMN_SAMPLES - below
     read = []
     vit = sd.viterbi_simple_semiring(MINPLUS)
     for s, labelled, arrays in ((MINPLUS, False, True), (vit, True, True),
                                 (COUNT, False, False), (CATALOG["prob"], False, False)):
-        read.clear()
         table = algorithms.ColumnTable(lambda i, j: float(i * j),
                                        lambda j: read.append(j) or np.arange(1.0, j + 1) * j,
                                        labelled)
-        sd.segment_opt(sd.SegmentationProblem(n, table), s)
-        assert read == (list(range(1, n + 1)) if arrays and not below else []), s
+        for n in (1, 2, 30):
+            read.clear()
+            sd.segment_opt(sd.SegmentationProblem(n, table), s)
+            assert read == (list(range(1, n + 1)) if arrays else []), (s, n)
 
 
 # --- alignment ----------------------------------------------------------------------
@@ -1335,16 +1332,19 @@ def test_a_gap_cap_reads_each_move_weight_within_it_once():
 def test_nw_align_keeps_two_diagonal_buffers():
     made = []
 
-    class RowCounting(sd.Semiring):
-        def row(self, values):
-            made.append(super().row(values))
-            return made[-1]
+    class RowCounting:  # a weight whose moves record each diagonal buffer made
+        def __call__(self, i, j):
+            return 1
 
-    s = RowCounting("count", operator.add, operator.mul, 0, 1)
+        def moves(self, s, rows, cols, cap):
+            plain = sd.AlignmentProblem(rows, cols, self.__call__).moves(s, cap)
+            return plain._replace(row=lambda values: made.append(list(values)) or made[-1])
+
+    s = sd.Semiring("count", operator.add, operator.mul, 0, 1)
     for rows in range(5):
         for cols in range(5):
             made.clear()
-            p = sd.AlignmentProblem(rows, cols, lambda i, j: 1)
+            p = sd.AlignmentProblem(rows, cols, RowCounting())
             assert sd.nw_align(p, s) == sd.delannoy(rows, cols)
             # one entry per row index i of a diagonal's cells f[i][d - i]
             assert [len(row) for row in made] == [rows + 1, rows + 1]

@@ -123,7 +123,7 @@ def test_segment_oracle_builds_each_cost_column_once(tmp_path, monkeypatch):
 
 
 def test_segment_columns_read_no_scalar_weight(tmp_path, monkeypatch):
-    # past COLUMN_SAMPLES the folds over a min/max base read each weight column whole, as
+    # on the column route the folds over a min/max base read each weight column whole, as
     # a score array: the one-segment weight's check is the only scalar weight read, where
     # the list route read every weight, and the document is the list route's
     calls = []
@@ -141,14 +141,14 @@ def test_segment_columns_read_no_scalar_weight(tmp_path, monkeypatch):
     for extra in ((), ("--count", "3"), ("--count-range", "2", "4"), ("--min-length", "4"),
                   ("--semiring", "minplus"), ("--semiring", "viterbi:maxplus")):
         docs = []
-        for samples in (n, n + 1):  # the array route, then the list route
-            monkeypatch.setattr(cli.algorithms, "COLUMN_SAMPLES", samples)
+        for arrays in (True, False):  # the array route, then the list route
+            monkeypatch.setattr(cli, "array_route", lambda list_s, array_s: arrays)
             calls.clear()
             code, doc, _ = run_cli(tmp_path, "segment", path, *extra)
             assert code == 0, extra
             del doc["wall_time_s"]
             docs.append(doc)
-            assert (calls == [(1, n)]) == (samples == n), (extra, len(calls))
+            assert (calls == [(1, n)]) == arrays, (extra, len(calls))
         assert docs[0] == docs[1], extra
 
 
@@ -351,27 +351,65 @@ def test_events_documents_are_the_same_on_both_routes(tmp_path, monkeypatch, cap
 def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
     # with numpy loaded the rule weighs the folds alone: events take arrays from about 9
     # row entries per event when exact and about 7 when witnessed, summed gaps arrays
-    # from a cap of 27 (28 lifted entries per hull cell), perfbench's sum190 (cap 16)
-    # lists, lis arrays from about n = 115
-    routes = []
-    events, gaps = cli.events_m_of_n, cli.nw_align_sum_constrained
+    # from a cap of 25 (26 lifted entries per hull cell), perfbench's sum190 (cap 16)
+    # lists
+    routes, answers = [], []
+    events, gaps, rule = cli.events_m_of_n, cli.nw_align_sum_constrained, cli.array_route
     monkeypatch.setattr(cli, "events_m_of_n",
                         lambda pairs, *a: routes.append(type(pairs).__name__) or events(pairs, *a))
     monkeypatch.setattr(cli, "nw_align_sum_constrained",
                         lambda *a, arrays, **kw: routes.append(arrays) or gaps(*a, arrays=arrays,
                                                                              **kw))
+    monkeypatch.setattr(cli, "array_route",
+                        lambda list_s, array_s: answers.append(rule(list_s, array_s)) or answers[-1])
     rng = np.random.default_rng(7)
     probs = write_column(tmp_path, "p.txt", rng.uniform(0.0, 0.01, 2000))
     for mode, m in itertools.product(("exact", "viterbi"), (5, 50)):
         assert run_cli(tmp_path, "events", probs, "-M", str(m), "--mode", mode)[0] == 0
-    for n, cap in ((6, 6), (60, 8), (60, 16), (190, 16), (60, 26), (60, 27), (60, 60)):
-        for name in ("a", "b"):
-            (tmp_path / f"{name}.txt").write_text("".join(rng.choice(list("ACGT"), n)) + "\n")
-        assert run_cli(tmp_path, "align", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+
+    def dna(name, n):
+        (tmp_path / name).write_text("".join(rng.choice(list("ACGT"), n)) + "\n")
+        return str(tmp_path / name)
+
+    for n, cap in ((6, 6), (60, 8), (60, 16), (190, 16), (60, 24), (60, 25), (60, 60)):
+        assert run_cli(tmp_path, "align", dna("a.txt", n), dna("b.txt", n),
                        "--sum-misalign", str(cap))[0] == 0
     assert routes == ["list", "ndarray", "list", "ndarray",
                       False, False, False, False, False, True, True]
-    assert [cli._chain_route(n) for n in (14, 100, 130, 2000)] == [False, False, True, True]
+    assert answers == [False, True, False, True, False, False, False, False, False, True, True]
+
+    def asked(*argv):  # array_route's answers in one call
+        answers.clear()
+        assert run_cli(tmp_path, *argv)[0] == 0, argv
+        return answers
+
+    # the route of every call of the benchmark's workloads, and two folds whose faster
+    # route the rule must find: segment --count 3 at N = 36 on lists (1.7 ms against
+    # 1.9 ms on columns) and a 100 x 100 witness alignment on the move table (6 ms
+    # against 21 ms on lists)
+    series = {n: write_column(tmp_path, f"y{n}.txt", rng.normal(0.0, 1.0, n))
+              for n in (14, 36, 110, 420)}
+    assert asked("segment", series[14], "--count", "3", "--verify") == [False]
+    assert asked("segment", series[14], "--lambda", "0.5", "--verify") == [False]
+    assert asked("segment", series[36], "--count", "3") == [False]
+    assert asked("segment", series[110], "--min-length", "15") == [True]
+    assert asked("segment", series[420], "--count", "3") == [True]
+    six = dna("six.a", 6), dna("six.b", 6)
+    assert asked("align", *six, "--verify") == []  # plain alignment has no table route
+    assert asked("align", *six, "--max-misalign", "2", "--verify") == []
+    assert asked("align", *six, "--sum-misalign", "6", "--verify") == [False]
+    vit = ("--semiring", "viterbi:minplus")
+    assert asked("align", dna("m.a", 200), dna("m.b", 200), *vit, "--max-misalign", "8") == [False]
+    assert asked("align", dna("w.a", 300), dna("w.b", 300), *vit) == [True]
+    assert asked("align", dna("h.a", 100), dna("h.b", 100), *vit) == [True]
+    assert asked("events", write_column(tmp_path, "e.txt", rng.uniform(0.0, 0.01, 10**4)),
+                 "-M", "50") == [True]
+    assert asked("events", write_column(tmp_path, "e14.txt", rng.uniform(0.05, 0.95, 14)),
+                 "-M", "5", "--verify") == [False]
+    for half, arrays in ((7, False), (1000, True)):
+        p = rng.permutation(half)
+        chain = write_column(tmp_path, "chain.txt", np.concatenate([p, half + p[::-1]]))
+        assert asked("lis", chain, *(("--verify",) if half == 7 else ())) == [arrays]
 
 
 def test_a_summed_gap_alignment_builds_its_hull_once(tmp_path, monkeypatch):
@@ -410,7 +448,7 @@ def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):
                    "fold = cli._fold\n"
                    "cli._fold = lambda *a: print('numpy' in sys.modules) or fold(*a)\n"
                    "cli.NUMPY_IMPORT_S = cli.EVENT_ARRAY_S = cli.WITNESS_EVENT_S = 0.0\n"
-                   "cli.GAP_CELL_S = 0.0\n"
+                   "cli.GAP_ARRAY_S = 0.0\n"
                    "assert cli.main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]]) == 0\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -483,7 +521,7 @@ def test_lis_subset_demo(tmp_path):
 
 
 def test_lis_documents_are_the_same_on_both_sides_of_chain_pairs(tmp_path, monkeypatch):
-    # CHAIN_PAIRS 0 runs every lt or le fold over a float array, 10**12 none
+    # a yes from array_route runs every lt or le fold over a float array, a no none
     routes = []
     fold = cli.algorithms.ordered_subsequences
     monkeypatch.setattr(cli.algorithms, "ordered_subsequences",
@@ -499,8 +537,8 @@ def test_lis_documents_are_the_same_on_both_sides_of_chain_pairs(tmp_path, monke
         path = write_column(tmp_path, name, values)
         for extra in (("--relation", "lt"), ("--relation", "le"), ("--verify",)):
             texts = []
-            for pairs in (10**12, 0):
-                monkeypatch.setattr(cli, "CHAIN_PAIRS", pairs)
+            for arrays in (False, True):
+                monkeypatch.setattr(cli, "array_route", lambda list_s, array_s: arrays)
                 code, doc, out = run_cli(tmp_path, "lis", path, *extra)
                 assert code == 0
                 if "--verify" in extra and name == "small.txt":
@@ -509,25 +547,26 @@ def test_lis_documents_are_the_same_on_both_sides_of_chain_pairs(tmp_path, monke
                 texts.append(canonical_json(doc))
             assert texts[0] == texts[1], (name, extra)
     assert routes == ["list", "ndarray"] * 9
-    monkeypatch.setattr(cli, "CHAIN_PAIRS", 0)
+    monkeypatch.setattr(cli, "array_route", lambda list_s, array_s: True)
     path = write_column(tmp_path, "masks.txt", [1, 3, 2, 7])
     assert run_cli(tmp_path, "lis", path, "--relation", "subset-demo")[0] == 0
     assert routes[-1] == "list"
 
 
 def test_lis_below_chain_pairs_leaves_numpy_unloaded(tmp_path):
-    # 14 values chain over 91 pairs: numpy is loaded only once CHAIN_PAIRS is down to 91,
-    # and never for subset-demo
+    # 14 values chain over 91 pairs: a cold run keeps lists, so numpy is loaded only once
+    # array_route is made to say yes, and never for subset-demo
     values = write_column(tmp_path, "v.txt", [5, 3, 9, 1, 4, 4, 8, 0, 2, 7, 6, 11, 10, 12])
     script = ("import json, sys\n"
               "from semiring_dp import cli\n"
-              "for pairs, argv in json.loads(sys.argv[1]):\n"
-              "    cli.CHAIN_PAIRS = pairs\n"
+              "rule = cli.array_route\n"
+              "for forced, argv in json.loads(sys.argv[1]):\n"
+              "    cli.array_route = rule if forced is None else lambda list_s, array_s: forced\n"
               "    assert cli.main(argv + ['--out', sys.argv[2]]) == 0, argv\n"
               "    print('numpy' in sys.modules)\n")
-    calls = [(92, ["lis", values]), (92, ["lis", values, "--relation", "le", "--verify"]),
-             (0, ["lis", values, "--relation", "subset-demo", "--verify"]),
-             (91, ["lis", values, "--relation", "le"])]
+    calls = [(None, ["lis", values]), (None, ["lis", values, "--relation", "le", "--verify"]),
+             (True, ["lis", values, "--relation", "subset-demo", "--verify"]),
+             (True, ["lis", values, "--relation", "le"])]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls), str(tmp_path / "o")],
@@ -546,20 +585,25 @@ def test_bench_table(tmp_path):
 
 
 def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
-    # only the segment costs, the folds array_route sends to arrays once numpy's
-    # import is charged to them, and witness alignments of at least BLOCK_CELLS cells
-    # use numpy, whose import is most of the start-up of a cold run that needs none
-    # of it.  Exact events at M = 50 over 10^4 events, below the cold break-even
-    # (about 3 x 10^4 events at M = 50), and a summed gap of 2 over 5 x 5 keep lists
+    # only the segment costs and the folds array_route sends to arrays once numpy's
+    # import is charged to them use numpy, whose import is most of the start-up of a
+    # cold run that needs none of it.  Exact events at M = 50 over 10^4 events, below
+    # the cold break-even (about 1.8 x 10^4 events at M = 50), and a summed gap of 2
+    # over 5 x 5 keep lists
     values = write_column(tmp_path, "v.txt", [3.0, 1.0, 2.0, 5.0])
     probs = write_column(tmp_path, "p.txt", [0.5, 0.25, 0.75])
     many = write_column(tmp_path, "many.txt", np.random.default_rng(26).uniform(0, 0.01, 10**4))
-    rows = math.isqrt(cli.BLOCK_CELLS - 1) + 1
-    lengths = {"a": 5, "b": 5, "long": rows, "short": (cli.BLOCK_CELLS - 1) // rows,
-               "just": -(-cli.BLOCK_CELLS // rows)}
+    # a cold witness alignment of rows x cols takes the move table when array_route,
+    # with numpy's import charged, says so: rows is the square break-even's side, and
+    # just the fewest columns against it
+    table = lambda rows, cols: (rows * cols * cli.ALIGN_CELL_S
+                                >= (rows + cols) * cli.ALIGN_DIAGONAL_S + cli.NUMPY_IMPORT_S)
+    rows = next(n for n in itertools.count(1) if table(n, n))
+    just = next(cols for cols in itertools.count(1) if table(rows, cols))
+    lengths = {"a": 5, "b": 5, "long": rows, "short": just - 1, "just": just, "two": 200}
     for name, length in lengths.items():
         (tmp_path / f"{name}.txt").write_text(("GATTACA" * length)[:length] + "\n")
-    a, b, long, short, just = (str(tmp_path / f"{name}.txt") for name in lengths)
+    a, b, long, short, just, two = (str(tmp_path / f"{name}.txt") for name in lengths)
     vit = ["--semiring", "viterbi:minplus"]
     calls = [["lis", values, "--verify"], ["events", probs, "-M", "1", "--verify"],
              ["events", probs, "-M", "1", "--mode", "viterbi"], ["events", many, "-M", "50"],
@@ -567,7 +611,9 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
              ["align", a, b, "--verify"], ["align", a, b, "--max-misalign", "1"],
              ["align", a, b, "--sum-misalign", "2", "--semiring", "viterbi:minplus"],
              ["align", a, b, *vit, "--verify"], ["align", a, b, *vit, "--max-misalign", "1"],
-             # one cell below the break-even, with and without a gap cap
+             # perfbench's cold max200
+             ["align", two, two, *vit, "--max-misalign", "8"],
+             # one column below the break-even, with and without a gap cap
              ["align", long, short, *vit], ["align", long, short, *vit, "--max-misalign", "8"],
              # past it, a gap cap of 8 folds only its band of about 4,000 cells
              ["align", long, just, *vit, "--max-misalign", "8"],
@@ -589,7 +635,7 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
 
 
 def test_move_tables_give_the_documents_of_the_callable_weights(tmp_path, monkeypatch, capsys):
-    # BLOCK_CELLS 0 runs every witness alignment over a move table as blocks
+    # a yes from array_route runs every witness alignment over a move table as blocks
     tables = []
     edit_table = cli._edit_table
     monkeypatch.setattr(cli, "_edit_table", lambda *a: tables.append(1) or edit_table(*a))
@@ -609,8 +655,8 @@ def test_move_tables_give_the_documents_of_the_callable_weights(tmp_path, monkey
                 argv = ["align", str(tmp_path / first), str(tmp_path / second), *tokens,
                         "--semiring", f"viterbi:{base}", *costs, *extra]
                 outcomes = []
-                for cells in (10**12, 0):
-                    monkeypatch.setattr(cli, "BLOCK_CELLS", cells)
+                for arrays in (False, True):
+                    monkeypatch.setattr(cli, "array_route", lambda list_s, array_s: arrays)
                     code, doc, out = run_cli(tmp_path, *argv)
                     if code == 0:
                         out.unlink()

@@ -536,7 +536,6 @@ def test_the_min_max_bases_and_prob_take_array_rows():
         want = name in ("prob", "minplus", "maxplus", "maxprod", "bottleneck")
         assert s.array_rows is want, name
         assert sd.instrumented(s)[0].array_rows is want, name
-        assert s.row(iter([s.one, s.zero])) == [s.one, s.zero], name
     assert sd.viterbi_simple_semiring(CATALOG["minplus"]).array_rows is False
     # prob's sums still fold left, over lists: no score to pick a winner by
     assert CATALOG["prob"].row_score is None
