@@ -185,22 +185,25 @@ def _read_text(path: str) -> str:
 
 
 def read_numeric_column(path: str, *, header: bool = False) -> list[float]:
-    """One number per line; '#'-prefixed lines are comments."""
+    """One number per line; '#'-prefixed lines are comments, and blank lines are skipped.
+
+    ``header`` skips the first other line.  The kept lines are parsed in
+    one pass; line numbers are counted only to name a line that fails.
+    """
     lines = _read_text(path).splitlines()
-    values: list[float] = []
-    skip_pending = header
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if skip_pending:
-            skip_pending = False
-            continue
+    kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if header:
+        del kept[:1]
+    try:
+        return list(map(float, kept))
+    except ValueError:
+        pass
+    numbers = [k for k, line in enumerate(map(str.strip, lines), start=1) if line and line[0] != "#"]
+    for lineno, line in zip(numbers[1:] if header else numbers, kept):
         try:
-            values.append(float(line))
+            float(line)
         except ValueError:
             raise DataError(f"{path}:{lineno}: not a number: {line!r}") from None
-    return values
 
 
 def read_sequence(path: str, *, tokens: bool = False) -> list[str]:
@@ -326,7 +329,7 @@ def _label(*label):
 def _verify_segment(make, alg, base, scalar_weight, got) -> dict:
     n = make(_label).length
     generate = lambda one, gen: segment_opt(make(lambda *label: one(label)), gen)
-    # column by column, as the fold reads them: SegmentCosts builds each cost column once
+    # every segment (i, j), column by column; a scalar cost is O(1) in any read order
     alphabet = ((i, j) for j in range(1, n + 1) for i in range(1, j + 1))
     return _oracle(2 ** (n - 1), f"2^{n - 1} covers", generate, alg, base, scalar_weight, got,
                    alphabet)
@@ -431,9 +434,9 @@ def _config(args, *names, **extra) -> dict:
 # --- array routes ------------------------------------------------------------
 
 # array_route's inputs, one row per route: each side's seconds per unit of work.
-# All were fitted on 2026-10-20 in one sitting on a shared 2-CPU host (Python 3.11.7,
-# numpy 2.4.6), over warm counted folds (best of 5-11) by least relative error; no
-# second host was available.  A cost both routes pay alike is left out of both.
+# All but the segment row were fitted on 2026-10-20 in one sitting on a shared 2-CPU host
+# (Python 3.11.7, numpy 2.4.6), over warm counted folds (best of 5-11) by least relative
+# error; no second host was available.  A cost both routes pay alike is left out of both.
 # numpy's import: the median of 11 fresh interpreters that had imported this module
 # (other sets of 11 that day read 0.047-0.093 s: the host alternates between speeds)
 NUMPY_IMPORT_S = 0.093
@@ -446,10 +449,11 @@ GAP_S, GAP_ENTRY_S, GAP_ARRAY_S = 8.5e-6, 0.33e-6, 17e-6
 # lis over lt or le: lists per chainable pair, n(n - 1) / 2 of them, arrays per position
 # (past the 4.8 us a position both routes spend)
 CHAIN_PAIR_S, CHAIN_POSITION_S = 0.093e-6, 4.2e-6
-# segment columns: lists per weight read, score columns per dot (past the 18 us a
-# sample both spend).  Per weight, not per dot term: a count fold reads each weight
-# once for up to count dot terms.
-SEGMENT_READ_S, SEGMENT_DOT_S = 0.89e-6, 13e-6
+# segment columns: lists per weight read (an O(1) closed form), score columns per column
+# built and per dot.  Per weight, not per dot term: a count fold reads each weight once for
+# up to count dot terms, and builds one column for up to count dots.  Fitted on
+# 2026-10-21 in one sitting on the same host, to 36 warm counted folds (best of 33 each)
+SEGMENT_READ_S, SEGMENT_COLUMN_S, SEGMENT_DOT_S = 0.99e-6, 23e-6, 4.9e-6
 # witness alignments: lists per cell folded, the move table per diagonal.  Lists also
 # spend 11.5 us a diagonal, left out, so a banded fold, whose diagonals are short,
 # keeps lists: at 200 x 200 under a largest gap of 8 the two routes measure a tie.
@@ -519,8 +523,9 @@ def cmd_segment(args) -> tuple[dict, list | None]:
         run = lambda p, counted: algorithms.segment_min_length(p, lo, counted, at_least=True)
         reads = (n - lo + 1) * (n - lo + 2) // 2  # those at least lo long
         alg = min_count_algebra(n, label_map=lambda e: e[1] - e[0] + 1, accept=lambda m: m >= lo)
-    # min/max folds may read whole cost columns (the costs have loaded numpy)
-    if base.row_score is not None and array_route(reads * SEGMENT_READ_S, dots * SEGMENT_DOT_S):
+    # min/max folds may read whole cost columns, numpy arrays made from the costs' sums
+    if base.row_score is not None and array_route(reads * SEGMENT_READ_S,
+                                                  n * SEGMENT_COLUMN_S + dots * SEGMENT_DOT_S):
         weight = ColumnTable(cost, costs.weights, labelled=tupled)
 
     config = _config(args, "input", "semiring", "model", "header", constraint=constraint)
@@ -534,11 +539,12 @@ def cmd_segment(args) -> tuple[dict, list | None]:
     table = None
     witness = doc["witness"]
     if witness is not None:
-        fit = piecewise_values(ts, model, witness)
-        table = [("index", "value", "fit", "segment")]
-        for ordinal, (i, j) in enumerate(witness, start=1):
-            table += [(k, ts.values[k - 1], fit[k - 1], ordinal) for k in range(i, j + 1)]
         doc["breakpoints"] = [seg[1] for seg in witness[:-1]]
+        if args.out_table is not None:  # the fit is numpy's: built only when asked for
+            fit = piecewise_values(ts, model, witness)
+            table = [("index", "value", "fit", "segment")]
+            for ordinal, (i, j) in enumerate(witness, start=1):
+                table += [(k, ts.samples[k - 1], fit[k - 1], ordinal) for k in range(i, j + 1)]
     return doc, table
 
 

@@ -1,15 +1,22 @@
 """Least-squares segment costs wired into the segmentation recurrences.
 
-Interval fit costs come from cumulative sums, one O(N) column of them
-per segment end; the segmentation solvers combine them with a
-score-and-witness semiring so the optimal cost and its breakpoints come
-out of one forward pass.  numpy is imported by the functions that use it,
-so importing the package does not load it.
+Interval fit costs come from cumulative sums kept as Python floats: one
+cost is an O(1) closed form on them, and a column of costs, every segment
+ending at j, the same formula over them as numpy arrays.  The
+segmentation solvers combine the costs with a score-and-witness semiring,
+so the optimal cost and its breakpoints come out of one forward pass.
+numpy is imported by the functions that use it: the cost columns, the
+direct sums (long segments, other exponents) and the fitted values.  So
+importing the package, or folding scalar costs, does not load it.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .algorithms import (
@@ -27,22 +34,43 @@ LONG_SEGMENT_DIRECT = 10_000
 
 
 class TimeSeries:
-    """A finite sequence of real samples, indexed 1..N."""
+    """A finite sequence of real samples, indexed 1..N.
 
-    __slots__ = ("values",)
+    ``samples`` holds them as a tuple of Python floats; ``values`` is the
+    same samples as a read-only float array, built on first read.
+    """
+
+    __slots__ = ("samples", "_values")
 
     def __init__(self, values):
-        import numpy as np
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
+        samples = ()
+        # samples come as a flat array or a sequence (a string is one sample, not its
+        # characters), and a sample with an ndim of its own is nested: float() of a
+        # one-element array is no error on every numpy, so ndim is read, not trusted
+        if (getattr(values, "ndim", 0) == 1
+                or isinstance(values, Sequence) and not isinstance(values, (str, bytes))):
+            if not any(map(getattr, values, repeat("ndim"), repeat(0))):
+                try:
+                    samples = tuple(map(float, values))
+                except TypeError:  # a nested sample without an ndim, a list say
+                    pass
+        if not samples:
             raise ValueError("a time series is a non-empty flat array of samples")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, samples)):
             raise ValueError("time series samples must be finite")
-        arr.setflags(write=False)
-        self.values = arr
+        self.samples = samples
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            import numpy as np
+            self._values = np.array(self.samples)
+            self._values.setflags(write=False)
+        return self._values
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return len(self.samples)
 
     def __repr__(self) -> str:
         return f"TimeSeries(n={len(self)})"
@@ -75,50 +103,44 @@ class SegmentCostModel:
 class SegmentCosts:
     """Interval fit costs for one series/model pair.
 
-    Builds cumulative sums of (1, n, n^2, y, n*y, y^2) once.  Column j,
-    the costs of every segment ending at j, is computed with numpy from
-    the sums.  ``weights(j)`` gives it as a float array of the weights,
-    which a segmentation fold over a ``ColumnTable`` reads whole.  A
-    scalar p=2 cost is read from the column as Python floats: it is built
-    when a cost ending at j is asked for and the column held is another
-    one, and only the latest is kept (N floats), so a list-route fold,
-    which reads column j only while computing its row j, builds each
-    column once.  Reads out of column order (the ``--verify`` oracle,
-    tests) build one column per change of j.  Non-quadratic exponents and
-    segments longer than LONG_SEGMENT_DIRECT fall back to an O(j - i)
-    centered computation, in ``weights`` too.
+    Builds the cumulative sums of (y, y^2, n, n^2, n*y) once, as lists of
+    Python floats, by the left fold numpy's ``cumsum`` makes too.
+    ``cost(i, j)`` is the p=2 closed form on them, O(1) in any read
+    order, so a list-route fold reads its weights without numpy.
+    ``weights(j)`` gives column j, the weights of every segment ending at
+    j, as a float array, which a segmentation fold over a ``ColumnTable``
+    reads whole: the same operations in the same order over the sums as
+    arrays (made on the first column read), so each entry is the scalar
+    weight's bits.  Non-quadratic exponents and segments longer than
+    LONG_SEGMENT_DIRECT fall back to an O(j - i) centered computation, in
+    ``weights`` too.
     """
 
     def __init__(self, ts: TimeSeries, model: SegmentCostModel):
-        import numpy as np
-        y = ts.values
-        n = np.arange(1, y.size + 1, dtype=float)
-        zero = np.zeros(1)
+        y = ts.samples
+        n = tuple(map(float, range(1, len(y) + 1)))
         self.model = model
+        self._series, self._size = ts, len(y)
         # read on every query, so held here (a model is frozen)
         self._exponent, self._regularization = model.error_exponent, model.regularization
-        self._y, self._n = y, n
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-            self._sy = np.concatenate([zero, np.cumsum(y)])
-            self._syy = np.concatenate([zero, np.cumsum(y * y)])
-            self._sn = np.concatenate([zero, np.cumsum(n)])
-            self._snn = np.concatenate([zero, np.cumsum(n * n)])
-            self._sny = np.concatenate([zero, np.cumsum(n * y)])
-            # bounds every sum and product a cost query forms (Cauchy-Schwarz)
-            bound = y.size * self._snn[-1] * self._syy[-1]
-        if not np.isfinite(bound):
+        self._linear = model.kind == "linear"
+        # each sum before sample i at index i - 1: zero, then the running sums
+        self._sums = tuple([0.0, *accumulate(terms)] for terms in (
+            y, map(mul, y, y), n, map(mul, n, n), map(mul, n, y)))
+        self._arrays = None  # the sums as float arrays, for the columns
+        _, syy, _, snn, _ = self._sums
+        # bounds every sum and product a cost query forms (Cauchy-Schwarz)
+        if not math.isfinite(len(y) * snn[-1] * syy[-1]):
             raise ValueError("sample magnitudes overflow the cost model's sums; rescale the series")
-        # (j, column): cost(i, j) at index i - 1 of the column, for the last j asked
-        self._column = (0, None)
 
     @property
     def length(self) -> int:
-        return self._y.size
+        return self._size
 
     def _fit(self, i: int, j: int) -> np.ndarray:
         """Least-squares fitted values over [i, j] (1-based, inclusive)."""
         import numpy as np
-        y = self._y[i - 1 : j]
+        y = self._series.values[i - 1 : j]
         if self.model.kind == "constant" or y.size == 1:
             return np.full(y.size, y.mean())
         x = np.arange(i, j + 1, dtype=float)
@@ -129,21 +151,27 @@ class SegmentCosts:
 
     def _direct_cost(self, i: int, j: int) -> float:
         import numpy as np
-        residuals = np.abs(self._y[i - 1 : j] - self._fit(i, j))
+        residuals = np.abs(self._series.values[i - 1 : j] - self._fit(i, j))
         p = self.model.error_exponent
         return float(np.sum(residuals**p)) / p
 
     def cost(self, i: int, j: int) -> float:
         """Best-fit cost of the interval [i, j], 1-based inclusive."""
-        if not 1 <= i <= j <= self._y.size:
+        if not 1 <= i <= j <= self._size:
             raise ValueError(f"interval ({i}, {j}) outside 1..{self.length}")
         if j - i >= LONG_SEGMENT_DIRECT or self._exponent != 2.0:
             return self._direct_cost(i, j)
-        end, column = self._column
-        if end != j:
-            column = self._cost_column(j).tolist()
-            self._column = (j, column)
-        return column[i - 1]
+        sy_, syy_, sn_, snn_, sny_ = self._sums
+        s, length = i - 1, float(j - i + 1)  # the sums before i, and the length
+        sy = sy_[j] - sy_[s]
+        rss = syy_[j] - syy_[s] - sy * sy / length  # the constant fit's, and any length-1 one
+        if self._linear and length > 1.0:
+            sn = sn_[j] - sn_[s]
+            sxx = snn_[j] - snn_[s] - sn * sn / length
+            if sxx > 0:
+                sxy = sny_[j] - sny_[s] - sn * sy / length
+                rss -= sxy * sxy / sxx
+        return (0.0 if rss < 0.0 else rss) / 2.0
 
     def weight(self, i: int, j: int) -> float:
         """The recurrence weight of segment [i, j]: ``cost(i, j) + regularization``."""
@@ -161,16 +189,19 @@ class SegmentCosts:
     def _cost_column(self, j: int) -> np.ndarray:
         """cost(i, j) for i = 1..j by the p=2 closed form, as a new float array."""
         import numpy as np
+        if self._arrays is None:
+            self._arrays = tuple(map(np.array, self._sums))
+        sy_, syy_, sn_, snn_, sny_ = self._arrays
         start = slice(0, j)  # the sums before i, for i = 1..j
-        length = self._n[j - 1 :: -1]  # j - i + 1: j, ..., 1
-        sy = self._sy[j] - self._sy[start]
-        syy = self._syy[j] - self._syy[start]
+        length = np.arange(float(j), 0.0, -1.0)  # j - i + 1: j, ..., 1
+        sy = sy_[j] - sy_[start]
+        syy = syy_[j] - syy_[start]
         syy_c = syy - sy * sy / length  # the constant fit's rss, and any length-1 rss
         rss = syy_c
-        if self.model.kind == "linear":
-            sn = self._sn[j] - self._sn[start]
-            snn = self._snn[j] - self._snn[start]
-            sny = self._sny[j] - self._sny[start]
+        if self._linear:
+            sn = sn_[j] - sn_[start]
+            snn = snn_[j] - snn_[start]
+            sny = sny_[j] - sny_[start]
             sxx = snn - sn * sn / length
             sxy = sny - sn * sy / length
             with np.errstate(divide="ignore", invalid="ignore"):  # where sxx > 0 fails

@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,22 +106,42 @@ def test_segment_verify_passes_with_count_semiring(tmp_path):
     assert doc["oracle_check"]["status"] == "pass"
 
 
-def test_segment_oracle_builds_each_cost_column_once(tmp_path, monkeypatch):
-    # the oracle once weighed labels in path order, one cost column per change of j:
-    # 117 columns for --count 3 --verify at n = 14, against 15 without --verify
-    built = []
+def test_segment_list_route_reads_scalar_costs_and_builds_no_column(tmp_path, monkeypatch):
+    # a list-route fold and the --verify oracle read scalar costs, each an O(1) closed form
+    # in any order: no cost column is built, and no fit without --out-table.  The reads are
+    # the one-segment weight's check, each weight the fold reads, and each label's weight
+    # once for the oracle unless it is skipped
+    built, reads, fits = [], [], []
     column = cli.SegmentCosts._cost_column
     monkeypatch.setattr(cli.SegmentCosts, "_cost_column",
                         lambda self, j: built.append(j) or column(self, j))
+    build, fit = cli.SegmentCosts, cli.piecewise_values
+
+    def recording(*args):
+        costs = build(*args)
+        weight = costs.weight
+        costs.weight = lambda i, j: reads.append((i, j)) or weight(i, j)
+        return costs
+
+    monkeypatch.setattr(cli, "SegmentCosts", recording)
+    monkeypatch.setattr(cli, "piecewise_values", lambda *a: fits.append(1) or fit(*a))
     rng = np.random.default_rng(21)
-    for n, extra, status in ((14, ("--count", "3"), "pass"), (14, ("--lambda", "0.5"), "pass"),
-                             (16, ("--count", "3"), "skipped")):
+    for n, extra, status, fold_reads in (
+            (14, ("--count", "3"), "pass", 105), (14, ("--lambda", "0.5"), "pass", 105),
+            (16, ("--count", "3"), "skipped", 136), (14, ("--min-length", "2"), "pass", 91)):
         path = write_column(tmp_path, f"y{n}.txt", rng.normal(0.0, 1.0, n))
-        built.clear()
+        reads.clear()
         code, doc, _ = run_cli(tmp_path, "segment", path, *extra, "--verify")
         assert (code, doc["oracle_check"]["status"]) == (0, status)
-        # the one-segment weight's check, the fold, and the oracle unless it is skipped
-        assert len(built) == (2 * n + 1 if status == "pass" else n + 1), (n, extra)
+        oracle = sorted(reads[1 + fold_reads:])
+        assert reads[0] == (1, n) and len(reads) == 1 + fold_reads + len(oracle), (n, extra)
+        want = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        assert oracle == (want if status == "pass" else []), (n, extra)
+    assert built == [] and fits == []
+    # a table is the fit's
+    code = main(["segment", path, "--count", "2", "--out", str(tmp_path / "o.json"),
+                 "--out-table", str(tmp_path / "t.csv")])
+    assert (code, built, fits) == (0, [], [1])
 
 
 def test_segment_columns_read_no_scalar_weight(tmp_path, monkeypatch):
@@ -183,6 +205,68 @@ def test_segment_malformed_csv_is_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bad.csv:2" in err
+
+
+def _read_line_by_line(path, header):
+    """The reference reader: each line stripped, numbered, skipped or parsed in turn."""
+    values, skip_pending = [], header
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if skip_pending:
+            skip_pending = False
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise cli.DataError(f"{path}:{lineno}: not a number: {line!r}") from None
+    return values
+
+
+def _read_outcome(read, path, header):
+    """The values read, by their bits, or the data error's message."""
+    try:
+        return [v.hex() for v in read(path, header=header)]
+    except cli.DataError as exc:
+        return str(exc)
+
+
+READ_CASES = {
+    "comments": ["# a comment\n1.0\n  # indented\n#\n2.5\n\t#tabbed\n-3e-7\n# last",
+                 "#\n#\n", "  ##x\n4\n"],
+    "blank-lines": ["\n\n1.0\n   \n\t\n2.0\n\n", "1.0\r\n\r\n2.0\r\n", "\x0c1.0\x0c\n\x0b\n3",
+                    "", "\n \n", " 7 \u2028 8 \n\u00a09\u00a0"],
+    "header": ["value\n1.0\n2.0\n", "\n# note\n  value \n\n1.0\n", "1.0\n2.0\n", "value\n",
+               "# only a comment\n", "value\nnot-a-number\n", "\n\nvalue\n\n# c\nx\n"],
+    "errors": ["1.0\nnot-a-number\n", "# c\n\n  bad  \n1.0\n", "1.0 2.0\n", "3.0 # trailing\n",
+               "1.0\n2.0\n\n#\n0x10\n", "'1'\n", "1.0\n\u00e9\n", "nan\ninf\n-inf\n1_000\nx\ny\n"],
+}
+
+
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+def test_read_numeric_column_is_the_line_by_line_reader(tmp_path, case, header):
+    # comments, blank lines, --header and every error message as the reference reads them
+    for k, text in enumerate(READ_CASES[case]):
+        path = tmp_path / f"{case}-{k}.txt"
+        path.write_text(text, encoding="utf-8")
+        want = _read_outcome(_read_line_by_line, str(path), header)
+        assert _read_outcome(cli.read_numeric_column, str(path), header) == want, (text, header)
+
+
+def test_read_numeric_column_random_files_are_the_line_by_line_reader(tmp_path):
+    rng = random.Random(35)
+    pool = ["1.0", " -2.5 ", "\t3e-7", "nan", "inf", "# c", "  #", "", "   ", "x", "1.0 2.0",
+            "value", "1_0", "0x1", "\u00a05\u00a0"]
+    path = tmp_path / "r.txt"
+    for _ in range(400):
+        lines = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        path.write_text(rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"]),
+                        encoding="utf-8")
+        for header in (False, True):
+            want = _read_outcome(_read_line_by_line, str(path), header)
+            assert _read_outcome(cli.read_numeric_column, str(path), header) == want, lines
 
 
 def test_segment_infeasible_constraint_is_data_error(tmp_path):
@@ -383,15 +467,18 @@ def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
         assert run_cli(tmp_path, *argv)[0] == 0, argv
         return answers
 
-    # the route of every call of the benchmark's workloads, and two folds whose faster
-    # route the rule must find: segment --count 3 at N = 36 on lists (1.7 ms against
-    # 1.9 ms on columns) and a 100 x 100 witness alignment on the move table (6 ms
-    # against 21 ms on lists)
+    # the route of every call of the benchmark's workloads, and folds whose faster route
+    # the rule must find: segment --count 3 at N = 36 and a plain segment at N = 40 on lists
+    # (1.1 against 1.8 ms on columns, and 0.92 against 1.27 ms), --count 3 at N = 110 on
+    # columns (5.7 against 7.7 ms), and a 100 x 100 witness alignment on the move table
+    # (6 ms against 21 ms on lists)
     series = {n: write_column(tmp_path, f"y{n}.txt", rng.normal(0.0, 1.0, n))
-              for n in (14, 36, 110, 420)}
+              for n in (14, 36, 40, 110, 420)}
     assert asked("segment", series[14], "--count", "3", "--verify") == [False]
     assert asked("segment", series[14], "--lambda", "0.5", "--verify") == [False]
     assert asked("segment", series[36], "--count", "3") == [False]
+    assert asked("segment", series[40]) == [False]
+    assert asked("segment", series[110], "--count", "3") == [True]
     assert asked("segment", series[110], "--min-length", "15") == [True]
     assert asked("segment", series[420], "--count", "3") == [True]
     six = dna("six.a", 6), dna("six.b", 6)
@@ -585,12 +672,14 @@ def test_bench_table(tmp_path):
 
 
 def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
-    # only the segment costs and the folds array_route sends to arrays once numpy's
-    # import is charged to them use numpy, whose import is most of the start-up of a
-    # cold run that needs none of it.  Exact events at M = 50 over 10^4 events, below
-    # the cold break-even (about 1.8 x 10^4 events at M = 50), and a summed gap of 2
-    # over 5 x 5 keep lists
+    # only the folds array_route sends to arrays once numpy's import is charged to them,
+    # and a segment fit written with --out-table, use numpy, whose import is most of the
+    # start-up of a cold run that needs none of it.  Segments read scalar costs on the list
+    # route (perfbench's cold --count 3 --verify at N = 14 among them), exact events at
+    # M = 50 over 10^4 events, below the cold break-even (about 1.8 x 10^4 events at
+    # M = 50), and a summed gap of 2 over 5 x 5 keep lists
     values = write_column(tmp_path, "v.txt", [3.0, 1.0, 2.0, 5.0])
+    y14 = write_column(tmp_path, "y14.txt", np.random.default_rng(14).normal(0.0, 1.0, 14))
     probs = write_column(tmp_path, "p.txt", [0.5, 0.25, 0.75])
     many = write_column(tmp_path, "many.txt", np.random.default_rng(26).uniform(0, 0.01, 10**4))
     # a cold witness alignment of rows x cols takes the move table when array_route,
@@ -605,7 +694,9 @@ def test_runs_off_the_array_routes_leave_numpy_unloaded(tmp_path):
         (tmp_path / f"{name}.txt").write_text(("GATTACA" * length)[:length] + "\n")
     a, b, long, short, just, two = (str(tmp_path / f"{name}.txt") for name in lengths)
     vit = ["--semiring", "viterbi:minplus"]
-    calls = [["lis", values, "--verify"], ["events", probs, "-M", "1", "--verify"],
+    calls = [["segment", y14, "--count", "3", "--verify"],
+             ["segment", y14, "--lambda", "0.5", "--verify"], ["segment", y14, "--min-length", "2"],
+             ["lis", values, "--verify"], ["events", probs, "-M", "1", "--verify"],
              ["events", probs, "-M", "1", "--mode", "viterbi"], ["events", many, "-M", "50"],
              ["align", a, b, "--sum-misalign", "2"],
              ["align", a, b, "--verify"], ["align", a, b, "--max-misalign", "1"],

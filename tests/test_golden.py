@@ -43,6 +43,9 @@ CASES = {
         "segment", "series.csv", "--min-length", "3", "--model", "constant",
         "--lambda", "0.5", "--out-table", "table.csv",
     ),
+    "segment_count_table": (
+        "segment", "series.csv", "--count", "3", "--lambda", "0.25", "--out-table", "table.csv",
+    ),
     "segment_minplus_header": (
         "segment", "header.csv", "--header", "--semiring", "minplus", "--count", "2",
     ),

@@ -1,8 +1,11 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiring_dp as sd
 import oracles
@@ -17,8 +20,23 @@ def test_time_series_validation():
         sd.TimeSeries([])
     with pytest.raises(ValueError):
         sd.TimeSeries([1.0, math.nan])
-    with pytest.raises(ValueError):
-        sd.TimeSeries([[1.0, 2.0]])
+    class OneElement:  # what a one-element array is to float() on numpy before 2.4
+        ndim = 1
+
+        def __float__(self):
+            return 1.0
+
+    for nested in ([[1.0, 2.0]], np.ones((3, 1)), [np.ones(1)], [OneElement()], 5.0, "12", b"12"):
+        with pytest.raises(ValueError, match="flat array"):
+            sd.TimeSeries(nested)
+    # np.array refuses what is not a sequence or an array, and so does TimeSeries
+    for unordered in ((x for x in (1.0, 2.0)), {1.0, 2.0}, {1.0: 2.0}):
+        with pytest.raises(ValueError, match="flat array"):
+            sd.TimeSeries(unordered)
+    for flat in ([1, 2.5], (1.0, 2.0), range(1, 3), np.arange(2.0), ["1", "2.5"]):
+        assert sd.TimeSeries(flat).values.tolist() == np.array(flat, dtype=float).tolist()
+    with pytest.raises(ValueError, match="finite"):
+        sd.TimeSeries(np.array([1.0, np.inf]))
 
 
 def test_model_validation():
@@ -117,9 +135,37 @@ def test_weight_table_is_the_scalar_cost_bit_for_bit(n, kind, lam):
             assert got.hex() == float(costs.cost(i, j) + lam).hex(), (i, j)
 
 
+@st.composite
+def closed_form_series(draw):
+    """Runs of one value, single samples among them, scaled up to the overflow guard's limit."""
+    runs = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 6)), min_size=1,
+                         max_size=10))
+    y = [value for value, repeat in runs for _ in range(repeat)]
+    n = len(y)
+    # |y| <= 1 keeps n * sum(n^2) * sum(y^2), which the guard bounds, below the largest float
+    top = math.sqrt(sys.float_info.max / (n * n * (n * (n + 1) * (2 * n + 1) / 6)))
+    scale = draw(st.sampled_from([1.0, 1e-150, top, top / 3]) | st.floats(1e-3, 1e3))
+    offset = draw(st.sampled_from([0.0, 1e3, -1e6]))
+    return [offset + scale * v for v in y]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(closed_form_series(), st.sampled_from(["constant", "linear"]),
+       st.sampled_from([0.0, 0.75, 1e-300]))
+def test_scalar_cost_is_the_column_entry_bit_for_bit(y, kind, lam):
+    # the scalar closed form on Python-float sums and the column form on arrays of them
+    # make the same operations in the same order
+    costs = sd.SegmentCosts(series(y), sd.SegmentCostModel(kind=kind, regularization=lam))
+    for j in range(1, len(y) + 1):
+        column, weights = costs._cost_column(j), costs.weights(j)
+        for i in range(1, j + 1):
+            assert costs.cost(i, j).hex() == column[i - 1].hex(), (i, j)
+            assert costs.weight(i, j).hex() == weights[i - 1].hex(), (i, j)
+
+
 @pytest.mark.parametrize("kind", ["constant", "linear"])
 def test_weights_read_out_of_column_order_are_the_scalar_cost(kind):
-    # reads that hop between columns, and come back to one, rebuild the column they need
+    # reads that hop between columns, and come back to one, give the same bits
     y = np.random.default_rng(7).normal(0, 2, 30)
     costs = sd.SegmentCosts(series(y), sd.SegmentCostModel(kind=kind, regularization=0.5))
     cells = [(i, j) for j in range(1, 31) for i in range(1, j + 1)]
@@ -179,7 +225,8 @@ def test_long_segment_limit_is_read_at_each_query(monkeypatch):
 
 
 def test_cost_and_untabled_weight_are_python_floats(monkeypatch):
-    # costs come from numpy sums, but a fold mixing numpy.float64 into its floats is slower
+    # a fold mixing numpy.float64 into its floats is slower: the closed form and the
+    # direct sums both give Python floats
     import semiring_dp.regression as reg
 
     y = np.random.default_rng(12).normal(0, 2, 5)
