@@ -49,8 +49,9 @@ with zero on the moves past the cap, and a minimum segment length
 minimum lifted over ``exists``: some segment of that length).  Under a
 largest gap the alignment folds only the band of cells within the cap,
 under a summed gap only the cells some capped path reaches.  A
-segment count stays a shifted table by hand, since ``segment_opt`` over
-lifted vectors measured slower, as its docstring shows.  The oracle
+segment count stays a shifted table by hand and ``combinations`` its own
+row update, since ``segment_opt`` over lifted vectors and ``events_m_of_n``
+over (one, w) pairs measured slower, as their docstrings show.  The oracle
 tests check each form against generate-filter-evaluate.
 """
 
@@ -149,7 +150,10 @@ def combinations(n: int, k: int, s: Semiring, w: Weight) -> Any:
     Row update: f[m] = f[m] + f[m-1] * w(item), one ``add_rows`` of the
     row with its shifted ``mul_rows`` by ``repeat(w(item))`` per item, so
     w(item) is read once per item.  k > n yields zero (no such
-    subsequences), reported as an ordinary value.
+    subsequences), reported as an ordinary value.  ``events_m_of_n`` over
+    (one, w(item)) pairs gives the same, but multiplies by one as well: at
+    (120, 8) 1,984 muls, not 932, and 1.3-2 times slower (count, min-plus,
+    path sets; in process, 4 alternated rounds).
     """
     if n < 0 or k < 0:
         raise ValueError("sizes must be non-negative")
@@ -285,9 +289,9 @@ def segment_fixed_count(p: SegmentationProblem, lo: int, hi: int, s: Semiring) -
     ``ScoreRow``s (see ``SegmentationProblem``), with the same values and
     op counts.  O(N^2 * hi) operations, O(N * hi) values stored.  This
     is ``segment_opt`` over subset-size vectors with the shift hoisted
-    by hand; ``segment_opt`` itself holds lifted rows, transposed into
-    the columns ``dot`` takes, which measured 4-18% slower at N=420,
-    count 3, for more code.
+    by hand: ``segment_opt`` over the edge-lifted vectors took 464 ms at
+    N=420, count 3 (viterbi min-plus), against 126 ms for this fold on
+    lists and 23 ms on columns (in process, best of 5), for the same result.
     """
     n = p.length
     if not 1 <= lo <= hi <= n:
@@ -739,11 +743,10 @@ def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:
             one, zero = (s.one.score, s.zero.score) if s.block_rows else (s.one, s.zero)
             full = np.full(occurrences + 1, zero)
             full[0] = one
+            if s.block_rows:  # a block's slices are blocks viewing its scores
+                full, codes = WitnessBlock(full), np.full((n, occurrences + 1), EMPTY, np.int8)
             grow = lambda row: full[: len(row) + 1]  # a view of the one buffer
             row, quiet = full[:1], quiet_arrays()
-            if s.block_rows:
-                codes = np.full((n, occurrences + 1), EMPTY, np.int8)
-                row, grow = WitnessBlock(row), lambda row: WitnessBlock(full[: len(row) + 1])
     with quiet:
         for seen, (absent, present) in enumerate(pairs, start=1):
             if seen <= occurrences:

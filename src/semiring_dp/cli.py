@@ -29,6 +29,7 @@ import json
 import math
 import operator
 import os
+import re
 import stat
 import sys
 import time
@@ -92,6 +93,11 @@ class DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # any negative float literal ("-1e5", "-inf") is a value, not only plain decimals
+        self._negative_number_matcher = re.compile(r"^-(?:\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -127,6 +133,8 @@ class _Range(argparse.Action):
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize {x!r} in a result document")
+    if x == 0 and math.copysign(1.0, x) < 0:  # "-0" would parse back as the int 0
+        return "-0.0"
     return f"{x:.12g}"
 
 

@@ -30,12 +30,13 @@ and * round as Python's floats do.  ``prob``'s sums still fold left, and
 ``softmax`` and ``count`` keep lists: builtin float ``sum`` is
 compensated from Python 3.12 and numpy sums pairwise, so neither equals
 the left fold bit for bit.  numpy is imported only when an array
-arrives; inside ``quiet_arrays()`` its floating-point warnings are off
-once for a whole fold rather than once per row; an array's
-``shift_rows`` runs in place.  Score-and-witness tupling over the min/max
-bases takes ``WitnessBlock``s, float arrays of scores, in ``dot_rows`` and
-``shift_rows`` (``block_rows``), and gives with the kept scores the term
-each entry kept; the fold that hands it blocks keeps the trails.
+arrives; ``_array_op`` and ``_moved``, all the rows' array arithmetic,
+turn its floating-point warnings off per call outside ``quiet_arrays()``,
+which a fold enters once; an array's ``shift_rows`` runs in place.
+Score-and-witness tupling over the min/max bases takes ``WitnessBlock``s,
+float arrays of scores, in ``dot_rows`` and ``shift_rows``
+(``block_rows``), and gives with the kept scores the term each entry
+kept; the fold that hands it blocks keeps the trails.
 Every ``sum`` takes a ``ScoreRow`` and every ``dot`` two, rows whose
 entries are built only where read, with a float array of their scores.
 The min/max bases and the tupling over them (``row_score``) pick a
@@ -224,9 +225,6 @@ class _ArrayRows(Semiring):
     def shift_rows(self, row, stay, move):
         if not hasattr(row, "shape"):
             return Semiring.shift_rows(self, row, stay, move)
-        if not _QUIET.get():
-            with quiet_arrays():
-                return self.shift_rows(row, stay, move)
         moved = _array_op(self.mul, row[:-1], move)
         _array_op(self.mul, row, stay, into=True)
         _array_op(self.add, row[1:], moved, into=True)
@@ -276,17 +274,17 @@ class _Selective(_ArrayRows):
         return self.sum(map(self.mul, xs, ys))
 
 
-# true inside quiet_arrays(), whose np.errstate already silences every array op
+# true inside quiet_arrays(), whose np.errstate already silences all array arithmetic
 _QUIET = contextvars.ContextVar("quiet_arrays", default=False)
 
 
 @contextlib.contextmanager
 def quiet_arrays():
-    """numpy's floating-point warnings off for the block, so ``_array_op`` need not turn them off.
+    """numpy's floating-point warnings off for the block, so ``_array_op`` and ``_moved`` need not.
 
-    A fold of many short array rows (``events_m_of_n`` makes one
-    ``shift_rows`` per event) runs in one ``np.errstate``, since entering
-    one costs more than an array op of 50 entries (about 2 us against 1 us).
+    Those two, all the rows' array arithmetic, enter one ``np.errstate``
+    per call outside a block; a fold of many short rows enters one block,
+    since that costs more than an array op of 50 entries (2 us against 1 us).
     """
     import numpy as np
     token = _QUIET.set(True)
@@ -688,6 +686,9 @@ def _moved(pick, left, right):
     bound is capped at the largest float.  ``right`` is also kept where
     ``left`` is nan, which ``pick`` does not keep.
     """
+    if not _QUIET.get():  # larger - smaller is nan where both are one infinity
+        with quiet_arrays():
+            return _moved(pick, left, right)
     import numpy as np
     larger, smaller = (left, right) if pick is min else (right, left)
     bound = np.maximum(larger, np.negative(smaller))
@@ -833,9 +834,6 @@ class _PickedWitness(Semiring):
         score equal to the base zero keeps no term (``_settle_zero``).
         """
         import numpy as np
-        if not _QUIET.get():  # one np.errstate for the whole pick, not one per array op
-            with quiet_arrays():
-                return self._dot_blocks(xss, yss)
         base = self.base
         best = base.mul_rows(xss[0].scores, yss[0].scores)  # a new array
         kept = np.zeros(len(best), np.int8)
@@ -856,9 +854,6 @@ class _PickedWitness(Semiring):
         """
         if type(row) is not WitnessBlock:
             return Semiring.shift_rows(self, row, stay, move)
-        if not _QUIET.get():
-            with quiet_arrays():
-                return self.shift_rows(row, stay, move)
         base, scores, kept = self.base, row.scores, row.kept
         shifted = _array_op(base.mul, scores[:-1], move)
         _array_op(base.mul, scores, stay, into=True)

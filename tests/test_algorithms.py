@@ -100,6 +100,37 @@ def test_combinations_equals_filtered_subsequences():
     oracles.check_constrained_fusion(labels, generate, alg, constrained, seed=2)
 
 
+# weights per catalog base, without infinities or nan: an infinite product can be nan,
+# which eq tells apart from every value, itself included
+COMBINATION_WEIGHTS = {
+    "count": (0, 1, 2, 3),
+    "bool": (False, True),
+    "expectation": ((0.0, 0.5), (0.5, 0.25), (0.0, 1.0), (1.0, 0.0)),
+}
+FLOAT_WEIGHTS = (-0.0, 0.0, 0.25, 0.75, 1.0, 2.5)
+
+
+def test_combinations_is_the_events_fold_with_absent_weight_one():
+    """Each item absent with weight one or present with its own: ``events_m_of_n``'s fold.
+
+    ``combinations`` keeps its own fold, which makes no product by one.
+    """
+    rng = random.Random(37)
+    cases = [(name, s, COMBINATION_WEIGHTS.get(name, FLOAT_WEIGHTS), lambda w, i: w)
+             for name, s in CATALOG.items()]
+    cases += [(f"viterbi-simple[{name}]", sd.viterbi_simple_semiring(CATALOG[name]),
+               FLOAT_WEIGHTS, lambda w, i: sd.Scored(w, (i,))) for name in BLOCK_BASES]
+    cases += [("paths", sd.generator_semiring(), (None,), lambda w, i: sd.singleton_weights(i))]
+    for name, s, grid, weigh in cases:
+        for n in range(9):
+            items = {i: weigh(rng.choice(grid), i) for i in range(1, n + 1)}
+            pairs = [(s.one, items[i]) for i in range(1, n + 1)]
+            for k in range(n + 2):
+                got = sd.combinations(n, k, s, items.__getitem__)
+                want = sd.events_m_of_n(pairs, k, s)
+                assert s.eq(got, want), (name, n, k, items)
+
+
 # --- segmentation -------------------------------------------------------------------
 
 

@@ -34,16 +34,16 @@ def write_column(tmp_path, name, values, header=None):
 
 
 def test_format_float_is_idempotent():
-    for x in (0.1, 1 / 3, 123456.789, 1e-7, -2.5e17, 0.375, math.pi):
+    for x in (0.1, 1 / 3, 123456.789, 1e-7, -2.5e17, 0.375, math.pi, -0.0):
         s = format_float(x)
-        assert format_float(float(s)) == s
+        assert format_float(float(json.loads(s))) == s
         assert len(s.replace("-", "").replace(".", "").split("e")[0].lstrip("0")) <= 12
 
 
 def test_canonical_json_round_trip():
     doc = {
         "b": [1, 2.5, "x", None, True],
-        "a": {"nested": {"z": 0.1, "y": -1e-7}},
+        "a": {"nested": {"z": 0.1, "y": -1e-7, "x": -0.0}},
     }
     text = canonical_json(doc)
     assert canonical_json(json.loads(text)) == text
@@ -55,6 +55,42 @@ def test_result_documents_round_trip(tmp_path):
     code, doc, out = run_cli(tmp_path, "events", probs, "-M", "2")
     assert code == 0
     assert canonical_json(doc) + "\n" == out.read_text()
+
+
+def test_documents_with_a_negative_zero_round_trip(tmp_path, capsys):
+    values = write_column(tmp_path, "v.txt", [3, -0.0, 0.0, 2])
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("GATTA\n")
+    second.write_text("GCTAC\n")
+    for argv, zero in ((["lis", values], "witness"),
+                       (["align", str(first), str(second), "--gap-cost", "-0.0"], "config")):
+        assert main([*argv, "--verify"]) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert canonical_json(doc) + "\n" == text
+        assert "-0.0" in json.dumps(doc[zero]), argv
+
+
+@pytest.mark.parametrize("option", ["--gap-cost", "--mismatch-cost", "--lambda"])
+def test_negative_float_options_in_any_notation_are_values(tmp_path, capsys, option):
+    """A negative value after its option reads as ``--option=value`` does, in any float notation."""
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("GATTA\n")
+    second.write_text("GCTAC\n")
+    series = write_column(tmp_path, "y.csv", [1.0, 4.0, 2.0, 8.0, 0.5, 1.5])
+    argv = (["segment", series, "--count", "2"] if option == "--lambda"
+            else ["align", str(first), str(second), "--semiring", "maxplus"])
+    for value in ("-1e5", "-2.5E-1", "-inf"):
+        runs = []
+        for tail in ([option, value], [f"{option}={value}"]):
+            code = main([*argv, *tail])
+            out, err = capsys.readouterr()
+            doc = json.loads(out) if out else None
+            if doc:
+                doc.pop("wall_time_s")
+            runs.append((code, doc, err))
+        assert runs[0] == runs[1], (option, value)
+        assert runs[0][0] != cli.EXIT_USAGE, (option, value, runs[0][2])
 
 
 # --- segment ------------------------------------------------------------------
