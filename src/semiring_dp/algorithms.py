@@ -58,6 +58,7 @@ tests check each form against generate-filter-evaluate.
 from __future__ import annotations
 
 import contextlib
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -489,45 +490,34 @@ class MoveCodes:
         return tuple(reversed(labels))
 
 
-def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, cap: int | None = None,
-             hull: list | None = None) -> Any:
-    """``nw_align``'s fold over ``moves``, on the cells within ``cap`` of the diagonal or ``hull``.
+def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, rows: Sequence | None = None) -> Any:
+    """``nw_align``'s fold over ``moves``, on diagonal d only the rows ``rows[d] = (lo, hi)``.
 
-    A band or hull is exact when the weights make every cell outside it
-    zero.  The band of a cap, the rows i of diagonal d with |2i - d| <=
-    cap, is, when every path with a move of gap past the cap is zero, as
-    under a largest or a summed gap of at most the cap: a path first
-    enters row i by a match (i, j' <= j) or a deletion (i, 0), and either
-    has gap at least i - j (columns likewise), so a cell with |i - j| >
-    cap is zero; that is O(max(rows, cols) * cap) cells.  A summed gap's
-    ``gap_hull``, rows (lo, hi) per diagonal, is exact too, and smaller.
-    The edge cells f[0][d] and f[d][0] are folded when rows 0 and d are.
-    Once diagonal d is written, the buffer cells of diagonal d-2's rows
-    outside its own are cleared (for a band, the one cell below it every
-    other diagonal), after ``dot_rows`` has read them as match terms,
-    since diagonals d+1 and d+2 read them as cells off their rows.  Two
-    diagonals in a row with no rows reach nothing more, and the fold
-    stops with ``s.zero``.  No cap and no hull is the whole table.
-    ``moves.codes``, a table fold's ``MoveCodes``, records the move each
-    cell kept: its buffers hold scores, and the result's witness is spelled
-    from the codes once the fold ends.
+    ``rows`` has an entry for each d = 0..n + m (lo > hi: none); None is
+    the whole table.  It is exact when the weights make every cell
+    outside it zero, as a largest gap's ``band`` and a summed gap's
+    ``gap_hull`` do.  The edge cells f[0][d] and f[d][0] are folded when
+    rows 0 and d are.  Once diagonal d is written, the buffer cells of
+    diagonal d-2's rows outside its own are cleared, after ``dot_rows``
+    has read them as match terms, since diagonals d+1 and d+2 read them
+    as cells off their rows.  Two diagonals in a row with no rows reach
+    nothing more, and the fold stops with ``s.zero``.  ``moves.codes``, a
+    table fold's ``MoveCodes``, records the move each cell kept: its
+    buffers hold scores, and the result's witness is spelled from the
+    codes once the fold ends.
     """
     mul, dot_rows, zero = s.mul, s.dot_rows, s.zero
     inserts, deletes, diagonal, codes = moves.inserts, moves.deletes, moves.diagonal, moves.codes
     old, cur = (moves.row([zero] * (n + 1)) for _ in range(2))
     cur[0] = s.one
-    band = n + m if cap is None else cap  # a band of n + m rows is the whole table
     lo2, hi2, lo1, hi1 = 1, 0, 0, 0  # the rows of diagonals d-2 and d-1: none, and f[0][0]
     # a table fold picks from float arrays: numpy's warnings off once, not once per diagonal
     with quiet_arrays() if codes is not None else contextlib.nullcontext():
         for d in range(1, n + m + 1):
             old, cur = cur, old  # cur holds diagonal d-2 until diagonal d is written over it
-            if hull:
-                lo, hi = hull[d]
-                if lo > hi and lo1 > hi1:
-                    return zero
-            else:  # the rows i with |2i - d| <= band, within the buffer
-                lo, hi = max((d - band + 1) // 2, 0), min((d + band) // 2, n)
+            lo, hi = (0, n) if rows is None else rows[d]
+            if lo > hi and lo1 > hi1:
+                return zero
             first, last = max(1, d - m, lo), min(d - 1, hi)  # the cells off the edges
             if first <= last:
                 cur[first : last + 1] = cells = dot_rows(
@@ -555,8 +545,9 @@ def _nw_fold(n: int, m: int, moves: Moves, s: Semiring, cap: int | None = None,
     return cur[n] if codes is None else Scored(cur[n][0], codes.spell())
 
 
-def gap_hull(rows: int, cols: int, cap: int) -> list[tuple[int, int]]:
-    """The cells a path with summed gap at most ``cap`` reaches: (lo, hi) rows per diagonal.
+@functools.lru_cache(maxsize=1)
+def gap_hull(rows: int, cols: int, cap: int) -> tuple[tuple[int, int], ...]:
+    """The rows a path with summed gap at most ``cap`` reaches: (lo, hi) per diagonal.
 
     F(i, j), the least summed gap of a path to (i, j), is ``nw_align``'s
     recurrence over (min, +) with each move's gap as its weight: a match
@@ -565,6 +556,8 @@ def gap_hull(rows: int, cols: int, cap: int) -> list[tuple[int, int]]:
     i) <= cap (lo > hi: none): the live cells, which lie between them.
     Only the moves out of the live cells of diagonals d-1 and d-2 are
     followed, so the cost is O(live cells), in plain ints and uncounted.
+    The last hull is remembered, as a tuple no reader can change, so a
+    route estimate and the fold that follows build it once.
     """
     hull, older, old = [(0, 0)], {}, {0: 0}  # row -> F on the live cells of d-2 and d-1
     for d in range(1, rows + cols + 1):
@@ -581,11 +574,23 @@ def gap_hull(rows: int, cols: int, cap: int) -> list[tuple[int, int]]:
                 live[i + 1] = g
         hull.append((min(live), max(live)) if live else (1, 0))
         older, old = old, live
-    return hull
+    return tuple(hull)
+
+
+def band(rows: int, cols: int, cap: int) -> list[tuple[int, int]]:
+    """The rows i <= rows with |2i - d| <= cap: (lo, hi) per diagonal d, as ``gap_hull``'s.
+
+    A cell outside them is zero when every path with a move of gap past
+    the cap is, as under a largest or a summed gap of at most the cap: a
+    path first enters row i by a match (i, j' <= j) or a deletion (i, 0),
+    either of gap at least i - j (columns likewise).  O(max(rows, cols) *
+    cap) cells.
+    """
+    return [(max((d - cap + 1) // 2, 0), min((d + cap) // 2, rows)) for d in range(rows + cols + 1)]
 
 
 def band_cells(rows: int, cols: int, cap: int) -> int:
-    """The cells (i, j), i, j >= 1, with |i - j| <= cap: those a fold banded at cap visits."""
+    """The cells (i, j), i, j >= 1, with |i - j| <= cap: those off the edges in ``band``."""
     return sum(max(0, min(cols, i + cap) - max(1, i - cap) + 1) for i in range(1, rows + 1))
 
 
@@ -650,10 +655,8 @@ def misalignment_algebra(kind: str, cap: int) -> lifting.ConstraintAlgebra:
     return _MISALIGNMENT[kind](cap, label_map=lambda e: abs(e[0] - e[1]))
 
 
-def nw_align_sum_constrained(
-    p: AlignmentProblem, total_cap: int, s: Semiring, *, arrays: bool = True,
-    hull: list | None = None,
-) -> Any:
+def nw_align_sum_constrained(p: AlignmentProblem, total_cap: int, s: Semiring, *,
+                             arrays: bool = True) -> Any:
     """Alignment value over moves whose summed gap is at most ``total_cap``.
 
     ``nw_align``'s fold over vectors indexed by the summed gap
@@ -661,21 +664,19 @@ def nw_align_sum_constrained(
     can never come back down, so they are dropped and every tracked
     total is accepted.  A cell no path reaches within the cap is a zero
     vector, and a deletion (i, 0) already has gap i, so the fold visits
-    only the live cells' hull on each diagonal (``gap_hull``, whose own
-    int recurrence makes no counted op): O(live cells * (cap + 1))
-    operations, at most O(rows * cols * cap).  It reads the match
-    weights of those cells and the edge weights within the cap.
-    With ``arrays``, a base whose rows take float arrays (``s.array_rows``)
-    keeps each vector as one (``lifting.summed_gap_arrays``), under one
-    ``quiet_arrays()``, with the tuple form's values and op counts.
-    ``hull`` is ``gap_hull(p.rows, p.cols, total_cap)``, if the caller has
-    made it already.
+    only the rows of ``gap_hull(p.rows, p.cols, total_cap)``, the live
+    cells' hull, whose int recurrence makes no counted op: O(live cells *
+    (cap + 1)) operations, at most O(rows * cols * cap).
+    It reads the match weights of those cells and the edge weights
+    within the cap.  With ``arrays``, a base whose rows take float arrays
+    (``s.array_rows``) keeps each vector as one
+    (``lifting.summed_gap_arrays``), under one ``quiet_arrays()``, with
+    the tuple form's values and op counts.
     """
     if total_cap < 0:
         raise ValueError("total_cap must be non-negative")
     n, m = p.rows, p.cols
-    if hull is None:
-        hull = gap_hull(n, m, total_cap)
+    hull = gap_hull(n, m, total_cap)
     alg = misalignment_algebra("sum", total_cap)
     w, zero = p.weight, s.zero
     # a move past the cap makes the zero vector whatever its weight: it is not read
@@ -683,10 +684,10 @@ def nw_align_sum_constrained(
                                                  abs(i - j)))
     if not (arrays and s.array_rows):
         lifted = lifting.edge_lifted_semiring(s, alg, lifting.subset_size_edge_product)
-        return lifting.project(s, alg, _nw_fold(n, m, edges.moves(lifted), lifted, hull=hull))
+        return lifting.project(s, alg, _nw_fold(n, m, edges.moves(lifted), lifted, hull))
     lifted = lifting.summed_gap_arrays(s, alg)
     with quiet_arrays():
-        vec = _nw_fold(n, m, edges.moves(lifted), lifted, hull=hull)
+        vec = _nw_fold(n, m, edges.moves(lifted), lifted, hull)
     return lifting.project(s, alg, vec.tolist())  # Python floats, as the tuple form's
 
 
@@ -698,13 +699,13 @@ def nw_align_max_constrained(p: AlignmentProblem, diff_cap: int, s: Semiring) ->
     ``nw_align``'s fold with ``s.zero`` on every move whose gap exceeds
     the cap (``p.moves(s, diff_cap)``; the weights past it are not read).
     Every cell farther than the cap from the diagonal is then zero, so
-    the fold visits only the band within it: O(max(rows, cols) *
-    diff_cap) operations, at most O(rows * cols).
+    the fold visits only the rows of ``band(p.rows, p.cols, diff_cap)``:
+    O(max(rows, cols) * diff_cap) operations, at most O(rows * cols).
     """
     n, m = p.rows, p.cols
     if not 0 <= diff_cap <= max(n, m, 0):
         raise ValueError(f"diff_cap {diff_cap} invalid for lengths ({n}, {m})")
-    return _nw_fold(n, m, p.moves(s, diff_cap), s, diff_cap)
+    return _nw_fold(n, m, p.moves(s, diff_cap), s, band(n, m, diff_cap))
 
 
 def events_m_of_n(pairs: Sequence[tuple], occurrences: int, s: Semiring) -> Any:

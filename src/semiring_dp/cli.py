@@ -187,7 +187,7 @@ def canonical_json(doc) -> str:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # less one leading byte-order mark
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
@@ -599,17 +599,14 @@ def cmd_align(args) -> tuple[dict, list | None]:
         constraint = {"kind": "sum", "cap": args.sum_misalign}
         # at most len(a) + len(b) moves, each adding at most max(len(a), len(b))
         cap = min(args.sum_misalign, (len(a) + len(b)) * max(len(a), len(b)))
-        hull = algorithms.gap_hull(len(a), len(b), cap)
         # over a base with array rows, a cell's vector may be one float array
         # (nw_align_sum_constrained): tuples fold the hull's cells, cap + 1 entries each
         arrays = s.array_rows
         if arrays:
+            hull = algorithms.gap_hull(len(a), len(b), cap)  # remembered for the fold
             cells = sum(hi - lo + 1 for lo, hi in hull if lo <= hi)
             arrays = array_route(cells * (GAP_S + (cap + 1) * GAP_ENTRY_S), cells * GAP_ARRAY_S)
-        # the inputs' own fold reads that hull; a sweep prefix makes its own
-        run = lambda p, counted: nw_align_sum_constrained(
-            p, cap, counted, arrays=arrays,
-            hull=hull if (p.rows, p.cols) == (len(a), len(b)) else None)
+        run = lambda p, counted: nw_align_sum_constrained(p, cap, counted, arrays=arrays)
         alg = algorithms.misalignment_algebra("sum", cap)
     elif args.max_misalign is not None:
         cap = args.max_misalign

@@ -30,6 +30,29 @@ def test_dag_validation():
         sd.Dag(((), (2,)))  # edge not topological
 
 
+# each check names what is wrong: (call, message)
+ARGUMENT_CHECKS = [
+    (lambda: sd.Dag(()), "a DAG needs at least one node"),
+    (lambda: algorithms.subsequences(-1, COUNT, lambda k: 1), "n must be non-negative"),
+    (lambda: algorithms.nonempty_subsequences(-1, COUNT, lambda k: 1), "n must be non-negative"),
+    (lambda: algorithms.combinations(-1, 0, COUNT, lambda k: 1), "sizes must be non-negative"),
+    (lambda: algorithms.SegmentationProblem(0, lambda i, j: 1), "length must be at least 1"),
+    (lambda: algorithms.segment_min_length(algorithms.SegmentationProblem(3, lambda i, j: 1), 0,
+                                           COUNT), "minimum segment length 0 invalid for length 3"),
+    (lambda: algorithms.segment_min_length(algorithms.SegmentationProblem(3, lambda i, j: 1), 4,
+                                           COUNT), "minimum segment length 4 invalid for length 3"),
+    (lambda: algorithms.AlignmentProblem(-1, 0, lambda i, j: 1), "lengths must be non-negative"),
+    (lambda: algorithms.events_m_of_n([(1, 1)], -1, COUNT), "occurrences must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS)
+def test_argument_checks_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_dag_single_edge():
     dag = sd.Dag(((), (1,)))
     assert sd.dag_bellman(dag, COUNT, lambda e: 1) == 1

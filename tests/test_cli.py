@@ -535,22 +535,22 @@ def test_array_routes_in_a_warm_process(tmp_path, monkeypatch):
         assert asked("lis", chain, *(("--verify",) if half == 7 else ())) == [arrays]
 
 
-def test_a_summed_gap_alignment_builds_its_hull_once(tmp_path, monkeypatch):
-    # the route estimate's hull is the one the fold reads; a sweep prefix builds its own
+def test_a_summed_gap_alignment_builds_its_hull_once(tmp_path):
+    # the route estimate's hull is remembered, and the fold reads it: one build
     from semiring_dp import algorithms
 
-    sizes = []
-    hull = algorithms.gap_hull
-    monkeypatch.setattr(algorithms, "gap_hull", lambda *a: sizes.append(a) or hull(*a))
     for name, text in (("a", "GATTACAGAT"), ("b", "GCTTACGATT")):
         (tmp_path / f"{name}.txt").write_text(text + "\n")
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    algorithms.gap_hull.cache_clear()
     assert run_cli(tmp_path, "align", a, b, "--sum-misalign", "4")[0] == 0
-    assert sizes == [(10, 10, 4)]
-    sizes.clear()
-    # the whole-size prefix is the inputs' own problem
+    info = algorithms.gap_hull.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+    # one hull is remembered: the 3-prefix's evicts the inputs' own, which the
+    # whole-size prefix builds again, and the run itself then reads
+    algorithms.gap_hull.cache_clear()
     assert run_cli(tmp_path, "align", a, b, "--sum-misalign", "4", "--sweep", "3,10")[0] == 0
-    assert sizes == [(10, 10, 4), (3, 3, 4)]
+    assert algorithms.gap_hull.cache_info().misses == 3
 
 
 def test_array_route_charges_the_import_until_numpy_is_loaded(tmp_path):

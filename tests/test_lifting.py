@@ -23,6 +23,24 @@ def small_algebras(bound=4):
     return sd.algebra_catalog(bound)
 
 
+# each check names what is wrong: (call, message)
+ARGUMENT_CHECKS = [
+    (lambda: sd.ConstraintAlgebra("twice", (0, 0), max, 0), "twice: carrier has duplicate elements"),
+    (lambda: sd.lifted_semiring(COUNT, sd.abs_difference_algebra(2)),
+     "abs-difference[2]: combine is not associative; only per-edge products apply"),
+    (lambda: sd.min_count_algebra(0), "bound must be at least 1"),
+    (lambda: sd.max_count_algebra(-1), "bound must be non-negative"),
+    (lambda: sd.abs_difference_algebra(-1), "bound must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_CHECKS)
+def test_argument_checks_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 # --- algebra invariants --------------------------------------------------------
 
 

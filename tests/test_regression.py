@@ -284,6 +284,27 @@ def test_segment_series_forced_single_segment():
     assert segments == [(1, 8)]
 
 
+def test_segment_series_scoring_the_base_zero_has_no_segments():
+    # a constant series fits every segment exactly, so each cover's product is
+    # max-product's zero, 0.0: no cover, and no witness to check
+    ts = series([2.0] * 6)
+    assert sd.segment_series(ts, sd.SegmentCostModel(kind="constant"),
+                             base=sd.max_product_semiring()) == (0.0, [])
+
+
+@pytest.mark.parametrize("witness, message", [
+    (((1, 2), (4, 6)), "solver returned a non-contiguous cover: [(1, 2), (4, 6)]"),
+    (((1, 2), (3, 5)), "solver returned an incomplete cover: [(1, 2), (3, 5)]"),
+])
+def test_a_cover_that_is_gapped_or_short_is_refused(monkeypatch, witness, message):
+    from semiring_dp import regression
+
+    monkeypatch.setattr(regression, "segment_opt", lambda p, s: sd.Scored(1.0, witness))
+    with pytest.raises(RuntimeError) as raised:
+        sd.segment_series(series([1.0, 2.0, 4.0, 8.0, 0.5, 1.5]), sd.SegmentCostModel())
+    assert str(raised.value) == message
+
+
 def test_segment_series_recovers_step():
     y = [0.0] * 10 + [5.0] * 10
     ts = series(y)

@@ -502,6 +502,52 @@ def test_non_utf8_input_is_a_data_error(capsys, inputs, command):
     assert_one_data_error(err, "cannot read", str(bad), "utf-8")
 
 
+# a UTF-8 byte-order mark, as Windows editors write one: (command, unmarked file texts, flags)
+MARKED_RUNS = [
+    ("align", ("GATTA\n", "GCTAC\n"), ("--verify",)),
+    ("align", ("the cat sat\n", "the hat sat\n"), ("--tokens", "--semiring", "viterbi:minplus")),
+    ("segment", ("1.0\n4.0\n2.0\n8.0\n0.5\n1.5\n",), ("--count", "2", "--verify")),
+    ("events", ("0.25\n0.5\n0.75\n",), ("-M", "2", "--mode", "viterbi", "--verify")),
+    ("lis", ("3\n1\n2\n",), ("--verify",)),
+]
+
+
+def _document(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    doc.pop("wall_time_s")
+    doc["config"].pop("inputs" if argv[0] == "align" else "input")
+    return doc
+
+
+@pytest.mark.parametrize("command, texts, flags", MARKED_RUNS)
+def test_a_leading_byte_order_mark_is_not_data(capsys, tmp_path, command, texts, flags):
+    # the mark was kept: a symbol of its own (an alignment of 4, not 3), glued to the
+    # first token, or "not a number: '\ufeff1.0'"; the first input here starts with one
+    paths = []
+    for k, text in enumerate(texts):
+        (tmp_path / f"{k}.txt").write_text(text, encoding="utf-8")
+        paths.append(str(tmp_path / f"{k}.txt"))
+    (tmp_path / "marked.txt").write_text("\ufeff" + texts[0], encoding="utf-8")
+    want = _document(capsys, [command, *paths, *flags])
+    assert _document(capsys, [command, str(tmp_path / "marked.txt"), *paths[1:], *flags]) == want
+    if command == "align":
+        assert want["result"] == (1 if "--tokens" in flags else 3)
+
+
+def test_a_byte_order_mark_inside_a_file_stays_data(capsys, inputs):
+    # only one leading mark is dropped: a second one, or one mid-file, is read as written
+    for name, text in (("twice.txt", "\ufeff\ufeffGATTA\n"), ("inner.txt", "GAT\ufeffTA\n")):
+        (inputs / name).write_text(text, encoding="utf-8")
+        argv = ["align", str(inputs / name), str(inputs / "b.txt"), "--semiring", "viterbi:minplus"]
+        assert _document(capsys, argv)["result"] == 4
+    (inputs / "inner.csv").write_text("1.0\n\ufeff4.0\n2.0\n", encoding="utf-8")
+    code, out, err = run(capsys, ["segment", str(inputs / "inner.csv")])
+    assert (code, out) == (2, "")
+    assert_one_data_error(err, "inner.csv:2: not a number: '\\ufeff4.0'")
+
+
 # --- output failures ----------------------------------------------------------------
 
 
